@@ -8,8 +8,10 @@
 //!
 //! Modes:
 //!
-//! * full (default): kernel micro-benches plus the combined setup+prove
-//!   path on the exponentiation workloads at 2^10..2^14 constraints.
+//! * full (default): kernel micro-benches (among them the phase-2
+//!   `contribute` sweep at 2^12, which the stage rows do not time) plus the
+//!   combined setup+prove path on the exponentiation workloads at
+//!   2^10..2^14 constraints.
 //! * `--smoke`: kernel micro-benches only, at reduced sizes — fast enough
 //!   for the tier-1 gate in `scripts/check.sh`.
 //! * `--large`: adds the big-domain sweep — MSM at 2^18/2^20/2^22 and NTT
@@ -29,7 +31,7 @@ use serde::{Deserialize, Serialize};
 use zkperf_circuit::library::exponentiate;
 use zkperf_ec::{msm, Bn254, Engine, FixedBaseTable, Projective};
 use zkperf_ff::{bls12_381, bn254, Field};
-use zkperf_groth16::{prove, setup, verify, verify_batch};
+use zkperf_groth16::{contribute, prove, setup, verify, verify_batch};
 use zkperf_poly::Radix2Domain;
 
 /// One timed kernel micro-benchmark.
@@ -223,6 +225,21 @@ fn kernel_benches(smoke: bool) -> Vec<KernelResult> {
                 let ok = verify_batch::<Bn254, _>(&pk.vk, &items, &mut batch_rng)
                     .expect("well-formed inputs");
                 assert!(ok, "bench batch must verify");
+            }),
+        });
+    }
+
+    // The phase-2 contribution at 2^12: the larger half of keygen, which
+    // the stage rows' `setup_ns` (plain `setup`) leaves out. Contributions
+    // compose, so each repetition re-scales the same key.
+    {
+        let circuit = exponentiate::<bn254::Fr>(1 << 12);
+        let mut pk = setup::<Bn254, _>(circuit.r1cs(), &mut rng).expect("setup succeeds");
+        out.push(KernelResult {
+            name: "bn254_contribute_2e12".into(),
+            nanos: best_of(if smoke { 2 } else { 3 }, || {
+                contribute::<Bn254, _>(&mut pk, &mut rng);
+                std::hint::black_box(&pk);
             }),
         });
     }

@@ -37,7 +37,7 @@ use zkperf_io::{
 use zkperf_plonk as plonk;
 use zkperf_stark as stark;
 
-use crate::stage::Curve;
+use crate::stage::{Curve, Stage};
 use crate::workload::StageError;
 
 /// Container magic for serialized PLONK proofs.
@@ -252,6 +252,14 @@ where
 
     fn setup(r1cs: &R1cs<E::Fr>, rng: &mut StdRng) -> Result<Self::Keys, StageError> {
         let mut pk = groth16::setup::<E, _>(r1cs, rng)?;
+        // `groth16::setup` last polls before its G2 batch, and the
+        // contribution is the longer half of a cold build: a deadline that
+        // fired in between must not pay for it.
+        if zkperf_pool::cancellation_pending() {
+            return Err(StageError::Cancelled {
+                stage: Stage::Setup,
+            });
+        }
         // snarkjs zkeys need at least one phase-2 contribution before they
         // are usable; the paper's setup measurement includes it.
         groth16::contribute::<E, _>(&mut pk, rng);
@@ -548,6 +556,18 @@ mod tests {
     #[test]
     fn groth16_roundtrip_and_codec() {
         roundtrip::<Groth16Backend<Bn254>>();
+    }
+
+    #[test]
+    fn groth16_setup_builds_no_key_past_an_expired_deadline() {
+        let circuit = exponentiate::<zkperf_ff::bn254::Fr>(8);
+        let token = zkperf_pool::CancelToken::with_deadline(std::time::Instant::now());
+        let _scope = token.enter();
+        let err = Groth16Backend::<Bn254>::setup(circuit.r1cs(), &mut rng()).err();
+        assert!(
+            err.as_ref().is_some_and(StageError::is_cancellation),
+            "expected a cancellation, got {err:?}"
+        );
     }
 
     #[test]

@@ -304,7 +304,9 @@ impl<C: CurveParams> Projective<C> {
 
     /// Scalar multiplication with a fixed 4-bit window: ~w× fewer
     /// additions than double-and-add at the cost of a 15-entry table.
-    /// Used by ceremony contributions, which re-scale whole key sections.
+    /// Used by ceremony contributions for the δ updates; the key sections
+    /// they re-scale go through [`crate::scale_points`], which falls back
+    /// to this per point under a trace session.
     ///
     /// When the group exposes [`CurveParams::glv_params`] and the exponent
     /// is a canonical scalar (`exp < r`), the multiplication runs as a
@@ -363,7 +365,12 @@ impl<C: CurveParams> Projective<C> {
         const W: usize = 4;
         let _g = trace::region_profile("scalar_mul");
         let d = glv.decompose(&C::Scalar::from_biguint(exp));
-        let p_aff = self.to_affine();
+        // A point lifted from affine (`z = 1`) is already normalised.
+        let p_aff = if self.z.is_one() {
+            Affine::new_unchecked(self.x, self.y)
+        } else {
+            self.to_affine()
+        };
         let endo_aff = glv.endo(&p_aff);
         let base1 = if d.k1.neg { p_aff.neg() } else { p_aff }.to_projective();
         let base2 = if d.k2.neg { endo_aff.neg() } else { endo_aff }.to_projective();

@@ -8,6 +8,8 @@
 //! * generic short-Weierstrass [`curve::Affine`] / [`curve::Projective`]
 //!   groups in Jacobian coordinates,
 //! * Pippenger [`msm`] (the dominant kernel of Groth16 setup and proving),
+//! * shared-scalar [`scale_points`] (the re-scaling sweep of a ceremony
+//!   contribution),
 //! * Miller loops and final exponentiation for both curves, and
 //! * the [`Engine`] trait tying a curve suite together for `zkperf-groth16`.
 //!
@@ -31,6 +33,7 @@ pub mod glv;
 mod msm;
 pub mod pairing;
 pub mod pairing_fast;
+mod scale;
 pub mod tuning;
 
 /// Serializes tests that toggle the global pool thread count, so the
@@ -46,3 +49,4 @@ pub use fixed_base::FixedBaseTable;
 pub use glv::{DecomposedScalar, GlvParams, SignedHalf};
 pub use msm::{msm, msm_naive, msm_stream};
 pub use pairing_fast::{fast_pairing_enabled, G2Prepared, TwistType};
+pub use scale::{scale_points, scale_points_reference, SCALE_CHUNK};

@@ -3,13 +3,14 @@
 //! A Groth16 zkey produced by `snarkjs groth16 setup` is not usable until
 //! at least one participant has contributed randomness to the phase-2
 //! ceremony; the paper's `setup` stage measurement therefore includes this
-//! pass, which re-randomizes δ and re-scales every δ-divided key section
-//! with full-width scalar multiplications. It dominates the stage's time
-//! and memory traffic (the paper's 76.1% share and 1000× loads).
+//! pass, which re-randomizes δ and multiplies every δ-divided key section
+//! by the one scalar `d⁻¹` ([`zkperf_ec::scale_points`]). It dominates the
+//! stage's time and memory traffic (the paper's 76.1% share and 1000×
+//! loads).
 
 use rand::Rng;
 
-use zkperf_ec::{Engine, Projective};
+use zkperf_ec::{scale_points, Engine};
 use zkperf_ff::{Field, PrimeField};
 use zkperf_trace as trace;
 
@@ -28,7 +29,6 @@ pub fn contribute<E: Engine, R: Rng + ?Sized>(pk: &mut ProvingKey<E>, rng: &mut 
         }
     };
     let d_big = d.to_biguint();
-    let d_inv = d_inv.to_biguint();
 
     pk.delta_g1 = pk.delta_g1.to_projective().mul_windowed(&d_big).to_affine();
     pk.vk.delta_g2 = pk
@@ -38,18 +38,10 @@ pub fn contribute<E: Engine, R: Rng + ?Sized>(pk: &mut ProvingKey<E>, rng: &mut 
         .mul_windowed(&d_big)
         .to_affine();
 
-    // Every δ-divided element picks up d⁻¹: the O(n) sweep that makes
-    // setup the heaviest stage.
-    for query in [&mut pk.l_query, &mut pk.h_query] {
-        let scaled: Vec<Projective<E::G1>> = query
-            .iter()
-            .map(|p| {
-                trace::control(1);
-                p.to_projective().mul_windowed(&d_inv)
-            })
-            .collect();
-        *query = Projective::batch_to_affine(&scaled);
-    }
+    // Every δ-divided element picks up d⁻¹, in place: the O(n) sweep that
+    // makes setup the heaviest stage.
+    scale_points(&mut pk.l_query, &d_inv);
+    scale_points(&mut pk.h_query, &d_inv);
 }
 
 #[cfg(test)]

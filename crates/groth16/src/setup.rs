@@ -263,7 +263,9 @@ fn build_key_monolithic<E: Engine>(
     let b_g1_query: Vec<_> = g1_points.by_ref().take(num_wires).collect();
     let ic: Vec<_> = g1_points.by_ref().take(num_public).collect();
     let l_query: Vec<_> = g1_points.by_ref().take(r1cs.num_wires() - num_public).collect();
-    let h_query: Vec<_> = g1_points.take(domain.size()).collect();
+    // `by_ref` here too: collecting the owned iterator would reuse the whole
+    // batch's allocation for the H query and keep it live with the key.
+    let h_query: Vec<_> = g1_points.by_ref().take(domain.size()).collect();
 
     if pool::cancellation_pending() {
         return Err(SetupError::Cancelled);

@@ -16,6 +16,7 @@
 //! | signed-window batch-affine `msm`     | `msm_naive` + double-and-add     |
 //! | GLV lattice decomposition            | `k1 + λ·k2 ≡ k (mod r)` BigUint  |
 //! | GLV msm / `mul_windowed` Straus      | naive MSM + double-and-add       |
+//! | shared-scalar `scale_points`         | per-lane double-and-add          |
 //! | `FixedBaseTable` mul / `mul_batch`   | double-and-add                   |
 //! | cached-twiddle NTT (fwd/inv/coset)   | O(n²) DFT + roundtrip identity   |
 //! | four-step blocked NTT (forced path)  | flat radix-2 transform           |
@@ -29,8 +30,11 @@
 //! | STARK pipeline + proof codec         | end-to-end accept + roundtrip    |
 
 use rand::Rng;
-use zkperf_ec::{msm, msm_naive, msm_stream, Affine, CurveParams, Engine, FixedBaseTable, Projective};
-use zkperf_ff::{batch_inverse, BigUint, Goldilocks, PrimeField};
+use zkperf_ec::{
+    msm, msm_naive, msm_stream, scale_points, Affine, CurveParams, Engine, FixedBaseTable,
+    Projective, SCALE_CHUNK,
+};
+use zkperf_ff::{batch_inverse, BigUint, Field, Goldilocks, PrimeField};
 use zkperf_poly::Radix2Domain;
 use zkperf_pool as pool;
 use zkperf_stark::fri::{fold_layer, fold_pair, LayerDomain};
@@ -39,7 +43,7 @@ use zkperf_stark::{StarkParams, StarkProof};
 
 use crate::gen::{
     adversarial_circuit, adversarial_field, adversarial_len, adversarial_points,
-    adversarial_pow2, adversarial_scalars,
+    adversarial_pow2, adversarial_scalars, edge_fields,
 };
 use crate::reference::{
     add_mod_biguint, coset_dft_reference, dft_reference, horner, merkle_root_reference,
@@ -316,6 +320,84 @@ fn glv_mul_windowed_case<C: CurveParams>(rng: &mut SplitRng) -> CaseResult {
     let reference = zkperf_ec::glv::mul_glv_reference(glv, &p, &s);
     if reference != p.mul_bigint(&s.to_biguint()) {
         return fail("glv reference mul", format_args!("scalar {s}"));
+    }
+    Ok(())
+}
+
+/// Runs [`scale_points`] over the batch `lanes` describes — lane `i` is
+/// `pool[j]`, negated when flagged — and compares every lane with
+/// double-and-add, field for field (so an identity result must be the
+/// canonical [`Affine::identity`]). The reference multiplies each pool
+/// point once; the lanes only index it.
+fn scale_points_batch<C: CurveParams>(
+    pool: &[Affine<C>],
+    lanes: &[(usize, bool)],
+    k: &C::Scalar,
+) -> CaseResult {
+    let pick = |src: &[Affine<C>], &(j, negate): &(usize, bool)| {
+        if negate && !src[j].infinity {
+            src[j].neg()
+        } else {
+            src[j]
+        }
+    };
+    let mut got: Vec<Affine<C>> = lanes.iter().map(|lane| pick(pool, lane)).collect();
+    scale_points(&mut got, k);
+    let exp = k.to_biguint();
+    let scaled: Vec<Affine<C>> = pool
+        .iter()
+        .map(|p| p.to_projective().mul_bigint(&exp).to_affine())
+        .collect();
+    for (i, (fast, lane)) in got.iter().zip(lanes).enumerate() {
+        if *fast != pick(&scaled, lane) {
+            return fail(
+                "scale_points vs mul_bigint",
+                format_args!("lane {i} of {}, scalar {k}", lanes.len()),
+            );
+        }
+    }
+    Ok(())
+}
+
+fn scale_points_case<C: CurveParams>(rng: &mut SplitRng) -> CaseResult {
+    // The lattice boundaries when the group decomposes (0, 1, λ±1, r−1,
+    // the half-width bound), the field edges either way, and two draws.
+    let mut scalars = C::glv_params().map_or_else(Vec::new, glv_boundary_scalars::<C>);
+    scalars.extend(edge_fields::<C::Scalar>());
+    scalars.push(adversarial_field(rng));
+    scalars.push(C::Scalar::random(rng));
+
+    // A small pool the lanes draw from: a finite point, the canonical
+    // identity and one carrying stale coordinates, then the generator,
+    // duplicates and negations.
+    let finite = Projective::<C>::random(rng).to_affine();
+    let stale = Affine {
+        infinity: true,
+        ..finite
+    };
+    let mut pool = vec![finite, Affine::identity(), stale];
+    pool.extend(adversarial_points::<C>(rng, 12));
+
+    // Every scalar over the lane mix a batch adder gets wrong first:
+    // `P, P, −P` side by side between the two kinds of identity.
+    let edge_lanes = [(2, false), (0, false), (0, false), (0, true), (1, true)];
+    for k in &scalars {
+        scale_points_batch(&pool, &edge_lanes, k)?;
+    }
+
+    // Lengths on both sides of the chunk boundary, one scalar each, with
+    // the same `P, P, −P` run planted inside a chunk.
+    for len in [0, 1, SCALE_CHUNK - 1, SCALE_CHUNK, SCALE_CHUNK + 1] {
+        let mut lanes: Vec<(usize, bool)> = (0..len)
+            .map(|_| (rng.gen_range(0..pool.len() as u64) as usize, rng.gen_bool(0.5)))
+            .collect();
+        if len >= 3 {
+            let at = rng.gen_range(0..(len - 2) as u64) as usize;
+            let j = lanes[at].0;
+            lanes[at..at + 3].copy_from_slice(&[(j, false), (j, false), (j, true)]);
+        }
+        let k = scalars[rng.gen_range(0..scalars.len() as u64) as usize];
+        scale_points_batch(&pool, &lanes, &k)?;
     }
     Ok(())
 }
@@ -1015,6 +1097,18 @@ pub fn all_oracles() -> Vec<Oracle> {
         Oracle {
             name: "glv_mul_windowed_bn254_g1",
             run: glv_mul_windowed_case::<bn254::G1Params>,
+        },
+        Oracle {
+            name: "glv_scale_points_bn254_g1",
+            run: scale_points_case::<bn254::G1Params>,
+        },
+        Oracle {
+            name: "glv_scale_points_bls12_381_g1",
+            run: scale_points_case::<bls12_381::G1Params>,
+        },
+        Oracle {
+            name: "scale_points_bn254_g2",
+            run: scale_points_case::<bn254::G2Params>,
         },
         Oracle {
             name: "pairing_bn254",

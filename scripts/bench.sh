@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Benchmark-regression harness.
 #
-# Runs the wall-clock benches (kernel micro-benches plus the combined
-# setup+prove path on the exponentiation workloads at 2^10..2^14), writes
+# Runs the wall-clock benches (kernel micro-benches, including the
+# phase-2 contribution sweep bn254_contribute_2e12 that the stage rows'
+# setup column leaves out, plus the combined setup+prove path on the
+# exponentiation workloads at 2^10..2^14), writes
 # BENCH_results.json, and compares against the committed
 # BENCH_baseline.json with a configurable threshold:
 #

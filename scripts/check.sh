@@ -44,10 +44,14 @@ fi
 
 # The GLV lattice decomposition guards every scalar multiplication on the
 # G1 groups, so its oracles get a deeper dedicated pass: decompose
-# identity (k1 + λ·k2 ≡ k mod r) on boundary scalars, GLV MSM and the
-# mul_windowed Straus route against double-and-add.
+# identity (k1 + λ·k2 ≡ k mod r) on boundary scalars, GLV MSM, the
+# mul_windowed Straus route and the shared-scalar scale_points sweep
+# against double-and-add. The GLV switch is read once per process, so a
+# second process with it thrown runs the scale_points oracles down the
+# single-stream fallback on G1 as well.
 echo "==> fuzz_lite GLV tier"
-if ! ./target/release/fuzz_lite --only glv --iters 16; then
+if ! ./target/release/fuzz_lite --only glv --iters 16 ||
+    ! ZKPERF_NO_GLV=1 ./target/release/fuzz_lite --only scale_points --iters 8; then
     echo "fuzz_lite found GLV divergences; paste a replay line from above" >&2
     exit 1
 fi

@@ -61,6 +61,7 @@ fn inventory_covers_every_optimized_kernel_family() {
         "field_inverse",  // Fermat + batch inverse
         "msm_",           // batch-affine signed-window MSM
         "fixed_base",     // fixed-base window tables
+        "scale_points",   // shared-scalar batch-affine scaling
         "ntt_",           // cached-twiddle NTT, forward/inverse/coset
         "lagrange",       // barycentric Lagrange kernel
         "threads_",       // N-thread vs 1-thread determinism

@@ -1,22 +1,24 @@
-//! Integration: proofs are byte-identical at any thread-pool size.
+//! Integration: keys and proofs are byte-identical at any thread-pool size.
 //!
 //! The pool decomposes work purely by input size and reduces in a fixed
-//! order, so setup, witness evaluation, NTT, MSM, Merkle hashing, and
-//! FRI folding must produce the same bits whether they ran serially or
-//! on N workers. This is the workspace-level seal on that rule: a full
-//! setup→prove→serialize round at a size that clears every parallel
-//! threshold, compared byte for byte across pool sizes — once for the
-//! randomness-carrying Groth16 pipeline (under a pinned RNG) and once
-//! for the randomness-free STARK pipeline.
+//! order, so setup, the contribution sweep, witness evaluation, NTT, MSM,
+//! Merkle hashing, and FRI folding must produce the same bits whether
+//! they ran serially or on N workers. This is the workspace-level seal on
+//! that rule: a full setup→contribute→prove→serialize round at a size
+//! that clears every parallel threshold, compared byte for byte across
+//! pool sizes — once for the randomness-carrying Groth16 pipeline (under a
+//! pinned RNG) and once for the randomness-free STARK pipeline.
 //!
 //! A single `#[test]` drives both pipelines because the pool size is
 //! process-global state.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use zkperf::circuit::library;
-use zkperf::ec::Bn254;
+use zkperf::ec::{scale_points_reference, Bn254};
 use zkperf::ff::{Field, Goldilocks};
-use zkperf::groth16::{prove, setup, verify};
-use zkperf::io::write_proof;
+use zkperf::groth16::{contribute, prove, setup, verify};
+use zkperf::io::{write_proof, write_zkey};
 use zkperf::pool;
 use zkperf::stark::StarkParams;
 
@@ -30,17 +32,32 @@ const CONSTRAINTS: usize = 1 << 12;
 /// grains.
 const STARK_CONSTRAINTS: usize = 1 << 10;
 
-fn groth16_proof_bytes() -> Vec<u8> {
+/// `.zkey` and proof bytes of one setup → contribute → prove round under a
+/// pinned RNG. With `reference_sweep` the contributed `L`/`H` queries are
+/// replaced by the pre-contribution queries scaled with the per-point
+/// loop, which must change nothing.
+fn groth16_bytes(reference_sweep: bool) -> (Vec<u8>, Vec<u8>) {
     type Fr = zkperf::ff::bn254::Fr;
     let circuit = library::exponentiate::<Fr>(CONSTRAINTS);
-    let mut rng = zkperf::ff::test_rng();
-    let pk = setup::<Bn254, _>(circuit.r1cs(), &mut rng).unwrap();
+    let mut rng = StdRng::seed_from_u64(0x5eed_cafe_f00d_1234);
+    let mut pk = setup::<Bn254, _>(circuit.r1cs(), &mut rng).unwrap();
+    let unscaled = reference_sweep.then(|| (pk.l_query.clone(), pk.h_query.clone()));
+    // The δ-update `contribute` is about to draw.
+    let d = Fr::random(&mut rng.clone());
+    contribute::<Bn254, _>(&mut pk, &mut rng);
+    if let Some((mut l_query, mut h_query)) = unscaled {
+        let d_inv = d.inverse().unwrap();
+        scale_points_reference(&mut l_query, &d_inv);
+        scale_points_reference(&mut h_query, &d_inv);
+        (pk.l_query, pk.h_query) = (l_query, h_query);
+    }
     let witness = circuit.generate_witness(&[Fr::from_u64(3)], &[]).unwrap();
     let proof = prove::<Bn254, _>(&pk, circuit.r1cs(), &witness, &mut rng).unwrap();
     assert!(verify::<Bn254>(&pk.vk, &proof, witness.public()).unwrap());
-    let mut bytes = Vec::new();
+    let (mut zkey, mut bytes) = (Vec::new(), Vec::new());
+    write_zkey::<Bn254>(&mut zkey, &pk).unwrap();
     write_proof::<Bn254>(&mut bytes, &proof).unwrap();
-    bytes
+    (zkey, bytes)
 }
 
 fn stark_proof_bytes() -> Vec<u8> {
@@ -61,13 +78,17 @@ fn proofs_are_byte_identical_across_thread_counts() {
     // First round at the ambient pool size (ZKPERF_THREADS when
     // scripts/check.sh drives this binary), then explicit 1/2/4-thread
     // pools; every round must serialize to the same bytes.
-    let groth16_baseline = groth16_proof_bytes();
+    let groth16_baseline = groth16_bytes(false);
     let stark_baseline = stark_proof_bytes();
     for threads in [1usize, 2, 4] {
         pool::set_threads(threads);
+        let (zkey, proof) = groth16_bytes(false);
+        assert!(
+            zkey == groth16_baseline.0,
+            "Groth16 .zkey bytes differ at {threads} thread(s)"
+        );
         assert_eq!(
-            groth16_baseline,
-            groth16_proof_bytes(),
+            groth16_baseline.1, proof,
             "Groth16 proof bytes differ at {threads} thread(s)"
         );
         assert_eq!(
@@ -77,4 +98,8 @@ fn proofs_are_byte_identical_across_thread_counts() {
         );
     }
     pool::set_threads(1);
+    assert!(
+        groth16_bytes(true) == groth16_baseline,
+        "the batched contribution sweep and the per-point loop disagree"
+    );
 }
