@@ -9,9 +9,9 @@
 //! Modes:
 //!
 //! * full (default): kernel micro-benches (among them the phase-2
-//!   `contribute` sweep at 2^12, which the stage rows do not time) plus the
-//!   combined setup+prove path on the exponentiation workloads at
-//!   2^10..2^14 constraints.
+//!   `contribute` sweep and PLONK setup and prove at 2^12, which the stage
+//!   rows do not time) plus the combined Groth16 setup+prove path on the
+//!   exponentiation workloads at 2^10..2^14 constraints.
 //! * `--smoke`: kernel micro-benches only, at reduced sizes — fast enough
 //!   for the tier-1 gate in `scripts/check.sh`.
 //! * `--large`: adds the big-domain sweep — MSM at 2^18/2^20/2^22 and NTT
@@ -32,6 +32,7 @@ use zkperf_circuit::library::exponentiate;
 use zkperf_ec::{msm, Bn254, Engine, FixedBaseTable, Projective};
 use zkperf_ff::{bls12_381, bn254, Field};
 use zkperf_groth16::{contribute, prove, setup, verify, verify_batch};
+use zkperf_plonk::{plonk_prove, plonk_setup};
 use zkperf_poly::Radix2Domain;
 
 /// One timed kernel micro-benchmark.
@@ -240,6 +241,30 @@ fn kernel_benches(smoke: bool) -> Vec<KernelResult> {
             nanos: best_of(if smoke { 2 } else { 3 }, || {
                 contribute::<Bn254, _>(&mut pk, &mut rng);
                 std::hint::black_box(&pk);
+            }),
+        });
+    }
+
+    // PLONK at 2^12 constraints (n = 2^13 gates): keygen — SRS, circuit
+    // preprocessing, eight commitments — and one proof from that key.
+    {
+        let circuit = exponentiate::<bn254::Fr>(1 << 12);
+        let witness = circuit
+            .generate_witness(&[bn254::Fr::from_u64(3)], &[])
+            .expect("witness generation succeeds");
+        let mut pk = None;
+        out.push(KernelResult {
+            name: "bn254_plonk_setup_2e12".into(),
+            nanos: best_of(if smoke { 2 } else { 3 }, || {
+                pk = plonk_setup::<Bn254, _>(circuit.r1cs(), &mut rng).ok();
+            }),
+        });
+        let pk = pk.expect("plonk setup succeeds");
+        out.push(KernelResult {
+            name: "bn254_plonk_prove_2e12".into(),
+            nanos: best_of(if smoke { 2 } else { 3 }, || {
+                let proof = plonk_prove(&pk, witness.full()).expect("plonk prove succeeds");
+                std::hint::black_box(proof);
             }),
         });
     }

@@ -376,9 +376,7 @@ where
     }
 
     fn keys_size_bytes(keys: &Self::Keys) -> usize {
-        // SRS G1 powers dominate: (x, y) affine coordinates per power.
-        let fr = std::mem::size_of::<E::Fr>();
-        (keys.vk().srs.max_degree() + 1) * 2 * fr + (5 + 3) * 2 * fr
+        keys.size_bytes()
     }
 
     fn encode_proof(proof: &Self::Proof) -> Vec<u8> {

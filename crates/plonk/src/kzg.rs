@@ -50,13 +50,24 @@ impl<E: Engine> Srs<E> {
             scalars.push(acc);
             acc *= tau;
         }
-        let table = FixedBaseTable::new(&Projective::<E::G1>::generator());
-        let g1_powers = table.mul_batch(&scalars);
+        let g1 = Projective::<E::G1>::generator();
+        let g1_powers = FixedBaseTable::for_batch(&g1, scalars.len()).mul_batch(&scalars);
         let g2gen = Projective::<E::G2>::generator();
         Srs {
             g1_powers,
             g2: g2gen.to_affine(),
             g2_tau: (g2gen * tau).to_affine(),
+            prepared_g2: OnceLock::new(),
+        }
+    }
+
+    /// The part of the SRS an opening check reads: `[1]₁` and the two G2
+    /// points (the line coefficients are prepared again on first use).
+    pub fn verifier_part(&self) -> Self {
+        Srs {
+            g1_powers: self.g1_powers[..1].to_vec(),
+            g2: self.g2,
+            g2_tau: self.g2_tau,
             prepared_g2: OnceLock::new(),
         }
     }
@@ -90,12 +101,8 @@ impl<E: Engine> Srs<E> {
     /// Opens `p` at `z`: returns `(p(z), [q(τ)]₁)`.
     pub fn open(&self, p: &DensePolynomial<E::Fr>, z: E::Fr) -> (E::Fr, OpeningProof<E>) {
         let _g = trace::region_profile("kzg_open");
-        let y = p.evaluate(z);
-        // q = (p − y) / (x − z), exact by construction.
-        let shifted = p - &DensePolynomial::new(vec![y]);
-        let divisor = DensePolynomial::new(vec![-z, E::Fr::one()]);
-        let (q, rem) = shifted.divide(&divisor);
-        debug_assert!(rem.is_zero(), "division must be exact at an evaluation");
+        // p = q·(x − z) + p(z): the quotient of (p − p(z)) / (x − z) is q.
+        let (q, y) = p.divide_by_linear(z);
         (y, OpeningProof(self.commit(&q).0))
     }
 
@@ -144,25 +151,25 @@ impl<E: Engine> Srs<E> {
         self.verify_opening(&Commitment(combined.to_affine()), z, combined_value, proof)
     }
 
-    /// Produces the ν-batched opening witness matching
-    /// [`verify_batched_opening`](Self::verify_batched_opening).
+    /// Opens `Σ νⁱ·pᵢ` at `z` — the witness
+    /// [`verify_batched_opening`](Self::verify_batched_opening) checks —
+    /// and returns it with the combined value `Σ νⁱ·pᵢ(z)`.
     pub fn open_batched(
         &self,
         polys: &[&DensePolynomial<E::Fr>],
         z: E::Fr,
         nu: E::Fr,
-    ) -> (Vec<E::Fr>, OpeningProof<E>) {
-        let values: Vec<E::Fr> = polys.iter().map(|p| p.evaluate(z)).collect();
-        let mut combined = DensePolynomial::zero();
+    ) -> (E::Fr, OpeningProof<E>) {
+        let len = polys.iter().map(|p| p.coeffs().len()).max().unwrap_or(0);
+        let mut combined = vec![E::Fr::zero(); len];
         let mut power = E::Fr::one();
         for p in polys {
-            let scaled =
-                DensePolynomial::new(p.coeffs().iter().map(|&c| c * power).collect());
-            combined = &combined + &scaled;
+            for (acc, &c) in combined.iter_mut().zip(p.coeffs()) {
+                *acc += c * power;
+            }
             power *= nu;
         }
-        let (_, proof) = self.open(&combined, z);
-        (values, proof)
+        self.open(&DensePolynomial::new(combined), z)
     }
 }
 
@@ -215,15 +222,32 @@ mod tests {
             polys.iter().map(|p| srs.commit(p)).collect();
         let z = Fr::from_u64(11);
         let nu = Fr::from_u64(33);
-        let (values, proof) = srs.open_batched(&refs, z, nu);
-        let items: Vec<(Commitment<Bn254>, Fr)> =
-            commits.iter().copied().zip(values.iter().copied()).collect();
+        let (combined_value, proof) = srs.open_batched(&refs, z, nu);
+        let items: Vec<(Commitment<Bn254>, Fr)> = commits
+            .iter()
+            .copied()
+            .zip(polys.iter().map(|p| p.evaluate(z)))
+            .collect();
+        let [y0, y1, y2] = [items[0].1, items[1].1, items[2].1];
+        assert_eq!(combined_value, y0 + nu * y1 + nu * nu * y2);
         assert!(srs.verify_batched_opening(&items, z, nu, &proof));
         let mut bad = items.clone();
         bad[1].1 += Fr::one();
         assert!(!srs.verify_batched_opening(&bad, z, nu, &proof));
         // Different nu breaks the binding between proof and batch.
         assert!(!srs.verify_batched_opening(&items, z, nu + Fr::one(), &proof));
+    }
+
+    #[test]
+    fn verifier_part_checks_openings_of_the_full_srs() {
+        let srs = srs(8);
+        let p = poly(&[5, 0, 3, 1]);
+        let z = Fr::from_u64(7);
+        let (y, w) = srs.open(&p, z);
+        let part = srs.verifier_part();
+        assert_eq!(part.max_degree(), 0);
+        assert!(part.verify_opening(&srs.commit(&p), z, y, &w));
+        assert!(!part.verify_opening(&srs.commit(&p), z, y + Fr::one(), &w));
     }
 
     #[test]

@@ -11,13 +11,35 @@
 //! reports PlonK proving at about twice the Groth16 time. Blinding factors
 //! are omitted (this suite characterizes performance, not deployments);
 //! soundness is unaffected.
+//!
+//! # What the key holds, and what a proof transforms
+//!
+//! Everything that depends on the circuit alone is computed once, by
+//! [`plonk_setup`], and kept in the prover key (`Preprocessed`): the five
+//! selector and three σ polynomials in coefficient form (opened at ζ in
+//! rounds 4–5), their evaluations on the 4n coset the quotient is computed
+//! on (no table for an all-zero column — `q_R` and `q_C` on the
+//! exponentiation circuits), `L₁` on that coset from its closed form
+//! `(xⁿ − 1)/(n(x − 1))`, the four distinct values of `1/Z_H` there
+//! (`Z_H(g·ω₄ⁿʲ)` depends on `j mod 4` only), and both NTT domains. That is
+//! at most `8·4n + 4n` field elements of tables beside `8n` coefficients.
+//!
+//! A proof then runs five size-n inverse NTTs (`a, b, c, z, PI`), five
+//! forward coset NTTs of size 4n for the same columns and one inverse
+//! coset NTT for `t` — where interpolating and extending every circuit
+//! column, `L₁` and `z(ωx)` per proof took fourteen and fifteen. `z(ωx)`
+//! on the coset is `z` four slots further on (`ω = ω₄ⁿ⁴`), read in place.
+//! The row loops (grand-product factors, quotient, `L₁`) and the fourteen
+//! evaluations of round 4 go through `par_chunks`, the crate's one
+//! parallel gate.
 
 use rand::Rng;
 
 use zkperf_circuit::R1cs;
 use zkperf_ec::Engine;
-use zkperf_ff::{BigUint, Field, PrimeField};
+use zkperf_ff::{batch_inverse, BigUint, Field, PrimeField};
 use zkperf_poly::{DensePolynomial, Radix2Domain};
+use zkperf_pool as pool;
 use zkperf_trace as trace;
 
 use crate::circuit::{ArithmetizeError, PlonkCircuit};
@@ -27,12 +49,42 @@ use crate::transcript::Transcript;
 /// Polynomials opened at ζ, in transcript order.
 const OPENED_AT_ZETA: usize = 13;
 
+/// Rows per pool task in the row loops. A multiple of 4, so a chunk's
+/// first row sits at phase 0 of the period-4 `1/Z_H` table.
+const ROW_GRAIN: usize = 1 << 10;
+
 /// The prover's key material.
 #[derive(Debug, Clone)]
 pub struct PlonkProverKey<E: Engine> {
     circuit: PlonkCircuit<E::Fr>,
     srs: Srs<E>,
+    pre: Preprocessed<E::Fr>,
     vk: PlonkVerifyingKey<E>,
+}
+
+/// One circuit column (a selector or a σ).
+#[derive(Debug, Clone)]
+struct Column<F: PrimeField> {
+    /// Coefficient form.
+    poly: DensePolynomial<F>,
+    /// Evaluations on the 4n coset; empty for an all-zero column, which
+    /// the quotient loop skips.
+    coset: Vec<F>,
+}
+
+/// The witness-independent half of the prover's work (module docs).
+#[derive(Debug, Clone)]
+struct Preprocessed<F: PrimeField> {
+    domain: Radix2Domain<F>,
+    domain4: Radix2Domain<F>,
+    /// `q_L, q_R, q_O, q_M, q_C`.
+    selectors: [Column<F>; 5],
+    /// `S_σ1, S_σ2, S_σ3`.
+    sigmas: [Column<F>; 3],
+    /// `L₁` on the 4n coset.
+    l1_coset: Vec<F>,
+    /// `1/Z_H` on the 4n coset, by `j mod 4`.
+    zh_inv: [F; 4],
 }
 
 /// The verifier's key material.
@@ -48,7 +100,7 @@ pub struct PlonkVerifyingKey<E: Engine> {
     pub coset_ks: [E::Fr; 3],
     /// Rows carrying public inputs.
     pub public_rows: Vec<usize>,
-    /// `[1]₂` and `[τ]₂` plus the G1 powers needed for verification.
+    /// The verifier's part of the SRS: `[1]₁`, `[1]₂` and `[τ]₂`.
     pub srs: Srs<E>,
 }
 
@@ -72,7 +124,7 @@ pub struct PlonkProof<E: Engine> {
     pub w_zeta_omega: OpeningProof<E>,
 }
 
-/// Errors from [`plonk_setup`].
+/// Errors from [`plonk_setup`] and [`plonk_prove`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlonkError {
     /// Arithmetization failed.
@@ -84,6 +136,13 @@ pub enum PlonkError {
         /// Wires supplied.
         got: usize,
     },
+    /// The witness does not satisfy the circuit: the permutation grand
+    /// product does not close, or the quotient is not a polynomial of the
+    /// degree the SRS was sized for.
+    UnsatisfiedWitness,
+    /// A factor of the permutation grand product vanished, so a
+    /// denominator has no inverse (β and γ hit a root: probability ~n/p).
+    ZeroPermutationFactor,
     /// The ambient [`zkperf_pool::CancelToken`] was cancelled or its
     /// deadline expired; the operation was abandoned at a round boundary.
     Cancelled,
@@ -95,6 +154,10 @@ impl std::fmt::Display for PlonkError {
             PlonkError::Arithmetize(e) => write!(f, "arithmetization failed: {e}"),
             PlonkError::WitnessLength { expected, got } => {
                 write!(f, "witness has {got} wires, circuit expects {expected}")
+            }
+            PlonkError::UnsatisfiedWitness => write!(f, "witness does not satisfy the circuit"),
+            PlonkError::ZeroPermutationFactor => {
+                write!(f, "a factor of the permutation grand product is zero")
             }
             PlonkError::Cancelled => write!(f, "plonk operation cancelled by caller or deadline"),
         }
@@ -113,71 +176,145 @@ fn interpolate<F: PrimeField>(domain: &Radix2Domain<F>, evals: &[F]) -> DensePol
     DensePolynomial::interpolate(domain, evals)
 }
 
-/// Montgomery batch inversion (one field inversion for the whole slice).
-fn batch_inverse<F: PrimeField>(values: &[F]) -> Vec<F> {
-    let mut prefix = Vec::with_capacity(values.len());
-    let mut acc = F::one();
-    for &v in values {
-        prefix.push(acc);
-        acc *= v;
-    }
-    let mut inv = acc.inverse().expect("no zero among divisors");
-    let mut out = vec![F::zero(); values.len()];
-    for i in (0..values.len()).rev() {
-        out[i] = prefix[i] * inv;
-        inv *= values[i];
-    }
-    out
+/// `p` on the 4n coset.
+fn coset_eval<F: PrimeField>(domain4: &Radix2Domain<F>, p: &DensePolynomial<F>) -> Vec<F> {
+    let mut buf = Vec::with_capacity(domain4.size());
+    buf.extend_from_slice(p.coeffs());
+    buf.resize(domain4.size(), F::zero());
+    domain4.coset_fft_in_place(&mut buf);
+    buf
 }
 
-/// Runs the PLONK setup over `r1cs`: arithmetizes, samples an SRS of size
-/// `4n`, and commits the preprocessed polynomials.
+/// Runs `body(first_index, chunk)` over consecutive `grain`-sized chunks of
+/// `out`: on the pool, or in order on the caller under an op-stream trace
+/// session. The decomposition is fixed by `grain` and every chunk writes
+/// only its own slots, so the values are the same either way and at any
+/// thread count. This is the crate's only parallel gate.
+fn par_chunks<T: Send>(out: &mut [T], grain: usize, body: impl Fn(usize, &mut [T]) + Sync) {
+    if trace::is_active() {
+        for (ci, chunk) in out.chunks_mut(grain).enumerate() {
+            body(ci * grain, chunk);
+        }
+    } else {
+        pool::parallel_chunks_mut(out, grain, |ci, chunk| body(ci * grain, chunk));
+    }
+}
+
+impl<F: PrimeField> Preprocessed<F> {
+    fn new(circuit: &PlonkCircuit<F>) -> Self {
+        let n = circuit.n;
+        let domain = Radix2Domain::<F>::new(n).expect("checked by arithmetization");
+        let domain4 = Radix2Domain::<F>::new(4 * n).expect("checked by arithmetization");
+        let column = |evals: &Vec<F>| {
+            let poly = interpolate(&domain, evals);
+            let coset = if poly.is_zero() {
+                Vec::new()
+            } else {
+                coset_eval(&domain4, &poly)
+            };
+            Column { poly, coset }
+        };
+        let selectors =
+            [&circuit.q_l, &circuit.q_r, &circuit.q_o, &circuit.q_m, &circuit.q_c].map(column);
+        let sigmas = circuit.sigma.each_ref().map(column);
+
+        // On the coset x_j = g·ω₄ʲ: x_jⁿ = gⁿ·iʲ with i = ω₄ⁿ a primitive
+        // fourth root of unity, so Z_H takes four values; none is zero and
+        // no x_j is 1, because g⁴ⁿ ≠ 1.
+        let (g, w4) = (domain4.coset_shift(), domain4.group_gen());
+        let gn = g.pow(&BigUint::from_u64(n as u64));
+        let i = domain4.element(n);
+        let mut zh_inv = [gn, gn * i, -gn, -(gn * i)].map(|v| v - F::one());
+        // L₁(x) = Z_H(x) / (n·(x − 1)).
+        let n_inv = F::from_u64(n as u64).inverse().expect("n < p");
+        let l1_numerators = zh_inv.map(|zh| zh * n_inv);
+        batch_inverse(&mut zh_inv);
+        let mut l1_coset = vec![F::zero(); domain4.size()];
+        par_chunks(&mut l1_coset, ROW_GRAIN, |start, chunk| {
+            let mut x = g * domain4.element(start);
+            for slot in chunk.iter_mut() {
+                *slot = x - F::one();
+                x *= w4;
+            }
+            batch_inverse(chunk);
+            for (k, slot) in chunk.iter_mut().enumerate() {
+                *slot *= l1_numerators[k % 4];
+            }
+        });
+        Preprocessed {
+            domain,
+            domain4,
+            selectors,
+            sigmas,
+            l1_coset,
+            zh_inv,
+        }
+    }
+}
+
+/// Runs the PLONK setup over `r1cs`: arithmetizes, samples the SRS, and
+/// interpolates, extends and commits the circuit polynomials.
 ///
 /// # Errors
 ///
 /// Returns [`PlonkError::Arithmetize`] for circuits outside the supported
-/// gate form or too large for the field's FFT domain.
+/// gate form or too large for the field's FFT domain, and
+/// [`PlonkError::Cancelled`] when the ambient token fires between phases.
 pub fn plonk_setup<E: Engine, R: Rng + ?Sized>(
     r1cs: &R1cs<E::Fr>,
     rng: &mut R,
 ) -> Result<PlonkProverKey<E>, PlonkError> {
     let _g = trace::region_profile("plonk_setup");
     let circuit = PlonkCircuit::from_r1cs(r1cs)?;
-    if zkperf_pool::cancellation_pending() {
+    if pool::cancellation_pending() {
         return Err(PlonkError::Cancelled);
     }
     let n = circuit.n;
-    let srs = Srs::<E>::generate(4 * n + 8, rng);
-    let domain = Radix2Domain::<E::Fr>::new(n).expect("checked by arithmetization");
-
-    let commit_evals = |evals: &[E::Fr]| srs.commit(&interpolate(&domain, evals));
-    let q_commits = [
-        commit_evals(&circuit.q_l),
-        commit_evals(&circuit.q_r),
-        commit_evals(&circuit.q_o),
-        commit_evals(&circuit.q_m),
-        commit_evals(&circuit.q_c),
-    ];
-    let sigma_commits = [
-        commit_evals(&circuit.sigma[0]),
-        commit_evals(&circuit.sigma[1]),
-        commit_evals(&circuit.sigma[2]),
-    ];
+    // Without blinding the largest committed polynomial is the quotient:
+    // degree 4(n − 1) for z·a·b·c, less n for Z_H, is 3n − 4. 3n + 1 powers
+    // cover it.
+    let srs = Srs::<E>::generate(3 * n, rng);
+    if pool::cancellation_pending() {
+        return Err(PlonkError::Cancelled);
+    }
+    let pre = Preprocessed::new(&circuit);
+    let q_commits = pre.selectors.each_ref().map(|c| srs.commit(&c.poly));
+    let sigma_commits = pre.sigmas.each_ref().map(|c| srs.commit(&c.poly));
+    if pool::cancellation_pending() {
+        return Err(PlonkError::Cancelled);
+    }
     let vk = PlonkVerifyingKey {
         n,
         q_commits,
         sigma_commits,
         coset_ks: circuit.coset_ks,
         public_rows: circuit.public_rows.clone(),
-        srs: srs.clone(),
+        srs: srs.verifier_part(),
     };
-    Ok(PlonkProverKey { circuit, srs, vk })
+    Ok(PlonkProverKey {
+        circuit,
+        srs,
+        pre,
+        vk,
+    })
 }
 
 impl<E: Engine> PlonkProverKey<E> {
     /// The embedded verification key.
     pub fn vk(&self) -> &PlonkVerifyingKey<E> {
         &self.vk
+    }
+
+    /// Approximate size of the key material: two coordinates per SRS
+    /// power, plus the field elements of the arithmetized columns and of
+    /// the preprocessed tables.
+    pub fn size_bytes(&self) -> usize {
+        let pre = &self.pre;
+        let columns = pre.selectors.iter().chain(&pre.sigmas);
+        let tables: usize = columns.map(|c| c.poly.coeffs().len() + c.coset.len()).sum();
+        let elements = 8 * self.circuit.n + tables + pre.l1_coset.len() + pre.zh_inv.len();
+        let coordinate = std::mem::size_of::<<E::G1 as zkperf_ec::CurveParams>::Base>();
+        (self.srs.max_degree() + 1) * 2 * coordinate + elements * std::mem::size_of::<E::Fr>()
     }
 }
 
@@ -191,12 +328,110 @@ where
     }
 }
 
+/// Round 2: the permutation accumulator `z` over the domain,
+/// `z₀ = 1`, `zᵢ₊₁ = zᵢ · Π(w + β·k·ωⁱ + γ) / Π(w + β·σ + γ)`.
+fn permutation_accumulator<F: PrimeField>(
+    circuit: &PlonkCircuit<F>,
+    domain: &Radix2Domain<F>,
+    cols: &[Vec<F>; 3],
+    beta: F,
+    gamma: F,
+) -> Result<Vec<F>, PlonkError> {
+    let omega = domain.group_gen();
+    let beta_k = circuit.coset_ks.map(|k| beta * k);
+    // Per-row ratios first, each chunk sharing one inversion; then the
+    // running product turns them into z in place.
+    let mut z = vec![F::zero(); circuit.n];
+    par_chunks(&mut z, ROW_GRAIN, |start, chunk| {
+        for (k, slot) in chunk.iter_mut().enumerate() {
+            let i = start + k;
+            *slot = (cols[0][i] + beta * circuit.sigma[0][i] + gamma)
+                * (cols[1][i] + beta * circuit.sigma[1][i] + gamma)
+                * (cols[2][i] + beta * circuit.sigma[2][i] + gamma);
+        }
+        batch_inverse(chunk);
+        let mut x = domain.element(start);
+        for (k, slot) in chunk.iter_mut().enumerate() {
+            let i = start + k;
+            *slot *= (cols[0][i] + beta_k[0] * x + gamma)
+                * (cols[1][i] + beta_k[1] * x + gamma)
+                * (cols[2][i] + beta_k[2] * x + gamma);
+            x *= omega;
+        }
+    });
+    let mut acc = F::one();
+    for slot in z.iter_mut() {
+        // A zero denominator is left at zero by the batch inversion, and a
+        // zero numerator implies one on a satisfying witness.
+        if slot.is_zero() {
+            return Err(PlonkError::ZeroPermutationFactor);
+        }
+        let ratio = std::mem::replace(slot, acc);
+        acc *= ratio;
+    }
+    if !acc.is_one() {
+        return Err(PlonkError::UnsatisfiedWitness);
+    }
+    Ok(z)
+}
+
+/// Round 3: the quotient `t = (gate + α·perm₁ + α²·perm₂) / Z_H`, computed
+/// row by row on the 4n coset. The 4n-sized buffers die here, before the
+/// commitment and opening MSMs allocate theirs.
+fn quotient<F: PrimeField>(
+    circuit: &PlonkCircuit<F>,
+    pre: &Preprocessed<F>,
+    [a, b, c, z, pi]: [&DensePolynomial<F>; 5],
+    [beta, gamma, alpha]: [F; 3],
+) -> DensePolynomial<F> {
+    let domain4 = &pre.domain4;
+    let [a4, b4, c4, z4, pi4] = [a, b, c, z, pi].map(|p| coset_eval(domain4, p));
+    let [ql, qr, qo, qm, qc] = pre.selectors.each_ref().map(|col| col.coset.as_slice());
+    let [s1, s2, s3] = pre.sigmas.each_ref().map(|col| col.coset.as_slice());
+    // An all-zero column has no table and contributes nothing.
+    let term = |col: &[F], j: usize, v: F| col.get(j).map_or_else(F::zero, |&q| q * v);
+    let m = domain4.size();
+    let (g, w4) = (domain4.coset_shift(), domain4.group_gen());
+    let beta_k = circuit.coset_ks.map(|k| beta * k);
+    let alpha2 = alpha.square();
+    let mut t = vec![F::zero(); m];
+    par_chunks(&mut t, ROW_GRAIN, |start, chunk| {
+        let mut x = g * domain4.element(start);
+        for (k, slot) in chunk.iter_mut().enumerate() {
+            let j = start + k;
+            let (a, b, c, z) = (a4[j], b4[j], c4[j], z4[j]);
+            let gate = term(ql, j, a)
+                + term(qr, j, b)
+                + term(qo, j, c)
+                + term(qm, j, a * b)
+                + qc.get(j).copied().unwrap_or_else(F::zero)
+                + pi4[j];
+            // z(ωx) on the coset is z four slots on: ω = ω₄⁴.
+            let perm1 = z
+                * (a + beta_k[0] * x + gamma)
+                * (b + beta_k[1] * x + gamma)
+                * (c + beta_k[2] * x + gamma)
+                - z4[(j + 4) % m]
+                    * (a + beta * s1[j] + gamma)
+                    * (b + beta * s2[j] + gamma)
+                    * (c + beta * s3[j] + gamma);
+            let perm2 = (z - F::one()) * pre.l1_coset[j];
+            *slot = (gate + alpha * perm1 + alpha2 * perm2) * pre.zh_inv[k % 4];
+            x *= w4;
+        }
+    });
+    domain4.coset_ifft_in_place(&mut t);
+    DensePolynomial::new(t)
+}
+
 /// Produces a PLONK proof for the full R1CS `witness`.
 ///
 /// # Errors
 ///
 /// Returns [`PlonkError::WitnessLength`] when the witness was generated
-/// for a different circuit.
+/// for a different circuit, [`PlonkError::UnsatisfiedWitness`] when it does
+/// not satisfy this one, and [`PlonkError::Cancelled`] when the ambient
+/// token fires between rounds.
 pub fn plonk_prove<E: Engine>(
     pk: &PlonkProverKey<E>,
     witness: &[E::Fr],
@@ -205,7 +440,7 @@ where
     <E::G1 as zkperf_ec::CurveParams>::Base: PrimeField,
 {
     let _g = trace::region_profile("plonk_prove");
-    let circuit = &pk.circuit;
+    let (circuit, pre) = (&pk.circuit, &pk.pre);
     if witness.len() != circuit.num_base_wires {
         return Err(PlonkError::WitnessLength {
             expected: circuit.num_base_wires,
@@ -213,26 +448,15 @@ where
         });
     }
     let n = circuit.n;
-    let domain = Radix2Domain::<E::Fr>::new(n).expect("valid by construction");
+    let domain = &pre.domain;
     let omega = domain.group_gen();
-    let [k0, k1, k2] = circuit.coset_ks;
 
     let cols = circuit.wire_columns(witness);
     let pi_values = circuit.public_values(witness);
-    let mut pi_evals = vec![E::Fr::zero(); n];
-    for (&row, &v) in circuit.public_rows.iter().zip(&pi_values) {
-        pi_evals[row] = -v;
-    }
 
     // Round 1: wire polynomials.
-    let a_poly = interpolate(&domain, &cols[0]);
-    let b_poly = interpolate(&domain, &cols[1]);
-    let c_poly = interpolate(&domain, &cols[2]);
-    let wire_commits = [
-        pk.srs.commit(&a_poly),
-        pk.srs.commit(&b_poly),
-        pk.srs.commit(&c_poly),
-    ];
+    let [a_poly, b_poly, c_poly] = cols.each_ref().map(|col| interpolate(domain, col));
+    let wire_commits = [&a_poly, &b_poly, &c_poly].map(|p| pk.srs.commit(p));
 
     let mut transcript = Transcript::<E::Fr>::new(0x504c_4f4e); // "PLON"
     absorb_vk::<E>(&mut transcript, &pk.vk);
@@ -245,174 +469,78 @@ where
     let beta = transcript.challenge();
     let gamma = transcript.challenge();
 
-    if zkperf_pool::cancellation_pending() {
+    if pool::cancellation_pending() {
         return Err(PlonkError::Cancelled);
     }
 
     // Round 2: permutation accumulator z.
-    let mut z_evals = Vec::with_capacity(n);
-    let mut acc = E::Fr::one();
-    let mut denominators = Vec::with_capacity(n);
-    let mut numerators = Vec::with_capacity(n);
-    // `i` indexes three witness columns, three sigma columns and the
-    // domain at once; a zipped iterator would only obscure that.
-    #[allow(clippy::needless_range_loop)]
-    for i in 0..n {
-        let x = domain.element(i);
-        let num = (cols[0][i] + beta * k0 * x + gamma)
-            * (cols[1][i] + beta * k1 * x + gamma)
-            * (cols[2][i] + beta * k2 * x + gamma);
-        let den = (cols[0][i] + beta * circuit.sigma[0][i] + gamma)
-            * (cols[1][i] + beta * circuit.sigma[1][i] + gamma)
-            * (cols[2][i] + beta * circuit.sigma[2][i] + gamma);
-        numerators.push(num);
-        denominators.push(den);
-    }
-    let inv_dens = batch_inverse(&denominators);
-    for i in 0..n {
-        z_evals.push(acc);
-        acc *= numerators[i] * inv_dens[i];
-    }
-    debug_assert!(acc.is_one(), "permutation grand product closes");
-    let z_poly = interpolate(&domain, &z_evals);
+    let z_poly = interpolate(
+        domain,
+        &permutation_accumulator(circuit, domain, &cols, beta, gamma)?,
+    );
     let z_commit = pk.srs.commit(&z_poly);
     transcript.absorb_point(&z_commit.0);
     let alpha = transcript.challenge();
 
-    if zkperf_pool::cancellation_pending() {
+    if pool::cancellation_pending() {
         return Err(PlonkError::Cancelled);
     }
 
-    // Round 3: quotient t = (gate + α·perm₁ + α²·perm₂) / Z_H on a 4n coset.
-    let domain4 = Radix2Domain::<E::Fr>::new(4 * n).expect("checked at setup");
-    let coset_eval = |p: &DensePolynomial<E::Fr>| -> Vec<E::Fr> {
-        let mut buf = p.coeffs().to_vec();
-        buf.resize(domain4.size(), E::Fr::zero());
-        domain4.coset_fft_in_place(&mut buf);
-        buf
-    };
-    let shift_omega = |p: &DensePolynomial<E::Fr>| -> DensePolynomial<E::Fr> {
-        let mut pow = E::Fr::one();
-        DensePolynomial::new(
-            p.coeffs()
-                .iter()
-                .map(|&c| {
-                    let v = c * pow;
-                    pow *= omega;
-                    v
-                })
-                .collect(),
-        )
-    };
-
-    let selector_polys: Vec<DensePolynomial<E::Fr>> = [
-        &circuit.q_l,
-        &circuit.q_r,
-        &circuit.q_o,
-        &circuit.q_m,
-        &circuit.q_c,
-    ]
-    .iter()
-    .map(|e| interpolate(&domain, e))
-    .collect();
-    let sigma_polys: Vec<DensePolynomial<E::Fr>> = circuit
-        .sigma
-        .iter()
-        .map(|e| interpolate(&domain, e))
-        .collect();
-    let pi_poly = interpolate(&domain, &pi_evals);
-    let mut l1_evals = vec![E::Fr::zero(); n];
-    l1_evals[0] = E::Fr::one();
-    let l1_poly = interpolate(&domain, &l1_evals);
-
-    let (a4, b4, c4) = (coset_eval(&a_poly), coset_eval(&b_poly), coset_eval(&c_poly));
-    let z4 = coset_eval(&z_poly);
-    let zw4 = coset_eval(&shift_omega(&z_poly));
-    let q4: Vec<Vec<E::Fr>> = selector_polys.iter().map(coset_eval).collect();
-    let s4: Vec<Vec<E::Fr>> = sigma_polys.iter().map(coset_eval).collect();
-    let pi4 = coset_eval(&pi_poly);
-    let l14 = coset_eval(&l1_poly);
-
-    // Z_H and the identity polynomial on the coset.
-    let m = domain4.size();
-    let g = domain4.coset_shift();
-    let gn = g.pow(&BigUint::from_u64(n as u64));
-    let w4n = domain4.group_gen().pow(&BigUint::from_u64(n as u64));
-    let mut zh_vals = Vec::with_capacity(m);
-    let mut xs = Vec::with_capacity(m);
-    let mut wn_pow = E::Fr::one();
-    let mut x = g;
-    for _ in 0..m {
-        zh_vals.push(gn * wn_pow - E::Fr::one());
-        xs.push(x);
-        wn_pow *= w4n;
-        x *= domain4.group_gen();
+    // Round 3: the quotient.
+    let mut pi_evals = vec![E::Fr::zero(); n];
+    for (&row, &v) in circuit.public_rows.iter().zip(&pi_values) {
+        pi_evals[row] = -v;
     }
-    let zh_inv = batch_inverse(&zh_vals);
-
-    let mut t_evals = Vec::with_capacity(m);
-    let alpha2 = alpha.square();
-    for j in 0..m {
-        let gate = q4[0][j] * a4[j]
-            + q4[1][j] * b4[j]
-            + q4[2][j] * c4[j]
-            + q4[3][j] * a4[j] * b4[j]
-            + q4[4][j]
-            + pi4[j];
-        let perm1 = z4[j]
-            * (a4[j] + beta * k0 * xs[j] + gamma)
-            * (b4[j] + beta * k1 * xs[j] + gamma)
-            * (c4[j] + beta * k2 * xs[j] + gamma)
-            - zw4[j]
-                * (a4[j] + beta * s4[0][j] + gamma)
-                * (b4[j] + beta * s4[1][j] + gamma)
-                * (c4[j] + beta * s4[2][j] + gamma);
-        let perm2 = (z4[j] - E::Fr::one()) * l14[j];
-        t_evals.push((gate + alpha * perm1 + alpha2 * perm2) * zh_inv[j]);
+    let pi_poly = interpolate(domain, &pi_evals);
+    let t_poly = quotient(
+        circuit,
+        pre,
+        [&a_poly, &b_poly, &c_poly, &z_poly, &pi_poly],
+        [beta, gamma, alpha],
+    );
+    if pool::cancellation_pending() {
+        return Err(PlonkError::Cancelled);
     }
-    let mut t_coeffs = t_evals;
-    domain4.coset_ifft_in_place(&mut t_coeffs);
-    let t_poly = DensePolynomial::new(t_coeffs);
+    // Exact division leaves degree 3n − 4 (see `plonk_setup`); anything
+    // beyond means the gate or permutation identity failed on the domain.
+    if t_poly.degree() > 3 * n - 4 {
+        return Err(PlonkError::UnsatisfiedWitness);
+    }
     let t_commit = pk.srs.commit(&t_poly);
     transcript.absorb_point(&t_commit.0);
     let zeta = transcript.challenge();
 
-    // Round 4: evaluations.
-    let opened: Vec<&DensePolynomial<E::Fr>> = vec![
-        &a_poly,
-        &b_poly,
-        &c_poly,
-        &z_poly,
-        &sigma_polys[0],
-        &sigma_polys[1],
-        &sigma_polys[2],
-        &selector_polys[0],
-        &selector_polys[1],
-        &selector_polys[2],
-        &selector_polys[3],
-        &selector_polys[4],
-        &t_poly,
+    // Round 4: the thirteen evaluations at ζ and z(ζω), one task each.
+    let [s1, s2, s3] = pre.sigmas.each_ref().map(|col| &col.poly);
+    let [ql, qr, qo, qm, qc] = pre.selectors.each_ref().map(|col| &col.poly);
+    let opened = [
+        &a_poly, &b_poly, &c_poly, &z_poly, s1, s2, s3, ql, qr, qo, qm, qc, &t_poly,
     ];
-    let mut evals_zeta = [E::Fr::zero(); OPENED_AT_ZETA];
-    for (slot, p) in evals_zeta.iter_mut().zip(&opened) {
-        *slot = p.evaluate(zeta);
-    }
-    let z_omega_eval = z_poly.evaluate(zeta * omega);
-    for v in evals_zeta.iter().chain(std::iter::once(&z_omega_eval)) {
+    let zeta_omega = zeta * omega;
+    let mut evals = [E::Fr::zero(); OPENED_AT_ZETA + 1];
+    par_chunks(&mut evals, 1, |i, slot| {
+        slot[0] = match opened.get(i) {
+            Some(p) => p.evaluate(zeta),
+            None => z_poly.evaluate(zeta_omega),
+        };
+    });
+    for v in &evals {
         transcript.absorb(*v);
     }
     let nu = transcript.challenge();
+    let mut evals_zeta = [E::Fr::zero(); OPENED_AT_ZETA];
+    evals_zeta.copy_from_slice(&evals[..OPENED_AT_ZETA]);
 
     // Round 5: opening witnesses.
     let (_, w_zeta) = pk.srs.open_batched(&opened, zeta, nu);
-    let (_, w_zeta_omega) = pk.srs.open(&z_poly, zeta * omega);
+    let (_, w_zeta_omega) = pk.srs.open(&z_poly, zeta_omega);
 
     Ok(PlonkProof {
         wire_commits,
         z_commit,
         t_commit,
         evals_zeta,
-        z_omega_eval,
+        z_omega_eval: evals[OPENED_AT_ZETA],
         w_zeta,
         w_zeta_omega,
     })
@@ -528,4 +656,89 @@ where
         proof.z_omega_eval,
         &proof.w_zeta_omega,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use zkperf_circuit::library::{exponentiate, merkle_membership_poseidon};
+    use zkperf_ec::Bn254;
+    use zkperf_ff::bn254::Fr;
+
+    /// `L₁` and `1/Z_H` the way the prover used to get them for every
+    /// proof: interpolate-and-extend, and invert all 4n values.
+    #[test]
+    fn cached_l1_and_zh_tables_match_transform_and_invert() {
+        for log_n in [2u32, 5, 9] {
+            let r1cs_rows = (1 << log_n) - 3; // plus three public-input gates
+            let circuit = PlonkCircuit::from_r1cs(exponentiate::<Fr>(r1cs_rows).r1cs()).unwrap();
+            let pre = Preprocessed::new(&circuit);
+            let (n, m) = (circuit.n, 4 * circuit.n);
+            assert_eq!((n, pre.domain4.size()), (1 << log_n, m));
+
+            let mut l1_evals = vec![Fr::zero(); n];
+            l1_evals[0] = Fr::one();
+            let l1 = coset_eval(&pre.domain4, &interpolate(&pre.domain, &l1_evals));
+            assert_eq!(pre.l1_coset, l1, "L₁ at n = {n}");
+
+            let mut x = pre.domain4.coset_shift();
+            for j in 0..m {
+                let zh = pre.domain.eval_vanishing(x);
+                assert_eq!(pre.zh_inv[j % 4], zh.inverse().unwrap(), "1/Z_H at row {j}");
+                x *= pre.domain4.group_gen();
+            }
+        }
+    }
+
+    #[test]
+    fn all_zero_columns_hold_no_table_and_still_prove() {
+        // Exponentiation never uses q_R or q_C; the Poseidon circuit's
+        // addition chains use q_R, and q_C is zero everywhere.
+        let mut rng = zkperf_ff::test_rng();
+        let exp = exponentiate::<Fr>(12);
+        let pk = plonk_setup::<Bn254, _>(exp.r1cs(), &mut rng).unwrap();
+        let tables: Vec<bool> = pk.pre.selectors.iter().map(|c| !c.coset.is_empty()).collect();
+        assert_eq!(tables, [true, false, true, true, false]);
+        assert!(pk.pre.selectors[1].poly.is_zero());
+        assert!(pk.vk.q_commits[1].0.infinity);
+        let w = exp.generate_witness(&[Fr::from_u64(3)], &[]).unwrap();
+        let proof = plonk_prove(&pk, w.full()).unwrap();
+        assert!(plonk_verify(&pk.vk, &proof, w.public()));
+        assert!(proof.evals_zeta[8].is_zero() && proof.evals_zeta[11].is_zero());
+
+        let poseidon = merkle_membership_poseidon::<Fr>(1);
+        let pk = plonk_setup::<Bn254, _>(poseidon.r1cs(), &mut rng).unwrap();
+        assert!(!pk.pre.selectors[1].coset.is_empty());
+        assert!(pk.pre.selectors[4].coset.is_empty());
+    }
+
+    #[test]
+    fn key_size_counts_srs_and_tables() {
+        let mut rng = zkperf_ff::test_rng();
+        let pk = plonk_setup::<Bn254, _>(exponentiate::<Fr>(12).r1cs(), &mut rng).unwrap();
+        let n = pk.circuit.n;
+        assert_eq!(pk.srs.max_degree(), 3 * n);
+        assert_eq!(pk.vk.srs.max_degree(), 0);
+        // 3n + 1 powers, 8n column values, 6 non-zero polynomials with
+        // their 4n tables, L₁ and the four 1/Z_H values.
+        let elements = 8 * n + 6 * 5 * n + 4 * n + 4;
+        assert_eq!(pk.size_bytes(), (3 * n + 1) * 64 + elements * 32);
+    }
+
+    #[test]
+    fn vanishing_permutation_factor_is_a_typed_error() {
+        let circuit = exponentiate::<Fr>(6);
+        let plonk = PlonkCircuit::from_r1cs(circuit.r1cs()).unwrap();
+        let domain = Radix2Domain::<Fr>::new(plonk.n).unwrap();
+        let w = circuit.generate_witness(&[Fr::from_u64(3)], &[]).unwrap();
+        let cols = plonk.wire_columns(w.full());
+        let beta = Fr::from_u64(7);
+        assert!(permutation_accumulator(&plonk, &domain, &cols, beta, Fr::from_u64(11)).is_ok());
+        // γ chosen so that row 5's first denominator factor is zero.
+        let gamma = -(cols[0][5] + beta * plonk.sigma[0][5]);
+        assert_eq!(
+            permutation_accumulator(&plonk, &domain, &cols, beta, gamma),
+            Err(PlonkError::ZeroPermutationFactor)
+        );
+    }
 }

@@ -1,0 +1,42 @@
+//! The prover reads the circuit's coset tables from the key: a proof's
+//! allocation high-water mark is its MSMs', not a round 3 that rebuilds
+//! fifteen 4n-row tables.
+//!
+//! The peak meter is process-wide, so this file holds one test and nothing
+//! else allocates beside it.
+
+use zkperf_circuit::library::exponentiate;
+use zkperf_ec::Bn254;
+use zkperf_ff::{bn254::Fr, Field};
+use zkperf_plonk::{plonk_prove, plonk_setup, plonk_verify};
+use zkperf_pool as pool;
+
+#[test]
+fn prove_peak_stays_below_the_old_quotient_round() {
+    // MSM scratch is per worker; one worker is the shape a memory budget
+    // reasons about.
+    pool::set_threads(1);
+    let circuit = exponentiate::<Fr>(1 << 12);
+    let mut rng = zkperf_ff::test_rng();
+    let pk = plonk_setup::<Bn254, _>(circuit.r1cs(), &mut rng).unwrap();
+    let witness = circuit.generate_witness(&[Fr::from_u64(3)], &[]).unwrap();
+    let n = pk.vk().n as u64;
+
+    let before = pool::mem::live_bytes();
+    pool::mem::reset_peak();
+    let proof = plonk_prove(&pk, witness.full()).unwrap();
+    let peak = pool::mem::peak_live_bytes() - before;
+    assert!(plonk_verify(pk.vk(), &proof, witness.public()));
+
+    // Before the key held the tables, round 3 alone kept nineteen 4n-row
+    // vectors alive at once (fifteen coset tables, x, Z_H, 1/Z_H, and the
+    // inversion prefix or t) — 76·n field elements — and the whole proof
+    // peaked at 164·n·32 B. It now peaks in the 3n-point MSMs, at about
+    // 68·n·32 B.
+    let old_quotient_round = 76 * n * 32;
+    assert!(
+        peak < old_quotient_round,
+        "prove peaked at {peak} B ({}·n·32 B) above its inputs; the bound is {old_quotient_round} B",
+        peak / (n * 32)
+    );
+}

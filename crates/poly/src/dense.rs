@@ -136,6 +136,21 @@ impl<F: PrimeField> DensePolynomial<F> {
         }
         (Self::new(quo), Self::new(rem))
     }
+
+    /// Synthetic division by the linear factor `x − z`: returns the
+    /// quotient and the remainder `self(z)`, in one O(n) pass and one
+    /// allocation ([`divide`](Self::divide) by `x − z` gives the same pair).
+    pub fn divide_by_linear(&self, z: F) -> (Self, F) {
+        let mut quo = vec![F::zero(); self.degree()];
+        let mut carry = F::zero();
+        for (i, &c) in self.coeffs.iter().enumerate().rev() {
+            carry = carry * z + c;
+            if i > 0 {
+                quo[i - 1] = carry;
+            }
+        }
+        (Self::new(quo), carry)
+    }
 }
 
 impl<F: PrimeField> std::ops::Add<&DensePolynomial<F>> for &DensePolynomial<F> {
@@ -250,6 +265,31 @@ mod tests {
         let (q, r) = a.divide(&d);
         assert!(q.is_zero());
         assert_eq!(r, a);
+    }
+
+    #[test]
+    fn divide_by_linear_matches_long_division() {
+        let mut rng = zkperf_ff::test_rng();
+        let z = Fr::random(&mut rng);
+        let divisor = DensePolynomial::new(vec![-z, Fr::one()]);
+        // Degrees 0 (quotient zero, remainder the constant) through 17,
+        // and the zero polynomial.
+        let mut cases = vec![DensePolynomial::zero()];
+        for len in 1..=18 {
+            cases.push(DensePolynomial::new(
+                (0..len).map(|_| Fr::random(&mut rng)).collect(),
+            ));
+        }
+        for p in &cases {
+            let (q, r) = p.divide(&divisor);
+            let (q_lin, r_lin) = p.divide_by_linear(z);
+            assert_eq!(q_lin, q, "quotient at {} coefficients", p.coeffs().len());
+            assert_eq!(DensePolynomial::new(vec![r_lin]), r);
+            assert_eq!(r_lin, p.evaluate(z));
+        }
+        // An exact division leaves nothing.
+        let exact = poly(&[3, 1, 4, 1, 5]).mul(&divisor);
+        assert!(exact.divide_by_linear(z).1.is_zero());
     }
 
     #[test]

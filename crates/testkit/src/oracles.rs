@@ -24,6 +24,7 @@
 //! | twisted pairing + prepared G2 lines  | untwisted Miller + BigUint exp   |
 //! | N-thread pool execution              | 1-thread execution, bit-for-bit  |
 //! | Groth16 / PLONK pipelines            | end-to-end accept on valid input |
+//! | PLONK key tables + quotient `t`      | Lagrange-basis evals + identity  |
 //! | Goldilocks field arithmetic          | `BigUint` canonical arithmetic   |
 //! | Poseidon Merkle tree (STARK)         | recursive shared-nothing root    |
 //! | FRI fold kernel                      | even/odd Horner on squared coset |
@@ -729,6 +730,99 @@ where
     Ok(())
 }
 
+/// The prover reads its circuit polynomials and coset tables from the key
+/// and computes `t` from them; this recomputes, from the raw columns and
+/// the Lagrange basis at ζ alone, every evaluation the proof carries and
+/// the identity `t(ζ)·Z_H(ζ) = gate + α·perm₁ + α²·perm₂` they must satisfy.
+fn plonk_quotient_identity_case<E: Engine>(rng: &mut SplitRng) -> CaseResult
+where
+    <E::G1 as CurveParams>::Base: PrimeField,
+{
+    let (mut circuit, mut witness) = adversarial_circuit::<E::Fr>(rng);
+    if rng.gen_bool(0.25) {
+        // 4n = 2^11 quotient rows: more than one pool chunk.
+        circuit = zkperf_circuit::library::exponentiate(250 + rng.gen_range(0..250) as usize);
+        witness = circuit
+            .generate_witness(&[E::Fr::from_u64(3)], &[])
+            .map_err(|e| format!("witness failed: {e}"))?;
+    }
+    let pk = zkperf_plonk::plonk_setup::<E, _>(circuit.r1cs(), rng)
+        .map_err(|e| format!("setup failed: {e}"))?;
+    let proof =
+        zkperf_plonk::plonk_prove(&pk, witness.full()).map_err(|e| format!("prove failed: {e}"))?;
+    let vk = pk.vk();
+    let plonk = zkperf_plonk::PlonkCircuit::from_r1cs(circuit.r1cs())
+        .map_err(|e| format!("arithmetize failed: {e}"))?;
+
+    // β, γ, α, ζ from the transcript, in the prover's order.
+    let mut t = zkperf_plonk::Transcript::<E::Fr>::new(0x504c_4f4e);
+    t.absorb(E::Fr::from_u64(vk.n as u64));
+    for c in vk.q_commits.iter().chain(&vk.sigma_commits) {
+        t.absorb_point(&c.0);
+    }
+    for v in witness.public() {
+        t.absorb(*v);
+    }
+    for c in &proof.wire_commits {
+        t.absorb_point(&c.0);
+    }
+    let (beta, gamma) = (t.challenge(), t.challenge());
+    t.absorb_point(&proof.z_commit.0);
+    let alpha = t.challenge();
+    t.absorb_point(&proof.t_commit.0);
+    let zeta = t.challenge();
+
+    let domain = Radix2Domain::<E::Fr>::new(plonk.n).ok_or("no domain")?;
+    let lagrange = domain.lagrange_coefficients_at(zeta);
+    let at_zeta = |evals: &[E::Fr]| -> E::Fr {
+        evals.iter().zip(&lagrange).fold(E::Fr::zero(), |acc, (&e, &l)| acc + e * l)
+    };
+    let cols = plonk.wire_columns(witness.full());
+    let wires = cols.each_ref().map(|col| at_zeta(col));
+    let circuit_columns = [
+        &plonk.sigma[0],
+        &plonk.sigma[1],
+        &plonk.sigma[2],
+        &plonk.q_l,
+        &plonk.q_r,
+        &plonk.q_o,
+        &plonk.q_m,
+        &plonk.q_c,
+    ]
+    .map(|col| at_zeta(col));
+    // z(ζ), z(ζω) and t(ζ) are pinned through the identity below.
+    if proof.evals_zeta[..3] != wires || proof.evals_zeta[4..12] != circuit_columns {
+        return fail(
+            "plonk evaluations",
+            format_args!("differ from the Lagrange-basis values ({})", circuit.name()),
+        );
+    }
+    let pi = plonk
+        .public_rows
+        .iter()
+        .zip(witness.public())
+        .fold(E::Fr::zero(), |acc, (&row, &v)| acc - v * lagrange[row]);
+    let [a, b, c, z, s1, s2, s3, ql, qr, qo, qm, qc, t_zeta] = proof.evals_zeta;
+    let [k0, k1, k2] = plonk.coset_ks;
+    let gate = ql * a + qr * b + qo * c + qm * a * b + qc + pi;
+    let perm1 = z
+        * (a + beta * k0 * zeta + gamma)
+        * (b + beta * k1 * zeta + gamma)
+        * (c + beta * k2 * zeta + gamma)
+        - proof.z_omega_eval
+            * (a + beta * s1 + gamma)
+            * (b + beta * s2 + gamma)
+            * (c + beta * s3 + gamma);
+    let perm2 = (z - E::Fr::one()) * lagrange[0];
+    if t_zeta * domain.eval_vanishing(zeta) != gate + alpha * perm1 + alpha.square() * perm2 {
+        return fail(
+            "plonk quotient identity",
+            format_args!("t(ζ)·Z_H(ζ) is off ({}, n = {})", circuit.name(), plonk.n),
+        );
+    }
+    Ok(())
+}
+
 // ------------------------------------------------------------- streaming
 
 /// Restores the ambient memory budget on drop, so a budgeted case can't
@@ -1165,6 +1259,10 @@ pub fn all_oracles() -> Vec<Oracle> {
         Oracle {
             name: "plonk_roundtrip_bn254",
             run: plonk_roundtrip_case::<zkperf_ec::Bn254>,
+        },
+        Oracle {
+            name: "plonk_quotient_identity",
+            run: plonk_quotient_identity_case::<zkperf_ec::Bn254>,
         },
         Oracle {
             name: "stream_msm_bn254_g1",

@@ -6,19 +6,21 @@
 //! they ran serially or on N workers. This is the workspace-level seal on
 //! that rule: a full setup→contribute→prove→serialize round at a size
 //! that clears every parallel threshold, compared byte for byte across
-//! pool sizes — once for the randomness-carrying Groth16 pipeline (under a
-//! pinned RNG) and once for the randomness-free STARK pipeline.
+//! pool sizes — for the randomness-carrying Groth16 and PLONK pipelines
+//! (under a pinned RNG) and for the randomness-free STARK pipeline.
 //!
-//! A single `#[test]` drives both pipelines because the pool size is
+//! A single `#[test]` drives all three pipelines because the pool size is
 //! process-global state.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use zkperf::circuit::library;
+use zkperf::core::{PlonkBackend, ProverBackend};
 use zkperf::ec::{scale_points_reference, Bn254};
 use zkperf::ff::{Field, Goldilocks};
 use zkperf::groth16::{contribute, prove, setup, verify};
 use zkperf::io::{write_proof, write_zkey};
+use zkperf::plonk::{plonk_prove, plonk_setup, plonk_verify, Commitment};
 use zkperf::pool;
 use zkperf::stark::StarkParams;
 
@@ -60,6 +62,23 @@ fn groth16_bytes(reference_sweep: bool) -> (Vec<u8>, Vec<u8>) {
     (zkey, bytes)
 }
 
+/// The eight circuit commitments of the verifying key and the proof bytes
+/// of one PLONK setup → prove round under a pinned RNG. At this size the
+/// preprocessing, the grand product and the quotient (4n = 2^15 rows) all
+/// split into several pool chunks.
+fn plonk_bytes() -> (Vec<Commitment<Bn254>>, Vec<u8>) {
+    type Fr = zkperf::ff::bn254::Fr;
+    let circuit = library::exponentiate::<Fr>(CONSTRAINTS);
+    let mut rng = StdRng::seed_from_u64(0x5eed_cafe_f00d_1234);
+    let pk = plonk_setup::<Bn254, _>(circuit.r1cs(), &mut rng).unwrap();
+    let witness = circuit.generate_witness(&[Fr::from_u64(3)], &[]).unwrap();
+    let proof = plonk_prove(&pk, witness.full()).unwrap();
+    assert!(plonk_verify(pk.vk(), &proof, witness.public()));
+    let vk = pk.vk();
+    let commits = vk.q_commits.iter().chain(&vk.sigma_commits).copied().collect();
+    (commits, PlonkBackend::<Bn254>::encode_proof(&proof))
+}
+
 fn stark_proof_bytes() -> Vec<u8> {
     type F = Goldilocks;
     let circuit = library::exponentiate::<F>(STARK_CONSTRAINTS);
@@ -79,6 +98,7 @@ fn proofs_are_byte_identical_across_thread_counts() {
     // scripts/check.sh drives this binary), then explicit 1/2/4-thread
     // pools; every round must serialize to the same bytes.
     let groth16_baseline = groth16_bytes(false);
+    let plonk_baseline = plonk_bytes();
     let stark_baseline = stark_proof_bytes();
     for threads in [1usize, 2, 4] {
         pool::set_threads(threads);
@@ -90,6 +110,10 @@ fn proofs_are_byte_identical_across_thread_counts() {
         assert_eq!(
             groth16_baseline.1, proof,
             "Groth16 proof bytes differ at {threads} thread(s)"
+        );
+        assert!(
+            plonk_bytes() == plonk_baseline,
+            "PLONK vk commitments or proof bytes differ at {threads} thread(s)"
         );
         assert_eq!(
             stark_baseline,
