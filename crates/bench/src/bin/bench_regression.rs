@@ -288,9 +288,9 @@ fn kernel_benches(smoke: bool) -> Vec<KernelResult> {
     }
 
     // STARK kernels: the transparent backend's prover and verifier at the
-    // acceptance size, plus one bare FRI fold at a domain large enough
-    // for the parallel grain to matter. Parameters are pinned (not
-    // `from_env`) so the baseline is insensitive to ZKPERF_STARK_* knobs.
+    // acceptance size, its hash kernel, plus one bare FRI fold at a domain
+    // large enough for the parallel grain to matter. Parameters are pinned
+    // (not `from_env`) so the baseline is insensitive to ZKPERF_STARK_* knobs.
     {
         use zkperf_ff::Goldilocks;
         let params = zkperf_stark::StarkParams {
@@ -317,6 +317,20 @@ fn kernel_benches(smoke: bool) -> Vec<KernelResult> {
             nanos: best_of(if smoke { 3 } else { 5 }, || {
                 zkperf_stark::verify(circuit.r1cs(), witness.public(), &proof, &params)
                     .expect("bench proof must verify");
+            }),
+        });
+
+        // The hash under all of the above: 1024 chained four-lane calls
+        // (4096 permutations) of the Goldilocks Poseidon kernel.
+        let seed: [Goldilocks; 4] = std::array::from_fn(|_| Goldilocks::random(&mut rng));
+        out.push(KernelResult {
+            name: "goldilocks_poseidon_x4".into(),
+            nanos: best_of(reps, || {
+                let mut acc = seed;
+                for _ in 0..1024 {
+                    acc = zkperf_stark::poseidon::hash2_x4(acc, seed);
+                }
+                std::hint::black_box(acc);
             }),
         });
 

@@ -24,14 +24,32 @@ pub const PARTIAL_ROUNDS: usize = 56;
 /// The derived permutation constants for one field instantiation.
 ///
 /// Deriving them costs a few hundred field inversions and `BigUint`
-/// reductions — irrelevant per circuit build, but the STARK backend calls
-/// `poseidon_hash2` once per Merkle tree node, where rederivation would
-/// dominate the hash itself. The registry below builds them once per field
-/// type and serves a leaked static thereafter (same shape as the tower
+/// reductions — irrelevant per circuit build, but witness generation runs
+/// the permutation once per hash gadget, where rederivation would dominate
+/// the hash itself. The registry below builds them once per field type and
+/// serves a leaked static thereafter (same shape as the tower
 /// Frobenius-coefficient cache in `zkperf-ff`).
+///
+/// This module is the only place the constants are defined. The STARK
+/// backend hashes with its own Goldilocks-only implementation of the same
+/// function (`zkperf_stark::poseidon`), which derives its round schedule
+/// from [`permutation_constants`] and is pinned equal to
+/// [`poseidon_permute`] by tests and a differential oracle.
 struct PoseidonConstants<F: PrimeField> {
     round_constants: Vec<[F; T]>,
     mds: [[F; T]; T],
+}
+
+/// The permutation's parameters over `F`: the `FULL_ROUNDS +
+/// PARTIAL_ROUNDS` round-constant rows in round order (row `r` is added
+/// to the state at the start of round `r`), and the MDS matrix (`mds[i]`
+/// is the row producing output lane `i`).
+///
+/// For a second implementation of [`poseidon_permute`] to derive its own
+/// schedule from; it must not be a second source of the numbers.
+pub fn permutation_constants<F: PrimeField>() -> (&'static [[F; T]], &'static [[F; T]; T]) {
+    let cached = constants::<F>();
+    (&cached.round_constants, &cached.mds)
 }
 
 fn constants<F: PrimeField>() -> &'static PoseidonConstants<F> {

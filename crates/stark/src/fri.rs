@@ -27,6 +27,11 @@ type F = Goldilocks;
 /// Parallelization grain for folds.
 const GRAIN: usize = 256;
 
+/// `2⁻¹ = (p + 1)/2`, the constant of the fold formula.
+fn two_inv() -> F {
+    F::from_u64(zkperf_ff::goldilocks::MODULUS.div_ceil(2))
+}
+
 /// The multiplicative geometry of one FRI layer.
 #[derive(Debug, Clone, Copy)]
 pub struct LayerDomain {
@@ -105,7 +110,7 @@ pub fn fold_layer(values: &[F], beta: F, domain: &LayerDomain) -> Vec<F> {
     let half = values.len() / 2;
     debug_assert_eq!(values.len(), domain.size);
     debug_assert!(half > 0, "cannot fold a single point");
-    let two_inv = F::from_u64(2).inverse().expect("2 is invertible");
+    let two_inv = two_inv();
     let shift_inv = domain.shift.inverse().expect("shift is non-zero");
     let omega_inv = domain.omega.inverse().expect("omega is non-zero");
     let mut out = vec![F::zero(); half];
@@ -193,12 +198,11 @@ fn codeword_coefficients(values: &[F], domain: LayerDomain, keep: usize) -> Vec<
 /// Verifier-side fold of one opened `(lo, hi)` pair at pair-index `i` of
 /// `domain`.
 pub fn fold_pair(lo: F, hi: F, beta: F, domain: &LayerDomain, i: usize) -> F {
-    let two_inv = F::from_u64(2).inverse().expect("2 is invertible");
     let x_inv = domain
         .element(i)
         .inverse()
         .expect("domain points are non-zero");
-    two_inv * (lo + hi + beta * (lo - hi) * x_inv)
+    two_inv() * (lo + hi + beta * (lo - hi) * x_inv)
 }
 
 /// Inverts `x_j − z` for every point of `domain` (the DEEP denominator),

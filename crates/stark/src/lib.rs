@@ -12,8 +12,11 @@
 //!
 //! - [`air`] — the R1CS → trace mapping: per-constraint inner products as
 //!   three columns, public wires as a boundary column;
-//! - [`merkle`] — Poseidon Merkle commitments (the same `poseidon_hash2`
-//!   the circuit library uses), built on the deterministic pool;
+//! - [`poseidon`] — the backend's hash: the circuit library's Poseidon
+//!   permutation re-implemented for Goldilocks on raw words, one or four
+//!   states at a time, pinned equal to the generic one;
+//! - [`merkle`] — Poseidon Merkle commitments, built four hashes at a
+//!   time on the deterministic pool;
 //! - [`transcript`] — a Poseidon duplex sponge for Fiat-Shamir;
 //! - [`fri`] — the fold-by-two low-degree test with configurable blowup
 //!   and query count ([`StarkParams`], `ZKPERF_STARK_*` knobs);
@@ -35,6 +38,7 @@ pub mod error;
 pub mod fri;
 pub mod merkle;
 pub mod params;
+pub mod poseidon;
 pub mod proof;
 mod prove;
 pub mod transcript;

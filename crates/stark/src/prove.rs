@@ -136,6 +136,7 @@ pub fn prove(
             extend(&cols.p, &dom_h, &dom_lde),
         )
     };
+    drop(cols);
     let trace_tree = MerkleTree::from_rows(n_ext, |i| {
         vec![a_lde[i], b_lde[i], c_lde[i], p_lde[i]]
     });
@@ -186,19 +187,24 @@ pub fn prove(
     // Out-of-domain evaluations at the DEEP point.
     cancelled()?;
     let z = draw_deep_point(&mut t, n, &lde);
-    let q_coeffs = {
-        let _g = trace::region_profile("fft");
-        let mut coeffs = q_lde.clone();
-        dom_lde.coset_ifft_in_place(&mut coeffs);
-        coeffs
+    let ood = {
+        let q_coeffs = {
+            let _g = trace::region_profile("fft");
+            let mut coeffs = q_lde.clone();
+            dom_lde.coset_ifft_in_place(&mut coeffs);
+            coeffs
+        };
+        [
+            eval_poly(&a_coeffs, z),
+            eval_poly(&b_coeffs, z),
+            eval_poly(&c_coeffs, z),
+            eval_poly(&p_coeffs, z),
+            eval_poly(&q_coeffs, z),
+        ]
     };
-    let ood = [
-        eval_poly(&a_coeffs, z),
-        eval_poly(&b_coeffs, z),
-        eval_poly(&c_coeffs, z),
-        eval_poly(&p_coeffs, z),
-        eval_poly(&q_coeffs, z),
-    ];
+    // The coefficient forms are not read again; FRI's layers and trees
+    // are still to be allocated on top of what stays live.
+    drop((a_coeffs, b_coeffs, c_coeffs, p_coeffs));
     t.absorb_slice(&ood);
     let gamma = t.challenge();
 

@@ -2,11 +2,14 @@
 //!
 //! Prover and verifier drive the identical absorb/challenge schedule, so
 //! every challenge is bound to everything absorbed before it. The sponge
-//! reuses the same `t = 3` Poseidon permutation as the Merkle layer — one
-//! hash for the whole backend, one set of constants to audit.
+//! runs on [`crate::poseidon::permute`], the permutation the Merkle layer
+//! hashes with — one hash for the whole backend, and one set of constants
+//! to audit (`circuit::poseidon` owns them; the Goldilocks implementation
+//! used here is pinned equal to the generic one).
 
-use zkperf_circuit::poseidon::poseidon_permute;
 use zkperf_ff::{Field, Goldilocks};
+
+use crate::poseidon::permute;
 
 type F = Goldilocks;
 
@@ -20,14 +23,14 @@ impl Transcript {
     /// A fresh transcript domain-separated by `label`.
     pub fn new(label: u64) -> Self {
         Transcript {
-            state: poseidon_permute([F::from_u64(label), F::zero(), F::one()]),
+            state: permute([F::from_u64(label), F::zero(), F::one()]),
         }
     }
 
     /// Absorbs one field element into the rate lane.
     pub fn absorb(&mut self, v: F) {
         self.state[0] += v;
-        self.state = poseidon_permute(self.state);
+        self.state = permute(self.state);
     }
 
     /// Absorbs a machine word (lengths, parameters).
@@ -46,7 +49,7 @@ impl Transcript {
 
     /// Squeezes one challenge element.
     pub fn challenge(&mut self) -> F {
-        self.state = poseidon_permute(self.state);
+        self.state = permute(self.state);
         self.state[0]
     }
 

@@ -976,41 +976,114 @@ where
 
 // --------------------------------------------------------------- stark
 
+/// One Goldilocks word for the hash kernel: the words at which its
+/// 64-bit carries, borrows and the three-product sum turn over, else
+/// [`adversarial_field`].
+fn poseidon_edge_word(rng: &mut SplitRng) -> Goldilocks {
+    use zkperf_ff::goldilocks::MODULUS;
+    // p − 1 and its neighbours make every product in a dot product
+    // maximal, so the 128-bit sum of three overflows twice.
+    const WORDS: [u64; 9] = [
+        0,
+        1,
+        (1 << 32) - 1,
+        1 << 32,
+        1 << 63,
+        MODULUS - 1,
+        MODULUS - 2,
+        MODULUS - (1 << 32),
+        MODULUS >> 1,
+    ];
+    if rng.gen_bool(0.5) {
+        Goldilocks::from_u64(WORDS[rng.gen_range(0..WORDS.len() as u64) as usize])
+    } else {
+        adversarial_field(rng)
+    }
+}
+
+/// The Goldilocks hash kernel against the generic permutation it
+/// re-implements: whole states through the one-lane entry, four different
+/// pairs per four-lane call, and one pair in all four lanes.
+fn stark_poseidon_kernel_case(rng: &mut SplitRng) -> CaseResult {
+    use zkperf_circuit::poseidon::{poseidon_hash2, poseidon_permute};
+    use zkperf_stark::poseidon::{hash2, hash2_x4, permute};
+    type F = Goldilocks;
+    for _ in 0..32 {
+        let state: [F; 3] = std::array::from_fn(|_| poseidon_edge_word(rng));
+        if permute(state) != poseidon_permute(state) {
+            return fail("stark poseidon kernel permute", format_args!("state {state:?}"));
+        }
+        let l: [F; 4] = std::array::from_fn(|_| poseidon_edge_word(rng));
+        let r: [F; 4] = std::array::from_fn(|_| poseidon_edge_word(rng));
+        let got = hash2_x4(l, r);
+        for lane in 0..4 {
+            let want = poseidon_hash2(l[lane], r[lane]);
+            if got[lane] != want || hash2(l[lane], r[lane]) != want {
+                return fail(
+                    "stark poseidon kernel hash2_x4",
+                    format_args!("lane {lane} of l = {l:?}, r = {r:?}"),
+                );
+            }
+        }
+        let want = poseidon_hash2(l[0], r[0]);
+        if hash2_x4([l[0]; 4], [r[0]; 4]) != [want; 4] {
+            return fail(
+                "stark poseidon kernel hash2_x4, one pair in four lanes",
+                format_args!("l = {:?}, r = {:?}", l[0], r[0]),
+            );
+        }
+    }
+    Ok(())
+}
+
 /// The transparent backend's commitment layer against a shared-nothing
-/// reference: row digests re-derived by an explicit sponge fold, the root
-/// by recursive halving, every opening re-verified and tampered openings
-/// refused.
+/// reference: row digests re-derived by an explicit sponge fold over the
+/// generic `poseidon_hash2`, the root by recursive halving, every opening
+/// re-verified and tampered openings refused.
+///
+/// The tree builder hashes four rows and four sibling pairs at a time, so
+/// a case walks every leaf count 1, 2, 4, … past the pool grain (the
+/// levels of 1 and 2 nodes and short chunks take the one-lane tail) with a
+/// row width from 0–5, in one tree in four drawn per row (unequal widths in
+/// a group of four take the one-chain fallback).
 fn stark_merkle_case(rng: &mut SplitRng) -> CaseResult {
     use zkperf_ff::Field;
     type F = Goldilocks;
-    let leaves = adversarial_pow2(rng, 6);
-    let width = adversarial_len(rng, 5);
-    let rows: Vec<Vec<F>> = (0..leaves)
-        .map(|_| adversarial_scalars(rng, width))
-        .collect();
-    let tree = MerkleTree::from_rows(leaves, |i| rows[i].clone());
-    let digests: Vec<F> = rows.iter().map(|r| merkle_row_digest_reference(r)).collect();
-    for (i, row) in rows.iter().enumerate() {
-        if hash_row(row) != digests[i] {
-            return fail("stark merkle row digest", format_args!("row {i}, width {width}"));
+    for log in 0..=7 {
+        let leaves = 1usize << log;
+        let ragged = rng.gen_bool(0.25);
+        let width = rng.gen_range(0..6) as usize;
+        let rows: Vec<Vec<F>> = (0..leaves)
+            .map(|_| {
+                let w = if ragged { rng.gen_range(0..6) as usize } else { width };
+                adversarial_scalars(rng, w)
+            })
+            .collect();
+        let shape = format_args!("{leaves} leaves, width {width}, ragged {ragged}").to_string();
+        let tree = MerkleTree::from_rows(leaves, |i| rows[i].clone());
+        let digests: Vec<F> = rows.iter().map(|r| merkle_row_digest_reference(r)).collect();
+        for (i, row) in rows.iter().enumerate() {
+            if hash_row(row) != digests[i] {
+                return fail("stark merkle row digest", format_args!("row {i}; {shape}"));
+            }
         }
-    }
-    if tree.root() != merkle_root_reference(&digests) {
-        return fail(
-            "stark merkle root vs recursive reference",
-            format_args!("{leaves} leaves, width {width}"),
-        );
-    }
-    for (i, digest) in digests.iter().enumerate() {
-        let path = tree.open(i);
-        if !verify_path(tree.root(), i, *digest, &path) {
-            return fail("stark merkle open", format_args!("leaf {i} of {leaves}"));
+        if tree.root() != merkle_root_reference(&digests) {
+            return fail("stark merkle root vs recursive reference", shape);
         }
-        if verify_path(tree.root(), i, *digest + F::one(), &path) {
-            return fail(
-                "stark merkle tampered leaf accepted",
-                format_args!("leaf {i} of {leaves}"),
-            );
+        if MerkleTree::from_leaf_digests(digests.clone()).root() != tree.root() {
+            return fail("stark merkle from_leaf_digests vs from_rows", shape);
+        }
+        for (i, digest) in digests.iter().enumerate() {
+            let path = tree.open(i);
+            if !verify_path(tree.root(), i, *digest, &path) {
+                return fail("stark merkle open", format_args!("leaf {i}; {shape}"));
+            }
+            if verify_path(tree.root(), i, *digest + F::one(), &path) {
+                return fail(
+                    "stark merkle tampered leaf accepted",
+                    format_args!("leaf {i}; {shape}"),
+                );
+            }
         }
     }
     Ok(())
@@ -1299,6 +1372,10 @@ pub fn all_oracles() -> Vec<Oracle> {
         Oracle {
             name: "stark_goldilocks_inverse",
             run: field_inverse_case::<Goldilocks>,
+        },
+        Oracle {
+            name: "stark_poseidon_kernel",
+            run: stark_poseidon_kernel_case,
         },
         Oracle {
             name: "stark_merkle_vs_reference",

@@ -104,7 +104,8 @@ pub fn horner<F: Field>(coeffs: &[F], x: F) -> F {
 
 /// Compresses one Merkle leaf row exactly as the STARK commitment layer
 /// defines it — a zero-initialized [`poseidon_hash2`] chain — but written
-/// as an explicit fold rather than through `zkperf_stark::merkle`.
+/// as an explicit fold over the generic permutation, sharing neither
+/// `zkperf_stark::merkle` nor the Goldilocks kernel it hashes with.
 pub fn merkle_row_digest_reference(row: &[Goldilocks]) -> Goldilocks {
     row.iter()
         .fold(Goldilocks::zero(), |acc, v| poseidon_hash2(acc, *v))

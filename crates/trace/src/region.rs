@@ -79,6 +79,14 @@ pub fn function_name(id: FunctionId) -> &'static str {
     reg.names[id.index()]
 }
 
+/// Whether `name` has been interned (test support for the "no session, no
+/// lock" property of [`crate::region_profile`]).
+#[cfg(test)]
+pub(crate) fn is_registered(name: &str) -> bool {
+    let reg = registry().lock().expect("function registry poisoned");
+    reg.by_name.contains_key(name)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

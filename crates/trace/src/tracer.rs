@@ -406,15 +406,20 @@ pub fn exit() {
 }
 
 /// RAII guard produced by [`region_profile`]; leaving the scope exits the
-/// region.
+/// region if the guard entered one.
 #[derive(Debug)]
 pub struct RegionGuard {
-    _priv: (),
+    /// Whether a session was active when the guard was made, so a frame
+    /// was pushed for it. A guard made before a session began and dropped
+    /// inside it must not pop a frame it never pushed.
+    entered: bool,
 }
 
 impl Drop for RegionGuard {
     fn drop(&mut self) {
-        exit();
+        if self.entered {
+            exit();
+        }
     }
 }
 
@@ -432,10 +437,17 @@ impl Drop for RegionGuard {
 /// let report = session.finish();
 /// assert_eq!(report.region("bigint").unwrap().counts.compute_uops, 100);
 /// ```
+///
+/// With no session on this thread the name is not even interned: interning
+/// takes the process-wide registry lock, and instrumented call sites sit
+/// inside per-element loops (`field_inverse`, `poseidon`).
 #[inline]
 pub fn region_profile(name: &'static str) -> RegionGuard {
+    if !is_active() {
+        return RegionGuard { entered: false };
+    }
     enter(crate::function_id(name));
-    RegionGuard { _priv: () }
+    RegionGuard { entered: true }
 }
 
 #[cfg(test)]
@@ -475,6 +487,38 @@ mod tests {
         assert_eq!(inner.counts.compute_uops, 7);
         assert_eq!(inner.counts.stores, 1);
         assert_eq!(inner.calls, 1);
+    }
+
+    #[test]
+    fn region_profile_without_a_session_never_reaches_the_registry() {
+        assert!(!is_active());
+        {
+            let _g = region_profile("tracer_test_never_interned");
+        }
+        // The registry lock is only taken to intern; a name that was never
+        // interned shows the lock was never taken.
+        assert!(!crate::region::is_registered("tracer_test_never_interned"));
+        let session = Session::begin();
+        {
+            let _g = region_profile("tracer_test_never_interned");
+        }
+        drop(session);
+        assert!(crate::region::is_registered("tracer_test_never_interned"));
+    }
+
+    #[test]
+    fn guard_from_before_the_session_pops_nothing() {
+        let early = region_profile("tracer_test_early_guard");
+        let session = Session::begin();
+        let _outer = region_profile("tracer_test_early_outer");
+        compute(1);
+        // Dropped inside the session: `outer` must stay the open region.
+        drop(early);
+        compute(2);
+        let report = session.finish();
+        let outer = report.region("tracer_test_early_outer").unwrap();
+        assert_eq!(outer.counts.compute_uops, 3);
+        assert!(report.region("tracer_test_early_guard").is_none());
     }
 
     #[test]

@@ -82,15 +82,21 @@ fi
 # conformance suite drives the satisfied/unsatisfied acceptance circuits
 # through Groth16, PLONK, and STARK (accept/reject parity), then the
 # fixed-seed stark differential oracles run — Goldilocks vs BigUint,
-# Poseidon Merkle vs the shared-nothing reference, FRI fold vs direct
-# polynomial evaluation, the transparent roundtrip, and the
-# thread-toggling kernels. The conformance pass runs twice: once at the
-# default FRI parameters and once with the ZKPERF_STARK_* knobs moved,
-# so the env plumbing (blowup 8, 20 queries) is exercised end to end.
+# the Goldilocks Poseidon kernel vs the generic permutation, Poseidon
+# Merkle vs the shared-nothing reference, FRI fold vs direct polynomial
+# evaluation, the transparent roundtrip, and the thread-toggling kernels.
+# The known-answer test pins permutation outputs, row digests and proof
+# bytes (1/2/4 threads, default and knobbed parameters) to the values
+# recorded before the hash kernel existed. The conformance pass runs
+# twice: once at the default FRI parameters and once with the
+# ZKPERF_STARK_* knobs moved, so the env plumbing (blowup 8, 20 queries)
+# is exercised end to end.
 echo "==> stark tier: conformance suite at default and knobbed FRI parameters"
 cargo test -q --offline --test backend_conformance all_backends_agree_on_the_trait_contract
 ZKPERF_STARK_BLOWUP=8 ZKPERF_STARK_QUERIES=20 \
     cargo test -q --offline --test backend_conformance all_backends_agree_on_the_trait_contract
+echo "==> stark tier: proof known-answer test"
+cargo test -q --offline --test stark_proof_kat
 echo "==> stark tier: fuzz_lite fixed-seed stark oracles"
 if ! ./target/release/fuzz_lite --only stark --iters 8; then
     echo "fuzz_lite found stark divergences; paste a replay line from above" >&2
