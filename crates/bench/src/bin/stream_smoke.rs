@@ -1,14 +1,14 @@
-//! Out-of-core proving smoke: byte-identity of the budgeted pipeline.
+//! Out-of-core proving smoke: byte-identity of the chunked pipeline.
 //!
-//! Runs one circuit three ways and demands identical artifacts:
+//! Runs one circuit through the three legs of the one Groth16 pipeline
+//! and demands identical artifacts:
 //!
-//! 1. the unbudgeted in-memory reference (setup + prove, no
-//!    `ZKPERF_MEM_BUDGET`),
-//! 2. the budgeted resident path (same entry points, budget set — setup
-//!    streams through a [`zkperf_groth16::MemorySink`], every prover MSM
-//!    chunks its bases) at each requested thread count,
-//! 3. the on-disk streamed pipeline (`setup_streamed` → streamed `.zkey`
-//!    file → `prove_streamed`), where the key is never resident in full.
+//! 1. resident key, no budget: `setup` + `prove` with one chunk per query,
+//! 2. resident key under `ZKPERF_MEM_BUDGET`: the same entry points with
+//!    budget-sized chunks (setup's fixed-base passes and every prover MSM
+//!    work chunk by chunk), at each requested thread count,
+//! 3. key on disk (`setup_streamed` → streamed `.zkey` file →
+//!    `prove_streamed`), where the key is never resident in full.
 //!
 //! The verification key and proof bytes must match across all of them —
 //! the acceptance contract of the streaming CRS/MSM pipeline. The run
@@ -51,7 +51,7 @@ struct Leg {
     nanos: u64,
 }
 
-/// One setup+prove leg under the ambient budget/threads.
+/// One resident-key setup+prove leg under the ambient budget/threads.
 fn run_resident(
     circuit: &zkperf_circuit::Circuit<bn254::Fr>,
     witness: &zkperf_circuit::Witness<bn254::Fr>,
@@ -194,7 +194,7 @@ fn main() -> ExitCode {
         mib(file_streamed)
     );
 
-    // Unbudgeted in-memory reference, serial.
+    // Unbudgeted reference (one chunk per query), serial.
     zkperf_pool::set_threads(1);
     mem::set_budget(None);
     let reference = match run_resident(&circuit, &witness) {
@@ -205,7 +205,7 @@ fn main() -> ExitCode {
         }
     };
     eprintln!(
-        "  unbudgeted 1 thread(s): {:.3}s, peak-live {:.1} MiB (the in-memory working set)",
+        "  unbudgeted 1 thread(s): {:.3}s, peak-live {:.1} MiB (the one-chunk working set)",
         reference.nanos as f64 / 1e9,
         mib(reference.peak_live)
     );
@@ -234,7 +234,7 @@ fn main() -> ExitCode {
     }
     println!(
         "stream_smoke: byte-identical across unbudgeted, {} budgeted leg(s), and the \
-         streamed-file pipeline (2^{log2}, budget {:.1} MiB, in-memory peak {:.1} MiB)",
+         streamed-file pipeline (2^{log2}, budget {:.1} MiB, unbudgeted peak {:.1} MiB)",
         budgeted.len(),
         mib(budget),
         mib(reference.peak_live)

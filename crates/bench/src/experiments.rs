@@ -1,5 +1,4 @@
-//! The ten experiments (E0-E9), callable as library functions so the
-//! per-experiment binaries and `all_experiments` share one code path.
+//! The ten experiments (E0-E9) behind the `experiments <name|all>` binary.
 
 use std::collections::BTreeMap;
 
@@ -144,17 +143,24 @@ pub fn table6_parallelism() {
     emit("table6_parallelism", &analysis::render_parallelism(&rows), &rows);
 }
 
+/// Every experiment under the name of the `results/` files it writes.
+pub const EXPERIMENTS: [(&str, fn()); 10] = [
+    ("exec_time", exec_time),
+    ("fig4_topdown", fig4_topdown),
+    ("fig5_loads_stores", fig5_loads_stores),
+    ("table2_mpki", table2_mpki),
+    ("table3_bandwidth", table3_bandwidth),
+    ("table4_functions", table4_functions),
+    ("table5_opcode_mix", table5_opcode_mix),
+    ("fig6_strong_scaling", fig6_strong_scaling),
+    ("fig7_weak_scaling", fig7_weak_scaling),
+    ("table6_parallelism", table6_parallelism),
+];
+
 /// Regenerates all ten experiments, sharing the cached sweeps.
 pub fn all() {
-    exec_time();
-    fig4_topdown();
-    fig5_loads_stores();
-    table2_mpki();
-    table3_bandwidth();
-    table4_functions();
-    table5_opcode_mix();
-    fig6_strong_scaling();
-    fig7_weak_scaling();
-    table6_parallelism();
+    for (_, run) in EXPERIMENTS {
+        run();
+    }
     println!("all experiments regenerated under results/");
 }

@@ -1,8 +1,8 @@
-//! Shared harness for the experiment binaries: sweep caching, result
+//! Shared harness for the `experiments` binary: sweep caching, result
 //! output, and the default configuration.
 //!
-//! Each binary regenerates one table or figure of the paper. They share a
-//! measurement sweep cached under `results/` so that running all ten does
+//! Each experiment regenerates one table or figure of the paper. They share
+//! a measurement sweep cached under `results/` so that running all ten does
 //! not re-simulate the matrix ten times. Delete `results/sweep-*.json` (or
 //! change `ZKPERF_MIN_LOG`/`ZKPERF_MAX_LOG`) to force fresh measurements.
 //!

@@ -285,11 +285,7 @@ where
     }
 
     fn keys_size_bytes(keys: &Self::Keys) -> usize {
-        let fr = std::mem::size_of::<E::Fr>();
-        (keys.a_query.len() + keys.b_g1_query.len() + keys.l_query.len() + keys.h_query.len())
-            * 2
-            * fr
-            + keys.b_g2_query.len() * 4 * fr
+        keys.size_bytes()
     }
 
     fn encode_proof(proof: &Self::Proof) -> Vec<u8> {

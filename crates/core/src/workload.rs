@@ -165,7 +165,10 @@ impl From<lang::CompileError> for StageError {
 
 impl From<SetupError> for StageError {
     fn from(e: SetupError) -> Self {
-        StageError::Setup(e)
+        match e {
+            SetupError::Sink(transport) => transport.into(),
+            e => StageError::Setup(e),
+        }
     }
 }
 
@@ -177,7 +180,10 @@ impl From<WitnessError> for StageError {
 
 impl From<ProveError> for StageError {
     fn from(e: ProveError) -> Self {
-        StageError::Prove(e)
+        match e {
+            ProveError::Source(transport) => transport.into(),
+            e => StageError::Prove(e),
+        }
     }
 }
 

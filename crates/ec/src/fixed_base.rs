@@ -185,95 +185,66 @@ impl<C: CurveParams> FixedBaseTable<C> {
 
     /// Multiplies every scalar in `scalars`, returning affine results.
     ///
-    /// Works in chunks: each scalar's nonzero window entries are gathered
-    /// into a contiguous segment of a flat buffer, then all segments are
-    /// collapsed with one [`BatchAdder`] tree reduction (a handful of batch
-    /// inversions per chunk, shared across every scalar in it).
+    /// Works in chunks of [`BATCH_CHUNK`] scalars ([`Self::mul_chunk`]).
+    /// Chunks are fully independent (private gather buffers, disjoint
+    /// `out` ranges), so uninstrumented multi-thread runs fan them out
+    /// across the pool; either way each output slot holds what its chunk
+    /// computed, so results are bit-identical at any thread count.
     pub fn mul_batch(&self, scalars: &[C::Scalar]) -> Vec<Affine<C>> {
         let _g = trace::region_profile("fixed_base_msm");
-        let num_limbs = C::Scalar::NUM_LIMBS;
         let mut out = vec![Affine::identity(); scalars.len()];
-        // Chunks are fully independent (private gather buffers, disjoint
-        // `out` ranges), so uninstrumented multi-thread runs fan them out
-        // across the pool; each chunk computes exactly what the serial
-        // loop below computes for it, so results are bit-identical.
         if !trace::is_active() && pool::current_threads() > 1 && scalars.len() > BATCH_CHUNK {
             pool::parallel_chunks_mut(&mut out, BATCH_CHUNK, |chunk_idx, out_chunk| {
-                let chunk = &scalars[chunk_idx * BATCH_CHUNK..][..out_chunk.len()];
-                let mut gathered: Vec<Affine<C>> = Vec::new();
-                let mut segs: Vec<(usize, usize)> = Vec::with_capacity(chunk.len());
-                let mut limbs = vec![0u64; num_limbs];
-                let mut adder = BatchAdder::new();
-                let half = 1i64 << (self.window_bits - 1);
-                for s in chunk {
-                    s.write_canonical_limbs(&mut limbs);
-                    let start = gathered.len();
-                    let mut carry = 0usize;
-                    for (k, row) in self.windows.iter().enumerate() {
-                        let raw =
-                            extract(&limbs, k * self.window_bits, self.window_bits) + carry;
-                        let digit = if raw as i64 > half {
-                            carry = 1;
-                            raw as i64 - (1i64 << self.window_bits)
-                        } else {
-                            carry = 0;
-                            raw as i64
-                        };
-                        if digit > 0 {
-                            gathered.push(row[digit as usize - 1]);
-                        } else if digit < 0 {
-                            gathered.push(row[(-digit) as usize - 1].neg());
-                        }
-                    }
-                    segs.push((start, gathered.len() - start));
-                }
-                adder.reduce_segments(&mut gathered, &mut segs);
-                for (j, &(start, len)) in segs.iter().enumerate() {
-                    if len > 0 {
-                        out_chunk[j] = gathered[start];
-                    }
-                }
+                self.mul_chunk(&scalars[chunk_idx * BATCH_CHUNK..][..out_chunk.len()], out_chunk);
             });
-            return out;
-        }
-        let mut gathered: Vec<Affine<C>> = Vec::new();
-        let mut segs: Vec<(usize, usize)> = Vec::with_capacity(BATCH_CHUNK);
-        let mut limbs = vec![0u64; num_limbs];
-        let mut adder = BatchAdder::new();
-        let half = 1i64 << (self.window_bits - 1);
-        for (chunk_idx, chunk) in scalars.chunks(BATCH_CHUNK).enumerate() {
-            gathered.clear();
-            segs.clear();
-            for s in chunk {
-                s.write_canonical_limbs(&mut limbs);
-                let start = gathered.len();
-                let mut carry = 0usize;
-                for (k, row) in self.windows.iter().enumerate() {
-                    let raw = extract(&limbs, k * self.window_bits, self.window_bits) + carry;
-                    let digit = if raw as i64 > half {
-                        carry = 1;
-                        raw as i64 - (1i64 << self.window_bits)
-                    } else {
-                        carry = 0;
-                        raw as i64
-                    };
-                    trace::branch(0x3101, digit != 0);
-                    if digit > 0 {
-                        gathered.push(row[digit as usize - 1]);
-                    } else if digit < 0 {
-                        gathered.push(row[(-digit) as usize - 1].neg());
-                    }
-                }
-                segs.push((start, gathered.len() - start));
-            }
-            adder.reduce_segments(&mut gathered, &mut segs);
-            for (j, &(start, len)) in segs.iter().enumerate() {
-                if len > 0 {
-                    out[chunk_idx * BATCH_CHUNK + j] = gathered[start];
-                }
+        } else {
+            for (chunk, out_chunk) in scalars.chunks(BATCH_CHUNK).zip(out.chunks_mut(BATCH_CHUNK)) {
+                self.mul_chunk(chunk, out_chunk);
             }
         }
         out
+    }
+
+    /// One gather chunk of [`Self::mul_batch`]: each scalar's nonzero
+    /// window entries are gathered into a contiguous segment of a flat
+    /// buffer, then all segments are collapsed with one [`BatchAdder`]
+    /// tree reduction (a handful of batch inversions, shared across every
+    /// scalar in the chunk). `out` arrives filled with the identity.
+    fn mul_chunk(&self, scalars: &[C::Scalar], out: &mut [Affine<C>]) {
+        // Grown on demand: Groth16's sparse queries are mostly zero scalars,
+        // which gather nothing.
+        let mut gathered: Vec<Affine<C>> = Vec::new();
+        let mut segs: Vec<(usize, usize)> = Vec::with_capacity(scalars.len());
+        let mut limbs = vec![0u64; C::Scalar::NUM_LIMBS];
+        let half = 1i64 << (self.window_bits - 1);
+        for s in scalars {
+            s.write_canonical_limbs(&mut limbs);
+            let start = gathered.len();
+            let mut carry = 0usize;
+            for (k, row) in self.windows.iter().enumerate() {
+                let raw = extract(&limbs, k * self.window_bits, self.window_bits) + carry;
+                let digit = if raw as i64 > half {
+                    carry = 1;
+                    raw as i64 - (1i64 << self.window_bits)
+                } else {
+                    carry = 0;
+                    raw as i64
+                };
+                trace::branch(0x3101, digit != 0);
+                if digit > 0 {
+                    gathered.push(row[digit as usize - 1]);
+                } else if digit < 0 {
+                    gathered.push(row[(-digit) as usize - 1].neg());
+                }
+            }
+            segs.push((start, gathered.len() - start));
+        }
+        BatchAdder::new().reduce_segments(&mut gathered, &mut segs);
+        for (slot, &(start, len)) in out.iter_mut().zip(&segs) {
+            if len > 0 {
+                *slot = gathered[start];
+            }
+        }
     }
 }
 

@@ -29,6 +29,11 @@
 //! ([`PrimeField::write_canonical_limbs`] or the GLV half-magnitudes), and
 //! windows past the scalar bit length are never visited.
 //!
+//! There is one driver, [`msm_stream`]: it fixes the window geometry from
+//! the total size, folds the per-chunk window sums of whatever chunks the
+//! caller lends it, and combines the windows once. [`msm`] over a resident
+//! slice is its one-chunk call.
+//!
 //! [`msm_naive`] keeps the unoptimized reference semantics; the
 //! property-test suite cross-checks the two on both curves.
 
@@ -88,78 +93,44 @@ pub fn msm_naive<C: CurveParams>(bases: &[Affine<C>], scalars: &[C::Scalar]) -> 
 /// assert_eq!(msm(&bases, &scalars), expect);
 /// ```
 pub fn msm<C: CurveParams>(bases: &[Affine<C>], scalars: &[C::Scalar]) -> Projective<C> {
-    let _g = trace::region_profile("msm");
     let n = bases.len().min(scalars.len());
-    if n == 0 {
-        return Projective::identity();
-    }
     if n < 8 {
-        // Naive double-and-add is faster at tiny sizes.
+        // Naive double-and-add is faster at tiny sizes (and yields the
+        // identity for n = 0).
+        let _g = trace::region_profile("msm");
         return msm_naive(&bases[..n], &scalars[..n]);
     }
-    // Instrumented runs skip the GLV route (like the pool below): the
-    // characterization suite pins the plain serial op stream, and the
-    // one-time parameter derivation must never land inside a traced
-    // region, where its field ops would skew exactly one measurement.
-    if !trace::is_active() {
-        if let Some(glv) = C::glv_params() {
-            return msm_glv(&bases[..n], &scalars[..n], glv);
-        }
+    // A resident slice is the one-chunk stream. Folding its window sums
+    // into the all-identity accumulator returns them unchanged, so this is
+    // the plain Pippenger result down to the projective representative.
+    let one_chunk = std::iter::once(Ok::<_, std::convert::Infallible>(&bases[..n]));
+    match msm_stream(n, one_chunk, scalars) {
+        Ok(sum) => sum,
+        Err(never) => match never {},
     }
-    // Instrumented runs stay on the serial body so the characterization
-    // suite sees the exact same op stream; the parallel variant computes
-    // identical values (same decomposition, same reduction order), so
-    // results match bit-for-bit either way.
-    let use_pool = !trace::is_active() && pool::current_threads() > 1 && n >= PAR_MIN_MSM;
-
-    // One flat canonical-limb buffer for every scalar: no per-scalar Vec.
-    let num_limbs = C::Scalar::NUM_LIMBS;
-    let mut limbs = vec![0u64; n * num_limbs];
-    if use_pool {
-        const LIMB_GRAIN: usize = 1024;
-        pool::parallel_chunks_mut(&mut limbs, num_limbs * LIMB_GRAIN, |ci, chunk| {
-            let base = ci * LIMB_GRAIN;
-            for (j, row) in chunk.chunks_mut(num_limbs).enumerate() {
-                scalars[base + j].write_canonical_limbs(row);
-            }
-        });
-    } else {
-        for (i, s) in scalars[..n].iter().enumerate() {
-            s.write_canonical_limbs(&mut limbs[i * num_limbs..(i + 1) * num_limbs]);
-        }
-    }
-
-    let total_bits = C::Scalar::modulus_bits() as usize;
-    let c = window_bits::<C>(n, total_bits);
-    let sums = if use_pool {
-        pippenger_parallel(&bases[..n], &limbs, num_limbs, total_bits, c)
-    } else {
-        pippenger_serial(&bases[..n], &limbs, num_limbs, total_bits, c)
-    };
-    combine_windows(sums, c)
 }
 
 /// Computes `Σ scalarsᵢ · basesᵢ` with the base points arriving as a
-/// sequence of chunks instead of one resident slice — the out-of-core MSM
-/// entry point. `total` is the number of points the iterator will yield in
-/// aggregate (the window width is chosen once from the *total* problem
-/// size, exactly as [`msm`] would choose it, not per chunk).
+/// sequence of chunks — one for a resident slice ([`msm`]), many for a key
+/// streamed off disk or held to a memory budget. `total` is the number of
+/// points the iterator will yield in aggregate (the window width is chosen
+/// once from the *total* problem size, not per chunk).
 ///
-/// Each chunk runs the same signed-digit/GLV Pippenger kernel as the
-/// in-memory path (through `zkperf-pool` when the chunk clears the
-/// parallel gate) producing per-window partial sums, which are folded into
-/// a running per-window accumulator; one final window combine finishes the
-/// job. Scalars are consumed positionally: chunk `k` pairs with the next
-/// `chunk.len()` scalars.
+/// Each chunk runs the signed-digit/GLV Pippenger kernel (through
+/// `zkperf-pool` when the chunk clears the parallel gate) producing
+/// per-window partial sums, which are folded into a running per-window
+/// accumulator; one final window combine finishes the job. Scalars are
+/// consumed positionally: chunk `k` pairs with the next `chunk.len()`
+/// scalars.
 ///
 /// Determinism contract: for a fixed chunk sequence the result is
 /// bit-identical (including the projective representative) at any thread
 /// count, because the per-chunk kernels are and the fold order is the
-/// chunk order. Across *different* chunkings — including against [`msm`]
-/// itself — the result is the same group element and therefore identical
-/// after affine normalization (`to_affine`), which is the form every
-/// serialized artifact uses; only the internal projective representative
-/// may differ, since bucket sums associate differently.
+/// chunk order. Across *different* chunkings the result is the same group
+/// element and therefore identical after affine normalization
+/// (`to_affine`), which is the form every serialized artifact uses; only
+/// the internal projective representative may differ, since bucket sums
+/// associate differently.
 ///
 /// The first chunk error aborts the fold and is returned as-is. Points
 /// yielded beyond `total` (or beyond the scalar count) are ignored.
@@ -178,9 +149,12 @@ where
     if n == 0 {
         return Ok(Projective::identity());
     }
+    // Instrumented runs skip the GLV route: the characterization suite
+    // pins the plain op stream, and the one-time parameter derivation must
+    // never land inside a traced region, where its field ops would skew
+    // exactly one measurement.
     let glv = if trace::is_active() { None } else { C::glv_params() };
-    // Window geometry fixed once from the total problem size, mirroring
-    // what msm() would pick for the same n fully resident.
+    // Window geometry fixed once from the total problem size.
     let (total_bits, c) = match glv {
         Some(g) => {
             let bits = g.half_bits();
@@ -229,6 +203,9 @@ fn plain_window_sums<C: CurveParams>(
     c: usize,
 ) -> Vec<Projective<C>> {
     let n = bases.len();
+    // Instrumented runs stay on the serial body so the characterization
+    // suite sees the same op stream; the parallel variant computes
+    // identical values (same decomposition, same reduction order).
     let use_pool = !trace::is_active() && pool::current_threads() > 1 && n >= PAR_MIN_MSM;
     let num_limbs = C::Scalar::NUM_LIMBS;
     let mut limbs = vec![0u64; n * num_limbs];
@@ -252,24 +229,11 @@ fn plain_window_sums<C: CurveParams>(
     }
 }
 
-/// The GLV front end: decomposes every scalar into two signed half-width
-/// components and hands Pippenger a `2n`-point problem at half the bit
-/// length. Signs are folded into the base points (`−k·P = k·(−P)`), so the
-/// bucket machinery below never sees them.
-fn msm_glv<C: CurveParams>(
-    bases: &[Affine<C>],
-    scalars: &[C::Scalar],
-    glv: &GlvParams<C>,
-) -> Projective<C> {
-    let total_bits = glv.half_bits();
-    let c = window_bits::<C>(2 * bases.len(), total_bits);
-    combine_windows(glv_window_sums(bases, scalars, glv, total_bits, c), c)
-}
-
 /// Per-chunk window sums for the GLV route: decomposes the chunk's scalars
 /// into signed half-width components, builds the `[±P_i | ±φ(P_i)]`
-/// 2n-point problem, and runs the Pippenger bucket body at the
-/// caller-fixed window width `c`.
+/// 2n-point problem — signs folded into the points (`−k·P = k·(−P)`), so
+/// the bucket machinery never sees them — and runs the Pippenger bucket
+/// body at the caller-fixed window width `c`.
 fn glv_window_sums<C: CurveParams>(
     bases: &[Affine<C>],
     scalars: &[C::Scalar],
@@ -353,9 +317,8 @@ fn glv_window_sums<C: CurveParams>(
 
 /// The serial Pippenger body over a prepared point array and flat unsigned
 /// limb buffer (`stride` limbs per point, digits meaningful up to
-/// `total_bits`). Returns the per-window bucket sums so callers can either
-/// combine them directly ([`combine_windows`]) or fold them into a
-/// streaming accumulator ([`msm_stream`]).
+/// `total_bits`). Returns the per-window bucket sums, which [`msm_stream`]
+/// folds into its accumulator.
 fn pippenger_serial<C: CurveParams>(
     points: &[Affine<C>],
     limbs: &[u64],
@@ -697,7 +660,7 @@ mod tests {
         assert_eq!(msm(&bases, &scalars), msm_naive(&bases, &scalars));
     }
 
-    /// msm_stream over in-memory slices split at `chunk`, compared in
+    /// msm_stream over a resident slice split at `chunk`, compared in
     /// affine form (the bit-identity level the streaming contract claims).
     fn stream_of(bases: &[G1Affine], scalars: &[Fr], chunk: usize) -> G1Affine {
         msm_stream(
@@ -719,8 +682,11 @@ mod tests {
         let mut scalars: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
         scalars[0] = Fr::zero();
         scalars[1] = -Fr::one();
-        let expect = msm(&bases, &scalars).to_affine();
-        for chunk in [1usize, 7, 64, 100, n - 1, n, n + 50] {
+        // `msm` is the one-chunk case of the same fold, so the expected
+        // value comes from the independent reference.
+        let expect = msm_naive(&bases, &scalars).to_affine();
+        assert_eq!(msm(&bases, &scalars).to_affine(), expect);
+        for chunk in [1usize, 7, 64, 100, n - 1, n, n + 50, usize::MAX] {
             assert_eq!(stream_of(&bases, &scalars, chunk), expect, "chunk = {chunk}");
         }
     }
@@ -752,10 +718,10 @@ mod tests {
             .collect();
         let scalars: Vec<Fr> = (0..12).map(|_| Fr::random(&mut rng)).collect();
         // total > scalars: the scalar count wins, extra points ignored.
-        let expect = msm(&bases, &scalars).to_affine();
+        let expect = msm_naive(&bases, &scalars).to_affine();
         assert_eq!(stream_of(&bases, &scalars, 5), expect);
         // total < yielded points: total wins.
-        let expect = msm(&bases[..10], &scalars).to_affine();
+        let expect = msm_naive(&bases[..10], &scalars).to_affine();
         let got = msm_stream(
             10,
             bases.chunks(3).map(Ok::<_, std::convert::Infallible>),
@@ -782,7 +748,7 @@ mod tests {
         let par = stream_of(&bases, &scalars, chunk);
         pool::set_threads(1);
         assert_eq!(serial, par);
-        assert_eq!(serial, msm(&bases, &scalars).to_affine());
+        assert_eq!(serial, msm_naive(&bases, &scalars).to_affine());
     }
 
     #[test]
@@ -798,17 +764,12 @@ mod tests {
         scalars[0] = Fr::zero();
         scalars[1] = -Fr::one();
         let glv = crate::bn254::G1Params::glv_params().expect("BN254 G1 has GLV");
-        let via_glv = msm_glv(&bases, &scalars, glv);
-        let num_limbs = Fr::NUM_LIMBS;
-        let mut limbs = vec![0u64; n * num_limbs];
-        for (i, s) in scalars.iter().enumerate() {
-            s.write_canonical_limbs(&mut limbs[i * num_limbs..(i + 1) * num_limbs]);
-        }
-        let c = window_bits::<crate::bn254::G1Params>(n, Fr::modulus_bits() as usize);
-        let plain = combine_windows(
-            pippenger_serial(&bases, &limbs, num_limbs, Fr::modulus_bits() as usize, c),
-            c,
-        );
+        let half_bits = glv.half_bits();
+        let c = window_bits::<crate::bn254::G1Params>(2 * n, half_bits);
+        let via_glv = combine_windows(glv_window_sums(&bases, &scalars, glv, half_bits, c), c);
+        let full_bits = Fr::modulus_bits() as usize;
+        let c = window_bits::<crate::bn254::G1Params>(n, full_bits);
+        let plain = combine_windows(plain_window_sums(&bases, &scalars, full_bits, c), c);
         let naive = msm_naive(&bases, &scalars);
         assert_eq!(via_glv, naive);
         assert_eq!(plain, naive);

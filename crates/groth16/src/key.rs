@@ -1,6 +1,8 @@
 //! Key and proof material produced and consumed by the protocol stages.
 
-use zkperf_ec::{Affine, Engine};
+use std::mem::size_of;
+
+use zkperf_ec::{Affine, CurveParams, Engine};
 
 /// The verification key (`vk` in the paper's workflow): everything the
 /// verifier needs, independent of the witness size.
@@ -42,6 +44,23 @@ pub struct ProvingKey<E: Engine> {
     pub domain_size: usize,
     /// Number of public wires (`1 + outputs + public inputs`).
     pub num_public_wires: usize,
+}
+
+impl<E: Engine> ProvingKey<E> {
+    /// Size of the key material in bytes: two base-field coordinates for
+    /// every point the key holds, the embedded verification key included —
+    /// what a `.zkey` stores, bar its framing and per-point flag bytes.
+    pub fn size_bytes(&self) -> usize {
+        let g1_points = 3 // α, β, δ
+            + self.vk.ic.len()
+            + self.a_query.len()
+            + self.b_g1_query.len()
+            + self.l_query.len()
+            + self.h_query.len();
+        let g2_points = 3 + self.b_g2_query.len(); // β, γ, δ
+        g1_points * 2 * size_of::<<E::G1 as CurveParams>::Base>()
+            + g2_points * 2 * size_of::<<E::G2 as CurveParams>::Base>()
+    }
 }
 
 /// A Groth16 proof: three group elements, constant-size regardless of the

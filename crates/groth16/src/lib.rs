@@ -8,6 +8,12 @@
 //! on top of the suite's own field, curve, and polynomial substrates. The
 //! `compile` stage lives in [`zkperf_circuit`].
 //!
+//! There is one key builder and one prover: [`setup_streamed`] emits the
+//! proving key in chunks to a [`QuerySink`] and [`prove_streamed`] reads
+//! it in chunks from a [`QuerySource`]. [`setup`] and [`prove`] are those
+//! two over a resident [`ProvingKey`]; `zkperf-io` implements the traits
+//! over a file.
+//!
 //! # Examples
 //!
 //! ```
@@ -39,13 +45,12 @@ pub use batch::verify_batch;
 pub use contribute::contribute;
 pub use key::{Proof, ProvingKey, VerifyingKey};
 pub use prepared::PreparedVerifyingKey;
-pub use prove::{prove, ProveError};
+pub use prove::{prove, prove_streamed, ProveError};
 pub use qap::{compute_h_coefficients, evaluate_constraints, evaluate_matrices_at};
-pub use setup::{setup, SetupError};
+pub use setup::{setup, setup_streamed, SetupError};
 pub use stream::{
-    prove_streamed, setup_streamed, ChunkedKey, FixedParts, G1Chunks, G1Query, G2Chunks,
-    MemorySink, QuerySink, QuerySource, StreamError, StreamHeader, StreamProveError,
-    StreamSetupError, G1_QUERIES,
+    ChunkedKey, FixedParts, G1Chunks, G1Query, G2Chunks, MemorySink, QuerySink, QuerySource,
+    StreamError, StreamHeader, G1_QUERIES,
 };
 pub use verify::{verify, VerifyError};
 

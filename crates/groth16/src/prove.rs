@@ -1,15 +1,21 @@
 //! The `proving` stage.
+//!
+//! One prover, [`prove_streamed`], reads the key through a
+//! [`QuerySource`] chunk by chunk; [`prove`] hands it a resident
+//! [`ProvingKey`] as a [`ChunkedKey`].
 
 use rand::Rng;
 
 use zkperf_circuit::{R1cs, Witness};
-use zkperf_ec::{Engine, Projective};
+use zkperf_ec::{msm_stream, Engine, Projective};
 use zkperf_ff::Field;
 use zkperf_poly::Radix2Domain;
+use zkperf_pool as pool;
 use zkperf_trace as trace;
 
 use crate::key::{Proof, ProvingKey};
 use crate::qap;
+use crate::stream::{resident_chunk_points, ChunkedKey, G1Query, QuerySource, StreamError};
 
 /// Errors from [`prove`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,6 +46,9 @@ pub enum ProveError {
     /// The ambient [`zkperf_pool::CancelToken`] was cancelled or its
     /// deadline expired; the proof was abandoned at a stage boundary.
     Cancelled,
+    /// The key's chunk transport failed (disk, checksum, truncation) —
+    /// never from a resident key.
+    Source(StreamError),
 }
 
 impl std::fmt::Display for ProveError {
@@ -57,19 +66,44 @@ impl std::fmt::Display for ProveError {
             ),
             ProveError::MalformedKey(what) => write!(f, "malformed proving key: {what}"),
             ProveError::Cancelled => write!(f, "proving cancelled by caller or deadline"),
+            ProveError::Source(e) => write!(f, "streamed key source: {e}"),
         }
     }
 }
 
 impl std::error::Error for ProveError {}
 
-/// Produces a Groth16 proof for `witness` under `pk`.
+impl From<StreamError> for ProveError {
+    fn from(e: StreamError) -> ProveError {
+        ProveError::Source(e)
+    }
+}
+
+/// Produces a Groth16 proof for `witness` under the resident key `pk`:
+/// [`prove_streamed`] over `pk`'s own vectors — one chunk per query, or
+/// `ZKPERF_MEM_BUDGET`-sized chunks, which bound the MSM's transient
+/// tables and change no byte of the proof.
+pub fn prove<E: Engine, R: Rng + ?Sized>(
+    pk: &ProvingKey<E>,
+    r1cs: &R1cs<E::Fr>,
+    witness: &Witness<E::Fr>,
+    rng: &mut R,
+) -> Result<Proof<E>, ProveError> {
+    prove_streamed(&ChunkedKey::new(pk, resident_chunk_points::<E>()), r1cs, witness, rng)
+}
+
+/// Produces a Groth16 proof for `witness` with the key arriving through
+/// `src` chunk by chunk.
 ///
 /// Structure: three variable-base MSMs over the witness (A, B in both
 /// groups), the quotient-polynomial computation via coset NTTs, one MSM over
 /// the H query, and the L-query MSM — the mix of scattered (MSM buckets)
 /// and strided (NTT) memory traffic that gives the proving stage the
-/// highest memory bandwidth in the paper's Table III.
+/// highest memory bandwidth in the paper's Table III. Each MSM folds the
+/// chunks `src` lends it ([`msm_stream`]), and the proof normalizes to
+/// affine form before leaving, so the proof bytes depend on the key and
+/// the RNG stream alone — not on the chunk size, the thread count or
+/// whether the key is resident or on disk.
 ///
 /// # Errors
 ///
@@ -77,24 +111,26 @@ impl std::error::Error for ProveError {}
 /// generated for a different circuit, and [`ProveError::InvalidDomain`] /
 /// [`ProveError::DomainTooSmall`] / [`ProveError::MalformedKey`] when the
 /// proving key's header fields are inconsistent with the circuit — the
-/// shapes a corrupted or tampered `.zkey` produces.
+/// shapes a corrupted or tampered `.zkey` produces — and
+/// [`ProveError::Source`] with the first error a chunk iterator yields.
 ///
 /// Cancellation is cooperative: when the ambient
 /// [`zkperf_pool::CancelToken`] fires, the prover returns
 /// [`ProveError::Cancelled`] at the next internal boundary (before the
 /// quotient computation, before the MSMs, and between MSM groups) rather
 /// than mid-kernel, so partial work never escapes.
-pub fn prove<E: Engine, R: Rng + ?Sized>(
-    pk: &ProvingKey<E>,
+pub fn prove_streamed<E: Engine, S: QuerySource<E>, R: Rng + ?Sized>(
+    src: &S,
     r1cs: &R1cs<E::Fr>,
     witness: &Witness<E::Fr>,
     rng: &mut R,
 ) -> Result<Proof<E>, ProveError> {
     let _g = trace::region_profile("prove");
+    let header = src.header();
     let w = witness.full();
-    if w.len() != pk.a_query.len() {
+    if w.len() != header.num_wires {
         return Err(ProveError::WitnessLengthMismatch {
-            expected: pk.a_query.len(),
+            expected: header.num_wires,
             got: w.len(),
         });
     }
@@ -104,12 +140,12 @@ pub fn prove<E: Engine, R: Rng + ?Sized>(
             got: w.len(),
         });
     }
-    if pk.num_public_wires > w.len() {
+    if header.num_public_wires > w.len() {
         return Err(ProveError::MalformedKey("public wires exceed witness length"));
     }
-    let domain = Radix2Domain::<E::Fr>::new(pk.domain_size).ok_or(ProveError::InvalidDomain {
-        size: pk.domain_size,
-    })?;
+    let domain = Radix2Domain::<E::Fr>::new(header.domain_size).ok_or(
+        ProveError::InvalidDomain { size: header.domain_size },
+    )?;
     if domain.size() < r1cs.num_constraints() {
         return Err(ProveError::DomainTooSmall {
             domain: domain.size(),
@@ -117,7 +153,7 @@ pub fn prove<E: Engine, R: Rng + ?Sized>(
         });
     }
 
-    if zkperf_pool::cancellation_pending() {
+    if pool::cancellation_pending() {
         return Err(ProveError::Cancelled);
     }
 
@@ -125,40 +161,41 @@ pub fn prove<E: Engine, R: Rng + ?Sized>(
     let (a_ev, b_ev, c_ev) = qap::evaluate_constraints(r1cs, &domain, w);
     let h = qap::compute_h_coefficients(&domain, a_ev, b_ev, c_ev);
 
-    if zkperf_pool::cancellation_pending() {
+    if pool::cancellation_pending() {
         return Err(ProveError::Cancelled);
     }
 
     let (r, s) = (E::Fr::random(rng), E::Fr::random(rng));
+    let fixed = src.fixed()?;
 
-    // Every query MSM routes through the ZKPERF_MEM_BUDGET gate: under a
-    // budget the bases stream in chunks (bounding the GLV/limb transient
-    // tables), unbudgeted they take the resident kernel; same group
-    // elements, and the proof normalizes to affine below, so proof bytes
-    // are identical either way.
-    use crate::stream::msm_budgeted as msm;
-
+    let g1 = |q: G1Query, scalars: &[E::Fr]| -> Result<Projective<E::G1>, StreamError> {
+        msm_stream(header.g1_len(q), src.g1_chunks(q), scalars)
+    };
     // A = α + Σ wᵢ·uᵢ(τ) + r·δ
-    let g_a = pk.vk.alpha_g1.to_projective()
-        + msm(&pk.a_query, w)
-        + pk.delta_g1.to_projective() * r;
+    let g_a = fixed.vk.alpha_g1.to_projective()
+        + g1(G1Query::A, w)?
+        + fixed.delta_g1.to_projective() * r;
     // B = β + Σ wᵢ·vᵢ(τ) + s·δ (in G2, and mirrored in G1 for C).
-    let g_b = pk.vk.beta_g2.to_projective()
-        + msm(&pk.b_g2_query, w)
-        + pk.vk.delta_g2.to_projective() * s;
-    let g_b1 = pk.beta_g1.to_projective()
-        + msm(&pk.b_g1_query, w)
-        + pk.delta_g1.to_projective() * s;
+    let g_b = fixed.vk.beta_g2.to_projective()
+        + msm_stream(header.g2_len(), src.g2_chunks(), w)?
+        + fixed.vk.delta_g2.to_projective() * s;
+    let g_b1 = fixed.beta_g1.to_projective()
+        + g1(G1Query::BG1, w)?
+        + fixed.delta_g1.to_projective() * s;
 
-    if zkperf_pool::cancellation_pending() {
+    if pool::cancellation_pending() {
         return Err(ProveError::Cancelled);
     }
 
     // C = Σ_{priv} wᵢ·Lᵢ + Σ hᵢ·Hᵢ + s·A + r·B₁ − r·s·δ
-    let priv_witness = &w[pk.num_public_wires..];
-    let l_part = msm(&pk.l_query, priv_witness);
-    let h_part = msm(&pk.h_query, &h);
-    let g_c = l_part + h_part + g_a * s + g_b1 * r + (pk.delta_g1.to_projective() * (r * s)).neg();
+    let priv_witness = &w[header.num_public_wires..];
+    let l_part = g1(G1Query::L, priv_witness)?;
+    let h_part = g1(G1Query::H, &h)?;
+    let g_c = l_part
+        + h_part
+        + g_a * s
+        + g_b1 * r
+        + (fixed.delta_g1.to_projective() * (r * s)).neg();
 
     let out = [g_a, g_c];
     let affine = Projective::batch_to_affine(&out);

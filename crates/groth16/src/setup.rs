@@ -1,4 +1,8 @@
 //! The `setup` stage: trusted parameter generation.
+//!
+//! One key builder, [`setup_streamed`], emits the query vectors chunk by
+//! chunk into a [`QuerySink`]; [`setup`] collects them into a resident
+//! [`ProvingKey`] through a [`MemorySink`].
 
 use rand::Rng;
 
@@ -17,6 +21,9 @@ const SCALAR_GRAIN: usize = 1 << 11;
 
 use crate::key::{ProvingKey, VerifyingKey};
 use crate::qap;
+use crate::stream::{
+    resident_chunk_points, FixedParts, G1Query, MemorySink, QuerySink, StreamError, StreamHeader,
+};
 
 /// Errors from [`setup`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,6 +36,9 @@ pub enum SetupError {
     /// The ambient [`zkperf_pool::CancelToken`] was cancelled or its
     /// deadline expired; setup was abandoned at a stage boundary.
     Cancelled,
+    /// The key's chunk transport failed (disk full, chunk contract
+    /// violated) — never from the resident [`MemorySink`].
+    Sink(StreamError),
 }
 
 impl std::fmt::Display for SetupError {
@@ -38,18 +48,23 @@ impl std::fmt::Display for SetupError {
                 write!(f, "circuit with {constraints} constraints exceeds the FFT domain")
             }
             SetupError::Cancelled => write!(f, "setup cancelled by caller or deadline"),
+            SetupError::Sink(e) => write!(f, "streamed key sink: {e}"),
         }
     }
 }
 
 impl std::error::Error for SetupError {}
 
+impl From<StreamError> for SetupError {
+    fn from(e: StreamError) -> SetupError {
+        SetupError::Sink(e)
+    }
+}
+
 /// Runs the Groth16 trusted setup over `r1cs`, producing the proving and
-/// verification keys.
-///
-/// The toxic waste `(τ, α, β, γ, δ)` is sampled from `rng` and dropped on
-/// return. Dominated by fixed-base multi-exponentiation — this is the
-/// paper's most time-consuming stage (76.1% of total execution time).
+/// verification keys: [`setup_streamed`] into a [`MemorySink`] — one chunk
+/// per query, or `ZKPERF_MEM_BUDGET`-sized chunks, which bound the
+/// fixed-base transient working set and change no byte of the key.
 ///
 /// # Errors
 ///
@@ -59,42 +74,39 @@ pub fn setup<E: Engine, R: Rng + ?Sized>(
     r1cs: &R1cs<E::Fr>,
     rng: &mut R,
 ) -> Result<ProvingKey<E>, SetupError> {
-    // Under a memory budget the fixed-base passes run chunked through the
-    // QuerySink machinery instead of one concatenated batch — identical
-    // RNG draws and field values (the scalar phase below is shared), and
-    // affine points are canonical per group element, so the key is
-    // byte-identical either way. Instrumented runs stay on this body so
-    // the characterization op stream is unchanged.
-    if !trace::is_active() && pool::mem::budget().is_some() {
-        return crate::stream::setup_budgeted(r1cs, rng);
-    }
-    let _g = trace::region_profile("setup");
-    let scalars = setup_scalars::<E, R>(r1cs, rng)?;
-    build_key_monolithic(r1cs, scalars)
+    let mut sink = MemorySink::<E>::new();
+    setup_streamed(r1cs, rng, resident_chunk_points::<E>(), &mut sink)?;
+    sink.into_proving_key()
+        .ok_or_else(|| SetupError::Sink(StreamError::msg("key sink was never finished")))
 }
 
-/// Everything [`setup`] does before any group operation: domain
-/// construction, toxic-waste sampling, and the per-query scalar batches.
-/// Shared verbatim by the monolithic and streamed key builders so both
-/// consume identical RNG draws and produce identical field values.
-pub(crate) struct SetupScalars<E: Engine> {
-    pub domain: Radix2Domain<E::Fr>,
-    pub alpha: E::Fr,
-    pub beta: E::Fr,
-    pub gamma: E::Fr,
-    pub delta: E::Fr,
-    pub u: Vec<E::Fr>,
-    pub v: Vec<E::Fr>,
-    pub ic_scalars: Vec<E::Fr>,
-    pub l_scalars: Vec<E::Fr>,
-    pub h_scalars: Vec<E::Fr>,
-    pub num_public: usize,
-}
-
-pub(crate) fn setup_scalars<E: Engine, R: Rng + ?Sized>(
+/// Runs the Groth16 trusted setup with the key leaving through `sink` in
+/// chunks of `chunk_points` points.
+///
+/// The toxic waste `(τ, α, β, γ, δ)` is sampled from `rng` and dropped on
+/// return. Dominated by fixed-base multi-exponentiation — this is the
+/// paper's most time-consuming stage (76.1% of total execution time).
+/// The RNG draws and the emitted points do not depend on `chunk_points`
+/// (affine coordinates are canonical), so a key streamed to disk and read
+/// back equals the resident one byte for byte. Emission order: header,
+/// then the [`crate::G1_QUERIES`] in order, then the G2 query, then the
+/// fixed parts.
+///
+/// Returns the verification key (also embedded in the fixed parts).
+///
+/// # Errors
+///
+/// [`SetupError::CircuitTooLarge`] if the constraint count exceeds the
+/// field's 2-adic FFT domain, [`SetupError::Cancelled`] when the ambient
+/// cancel token fires between chunks, and [`SetupError::Sink`] with the
+/// first error `sink` returns.
+pub fn setup_streamed<E: Engine, R: Rng + ?Sized, S: QuerySink<E>>(
     r1cs: &R1cs<E::Fr>,
     rng: &mut R,
-) -> Result<SetupScalars<E>, SetupError> {
+    chunk_points: usize,
+    sink: &mut S,
+) -> Result<VerifyingKey<E>, SetupError> {
+    let _g = trace::region_profile("setup");
     let domain =
         Radix2Domain::<E::Fr>::new(r1cs.num_constraints().max(2)).ok_or(
             SetupError::CircuitTooLarge {
@@ -186,117 +198,69 @@ pub(crate) fn setup_scalars<E: Engine, R: Rng + ?Sized>(
         }
     }
 
+    // The group phase needs only `u` and `v` of the QAP evaluations.
+    drop(w);
+
     if pool::cancellation_pending() {
         return Err(SetupError::Cancelled);
     }
 
-    Ok(SetupScalars {
-        domain,
-        alpha,
-        beta,
-        gamma,
-        delta,
-        u,
-        v,
-        ic_scalars,
-        l_scalars,
-        h_scalars,
-        num_public,
-    })
-}
+    let chunk_points = chunk_points.max(1);
+    sink.begin(&StreamHeader {
+        num_wires: r1cs.num_wires(),
+        num_public_wires: num_public,
+        domain_size: domain.size(),
+        chunk_points,
+    })?;
 
-/// The in-memory group-operation phase of [`setup`]: one concatenated
-/// fixed-base batch per group.
-fn build_key_monolithic<E: Engine>(
-    r1cs: &R1cs<E::Fr>,
-    scalars: SetupScalars<E>,
-) -> Result<ProvingKey<E>, SetupError> {
-    let SetupScalars {
-        domain,
-        alpha,
-        beta,
-        gamma,
-        delta,
-        u,
-        v,
-        ic_scalars,
-        l_scalars,
-        h_scalars,
-        num_public,
-    } = scalars;
-
-    // One fixed-base window table per generator, each built once and
-    // shared by every tau-power query vector. All G1 scalars ride a single
-    // `mul_batch` pass (likewise for G2), so the window tables — and the
-    // batch inversions inside the pass — amortize across the whole key,
-    // and the table width is tuned to the combined batch size.
-    let num_wires = r1cs.num_wires();
-    let total_g1 =
-        2 * num_wires + ic_scalars.len() + l_scalars.len() + h_scalars.len() + 3;
-    let mut g1_scalars = Vec::with_capacity(total_g1);
-    g1_scalars.extend_from_slice(&u);
-    g1_scalars.extend_from_slice(&v);
-    g1_scalars.extend_from_slice(&ic_scalars);
-    g1_scalars.extend_from_slice(&l_scalars);
-    g1_scalars.extend_from_slice(&h_scalars);
-    g1_scalars.extend_from_slice(&[alpha, beta, delta]);
-    let mut g2_scalars = Vec::with_capacity(num_wires + 3);
-    g2_scalars.extend_from_slice(&v);
-    g2_scalars.extend_from_slice(&[beta, gamma, delta]);
-
-    // Size each window table by the scalars that actually cost work: the
+    // One fixed-base window table per generator, built once and shared by
+    // every query. Size each by the scalars that actually cost work: the
     // QAP matrices are sparse, so (especially for G2, whose field ops are
     // several times pricier) the nonzero count can be orders of magnitude
     // below the batch length, and a table tuned to the raw length would
-    // cost more to build than it saves.
-    let nonzero = |s: &[E::Fr]| s.iter().filter(|v| !v.is_zero()).count();
-    let t1 = FixedBaseTable::for_batch(&Projective::<E::G1>::generator(), nonzero(&g1_scalars));
-    let t2 = FixedBaseTable::for_batch(&Projective::<E::G2>::generator(), nonzero(&g2_scalars));
+    // cost more to build than it saves. [α, β, δ] and [β, γ, δ] are
+    // nonzero by construction.
+    let count = |s: &[E::Fr]| s.iter().filter(|x| !x.is_zero()).count();
+    let g1_nonzero =
+        count(&u) + count(&v) + count(&ic_scalars) + count(&l_scalars) + count(&h_scalars) + 3;
+    let g2_nonzero = count(&v) + 3;
+    let t1 = FixedBaseTable::for_batch(&Projective::<E::G1>::generator(), g1_nonzero);
+    let t2 = FixedBaseTable::for_batch(&Projective::<E::G2>::generator(), g2_nonzero);
 
-    let g1_points = t1.mul_batch(&g1_scalars);
-    // The batch ends with [alpha, beta, delta] by construction.
-    let alpha_g1 = g1_points[g1_points.len() - 3];
-    let beta_g1 = g1_points[g1_points.len() - 2];
-    let delta_g1 = g1_points[g1_points.len() - 1];
-    let mut g1_points = g1_points.into_iter();
-    let a_query: Vec<_> = g1_points.by_ref().take(num_wires).collect();
-    let b_g1_query: Vec<_> = g1_points.by_ref().take(num_wires).collect();
-    let ic: Vec<_> = g1_points.by_ref().take(num_public).collect();
-    let l_query: Vec<_> = g1_points.by_ref().take(r1cs.num_wires() - num_public).collect();
-    // `by_ref` here too: collecting the owned iterator would reuse the whole
-    // batch's allocation for the H query and keep it live with the key.
-    let h_query: Vec<_> = g1_points.by_ref().take(domain.size()).collect();
+    let emit_g1 = |sink: &mut S, q: G1Query, scalars: &[E::Fr]| -> Result<(), SetupError> {
+        for chunk in scalars.chunks(chunk_points) {
+            if pool::cancellation_pending() {
+                return Err(SetupError::Cancelled);
+            }
+            sink.g1_chunk(q, &t1.mul_batch(chunk))?;
+        }
+        Ok(())
+    };
+    emit_g1(sink, G1Query::A, &u)?;
+    emit_g1(sink, G1Query::BG1, &v)?;
+    emit_g1(sink, G1Query::L, &l_scalars)?;
+    emit_g1(sink, G1Query::H, &h_scalars)?;
 
-    if pool::cancellation_pending() {
-        return Err(SetupError::Cancelled);
+    for chunk in v.chunks(chunk_points) {
+        if pool::cancellation_pending() {
+            return Err(SetupError::Cancelled);
+        }
+        sink.g2_chunk(&t2.mul_batch(chunk))?;
     }
 
-    let g2_points = t2.mul_batch(&g2_scalars);
-    // Likewise [beta, gamma, delta] close the G2 batch.
-    let beta_g2 = g2_points[g2_points.len() - 3];
-    let gamma_g2 = g2_points[g2_points.len() - 2];
-    let delta_g2 = g2_points[g2_points.len() - 1];
-    let b_g2_query: Vec<_> = g2_points.into_iter().take(num_wires).collect();
-
+    let ic = t1.mul_batch(&ic_scalars);
+    let g1_fixed = t1.mul_batch(&[alpha, beta, delta]);
+    let g2_fixed = t2.mul_batch(&[beta, gamma, delta]);
     let vk = VerifyingKey {
-        alpha_g1,
-        beta_g2,
-        gamma_g2,
-        delta_g2,
+        alpha_g1: g1_fixed[0],
+        beta_g2: g2_fixed[0],
+        gamma_g2: g2_fixed[1],
+        delta_g2: g2_fixed[2],
         ic,
     };
-    Ok(ProvingKey {
-        vk,
-        beta_g1,
-        delta_g1,
-        a_query,
-        b_g1_query,
-        b_g2_query,
-        l_query,
-        h_query,
-        domain_size: domain.size(),
-        num_public_wires: num_public,
-    })
+    let fixed = FixedParts { beta_g1: g1_fixed[1], delta_g1: g1_fixed[2], vk: vk.clone() };
+    sink.finish(&fixed)?;
+    Ok(vk)
 }
 
 #[cfg(test)]

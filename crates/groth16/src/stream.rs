@@ -1,45 +1,41 @@
-//! Out-of-core key handling: the streaming faces of `setup` and `prove`.
+//! The chunk transport between `setup`, the proving key and `prove`.
 //!
 //! The proving key's query vectors are the prover's memory wall — at
-//! 2^20 constraints they are hundreds of megabytes of affine points that
-//! the in-memory path keeps fully resident. This module inverts that:
-//! key material moves as fixed-size chunks between a [`QuerySink`]
-//! (setup's output) and a [`QuerySource`] (prove's input), so the only
-//! resident state is one chunk plus the scalar-side vectors.
+//! 2^20 constraints they are hundreds of megabytes of affine points. Key
+//! material therefore moves as chunks between a [`QuerySink`]
+//! ([`crate::setup_streamed`]'s output) and a [`QuerySource`]
+//! ([`crate::prove_streamed`]'s input), and the only state those two hold
+//! beyond the scalar-side vectors is one chunk.
 //!
-//! The traits live here (not in `zkperf-io`) because `zkperf-io` already
-//! depends on this crate; its streamed zkey reader/writer implement them
-//! over the checksummed v2 container format, while [`MemorySink`] and
-//! [`ChunkedKey`] implement them over resident memory — the latter is
-//! what the `ZKPERF_MEM_BUDGET` gates in [`crate::setup`] /
-//! [`crate::prove`] route through.
+//! A resident [`ProvingKey`] is one implementation of each trait —
+//! [`MemorySink`] collects chunks into it, [`ChunkedKey`] lends slices of
+//! it — with one chunk per query, or chunks sized from
+//! `ZKPERF_MEM_BUDGET`. The traits live here (not in `zkperf-io`) because
+//! `zkperf-io` already depends on this crate; its streamed zkey
+//! reader/writer implement them over the checksummed v2 container format.
 //!
 //! # Determinism
 //!
-//! Budgeted and unbudgeted paths produce byte-identical artifacts:
+//! Artifacts are byte-identical at any chunk size:
 //!
-//! * Scalar generation is shared code ([`crate::setup`]'s scalar phase),
-//!   so RNG draws and field values match exactly.
+//! * Scalar generation runs before any chunk is cut, so RNG draws and
+//!   field values do not depend on the chunking.
 //! * Fixed-base multiplication results are affine points, and the affine
 //!   representative of a group element is unique — batching does not
 //!   change bytes.
 //! * The streaming MSM folds per-chunk window sums into the same group
-//!   element the monolithic kernel computes, and proofs normalize through
+//!   element at any chunking, and proofs normalize through
 //!   `batch_to_affine` before serialization.
+//!
+//! `tests/groth16_kat.rs` pins the bytes themselves.
 
-use rand::Rng;
+use std::borrow::Cow;
 
-use zkperf_circuit::{R1cs, Witness};
-use zkperf_ec::{msm, msm_stream, tuning, Affine, CurveParams, Engine, FixedBaseTable, Projective};
-use zkperf_ff::Field;
-use zkperf_poly::Radix2Domain;
+use zkperf_ec::{tuning, Affine, Engine};
 use zkperf_pool as pool;
 use zkperf_trace as trace;
 
-use crate::key::{Proof, ProvingKey, VerifyingKey};
-use crate::prove::ProveError;
-use crate::qap;
-use crate::setup::{setup_scalars, SetupError, SetupScalars};
+use crate::key::{ProvingKey, VerifyingKey};
 
 /// A failure in the chunk transport (disk, checksum, truncation) as
 /// opposed to the proving math. Carries the byte offset of the failing
@@ -142,13 +138,15 @@ pub struct FixedParts<E: Engine> {
     pub vk: VerifyingKey<E>,
 }
 
-/// A fallible chunk iterator over one G1 query.
+/// A fallible chunk iterator over one G1 query. Chunks are lent when the
+/// source holds the points ([`ChunkedKey`]) and owned when it decodes them
+/// on demand (`zkperf-io`'s streamed reader).
 pub type G1Chunks<'a, E> =
-    Box<dyn Iterator<Item = Result<Vec<Affine<<E as Engine>::G1>>, StreamError>> + 'a>;
+    Box<dyn Iterator<Item = Result<Cow<'a, [Affine<<E as Engine>::G1>]>, StreamError>> + 'a>;
 
 /// A fallible chunk iterator over the G2 query.
 pub type G2Chunks<'a, E> =
-    Box<dyn Iterator<Item = Result<Vec<Affine<<E as Engine>::G2>>, StreamError>> + 'a>;
+    Box<dyn Iterator<Item = Result<Cow<'a, [Affine<<E as Engine>::G2>]>, StreamError>> + 'a>;
 
 /// Read side of a chunked proving key. Implemented by the in-memory
 /// [`ChunkedKey`] and by `zkperf-io`'s streamed zkey reader.
@@ -176,322 +174,24 @@ pub trait QuerySink<E: Engine> {
     fn finish(&mut self, fixed: &FixedParts<E>) -> Result<(), StreamError>;
 }
 
-/// Derives the chunk size (points per chunk) for a query of G1/G2 points
-/// from the active memory budget; `None` when unbudgeted or when the
-/// whole query fits one chunk anyway (so streaming would be pure
-/// overhead). Instrumented runs never chunk: the characterization suite
-/// pins the in-memory op stream.
-fn budget_chunk<C: CurveParams>(n: usize) -> Option<usize> {
-    if trace::is_active() {
-        return None;
-    }
-    let budget = pool::mem::budget()?;
-    let chunk = tuning::stream_chunk_points(
-        budget,
-        std::mem::size_of::<Affine<C>>(),
-        std::mem::size_of::<C::Scalar>(),
-    );
-    (chunk < n).then_some(chunk)
-}
-
-/// `msm` with the budget gate: unbudgeted (or small) inputs take the
-/// resident kernel, budgeted ones stream the bases chunk by chunk —
-/// bounding the GLV/limb transient tables to one chunk's worth — and the
-/// two produce the same group element.
-pub(crate) fn msm_budgeted<C: CurveParams>(
-    bases: &[Affine<C>],
-    scalars: &[C::Scalar],
-) -> Projective<C> {
-    match budget_chunk::<C>(bases.len()) {
-        Some(chunk) => {
-            let folded: Result<_, std::convert::Infallible> = msm_stream(
-                bases.len(),
-                bases.chunks(chunk).map(Ok),
-                scalars,
-            );
-            match folded {
-                Ok(v) => v,
-                Err(e) => match e {},
-            }
-        }
-        None => msm(bases, scalars),
+/// Points per chunk when the key is resident ([`crate::setup`],
+/// [`crate::prove`]): sized from `ZKPERF_MEM_BUDGET` by the G1 point, as a
+/// key streamed to disk is, and the whole query when there is no budget.
+/// Under a live trace session it is the whole query too, so op streams
+/// never depend on the budget.
+pub(crate) fn resident_chunk_points<E: Engine>() -> usize {
+    match pool::mem::budget() {
+        Some(budget) if !trace::is_active() => tuning::stream_chunk_points(
+            budget,
+            std::mem::size_of::<Affine<E::G1>>(),
+            std::mem::size_of::<E::Fr>(),
+        ),
+        _ => usize::MAX,
     }
 }
 
-/// Errors from [`prove_streamed`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StreamProveError {
-    /// The proving math failed (same taxonomy as the resident prover).
-    Prove(ProveError),
-    /// The chunk transport failed.
-    Source(StreamError),
-}
-
-impl std::fmt::Display for StreamProveError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StreamProveError::Prove(e) => e.fmt(f),
-            StreamProveError::Source(e) => write!(f, "streamed key source: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for StreamProveError {}
-
-impl From<ProveError> for StreamProveError {
-    fn from(e: ProveError) -> StreamProveError {
-        StreamProveError::Prove(e)
-    }
-}
-
-impl From<StreamError> for StreamProveError {
-    fn from(e: StreamError) -> StreamProveError {
-        StreamProveError::Source(e)
-    }
-}
-
-/// Errors from [`setup_streamed`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StreamSetupError {
-    /// The setup math failed (same taxonomy as the resident setup).
-    Setup(SetupError),
-    /// The chunk transport failed.
-    Sink(StreamError),
-}
-
-impl std::fmt::Display for StreamSetupError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StreamSetupError::Setup(e) => e.fmt(f),
-            StreamSetupError::Sink(e) => write!(f, "streamed key sink: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for StreamSetupError {}
-
-impl From<SetupError> for StreamSetupError {
-    fn from(e: SetupError) -> StreamSetupError {
-        StreamSetupError::Setup(e)
-    }
-}
-
-impl From<StreamError> for StreamSetupError {
-    fn from(e: StreamError) -> StreamSetupError {
-        StreamSetupError::Sink(e)
-    }
-}
-
-/// Runs the Groth16 trusted setup with the key leaving through `sink`
-/// chunk by chunk instead of materializing as a [`ProvingKey`].
-///
-/// Draws from `rng` in exactly the order [`crate::setup`] does and emits
-/// exactly the points it would store (affine coordinates are canonical),
-/// so a key streamed to disk and read back equals the resident one
-/// byte for byte. Emission order: header, then the [`G1_QUERIES`] in
-/// order, then the G2 query, then the fixed parts.
-///
-/// Returns the verification key (also embedded in the fixed parts).
-pub fn setup_streamed<E: Engine, R: Rng + ?Sized, S: QuerySink<E>>(
-    r1cs: &R1cs<E::Fr>,
-    rng: &mut R,
-    chunk_points: usize,
-    sink: &mut S,
-) -> Result<VerifyingKey<E>, StreamSetupError> {
-    let _g = trace::region_profile("setup");
-    let scalars = setup_scalars::<E, R>(r1cs, rng)?;
-    let SetupScalars {
-        domain,
-        alpha,
-        beta,
-        gamma,
-        delta,
-        u,
-        v,
-        ic_scalars,
-        l_scalars,
-        h_scalars,
-        num_public,
-    } = scalars;
-    let num_wires = r1cs.num_wires();
-    let chunk_points = chunk_points.max(1);
-
-    let header = StreamHeader {
-        num_wires,
-        num_public_wires: num_public,
-        domain_size: domain.size(),
-        chunk_points,
-    };
-    sink.begin(&header)?;
-
-    // Same table widths as the monolithic batch: the combined nonzero
-    // count per group ([α, β, δ] and [β, γ, δ] are nonzero by
-    // construction). Widths only affect speed — affine values are
-    // identical at any width — but keeping them equal keeps the two
-    // paths' cost profiles comparable.
-    let nonzero = |s: &[E::Fr]| s.iter().filter(|x| !x.is_zero()).count();
-    let g1_nonzero = nonzero(&u)
-        + nonzero(&v)
-        + nonzero(&ic_scalars)
-        + nonzero(&l_scalars)
-        + nonzero(&h_scalars)
-        + 3;
-    let g2_nonzero = nonzero(&v) + 3;
-    let t1 = FixedBaseTable::for_batch(&Projective::<E::G1>::generator(), g1_nonzero);
-    let t2 = FixedBaseTable::for_batch(&Projective::<E::G2>::generator(), g2_nonzero);
-
-    let emit_g1 = |sink: &mut S, q: G1Query, scalars: &[E::Fr]| -> Result<(), StreamSetupError> {
-        for chunk in scalars.chunks(chunk_points) {
-            if pool::cancellation_pending() {
-                return Err(SetupError::Cancelled.into());
-            }
-            sink.g1_chunk(q, &t1.mul_batch(chunk))?;
-        }
-        Ok(())
-    };
-    emit_g1(sink, G1Query::A, &u)?;
-    emit_g1(sink, G1Query::BG1, &v)?;
-    emit_g1(sink, G1Query::L, &l_scalars)?;
-    emit_g1(sink, G1Query::H, &h_scalars)?;
-
-    for chunk in v.chunks(chunk_points) {
-        if pool::cancellation_pending() {
-            return Err(SetupError::Cancelled.into());
-        }
-        sink.g2_chunk(&t2.mul_batch(chunk))?;
-    }
-
-    let ic = t1.mul_batch(&ic_scalars);
-    let g1_fixed = t1.mul_batch(&[alpha, beta, delta]);
-    let g2_fixed = t2.mul_batch(&[beta, gamma, delta]);
-    let vk = VerifyingKey {
-        alpha_g1: g1_fixed[0],
-        beta_g2: g2_fixed[0],
-        gamma_g2: g2_fixed[1],
-        delta_g2: g2_fixed[2],
-        ic,
-    };
-    let fixed = FixedParts { beta_g1: g1_fixed[1], delta_g1: g1_fixed[2], vk: vk.clone() };
-    sink.finish(&fixed)?;
-    Ok(vk)
-}
-
-/// The budgeted in-memory setup behind [`crate::setup`]'s
-/// `ZKPERF_MEM_BUDGET` gate: streams through a [`MemorySink`] with the
-/// chunk size derived from the budget, bounding the fixed-base transient
-/// working set to one chunk instead of the whole concatenated batch.
-pub(crate) fn setup_budgeted<E: Engine, R: Rng + ?Sized>(
-    r1cs: &R1cs<E::Fr>,
-    rng: &mut R,
-) -> Result<ProvingKey<E>, SetupError> {
-    let budget = pool::mem::budget().unwrap_or(u64::MAX);
-    let chunk = tuning::stream_chunk_points(
-        budget,
-        std::mem::size_of::<Affine<E::G1>>(),
-        std::mem::size_of::<E::Fr>(),
-    );
-    let mut sink = MemorySink::<E>::new();
-    match setup_streamed(r1cs, rng, chunk, &mut sink) {
-        Ok(_) => {}
-        Err(StreamSetupError::Setup(e)) => return Err(e),
-        // MemorySink never fails; treat the impossible as cancellation
-        // rather than panicking in a deny(unwrap) crate.
-        Err(StreamSetupError::Sink(_)) => return Err(SetupError::Cancelled),
-    }
-    sink.into_proving_key().ok_or(SetupError::Cancelled)
-}
-
-/// Produces a Groth16 proof with the key arriving through `src` chunk by
-/// chunk — the out-of-core prover. Byte-identical to [`crate::prove`] on
-/// the same key material and RNG stream: all five query MSMs run through
-/// the streaming fold, and the proof normalizes to affine form before
-/// leaving.
-pub fn prove_streamed<E: Engine, S: QuerySource<E>, R: Rng + ?Sized>(
-    src: &S,
-    r1cs: &R1cs<E::Fr>,
-    witness: &Witness<E::Fr>,
-    rng: &mut R,
-) -> Result<Proof<E>, StreamProveError> {
-    let _g = trace::region_profile("prove");
-    let header = src.header();
-    let w = witness.full();
-    if w.len() != header.num_wires {
-        return Err(ProveError::WitnessLengthMismatch {
-            expected: header.num_wires,
-            got: w.len(),
-        }
-        .into());
-    }
-    if r1cs.num_wires() != w.len() {
-        return Err(ProveError::WitnessLengthMismatch {
-            expected: r1cs.num_wires(),
-            got: w.len(),
-        }
-        .into());
-    }
-    if header.num_public_wires > w.len() {
-        return Err(ProveError::MalformedKey("public wires exceed witness length").into());
-    }
-    let domain = Radix2Domain::<E::Fr>::new(header.domain_size).ok_or(
-        ProveError::InvalidDomain { size: header.domain_size },
-    )?;
-    if domain.size() < r1cs.num_constraints() {
-        return Err(ProveError::DomainTooSmall {
-            domain: domain.size(),
-            constraints: r1cs.num_constraints(),
-        }
-        .into());
-    }
-
-    if pool::cancellation_pending() {
-        return Err(ProveError::Cancelled.into());
-    }
-
-    let (a_ev, b_ev, c_ev) = qap::evaluate_constraints(r1cs, &domain, w);
-    let h = qap::compute_h_coefficients(&domain, a_ev, b_ev, c_ev);
-
-    if pool::cancellation_pending() {
-        return Err(ProveError::Cancelled.into());
-    }
-
-    let (r, s) = (E::Fr::random(rng), E::Fr::random(rng));
-    let fixed = src.fixed()?;
-
-    let g1 = |q: G1Query, scalars: &[E::Fr]| -> Result<Projective<E::G1>, StreamError> {
-        msm_stream(header.g1_len(q), src.g1_chunks(q), scalars)
-    };
-    let g_a = fixed.vk.alpha_g1.to_projective()
-        + g1(G1Query::A, w)?
-        + fixed.delta_g1.to_projective() * r;
-    let g_b = fixed.vk.beta_g2.to_projective()
-        + msm_stream(header.g2_len(), src.g2_chunks(), w)?
-        + fixed.vk.delta_g2.to_projective() * s;
-    let g_b1 = fixed.beta_g1.to_projective()
-        + g1(G1Query::BG1, w)?
-        + fixed.delta_g1.to_projective() * s;
-
-    if pool::cancellation_pending() {
-        return Err(ProveError::Cancelled.into());
-    }
-
-    let priv_witness = &w[header.num_public_wires..];
-    let l_part = g1(G1Query::L, priv_witness)?;
-    let h_part = g1(G1Query::H, &h)?;
-    let g_c = l_part
-        + h_part
-        + g_a * s
-        + g_b1 * r
-        + (fixed.delta_g1.to_projective() * (r * s)).neg();
-
-    let out = [g_a, g_c];
-    let affine = Projective::batch_to_affine(&out);
-    trace::alloc(std::mem::size_of::<Proof<E>>());
-    Ok(Proof { a: affine[0], b: g_b.to_affine(), c: affine[1] })
-}
-
-/// [`QuerySource`] over a resident [`ProvingKey`]: serves slices of the
-/// key's own vectors as chunks (no copies beyond the per-chunk `Vec` the
-/// iterator contract requires are made — slices are wrapped, not cloned).
+/// [`QuerySource`] over a resident [`ProvingKey`]: lends slices of the
+/// key's own vectors as chunks; no point is copied.
 pub struct ChunkedKey<'a, E: Engine> {
     key: &'a ProvingKey<E>,
     chunk_points: usize,
@@ -533,17 +233,15 @@ impl<E: Engine> QuerySource<E> for ChunkedKey<'_, E> {
     }
 
     fn g1_chunks(&self, q: G1Query) -> G1Chunks<'_, E> {
-        Box::new(self.g1_query(q).chunks(self.chunk_points).map(|c| Ok(c.to_vec())))
+        Box::new(self.g1_query(q).chunks(self.chunk_points).map(|c| Ok(Cow::Borrowed(c))))
     }
 
     fn g2_chunks(&self) -> G2Chunks<'_, E> {
-        Box::new(self.key.b_g2_query.chunks(self.chunk_points).map(|c| Ok(c.to_vec())))
+        Box::new(self.key.b_g2_query.chunks(self.chunk_points).map(|c| Ok(Cow::Borrowed(c))))
     }
 }
 
-/// [`QuerySink`] that reassembles the chunks into a resident
-/// [`ProvingKey`] — the budgeted in-memory setup path, and the reference
-/// sink for differential tests.
+/// [`QuerySink`] that collects the chunks into a resident [`ProvingKey`].
 pub struct MemorySink<E: Engine> {
     header: Option<StreamHeader>,
     a: Vec<Affine<E::G1>>,
@@ -628,9 +326,10 @@ impl<E: Engine> QuerySink<E> for MemorySink<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prove::prove;
-    use crate::setup::setup;
+    use crate::prove::{prove, prove_streamed, ProveError};
+    use crate::setup::{setup, setup_streamed};
     use crate::verify::verify;
+    use zkperf_circuit::Witness;
     use zkperf_circuit::library::exponentiate;
     use zkperf_ec::Bn254;
     use zkperf_ff::bn254::Fr;
@@ -727,7 +426,7 @@ mod tests {
         let mut rng = zkperf_ff::test_rng();
         let err = prove_streamed(&src, circuit.r1cs(), &w, &mut rng).unwrap_err();
         match err {
-            StreamProveError::Source(e) => {
+            ProveError::Source(e) => {
                 assert_eq!(e.offset, Some(4096));
                 let msg = e.to_string();
                 assert!(msg.contains("pk.zkey"), "{msg}");

@@ -439,6 +439,43 @@ mod tests {
         ));
     }
 
+    /// `ProvingKey::size_bytes` against the encoded `.zkey`: the file is
+    /// the key's coordinates plus framing (container and section headers,
+    /// the two header words, six length prefixes, one flag byte per point),
+    /// minus the coordinates of identity points, which encode as the flag
+    /// alone.
+    fn size_bytes_matches_the_encoded_zkey<E: Engine>()
+    where
+        <E::G1 as CurveParams>::Base: FieldCodec,
+        <E::G2 as CurveParams>::Base: FieldCodec,
+    {
+        let circuit = exponentiate::<E::Fr>(64);
+        let pk = setup::<E, _>(circuit.r1cs(), &mut zkperf_ff::test_rng()).unwrap();
+        let mut zkey = Vec::new();
+        write_zkey(&mut zkey, &pk).unwrap();
+
+        let g1_queries = [&pk.a_query, &pk.b_g1_query, &pk.l_query, &pk.h_query, &pk.vk.ic];
+        let g1_points = 3 + g1_queries.iter().map(|q| q.len()).sum::<usize>();
+        let g2_points = 3 + pk.b_g2_query.len();
+        let g1_identities: usize =
+            g1_queries.iter().map(|q| q.iter().filter(|p| p.infinity).count()).sum();
+        let g2_identities = pk.b_g2_query.iter().filter(|p| p.infinity).count();
+        assert!(g1_identities > 0 && g2_identities > 0, "sparse B query");
+        let g1_bytes = 2 * <E::G1 as CurveParams>::Base::encoded_len();
+        let g2_bytes = 2 * <E::G2 as CurveParams>::Base::encoded_len();
+        let framing = 12 + 5 * 16 + 16 + 6 * 8 + g1_points + g2_points;
+        assert_eq!(
+            zkey.len(),
+            pk.size_bytes() - g1_identities * g1_bytes - g2_identities * g2_bytes + framing
+        );
+    }
+
+    #[test]
+    fn proving_key_size_bytes_matches_the_encoded_zkey_on_both_curves() {
+        size_bytes_matches_the_encoded_zkey::<Bn254>();
+        size_bytes_matches_the_encoded_zkey::<zkperf_ec::Bls12_381>();
+    }
+
     #[test]
     fn bls_curve_formats_roundtrip() {
         use zkperf_ec::Bls12_381;

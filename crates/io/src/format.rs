@@ -3,10 +3,9 @@
 //! Layout (all integers little-endian, like the iden3 formats this
 //! mirrors): a 4-byte magic, a `u32` version, a `u32` section count, then
 //! per section a `u32` id, a `u64` byte length, a `u32` CRC32 of the
-//! payload (format v2+), and the payload itself.
+//! payload, and the payload itself.
 //!
-//! Version 1 files (no per-section checksum) remain readable; writers
-//! always emit version 2. A checksum mismatch surfaces as
+//! Readers accept exactly [`VERSION`]. A checksum mismatch surfaces as
 //! [`FormatError::ChecksumMismatch`] before any payload is decoded, so
 //! bit-level tampering is caught at the container layer rather than deep
 //! inside a field or curve decoder.
@@ -102,12 +101,9 @@ impl From<io::Error> for FormatError {
     }
 }
 
-/// Container format version written by this crate (v2 adds per-section
-/// CRC32 checksums).
+/// The container format version this crate writes and reads (v2: every
+/// section carries a CRC32; the checksum-less v1 is rejected).
 pub const VERSION: u32 = 2;
-
-/// Oldest container version this crate still reads.
-pub const MIN_VERSION: u32 = 1;
 
 /// Upper bound on sections per container; anything larger is treated as
 /// corruption rather than an allocation request.
@@ -169,7 +165,7 @@ impl Container {
         Ok(())
     }
 
-    /// Parses a container, checking the magic and (for v2 files) every
+    /// Parses a container, checking the magic, the version and every
     /// section checksum.
     ///
     /// # Errors
@@ -186,7 +182,7 @@ impl Container {
             });
         }
         let version = read_u32(r)?;
-        if !(MIN_VERSION..=VERSION).contains(&version) {
+        if version != VERSION {
             return Err(FormatError::BadVersion(version));
         }
         let count = read_u32(r)? as usize;
@@ -200,17 +196,15 @@ impl Container {
             if len > MAX_SECTION_LEN {
                 return Err(FormatError::Corrupt("unreasonable section length"));
             }
-            let stored_crc = if version >= 2 { Some(read_u32(r)?) } else { None };
+            let stored = read_u32(r)?;
             let payload = read_payload(r, len as usize)?;
-            if let Some(stored) = stored_crc {
-                let computed = crc32(&payload);
-                if stored != computed {
-                    return Err(FormatError::ChecksumMismatch {
-                        section: id,
-                        stored,
-                        computed,
-                    });
-                }
+            let computed = crc32(&payload);
+            if stored != computed {
+                return Err(FormatError::ChecksumMismatch {
+                    section: id,
+                    stored,
+                    computed,
+                });
             }
             sections.push((id, payload));
         }
@@ -372,7 +366,7 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_without_checksums_still_read() {
+    fn v1_files_without_checksums_are_rejected() {
         // Hand-assemble the version-1 layout: no per-section CRC.
         let mut buf = Vec::new();
         buf.extend_from_slice(b"test");
@@ -381,8 +375,10 @@ mod tests {
         buf.extend_from_slice(&7u32.to_le_bytes()); // id
         buf.extend_from_slice(&3u64.to_le_bytes()); // len
         buf.extend_from_slice(&[9, 8, 7]);
-        let c = Container::read_from(&mut buf.as_slice(), *b"test").unwrap();
-        assert_eq!(c.section(7).unwrap(), &[9, 8, 7]);
+        assert!(matches!(
+            Container::read_from(&mut buf.as_slice(), *b"test"),
+            Err(FormatError::BadVersion(1))
+        ));
     }
 
     #[test]

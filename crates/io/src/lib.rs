@@ -42,5 +42,5 @@ pub use files::{
     read_proof, read_r1cs, read_vkey, read_witness, read_zkey, write_proof, write_r1cs,
     write_vkey, write_witness, write_zkey,
 };
-pub use format::{Container, Cursor, FormatError, Payload, MIN_VERSION, VERSION};
+pub use format::{Container, Cursor, FormatError, Payload, VERSION};
 pub use stream::{StreamedZkeyReader, StreamedZkeyWriter, MAGIC_ZKEY_STREAM};

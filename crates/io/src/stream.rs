@@ -23,6 +23,7 @@
 //! typed artifact error pointing at the exact section — never a panic or
 //! a silent truncation.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::fs;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
@@ -40,7 +41,7 @@ use crate::checksum::crc32;
 use crate::codec::{
     decode_point, decode_point_vec, encode_point, encode_point_vec, FieldCodec,
 };
-use crate::format::{read_u32, read_u64, Cursor, FormatError, Payload, MIN_VERSION, VERSION};
+use crate::format::{read_u32, read_u64, Cursor, FormatError, Payload, VERSION};
 
 /// Magic of the streamed proving-key container.
 pub const MAGIC_ZKEY_STREAM: [u8; 4] = *b"zkst";
@@ -378,7 +379,7 @@ where
             }));
         }
         let version = read_u32(&mut file).map_err(wrap)?;
-        if !(MIN_VERSION..=VERSION).contains(&version) {
+        if version != VERSION {
             return Err(wrap(FormatError::BadVersion(version)));
         }
         let count = read_u32(&mut file).map_err(wrap)? as usize;
@@ -593,12 +594,12 @@ where
 
     fn g1_chunks(&self, q: G1Query) -> G1Chunks<'_, E> {
         let n = self.header.chunks_of(self.header.g1_len(q));
-        Box::new((0..n).map(move |i| self.g1_chunk(q, i)))
+        Box::new((0..n).map(move |i| self.g1_chunk(q, i).map(Cow::Owned)))
     }
 
     fn g2_chunks(&self) -> G2Chunks<'_, E> {
         let n = self.header.chunks_of(self.header.g2_len());
-        Box::new((0..n).map(move |i| self.g2_chunk(i)))
+        Box::new((0..n).map(move |i| self.g2_chunk(i).map(Cow::Owned)))
     }
 }
 
@@ -747,6 +748,13 @@ mod tests {
         fs::write(&path, &bad).unwrap();
         let err = StreamedZkeyReader::<Bn254>::open(&path).unwrap_err();
         assert!(matches!(err.error, FormatError::BadMagic { .. }));
+
+        // Version 1 never had this framing.
+        let mut old = full.clone();
+        old[4..8].copy_from_slice(&1u32.to_le_bytes());
+        fs::write(&path, &old).unwrap();
+        let err = StreamedZkeyReader::<Bn254>::open(&path).unwrap_err();
+        assert!(matches!(err.error, FormatError::BadVersion(1)));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -847,10 +847,13 @@ fn stream_msm_case<C: CurveParams>(rng: &mut SplitRng) -> CaseResult {
     let n = adversarial_len(rng, 300).max(3);
     let bases: Vec<Affine<C>> = adversarial_points(rng, n);
     let scalars: Vec<C::Scalar> = adversarial_scalars(rng, n);
-    let expect = msm(&bases, &scalars);
+    // `msm` is the one-chunk call of `msm_stream`, so the expected value
+    // comes from the double-and-add reference.
+    let expect = msm_naive(&bases, &scalars);
     // Degenerate (1), prime-stride (13), and boundary-straddling chunk
-    // layouts; n+7 exercises a final chunk larger than the tail.
-    for chunk in [1usize, 13, n - 1, n, n + 7] {
+    // layouts; n+7 and usize::MAX exercise a final chunk larger than the
+    // tail.
+    for chunk in [1usize, 13, n - 1, n, n + 7, usize::MAX] {
         let got = msm_stream(
             n,
             bases.chunks(chunk).map(Ok::<_, std::convert::Infallible>),
@@ -881,10 +884,10 @@ fn stream_budget_groth16_case<E: Engine>(rng: &mut SplitRng) -> CaseResult {
     // A budget this small forces the chunked path on every query.
     let (pk, proof) = run(Some(1 << 16), rng)?;
     if pk != ref_pk {
-        return fail("stream budget groth16", "budgeted setup key diverges from in-memory");
+        return fail("stream budget groth16", "budgeted setup key diverges from the unbudgeted one");
     }
     if proof != ref_proof {
-        return fail("stream budget groth16", "budgeted proof diverges from in-memory");
+        return fail("stream budget groth16", "budgeted proof diverges from the unbudgeted one");
     }
     Ok(())
 }
@@ -931,7 +934,8 @@ where
 
     let (circuit, witness) = adversarial_circuit::<E::Fr>(rng);
     let chunk = 1 + rng.gen_range(0..40) as usize;
-    // In-memory reference under the identical randomness stream.
+    // Resident (one chunk per query) run under the identical randomness
+    // stream.
     let mut ref_rng = rng.clone();
     let ref_pk = zkperf_groth16::setup::<E, _>(circuit.r1cs(), &mut ref_rng)
         .map_err(|e| format!("setup failed: {e}"))?;
@@ -962,7 +966,7 @@ where
     if vk != ref_pk.vk {
         return fail(
             "stream file roundtrip",
-            format_args!("vk diverges from in-memory setup (chunk = {chunk})"),
+            format_args!("vk diverges from resident setup (chunk = {chunk})"),
         );
     }
     if proof != ref_proof {

@@ -5,11 +5,11 @@
 #   2. the full test suite (unit + integration + property tests)
 #   3. clippy with -D warnings
 #
-# Library crates (zkperf-io, zkperf-groth16, zkperf-core,
-# zkperf-resilience) additionally deny clippy::unwrap_used and
-# clippy::expect_used outside #[cfg(test)] via attributes at the top of
-# their lib.rs, so step 3 also enforces the panic-free-hot-path policy;
-# tests and binaries may still unwrap.
+# Six library crates (zkperf-core, zkperf-groth16, zkperf-io,
+# zkperf-pool, zkperf-resilience, zkperf-serve) additionally deny
+# clippy::unwrap_used and clippy::expect_used outside #[cfg(test)] via
+# attributes at the top of their lib.rs, so step 3 also enforces the
+# panic-free-hot-path policy; tests and binaries may still unwrap.
 #
 # The build environment is fully offline (deps are vendored under
 # vendor/), hence --offline everywhere.
@@ -67,11 +67,17 @@ if ! ./target/release/fuzz_lite --only pairing --iters 16; then
     exit 1
 fi
 
-# The out-of-core proving pipeline must be invisible in the artifacts:
-# budgeted setup/prove, the streamed .zkey file, and N-thread streaming
-# must all produce the bytes the in-memory path produces. The stream
-# oracles pin msm_stream folding, budgeted setup/prove, thread-count
-# bit-identity, and the on-disk roundtrip against in-memory references.
+# Chunking must be invisible in the artifacts: one chunk per query,
+# budget-sized chunks, the streamed .zkey file, and N-thread streaming
+# must all produce the same bytes. The known-answer test holds those
+# bytes (recorded before the resident and chunked pipelines were merged)
+# and runs at both ambient pool sizes like the determinism suites; the
+# stream oracles pin msm_stream folding against msm_naive, budgeted
+# against unbudgeted setup/prove, thread-count bit-identity, and the
+# on-disk roundtrip.
+echo "==> stream tier: Groth16 known-answer test at ZKPERF_THREADS=1 and 4"
+ZKPERF_THREADS=1 cargo test -q --offline --test groth16_kat
+ZKPERF_THREADS=4 cargo test -q --offline --test groth16_kat
 echo "==> fuzz_lite stream tier"
 if ! ./target/release/fuzz_lite --only stream --iters 12; then
     echo "fuzz_lite found streaming divergences; paste a replay line from above" >&2
@@ -104,7 +110,7 @@ if ! ./target/release/fuzz_lite --only stark --iters 8; then
 fi
 
 # Memory-bounded smoke: a 2^16 circuit proved under a 32 MiB budget —
-# smaller than its in-memory working set — must complete and byte-match
+# smaller than its one-chunk working set — must complete and byte-match
 # the unbudgeted run, both resident-budgeted and through the streamed
 # .zkey file. Exit code 2 means the streaming pipeline changed the bytes.
 echo "==> stream_smoke: 2^16 under a 32 MiB budget"
