@@ -3,6 +3,7 @@
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
+use zkperf_ff::{Field, Frobenius};
 use zkperf_machine::{CpuProfile, MachineReport, MachineSim};
 use zkperf_trace::{self as trace, OpCounts};
 
@@ -70,6 +71,16 @@ impl StageMeasurement {
     }
 }
 
+/// Builds the process-wide tables the kernels create on first use — the
+/// Poseidon constants of the backend's field and the tower Frobenius
+/// coefficients the pairings read — before the session opens: a cell's
+/// counts must not depend on what ran earlier in the process.
+fn build_first_use_tables<B: ProverBackend>() {
+    zkperf_circuit::poseidon::permutation_constants::<B::Fr>();
+    zkperf_ff::bn254::Fq12::one().frobenius(1);
+    zkperf_ff::bls12_381::Fq12::one().frobenius(1);
+}
+
 /// Runs `stage` of `workload` on the simulated `cpu` and collects the
 /// measurement. Prerequisite stages must already have run (use
 /// [`Workload::prepare_for`]); they execute untraced so the measurement
@@ -87,8 +98,13 @@ pub fn measure_stage<B: ProverBackend>(
     cpu: &CpuProfile,
 ) -> Result<StageMeasurement, StageError> {
     let curve: Curve = B::curve();
+    build_first_use_tables::<B>();
     let (sink, handle) = MachineSim::new(cpu.clone(), stage.exec_env()).shared();
     let session = trace::Session::begin_with_sink(Box::new(sink));
+    // The session is this thread's alone: work a kernel handed to a pool
+    // worker would leave the recorded stream. This is the one place that
+    // decides "inline under a session"; no kernel asks.
+    let _serial = zkperf_pool::SerialScope::enter();
     if stage.exec_env() != zkperf_machine::ExecEnv::Native {
         // Node + snarkjs startup precedes every snarkjs stage.
         emit_runtime_init();

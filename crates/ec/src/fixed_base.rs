@@ -21,6 +21,7 @@ use zkperf_trace as trace;
 
 use crate::batch_add::BatchAdder;
 use crate::curve::{Affine, CurveParams, Projective};
+use crate::msm::extract_bits;
 
 /// Precomputed window tables for one base point.
 ///
@@ -165,7 +166,7 @@ impl<C: CurveParams> FixedBaseTable<C> {
         let mut acc = Projective::identity();
         let mut carry = 0usize;
         for (k, row) in self.windows.iter().enumerate() {
-            let raw = extract(limbs, k * self.window_bits, self.window_bits) + carry;
+            let raw = extract_bits(limbs, k * self.window_bits, self.window_bits) + carry;
             let digit = if raw as i64 > half {
                 carry = 1;
                 raw as i64 - (1i64 << self.window_bits)
@@ -185,23 +186,16 @@ impl<C: CurveParams> FixedBaseTable<C> {
 
     /// Multiplies every scalar in `scalars`, returning affine results.
     ///
-    /// Works in chunks of [`BATCH_CHUNK`] scalars ([`Self::mul_chunk`]).
-    /// Chunks are fully independent (private gather buffers, disjoint
-    /// `out` ranges), so uninstrumented multi-thread runs fan them out
-    /// across the pool; either way each output slot holds what its chunk
-    /// computed, so results are bit-identical at any thread count.
+    /// Works in chunks of [`BATCH_CHUNK`] scalars ([`Self::mul_chunk`]),
+    /// one pool task each. Chunks are fully independent (private gather
+    /// buffers, disjoint `out` ranges) and each output slot holds what its
+    /// chunk computed, so results are bit-identical at any thread count.
     pub fn mul_batch(&self, scalars: &[C::Scalar]) -> Vec<Affine<C>> {
         let _g = trace::region_profile("fixed_base_msm");
         let mut out = vec![Affine::identity(); scalars.len()];
-        if !trace::is_active() && pool::current_threads() > 1 && scalars.len() > BATCH_CHUNK {
-            pool::parallel_chunks_mut(&mut out, BATCH_CHUNK, |chunk_idx, out_chunk| {
-                self.mul_chunk(&scalars[chunk_idx * BATCH_CHUNK..][..out_chunk.len()], out_chunk);
-            });
-        } else {
-            for (chunk, out_chunk) in scalars.chunks(BATCH_CHUNK).zip(out.chunks_mut(BATCH_CHUNK)) {
-                self.mul_chunk(chunk, out_chunk);
-            }
-        }
+        pool::parallel_chunks_mut(&mut out, BATCH_CHUNK, |chunk_idx, out_chunk| {
+            self.mul_chunk(&scalars[chunk_idx * BATCH_CHUNK..][..out_chunk.len()], out_chunk);
+        });
         out
     }
 
@@ -222,7 +216,7 @@ impl<C: CurveParams> FixedBaseTable<C> {
             let start = gathered.len();
             let mut carry = 0usize;
             for (k, row) in self.windows.iter().enumerate() {
-                let raw = extract(&limbs, k * self.window_bits, self.window_bits) + carry;
+                let raw = extract_bits(&limbs, k * self.window_bits, self.window_bits) + carry;
                 let digit = if raw as i64 > half {
                     carry = 1;
                     raw as i64 - (1i64 << self.window_bits)
@@ -246,19 +240,6 @@ impl<C: CurveParams> FixedBaseTable<C> {
             }
         }
     }
-}
-
-fn extract(limbs: &[u64], lo: usize, count: usize) -> usize {
-    let limb = lo / 64;
-    let off = lo % 64;
-    if limb >= limbs.len() {
-        return 0;
-    }
-    let mut v = limbs[limb] >> off;
-    if off + count > 64 && limb + 1 < limbs.len() {
-        v |= limbs[limb + 1] << (64 - off);
-    }
-    (v as usize) & ((1 << count) - 1)
 }
 
 #[cfg(test)]
@@ -316,7 +297,7 @@ mod tests {
         let g = G1Projective::generator();
         let table = FixedBaseTable::<G1Params>::new(&g);
         let mut rng = zkperf_ff::test_rng();
-        // Past the one-chunk gate, with an odd tail and edge scalars.
+        // Three chunks, with an odd tail and edge scalars.
         let n = BATCH_CHUNK * 2 + 173;
         let mut scalars: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
         scalars[0] = Fr::zero();

@@ -32,10 +32,16 @@
 //! There is one driver, [`msm_stream`]: it fixes the window geometry from
 //! the total size, folds the per-chunk window sums of whatever chunks the
 //! caller lends it, and combines the windows once. [`msm`] over a resident
-//! slice is its one-chunk call.
+//! slice is its one-chunk call. Under it there is one bucket body, written
+//! against the `zkperf-pool` primitives: whether it runs on workers or
+//! inline on the caller is the pool's decision (its size, the job's chunk
+//! count, an open `pool::SerialScope`), never this module's — the only
+//! session-dependent choice left here is plain versus GLV scalars.
 //!
 //! [`msm_naive`] keeps the unoptimized reference semantics; the
 //! property-test suite cross-checks the two on both curves.
+
+use std::sync::{Mutex, PoisonError};
 
 use zkperf_ff::PrimeField;
 use zkperf_pool as pool;
@@ -46,8 +52,9 @@ use crate::curve::{Affine, CurveParams, Projective};
 use crate::glv::{GlvParams, HALF_LIMBS};
 use crate::tuning;
 
-/// Smallest MSM worth fanning out across the pool; below this the
-/// per-window task overhead exceeds the bucket work.
+/// Fewest points worth one pool task per window. Below this the
+/// per-window task overhead exceeds the bucket work, so all windows fill
+/// in a single chunk, which the pool runs inline.
 const PAR_MIN_MSM: usize = 1 << 10;
 
 /// Chooses the Pippenger window width (in bits) for `n` terms of
@@ -116,8 +123,7 @@ pub fn msm<C: CurveParams>(bases: &[Affine<C>], scalars: &[C::Scalar]) -> Projec
 /// points the iterator will yield in aggregate (the window width is chosen
 /// once from the *total* problem size, not per chunk).
 ///
-/// Each chunk runs the signed-digit/GLV Pippenger kernel (through
-/// `zkperf-pool` when the chunk clears the parallel gate) producing
+/// Each chunk runs the signed-digit/GLV Pippenger kernel producing
 /// per-window partial sums, which are folded into a running per-window
 /// accumulator; one final window combine finishes the job. Scalars are
 /// consumed positionally: chunk `k` pairs with the next `chunk.len()`
@@ -202,31 +208,16 @@ fn plain_window_sums<C: CurveParams>(
     total_bits: usize,
     c: usize,
 ) -> Vec<Projective<C>> {
-    let n = bases.len();
-    // Instrumented runs stay on the serial body so the characterization
-    // suite sees the same op stream; the parallel variant computes
-    // identical values (same decomposition, same reduction order).
-    let use_pool = !trace::is_active() && pool::current_threads() > 1 && n >= PAR_MIN_MSM;
+    const LIMB_GRAIN: usize = 1024;
     let num_limbs = C::Scalar::NUM_LIMBS;
-    let mut limbs = vec![0u64; n * num_limbs];
-    if use_pool {
-        const LIMB_GRAIN: usize = 1024;
-        pool::parallel_chunks_mut(&mut limbs, num_limbs * LIMB_GRAIN, |ci, chunk| {
-            let base = ci * LIMB_GRAIN;
-            for (j, row) in chunk.chunks_mut(num_limbs).enumerate() {
-                scalars[base + j].write_canonical_limbs(row);
-            }
-        });
-    } else {
-        for (i, s) in scalars[..n].iter().enumerate() {
-            s.write_canonical_limbs(&mut limbs[i * num_limbs..(i + 1) * num_limbs]);
+    let mut limbs = vec![0u64; bases.len() * num_limbs];
+    pool::parallel_chunks_mut(&mut limbs, num_limbs * LIMB_GRAIN, |ci, chunk| {
+        let base = ci * LIMB_GRAIN;
+        for (j, row) in chunk.chunks_mut(num_limbs).enumerate() {
+            scalars[base + j].write_canonical_limbs(row);
         }
-    }
-    if use_pool {
-        pippenger_parallel(bases, &limbs, num_limbs, total_bits, c)
-    } else {
-        pippenger_serial(bases, &limbs, num_limbs, total_bits, c)
-    }
+    });
+    pippenger(bases, &limbs, num_limbs, total_bits, c)
 }
 
 /// Per-chunk window sums for the GLV route: decomposes the chunk's scalars
@@ -242,84 +233,55 @@ fn glv_window_sums<C: CurveParams>(
     c: usize,
 ) -> Vec<Projective<C>> {
     let n = bases.len();
-    let use_pool = !trace::is_active() && pool::current_threads() > 1 && n >= PAR_MIN_MSM;
     const GLV_GRAIN: usize = 512;
 
-    // Decompose every scalar once; the splits are pure per-index functions
-    // of the inputs, so the parallel fill is bit-identical to a serial one.
-    let mut decomposed = vec![crate::glv::DecomposedScalar::default(); n];
-    if use_pool {
-        pool::parallel_fill(&mut decomposed, GLV_GRAIN, |i| glv.decompose(&scalars[i]));
-    } else {
-        for (d, s) in decomposed.iter_mut().zip(scalars) {
-            *d = glv.decompose(s);
-        }
-    }
-
     // 2n-point problem: [±P_i | ±φ(P_i)] with the component signs folded
-    // into the points, and one flat half-magnitude row per point.
+    // into the points, and one flat half-magnitude row per point. Every
+    // slot is a pure function of its index, so chunks fill independently.
     let mut points = vec![Affine::identity(); 2 * n];
     let mut limbs = vec![0u64; 2 * n * HALF_LIMBS];
-    {
-        let (p1, p2) = points.split_at_mut(n);
-        let (l1, l2) = limbs.split_at_mut(n * HALF_LIMBS);
-        let fill_half = |ps: &mut [Affine<C>], ls: &mut [u64], second: bool| {
-            let point_at = |i: usize| {
-                let d = &decomposed[i];
-                if second {
-                    let endo = glv.endo(&bases[i]);
-                    if d.k2.neg {
-                        endo.neg()
-                    } else {
-                        endo
-                    }
-                } else if d.k1.neg {
-                    bases[i].neg()
-                } else {
-                    bases[i]
-                }
-            };
-            let limbs_at = |i: usize| {
-                let d = &decomposed[i];
-                if second {
-                    d.k2.limbs
-                } else {
-                    d.k1.limbs
-                }
-            };
-            if use_pool {
-                pool::parallel_fill(ps, GLV_GRAIN, point_at);
-                pool::parallel_chunks_mut(ls, HALF_LIMBS * GLV_GRAIN, |ci, chunk| {
-                    let base = ci * GLV_GRAIN;
-                    for (j, row) in chunk.chunks_mut(HALF_LIMBS).enumerate() {
-                        row.copy_from_slice(&limbs_at(base + j));
-                    }
-                });
-            } else {
-                for (i, p) in ps.iter_mut().enumerate() {
-                    *p = point_at(i);
-                }
-                for (i, row) in ls.chunks_mut(HALF_LIMBS).enumerate() {
-                    row.copy_from_slice(&limbs_at(i));
-                }
-            }
-        };
-        fill_half(p1, l1, false);
-        fill_half(p2, l2, true);
-    }
+    let (p1, p2) = points.split_at_mut(n);
+    let (l1, l2) = limbs.split_at_mut(n * HALF_LIMBS);
+    let mut views: Vec<_> = p1
+        .chunks_mut(GLV_GRAIN)
+        .zip(p2.chunks_mut(GLV_GRAIN))
+        .zip(l1.chunks_mut(GLV_GRAIN * HALF_LIMBS))
+        .zip(l2.chunks_mut(GLV_GRAIN * HALF_LIMBS))
+        .collect();
+    pool::parallel_for_each_mut(&mut views, |ci, (((p1, p2), l1), l2)| {
+        let rows = l1.chunks_mut(HALF_LIMBS).zip(l2.chunks_mut(HALF_LIMBS));
+        for (j, (row1, row2)) in rows.enumerate() {
+            let i = ci * GLV_GRAIN + j;
+            let d = glv.decompose(&scalars[i]);
+            let endo = glv.endo(&bases[i]);
+            p1[j] = if d.k1.neg { bases[i].neg() } else { bases[i] };
+            p2[j] = if d.k2.neg { endo.neg() } else { endo };
+            row1.copy_from_slice(&d.k1.limbs);
+            row2.copy_from_slice(&d.k2.limbs);
+        }
+    });
 
-    if use_pool {
-        pippenger_parallel(&points, &limbs, HALF_LIMBS, total_bits, c)
-    } else {
-        pippenger_serial(&points, &limbs, HALF_LIMBS, total_bits, c)
-    }
+    pippenger(&points, &limbs, HALF_LIMBS, total_bits, c)
 }
 
-/// The serial Pippenger body over a prepared point array and flat unsigned
-/// limb buffer (`stride` limbs per point, digits meaningful up to
-/// `total_bits`). Returns the per-window bucket sums, which [`msm_stream`]
-/// folds into its accumulator.
-fn pippenger_serial<C: CurveParams>(
+/// The Pippenger body over a prepared point array and flat unsigned limb
+/// buffer (`stride` limbs per point, digits meaningful up to `total_bits`).
+/// Returns the per-window bucket sums, which [`msm_stream`] folds into its
+/// accumulator.
+///
+/// Two phases, both written against the pool:
+///
+/// 1. signed-digit recoding, chunked over *points* (each row's carry chain
+///    is local, so rows recode independently);
+/// 2. bucket accumulation, one task per *window* from [`PAR_MIN_MSM`]
+///    points up, each writing its index-addressed `window_sums` slot (the
+///    caller finishes with the top-down window combine).
+///
+/// The decomposition depends only on `n`, every task writes only
+/// index-addressed slots, and each window's counting sort and running-sum
+/// reduction scan the points in index order, so the sums are bit-identical
+/// at any thread count.
+fn pippenger<C: CurveParams>(
     points: &[Affine<C>],
     limbs: &[u64],
     stride: usize,
@@ -332,101 +294,10 @@ fn pippenger_serial<C: CurveParams>(
     let num_windows = (total_bits + 1).div_ceil(c);
     let half = 1usize << (c - 1); // signed digits: buckets 1..=2^(c-1)
 
-    let mut carries = vec![0u8; n];
-    let mut digits = vec![0i32; n];
-    let mut counts = vec![0u32; half];
-    let mut segs: Vec<(usize, usize)> = Vec::with_capacity(half);
-    let mut sorted: Vec<Affine<C>> = vec![Affine::identity(); n];
-    let mut adder = BatchAdder::new();
-
-    let mut window_sums = Vec::with_capacity(num_windows);
-    for w in 0..num_windows {
-        // Signed-digit extraction with carry propagation from the previous
-        // window: raw ∈ [0, 2^c]; anything above 2^(c-1) wraps negative.
-        counts.fill(0);
-        for i in 0..n {
-            let window = &limbs[i * stride..(i + 1) * stride];
-            let raw = extract_bits(window, w * c, c) + carries[i] as usize;
-            let digit = if raw > half {
-                carries[i] = 1;
-                raw as i64 - (1i64 << c)
-            } else {
-                carries[i] = 0;
-                raw as i64
-            };
-            let digit = if points[i].infinity { 0 } else { digit as i32 };
-            digits[i] = digit;
-            trace::branch(0x3001, digit != 0);
-            if digit != 0 {
-                counts[digit.unsigned_abs() as usize - 1] += 1;
-            }
-        }
-
-        // Counting sort into per-bucket segments of the flat scratch buffer.
-        segs.clear();
-        let mut start = 0usize;
-        for &count in counts.iter() {
-            segs.push((start, 0));
-            start += count as usize;
-        }
-        for i in 0..n {
-            let d = digits[i];
-            if d == 0 {
-                continue;
-            }
-            let (seg_start, seg_len) = &mut segs[d.unsigned_abs() as usize - 1];
-            // Scattered write into the bucket segment: the address stream
-            // the memory analysis cares about.
-            sorted[*seg_start + *seg_len] = if d < 0 { points[i].neg() } else { points[i] };
-            *seg_len += 1;
-        }
-
-        // Each bucket collapses to its sum via shared-inversion affine adds.
-        adder.reduce_segments(&mut sorted, &mut segs);
-
-        // Running-sum reduction: Σ j·bucket[j] with 2·#buckets additions.
-        let mut running = Projective::identity();
-        let mut sum = Projective::identity();
-        for &(seg_start, seg_len) in segs.iter().rev() {
-            if seg_len > 0 {
-                running = running.add_mixed(&sorted[seg_start]);
-            }
-            sum += running;
-        }
-        window_sums.push(sum);
-    }
-
-    window_sums
-}
-
-/// Window-parallel Pippenger: the same bucket method as
-/// [`pippenger_serial`], decomposed into one independent task per window.
-///
-/// Three phases:
-///
-/// 1. signed-digit recoding, chunked over *points* (each row's carry chain
-///    is local, so rows recode independently);
-/// 2. bucket accumulation, one task per *window*, each writing its
-///    index-addressed `window_sums` slot with private scratch buffers
-///    (the caller finishes with the serial top-down window combine).
-///
-/// The decomposition depends only on `n`, and every task writes only
-/// index-addressed slots, so the result is bit-identical to the serial
-/// body at any thread count.
-fn pippenger_parallel<C: CurveParams>(
-    points: &[Affine<C>],
-    limbs: &[u64],
-    stride: usize,
-    total_bits: usize,
-    c: usize,
-) -> Vec<Projective<C>> {
-    let n = points.len();
-    let num_windows = (total_bits + 1).div_ceil(c);
-    let half = 1usize << (c - 1);
-
     // Phase 1: digits laid out row-major (`digits[i·W + w]`) so each
     // point's recoding — including its cross-window carry chain — lands in
-    // one contiguous row and rows chunk cleanly.
+    // one contiguous row and rows chunk cleanly. raw ∈ [0, 2^c]; anything
+    // above 2^(c-1) wraps negative and carries into the next window.
     const DIGIT_GRAIN: usize = 512;
     let mut digits = vec![0i32; n * num_windows];
     pool::parallel_chunks_mut(&mut digits, num_windows * DIGIT_GRAIN, |ci, rows| {
@@ -434,7 +305,7 @@ fn pippenger_parallel<C: CurveParams>(
         for (j, row) in rows.chunks_mut(num_windows).enumerate() {
             let i = base + j;
             if points[i].infinity {
-                continue; // row stays zero, matching the serial force-to-0
+                continue; // the identity contributes to no bucket
             }
             let window = &limbs[i * stride..(i + 1) * stride];
             let mut carry = 0usize;
@@ -451,45 +322,67 @@ fn pippenger_parallel<C: CurveParams>(
         }
     });
 
-    // Phase 2: per-window bucket accumulation, mirroring the serial body's
-    // counting sort and running-sum reduction exactly (same scan order ⇒
-    // same segment contents ⇒ same field operations).
+    // Phase 2: per-window bucket accumulation. The scratch buffers are
+    // reused across the windows of one task and handed on to the next, so
+    // a run allocates one set per thread that ever holds a task — on one
+    // thread, one set — and not one per window (32 MB of `sorted` each at
+    // 2^18 points).
+    let spare = Mutex::new(Vec::new());
+    let take_spare = || spare.lock().unwrap_or_else(PoisonError::into_inner);
+    let window_grain = if n < PAR_MIN_MSM { num_windows } else { 1 };
     let mut window_sums = vec![Projective::identity(); num_windows];
-    pool::parallel_fill(&mut window_sums, 1, |w| {
-        let mut counts = vec![0u32; half];
-        for i in 0..n {
-            let d = digits[i * num_windows + w];
-            if d != 0 {
-                counts[d.unsigned_abs() as usize - 1] += 1;
+    pool::parallel_chunks_mut(&mut window_sums, window_grain, |ci, sums| {
+        let (mut counts, mut segs, mut sorted, mut adder) =
+            take_spare().pop().unwrap_or_else(|| {
+                let sorted = vec![Affine::identity(); n];
+                (vec![0u32; half], Vec::with_capacity(half), sorted, BatchAdder::new())
+            });
+        for (j, sum) in sums.iter_mut().enumerate() {
+            let w = ci * window_grain + j;
+            counts.fill(0);
+            for i in 0..n {
+                let d = digits[i * num_windows + w];
+                trace::branch(0x3001, d != 0);
+                if d != 0 {
+                    counts[d.unsigned_abs() as usize - 1] += 1;
+                }
+            }
+
+            // Counting sort into per-bucket segments of the flat scratch
+            // buffer.
+            segs.clear();
+            let mut start = 0usize;
+            for &count in counts.iter() {
+                segs.push((start, 0));
+                start += count as usize;
+            }
+            for i in 0..n {
+                let d = digits[i * num_windows + w];
+                if d == 0 {
+                    continue;
+                }
+                let (seg_start, seg_len) = &mut segs[d.unsigned_abs() as usize - 1];
+                // Scattered write into the bucket segment: the address
+                // stream the memory analysis cares about.
+                sorted[*seg_start + *seg_len] = if d < 0 { points[i].neg() } else { points[i] };
+                *seg_len += 1;
+            }
+
+            // Each bucket collapses to its sum via shared-inversion affine
+            // adds.
+            adder.reduce_segments(&mut sorted, &mut segs);
+
+            // Running-sum reduction: Σ j·bucket[j] with 2·#buckets
+            // additions.
+            let mut running = Projective::identity();
+            for &(seg_start, seg_len) in segs.iter().rev() {
+                if seg_len > 0 {
+                    running = running.add_mixed(&sorted[seg_start]);
+                }
+                *sum += running;
             }
         }
-        let mut segs: Vec<(usize, usize)> = Vec::with_capacity(half);
-        let mut start = 0usize;
-        for &count in counts.iter() {
-            segs.push((start, 0));
-            start += count as usize;
-        }
-        let mut sorted: Vec<Affine<C>> = vec![Affine::identity(); start];
-        for i in 0..n {
-            let d = digits[i * num_windows + w];
-            if d == 0 {
-                continue;
-            }
-            let (seg_start, seg_len) = &mut segs[d.unsigned_abs() as usize - 1];
-            sorted[*seg_start + *seg_len] = if d < 0 { points[i].neg() } else { points[i] };
-            *seg_len += 1;
-        }
-        let mut adder = BatchAdder::new();
-        adder.reduce_segments(&mut sorted, &mut segs);
-        let mut running = Projective::identity();
-        let mut sum = Projective::identity();
-        for &(seg_start, seg_len) in segs.iter().rev() {
-            if seg_len > 0 {
-                running = running.add_mixed(&sorted[seg_start]);
-            }
-            sum += running;
-        }
-        sum
+        take_spare().push((counts, segs, sorted, adder));
     });
 
     window_sums
@@ -508,7 +401,7 @@ fn combine_windows<C: CurveParams>(window_sums: Vec<Projective<C>>, c: usize) ->
 }
 
 /// Extracts `count` bits starting at bit `lo` from little-endian limbs.
-fn extract_bits(limbs: &[u64], lo: usize, count: usize) -> usize {
+pub(crate) fn extract_bits(limbs: &[u64], lo: usize, count: usize) -> usize {
     debug_assert!(count < 64);
     let limb = lo / 64;
     let off = lo % 64;
@@ -576,7 +469,7 @@ mod tests {
     fn parallel_msm_is_bit_identical_to_serial() {
         let _lock = crate::TEST_POOL_LOCK.lock().unwrap();
         let mut rng = zkperf_ff::test_rng();
-        let n = PAR_MIN_MSM + 37; // past the parallel gate, odd tail
+        let n = PAR_MIN_MSM + 37; // one task per window, odd tail
         let table = FixedBaseTable::new(&G1Projective::generator());
         let mut scalars: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
         scalars[5] = Fr::zero();
@@ -736,7 +629,7 @@ mod tests {
     fn msm_stream_is_thread_invariant_at_fixed_chunking() {
         let _lock = crate::TEST_POOL_LOCK.lock().unwrap();
         let mut rng = zkperf_ff::test_rng();
-        let n = PAR_MIN_MSM + 11; // chunks straddle the parallel gate
+        let n = PAR_MIN_MSM + 11; // chunks straddle the per-window grain
         let table = FixedBaseTable::new(&G1Projective::generator());
         let scalars: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
         let bases = table.mul_batch(&scalars);

@@ -1,4 +1,8 @@
 //! R1CS → QAP conversion helpers shared by setup and proving.
+//!
+//! The per-row loops (constraint evaluation, the pointwise quotient) are
+//! `zkperf-pool` jobs over `ROW_GRAIN`-row chunks: one body each, which
+//! the pool runs inline for a one-chunk job or under a `SerialScope`.
 
 use zkperf_circuit::R1cs;
 use zkperf_ff::PrimeField;
@@ -6,11 +10,7 @@ use zkperf_poly::Radix2Domain;
 use zkperf_pool as pool;
 use zkperf_trace as trace;
 
-/// Smallest constraint count worth fanning per-row evaluation out across
-/// the pool.
-const PAR_MIN_ROWS: usize = 1024;
-
-/// Constraint rows per pool task.
+/// Constraint rows per pool task of the row loops.
 const ROW_GRAIN: usize = 512;
 
 /// Evaluates the QAP polynomials `uᵢ(τ), vᵢ(τ), wᵢ(τ)` for every wire `i`
@@ -59,28 +59,20 @@ pub fn evaluate_constraints<F: PrimeField>(
     let rows = r1cs.constraints();
     // Each constraint row writes its own slot of a/b/c, so rows chunk
     // freely; a fixed grain keeps the decomposition thread-count-free.
-    if !trace::is_active() && pool::current_threads() > 1 && rows.len() >= PAR_MIN_ROWS {
-        let mut views: Vec<(&mut [F], &mut [F], &mut [F])> = a[..rows.len()]
-            .chunks_mut(ROW_GRAIN)
-            .zip(b[..rows.len()].chunks_mut(ROW_GRAIN))
-            .zip(c[..rows.len()].chunks_mut(ROW_GRAIN))
-            .map(|((ca, cb), cc)| (ca, cb, cc))
-            .collect();
-        pool::parallel_for_each_mut(&mut views, |vi, (ca, cb, cc)| {
-            let base = vi * ROW_GRAIN;
-            for (j, row) in rows[base..base + ca.len()].iter().enumerate() {
-                ca[j] = row.a.evaluate(witness);
-                cb[j] = row.b.evaluate(witness);
-                cc[j] = row.c.evaluate(witness);
-            }
-        });
-        return (a, b, c);
-    }
-    for (j, row) in rows.iter().enumerate() {
-        a[j] = row.a.evaluate(witness);
-        b[j] = row.b.evaluate(witness);
-        c[j] = row.c.evaluate(witness);
-    }
+    let mut views: Vec<(&mut [F], &mut [F], &mut [F])> = a[..rows.len()]
+        .chunks_mut(ROW_GRAIN)
+        .zip(b[..rows.len()].chunks_mut(ROW_GRAIN))
+        .zip(c[..rows.len()].chunks_mut(ROW_GRAIN))
+        .map(|((ca, cb), cc)| (ca, cb, cc))
+        .collect();
+    pool::parallel_for_each_mut(&mut views, |vi, (ca, cb, cc)| {
+        let base = vi * ROW_GRAIN;
+        for (j, row) in rows[base..base + ca.len()].iter().enumerate() {
+            ca[j] = row.a.evaluate(witness);
+            cb[j] = row.b.evaluate(witness);
+            cc[j] = row.c.evaluate(witness);
+        }
+    });
     (a, b, c)
 }
 
@@ -109,18 +101,12 @@ pub fn compute_h_coefficients<F: PrimeField>(
     // polynomial never hits zero on the coset; the fallback can only
     // trigger on a violated invariant and keeps this path panic-free.
     let z_inv = z_on_coset.inverse().unwrap_or_else(F::one);
-    if !trace::is_active() && pool::current_threads() > 1 && domain.size() >= PAR_MIN_ROWS {
-        pool::parallel_chunks_mut(&mut a, ROW_GRAIN, |ci, chunk| {
-            let base = ci * ROW_GRAIN;
-            for (j, slot) in chunk.iter_mut().enumerate() {
-                *slot = (*slot * b[base + j] - c[base + j]) * z_inv;
-            }
-        });
-    } else {
-        for i in 0..domain.size() {
-            a[i] = (a[i] * b[i] - c[i]) * z_inv;
+    pool::parallel_chunks_mut(&mut a, ROW_GRAIN, |ci, chunk| {
+        let base = ci * ROW_GRAIN;
+        for (j, slot) in chunk.iter_mut().enumerate() {
+            *slot = (*slot * b[base + j] - c[base + j]) * z_inv;
         }
-    }
+    });
     // Back to coefficients of h.
     domain.coset_ifft_in_place(&mut a);
     a

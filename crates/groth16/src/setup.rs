@@ -2,7 +2,9 @@
 //!
 //! One key builder, [`setup_streamed`], emits the query vectors chunk by
 //! chunk into a [`QuerySink`]; [`setup`] collects them into a resident
-//! [`ProvingKey`] through a [`MemorySink`].
+//! [`ProvingKey`] through a [`MemorySink`]. The query scalars are built by
+//! `zkperf-pool` jobs over `SCALAR_GRAIN`-scalar chunks — one body each,
+//! inline on the caller when the pool says so.
 
 use rand::Rng;
 
@@ -12,9 +14,6 @@ use zkperf_ff::{BigUint, Field};
 use zkperf_poly::Radix2Domain;
 use zkperf_pool as pool;
 use zkperf_trace as trace;
-
-/// Smallest scalar batch worth constructing on the pool.
-const PAR_MIN_SCALARS: usize = 1 << 12;
 
 /// Scalars per pool task when building the query batches.
 const SCALAR_GRAIN: usize = 1 << 11;
@@ -147,56 +146,29 @@ pub fn setup_streamed<E: Engine, R: Rng + ?Sized, S: QuerySink<E>>(
     let (u, v, w) = qap::evaluate_matrices_at(r1cs, &domain, tau);
     let num_public = r1cs.num_public_wires();
 
-    // Scalar batches for the group queries. Each batch is an
-    // index-addressed map, so uninstrumented multi-thread runs build them
-    // on the pool; the h-power chain seeds each chunk with one
+    // Scalar batches for the group queries, each an index-addressed map
+    // built on the pool. The h-power chain seeds each chunk with one
     // exponentiation, making chunks independent while computing the exact
-    // same field values as the serial prefix.
-    let use_pool = |n: usize| {
-        !trace::is_active() && pool::current_threads() > 1 && n >= PAR_MIN_SCALARS
-    };
-    let ic_scalars: Vec<E::Fr> = if use_pool(num_public) {
-        let mut out = vec![E::Fr::zero(); num_public];
-        pool::parallel_fill(&mut out, SCALAR_GRAIN, |i| {
-            (beta * u[i] + alpha * v[i] + w[i]) * gamma_inv
-        });
-        out
-    } else {
-        (0..num_public)
-            .map(|i| (beta * u[i] + alpha * v[i] + w[i]) * gamma_inv)
-            .collect()
-    };
-    let l_scalars: Vec<E::Fr> = if use_pool(r1cs.num_wires() - num_public) {
-        let mut out = vec![E::Fr::zero(); r1cs.num_wires() - num_public];
+    // field values of a single running prefix.
+    let query_scalars = |first: usize, len: usize, inv: E::Fr| {
+        let mut out = vec![E::Fr::zero(); len];
         pool::parallel_fill(&mut out, SCALAR_GRAIN, |j| {
-            let i = num_public + j;
-            (beta * u[i] + alpha * v[i] + w[i]) * delta_inv
+            let i = first + j;
+            (beta * u[i] + alpha * v[i] + w[i]) * inv
         });
         out
-    } else {
-        (num_public..r1cs.num_wires())
-            .map(|i| (beta * u[i] + alpha * v[i] + w[i]) * delta_inv)
-            .collect()
     };
+    let ic_scalars = query_scalars(0, num_public, gamma_inv);
+    let l_scalars = query_scalars(num_public, r1cs.num_wires() - num_public, delta_inv);
     let z_tau = domain.eval_vanishing(tau);
-    let mut h_scalars;
-    if use_pool(domain.size()) {
-        h_scalars = vec![E::Fr::zero(); domain.size()];
-        pool::parallel_chunks_mut(&mut h_scalars, SCALAR_GRAIN, |ci, chunk| {
-            let mut tau_pow = tau.pow(&BigUint::from_u64((ci * SCALAR_GRAIN) as u64));
-            for slot in chunk.iter_mut() {
-                *slot = tau_pow * z_tau * delta_inv;
-                tau_pow *= tau;
-            }
-        });
-    } else {
-        h_scalars = Vec::with_capacity(domain.size());
-        let mut tau_pow = E::Fr::one();
-        for _ in 0..domain.size() {
-            h_scalars.push(tau_pow * z_tau * delta_inv);
+    let mut h_scalars = vec![E::Fr::zero(); domain.size()];
+    pool::parallel_chunks_mut(&mut h_scalars, SCALAR_GRAIN, |ci, chunk| {
+        let mut tau_pow = tau.pow(&BigUint::from_u64((ci * SCALAR_GRAIN) as u64));
+        for slot in chunk.iter_mut() {
+            *slot = tau_pow * z_tau * delta_inv;
             tau_pow *= tau;
         }
-    }
+    });
 
     // The group phase needs only `u` and `v` of the QAP evaluations.
     drop(w);

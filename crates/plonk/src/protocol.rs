@@ -30,8 +30,10 @@
 //! column, `L₁` and `z(ωx)` per proof took fourteen and fifteen. `z(ωx)`
 //! on the coset is `z` four slots further on (`ω = ω₄ⁿ⁴`), read in place.
 //! The row loops (grand-product factors, quotient, `L₁`) and the fourteen
-//! evaluations of round 4 go through `par_chunks`, the crate's one
-//! parallel gate.
+//! evaluations of round 4 are `zkperf-pool` jobs with a decomposition fixed
+//! by `ROW_GRAIN`; every chunk writes only its own slots, so the values
+//! are the same at any thread count, and inline on the caller when the
+//! pool says so.
 
 use rand::Rng;
 
@@ -185,21 +187,6 @@ fn coset_eval<F: PrimeField>(domain4: &Radix2Domain<F>, p: &DensePolynomial<F>) 
     buf
 }
 
-/// Runs `body(first_index, chunk)` over consecutive `grain`-sized chunks of
-/// `out`: on the pool, or in order on the caller under an op-stream trace
-/// session. The decomposition is fixed by `grain` and every chunk writes
-/// only its own slots, so the values are the same either way and at any
-/// thread count. This is the crate's only parallel gate.
-fn par_chunks<T: Send>(out: &mut [T], grain: usize, body: impl Fn(usize, &mut [T]) + Sync) {
-    if trace::is_active() {
-        for (ci, chunk) in out.chunks_mut(grain).enumerate() {
-            body(ci * grain, chunk);
-        }
-    } else {
-        pool::parallel_chunks_mut(out, grain, |ci, chunk| body(ci * grain, chunk));
-    }
-}
-
 impl<F: PrimeField> Preprocessed<F> {
     fn new(circuit: &PlonkCircuit<F>) -> Self {
         let n = circuit.n;
@@ -230,7 +217,8 @@ impl<F: PrimeField> Preprocessed<F> {
         let l1_numerators = zh_inv.map(|zh| zh * n_inv);
         batch_inverse(&mut zh_inv);
         let mut l1_coset = vec![F::zero(); domain4.size()];
-        par_chunks(&mut l1_coset, ROW_GRAIN, |start, chunk| {
+        pool::parallel_chunks_mut(&mut l1_coset, ROW_GRAIN, |ci, chunk| {
+            let start = ci * ROW_GRAIN;
             let mut x = g * domain4.element(start);
             for slot in chunk.iter_mut() {
                 *slot = x - F::one();
@@ -342,7 +330,8 @@ fn permutation_accumulator<F: PrimeField>(
     // Per-row ratios first, each chunk sharing one inversion; then the
     // running product turns them into z in place.
     let mut z = vec![F::zero(); circuit.n];
-    par_chunks(&mut z, ROW_GRAIN, |start, chunk| {
+    pool::parallel_chunks_mut(&mut z, ROW_GRAIN, |ci, chunk| {
+        let start = ci * ROW_GRAIN;
         for (k, slot) in chunk.iter_mut().enumerate() {
             let i = start + k;
             *slot = (cols[0][i] + beta * circuit.sigma[0][i] + gamma)
@@ -395,7 +384,8 @@ fn quotient<F: PrimeField>(
     let beta_k = circuit.coset_ks.map(|k| beta * k);
     let alpha2 = alpha.square();
     let mut t = vec![F::zero(); m];
-    par_chunks(&mut t, ROW_GRAIN, |start, chunk| {
+    pool::parallel_chunks_mut(&mut t, ROW_GRAIN, |ci, chunk| {
+        let start = ci * ROW_GRAIN;
         let mut x = g * domain4.element(start);
         for (k, slot) in chunk.iter_mut().enumerate() {
             let j = start + k;
@@ -518,11 +508,9 @@ where
     ];
     let zeta_omega = zeta * omega;
     let mut evals = [E::Fr::zero(); OPENED_AT_ZETA + 1];
-    par_chunks(&mut evals, 1, |i, slot| {
-        slot[0] = match opened.get(i) {
-            Some(p) => p.evaluate(zeta),
-            None => z_poly.evaluate(zeta_omega),
-        };
+    pool::parallel_fill(&mut evals, 1, |i| match opened.get(i) {
+        Some(p) => p.evaluate(zeta),
+        None => z_poly.evaluate(zeta_omega),
     });
     for v in &evals {
         transcript.absorb(*v);

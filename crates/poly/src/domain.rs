@@ -1,19 +1,30 @@
 //! Radix-2 multiplicative evaluation domains and the in-place NTT.
+//!
+//! There is one butterfly network, [`Radix2Domain`]'s `transform`, written
+//! against the `zkperf-pool` primitives with a decomposition fixed by
+//! `task_elems`: it is the flat transform, the row kernel of the four-step
+//! layout, and what a trace session records (its `control`/`data_move`
+//! hooks sit in it). Whether a pass fans out or runs inline on the caller
+//! is the pool's decision — its size, a one-task job, an open
+//! `SerialScope` — and never this module's; the only session-dependent
+//! choice here is flat versus four-step.
 
 use zkperf_ff::{batch_inverse, BigUint, PrimeField};
 use zkperf_pool as pool;
 use zkperf_trace as trace;
 
-/// Smallest `log₂(size)` worth transforming on the pool; smaller domains
-/// finish before the fan-out would pay for itself.
-const PAR_MIN_FFT_LOG: u32 = 12;
-
 /// Elements per pool task for a buffer of `n` elements: coarse enough to
-/// amortize task dispatch, fine enough that even the smallest parallel
-/// domain splits into several tasks. A pure function of `n` — never of
-/// the thread count — per the deterministic-decomposition rule.
+/// amortize task dispatch, fine enough that a 2^12-point domain already
+/// splits into four tasks. Smaller buffers finish before a fan-out would
+/// pay for itself and are one task, which the pool runs inline. A pure
+/// function of `n` — never of the thread count — per the
+/// deterministic-decomposition rule.
 fn task_elems(n: usize) -> usize {
-    (n / 8).clamp(1 << 10, 1 << 13)
+    if n < 1 << 12 {
+        n
+    } else {
+        (n / 8).clamp(1 << 10, 1 << 13)
+    }
 }
 
 /// Largest `log₂(size)` for which the domain precomputes its twiddle
@@ -247,7 +258,7 @@ impl<F: PrimeField> Radix2Domain<F> {
         if self.use_four_step() {
             self.four_step_any_size(values, false);
         } else {
-            self.transform(values, &self.twiddles, self.omega);
+            self.transform(values, false);
         }
     }
 
@@ -261,7 +272,7 @@ impl<F: PrimeField> Radix2Domain<F> {
         if self.use_four_step() {
             self.four_step_any_size(values, true);
         } else {
-            self.transform(values, &self.inv_twiddles, self.omega_inv);
+            self.transform(values, true);
         }
         self.scale_by_size_inv(values);
     }
@@ -278,17 +289,11 @@ impl<F: PrimeField> Radix2Domain<F> {
 
     /// The final `1/n` scaling of an inverse transform.
     fn scale_by_size_inv(&self, values: &mut [F]) {
-        if Self::use_pool(values.len()) {
-            pool::parallel_chunks_mut(values, task_elems(self.size), |_, chunk| {
-                for v in chunk.iter_mut() {
-                    *v *= self.size_inv;
-                }
-            });
-            return;
-        }
-        for v in values.iter_mut() {
-            *v *= self.size_inv;
-        }
+        pool::parallel_chunks_mut(values, task_elems(self.size), |_, chunk| {
+            for v in chunk.iter_mut() {
+                *v *= self.size_inv;
+            }
+        });
     }
 
     /// NTT over the coset `g·H`: scales by powers of `g`, then transforms.
@@ -304,43 +309,44 @@ impl<F: PrimeField> Radix2Domain<F> {
     }
 
     fn distribute_powers(values: &mut [F], g: F) {
-        if Self::use_pool(values.len()) {
-            // Each chunk seeds its own power run with one exponentiation;
-            // the products are the exact same field values the serial
-            // prefix computes, so results are bit-identical.
-            let grain = task_elems(values.len());
-            pool::parallel_chunks_mut(values, grain, |ci, chunk| {
-                let mut pow = g.pow(&BigUint::from_u64((ci * grain) as u64));
-                for v in chunk.iter_mut() {
-                    *v *= pow;
-                    pow *= g;
-                }
-            });
-            return;
-        }
-        let mut pow = F::one();
-        for v in values.iter_mut() {
-            *v *= pow;
-            pow *= g;
-        }
+        // Each chunk seeds its own power run with one exponentiation; the
+        // products are the exact field values of a single running prefix.
+        let grain = task_elems(values.len());
+        pool::parallel_chunks_mut(values, grain, |ci, chunk| {
+            let mut pow = g.pow(&BigUint::from_u64((ci * grain) as u64));
+            for v in chunk.iter_mut() {
+                *v *= pow;
+                pow *= g;
+            }
+        });
     }
 
-    /// True when this transform should fan out across the pool: never
-    /// while a trace session is live (the characterization suite must see
-    /// the serial op stream), never on a 1-thread pool, and never below
-    /// [`PAR_MIN_FFT_LOG`].
-    fn use_pool(n: usize) -> bool {
-        !trace::is_active() && pool::current_threads() > 1 && n >= (1 << PAR_MIN_FFT_LOG)
-    }
-
-    /// Iterative decimation-in-time NTT (bit-reversal permutation followed
-    /// by log n butterfly passes).
+    /// Iterative decimation-in-time NTT: a bit-reversal permutation
+    /// followed by log n butterfly passes, each pass's independent work
+    /// handed to the pool. Also the row kernel of the four-step path:
+    /// rows under 2^12 points (domains under 2^23) are one task per pass,
+    /// so a row transform stays on the thread that owns the row.
     ///
-    /// When `twiddles` is non-empty it holds `ω^j` for `j < n/2` and each
-    /// butterfly reads its twiddle with a strided lookup — one multiplication
-    /// per butterfly instead of two. Domains past the cache cap pass an
-    /// empty table and fall back to incremental twiddle updates.
-    fn transform(&self, values: &mut [F], twiddles: &[F], omega: F) {
+    /// A cached twiddle table holds `ω^j` (`ω^{−j}` for the inverse) for
+    /// `j < n/2` and each butterfly reads its twiddle with a strided lookup
+    /// — one multiplication per butterfly instead of two. Domains past the
+    /// cache cap have an empty table and fall back to incremental twiddle
+    /// updates.
+    ///
+    /// Early passes (many small blocks) group whole blocks into tasks;
+    /// late passes (few blocks larger than a task) split each block's
+    /// butterfly range at `half`, pairing lower/upper sub-slices so every
+    /// task owns disjoint data. Both decompositions depend only on `n`,
+    /// and every butterfly computes the same field values however the
+    /// pass is cut (cached twiddles are shared lookups; uncached chunks
+    /// seed their twiddle run with one exponentiation), so the output is
+    /// bit-identical at any thread count.
+    fn transform(&self, values: &mut [F], inverse: bool) {
+        let (twiddles, omega) = if inverse {
+            (&self.inv_twiddles[..], self.omega_inv)
+        } else {
+            (&self.twiddles[..], self.omega)
+        };
         assert_eq!(
             values.len(),
             self.size,
@@ -350,20 +356,8 @@ impl<F: PrimeField> Radix2Domain<F> {
         if n == 1 {
             return;
         }
-        if Self::use_pool(n) {
-            self.transform_parallel(values, twiddles, omega);
-            return;
-        }
-        self.transform_serial(values, twiddles, omega);
-    }
-
-    /// Serial body of [`transform`](Self::transform). Also the row kernel
-    /// of the four-step path, whose fan-out happens at the row level — the
-    /// per-row transform must not re-enter the pool.
-    fn transform_serial(&self, values: &mut [F], twiddles: &[F], omega: F) {
-        let n = self.size;
-        debug_assert_eq!(values.len(), n);
-        // Bit-reversal permutation.
+        // Bit-reversal stays on the caller: the transpositions cross chunk
+        // boundaries and the pass is a small slice of total work.
         let shift = usize::BITS - self.log_size;
         for i in 0..n {
             let j = i.reverse_bits() >> shift;
@@ -372,75 +366,7 @@ impl<F: PrimeField> Radix2Domain<F> {
                 trace::data_move(2);
             }
         }
-        // Butterfly passes.
-        let mut len = 2usize;
-        while len <= n {
-            let half = len / 2;
-            let stride = n / len;
-            if !twiddles.is_empty() {
-                let mut start = 0;
-                while start < n {
-                    for k in 0..half {
-                        let t = values[start + k + half] * twiddles[k * stride];
-                        let u = values[start + k];
-                        values[start + k] = u + t;
-                        values[start + k + half] = u - t;
-                        trace::control(1);
-                    }
-                    start += len;
-                }
-            } else {
-                // w_len = ω^(n/len)
-                let w_len = {
-                    let mut w = omega;
-                    let mut k = stride;
-                    while k > 1 {
-                        w = w.square();
-                        k /= 2;
-                    }
-                    w
-                };
-                let mut start = 0;
-                while start < n {
-                    let mut w = F::one();
-                    for k in 0..half {
-                        let t = values[start + k + half] * w;
-                        let u = values[start + k];
-                        values[start + k] = u + t;
-                        values[start + k + half] = u - t;
-                        w *= w_len;
-                        trace::control(1);
-                    }
-                    start += len;
-                }
-            }
-            len *= 2;
-        }
-    }
-
-    /// Layer-parallel variant of [`transform`](Self::transform): identical
-    /// butterfly network, with each pass's independent work fanned out
-    /// across the pool.
-    ///
-    /// Early passes (many small blocks) group whole blocks into tasks;
-    /// late passes (few blocks larger than a task) split each block's
-    /// butterfly range at `half`, pairing lower/upper sub-slices so every
-    /// task owns disjoint data. Both decompositions depend only on `n`,
-    /// and every butterfly computes the same field values as the serial
-    /// pass (cached twiddles are shared lookups; uncached chunks seed
-    /// their twiddle run with one exponentiation), so the output is
-    /// bit-identical at any thread count.
-    fn transform_parallel(&self, values: &mut [F], twiddles: &[F], omega: F) {
-        let n = self.size;
-        // Bit-reversal stays serial: the transpositions cross chunk
-        // boundaries and the pass is a small slice of total work.
-        let shift = usize::BITS - self.log_size;
-        for i in 0..n {
-            let j = i.reverse_bits() >> shift;
-            if i < j {
-                values.swap(i, j);
-            }
-        }
+        let grain = task_elems(n);
         let mut len = 2usize;
         while len <= n {
             let half = len / 2;
@@ -457,20 +383,15 @@ impl<F: PrimeField> Radix2Domain<F> {
             } else {
                 F::one()
             };
-            if len <= task_elems(n) {
+            if len <= grain {
                 // Many small blocks: group whole blocks per task.
-                let blocks_per_task = (task_elems(n) / len).max(1);
-                pool::parallel_chunks_mut(values, len * blocks_per_task, |_, span| {
-                    for block in span.chunks_mut(len) {
-                        let (lo, hi) = block.split_at_mut(half);
-                        Self::butterflies(lo, hi, 0, stride, twiddles, F::one(), w_len);
-                    }
+                pool::parallel_chunks_mut(values, grain, |_, span| {
+                    Self::block_pass(span, len, stride, twiddles, w_len);
                 });
             } else {
                 // Few large blocks: split each block's butterfly range.
                 for block in values.chunks_mut(len) {
                     let (lo, hi) = block.split_at_mut(half);
-                    let grain = task_elems(n);
                     let mut pairs: Vec<(&mut [F], &mut [F])> = lo
                         .chunks_mut(grain)
                         .zip(hi.chunks_mut(grain))
@@ -490,10 +411,23 @@ impl<F: PrimeField> Radix2Domain<F> {
         }
     }
 
+    /// Early-pass task: the butterflies of every whole `len`-point block
+    /// in `span`. Kept out of line: inlined into the pool's task loop the
+    /// butterfly loop spills registers and a one-thread transform runs
+    /// ~15 % slower.
+    #[inline(never)]
+    fn block_pass(span: &mut [F], len: usize, stride: usize, twiddles: &[F], w_len: F) {
+        for block in span.chunks_mut(len) {
+            let (lo, hi) = block.split_at_mut(len / 2);
+            Self::butterflies(lo, hi, 0, stride, twiddles, F::one(), w_len);
+        }
+    }
+
     /// One run of butterflies pairing `lo[k] ↔ hi[k]` for the butterfly
     /// indices `k0..k0+lo.len()` of a pass with twiddle stride `stride`.
     /// With cached `twiddles` each butterfly looks its factor up; without,
     /// the factor starts at `w0 = w_len^k0` and advances incrementally.
+    #[inline(always)]
     fn butterflies(
         lo: &mut [F],
         hi: &mut [F],
@@ -509,6 +443,7 @@ impl<F: PrimeField> Radix2Domain<F> {
                 let u = *u_slot;
                 *u_slot = u + t;
                 *t_slot = u - t;
+                trace::control(1);
             }
         } else {
             let mut w = w0;
@@ -518,6 +453,7 @@ impl<F: PrimeField> Radix2Domain<F> {
                 *u_slot = u + t;
                 *t_slot = u - t;
                 w *= w_len;
+                trace::control(1);
             }
         }
     }
@@ -528,13 +464,7 @@ impl<F: PrimeField> Radix2Domain<F> {
         if self.log_size < 2 {
             // No n1·n2 split exists below four points; the flat transform
             // is the same computation.
-            let (tw, om) = if inverse {
-                (&self.inv_twiddles, self.omega_inv)
-            } else {
-                (&self.twiddles, self.omega)
-            };
-            self.transform(values, tw, om);
-            return;
+            return self.transform(values, inverse);
         }
         match self.four_step.as_deref() {
             Some((sub1, sub2)) => self.four_step_with(values, sub1, sub2, inverse),
@@ -575,16 +505,6 @@ impl<F: PrimeField> Radix2Domain<F> {
         let (n1, n2) = (sub1.size, sub2.size);
         debug_assert_eq!(n1 * n2, n);
         let omega = if inverse { self.omega_inv } else { self.omega };
-        let (tw1, om1) = if inverse {
-            (&sub1.inv_twiddles, sub1.omega_inv)
-        } else {
-            (&sub1.twiddles, sub1.omega)
-        };
-        let (tw2, om2) = if inverse {
-            (&sub2.inv_twiddles, sub2.omega_inv)
-        } else {
-            (&sub2.twiddles, sub2.omega)
-        };
         let mut scratch = vec![F::zero(); n];
 
         // Step 1: gather the n1 decimated sequences x[j1], x[j1+n1], …
@@ -598,7 +518,7 @@ impl<F: PrimeField> Radix2Domain<F> {
         pool::parallel_chunks_mut(&mut scratch, rows_per_task * n2, |ci, span| {
             for (r, row) in span.chunks_mut(n2).enumerate() {
                 let j1 = ci * rows_per_task + r;
-                sub2.transform_serial(row, tw2, om2);
+                sub2.transform(row, inverse);
                 if j1 > 0 {
                     let w_step = omega.pow(&BigUint::from_u64(j1 as u64));
                     let mut w = w_step;
@@ -618,7 +538,7 @@ impl<F: PrimeField> Radix2Domain<F> {
         let rows_per_task = (task_elems(n) / n1).max(1);
         pool::parallel_chunks_mut(values, rows_per_task * n1, |_, span| {
             for row in span.chunks_mut(n1) {
-                sub1.transform_serial(row, tw1, om1);
+                sub1.transform(row, inverse);
             }
         });
 
@@ -666,7 +586,7 @@ impl<F: PrimeField> Radix2Domain<F> {
     /// Panics if `values.len() != size`.
     pub fn fft_in_place_radix2(&self, values: &mut [F]) {
         let _g = trace::region_profile("fft");
-        self.transform(values, &self.twiddles, self.omega);
+        self.transform(values, false);
     }
 
     /// Inverse counterpart of [`fft_in_place_radix2`](Self::fft_in_place_radix2).
@@ -676,7 +596,7 @@ impl<F: PrimeField> Radix2Domain<F> {
     /// Panics if `values.len() != size`.
     pub fn ifft_in_place_radix2(&self, values: &mut [F]) {
         let _g = trace::region_profile("fft");
-        self.transform(values, &self.inv_twiddles, self.omega_inv);
+        self.transform(values, true);
         self.scale_by_size_inv(values);
     }
 
@@ -923,7 +843,7 @@ mod tests {
     #[test]
     fn parallel_transforms_are_bit_identical_to_serial() {
         let mut rng = zkperf_ff::test_rng();
-        let d = Radix2Domain::<Fr>::new(1 << PAR_MIN_FFT_LOG).unwrap();
+        let d = Radix2Domain::<Fr>::new(1 << 12).unwrap();
         let coeffs: Vec<Fr> = (0..d.size()).map(|_| Fr::random(&mut rng)).collect();
 
         let run = |threads: usize| {
@@ -951,7 +871,7 @@ mod tests {
         // incremental twiddle path. Build a small domain and blank its
         // caches to reach that branch without a 2^21-point transform.
         let mut rng = zkperf_ff::test_rng();
-        let mut d = Radix2Domain::<Fr>::new(1 << PAR_MIN_FFT_LOG).unwrap();
+        let mut d = Radix2Domain::<Fr>::new(1 << 12).unwrap();
         d.twiddles = Vec::new();
         d.inv_twiddles = Vec::new();
         let coeffs: Vec<Fr> = (0..d.size()).map(|_| Fr::random(&mut rng)).collect();

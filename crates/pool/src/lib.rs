@@ -52,6 +52,15 @@
 //! own boundaries and surface a typed error — which keeps the
 //! deterministic-decomposition guarantee intact: a job either completes
 //! bit-identically or fails as a value, never half-writes.
+//!
+//! # Serial scopes
+//!
+//! Every primitive already runs `0..count` in order on the calling thread
+//! when the pool has one thread or the job has one task. A [`SerialScope`]
+//! makes that the path of every job its thread submits. It exists for the
+//! owner of a per-thread observer: `core::measure_stage` holds one beside
+//! its trace session, so a kernel has one body, written against these
+//! primitives, and no "am I being traced" gate of its own.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -65,7 +74,7 @@ pub mod mem;
 static GLOBAL_ALLOCATOR: mem::TrackingAllocator = mem::TrackingAllocator;
 
 use std::any::Any;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -153,6 +162,8 @@ thread_local! {
     /// pool tasks of jobs those threads publish, so a kernel can poll
     /// [`cancellation_pending`] no matter which thread its code landed on.
     static CURRENT_CANCEL: RefCell<Option<Arc<CancelState>>> = const { RefCell::new(None) };
+    /// Whether a [`SerialScope`] is open on this thread.
+    static SERIAL: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Shared state behind a [`CancelToken`].
@@ -261,32 +272,13 @@ impl Default for CancelToken {
     }
 }
 
-/// RAII guard for an ambient cancellation scope (see [`CancelToken::enter`]).
+/// RAII guard for an ambient cancellation scope (see [`CancelToken::enter`];
+/// the pool also opens one around every task, with the submitter's token).
 pub struct CancelScope {
     prev: Option<Arc<CancelState>>,
 }
 
 impl Drop for CancelScope {
-    fn drop(&mut self) {
-        CURRENT_CANCEL.with(|c| *c.borrow_mut() = self.prev.take());
-    }
-}
-
-/// Guard installing a job's cancel token as the executing thread's ambient
-/// one for the duration of a task (the worker-side counterpart of
-/// [`CancelToken::enter`]).
-struct TaskCancelScope {
-    prev: Option<Arc<CancelState>>,
-}
-
-impl TaskCancelScope {
-    fn enter(cancel: Option<Arc<CancelState>>) -> Self {
-        let prev = CURRENT_CANCEL.with(|c| c.replace(cancel));
-        TaskCancelScope { prev }
-    }
-}
-
-impl Drop for TaskCancelScope {
     fn drop(&mut self) {
         CURRENT_CANCEL.with(|c| *c.borrow_mut() = self.prev.take());
     }
@@ -321,6 +313,32 @@ impl ChaosScope {
 impl Drop for ChaosScope {
     fn drop(&mut self) {
         CURRENT_CHAOS.with(|c| *c.borrow_mut() = self.prev.take());
+    }
+}
+
+/// RAII guard for an ambient serial scope: until it drops, every job the
+/// calling thread submits runs `0..count` in order on that thread — the
+/// path a one-thread pool takes — so thread-local observers (a trace
+/// session) see all of the work. Task decomposition, chaos countdowns and
+/// cancellation are unchanged, and so are the results. Scopes nest; jobs
+/// submitted from other threads are unaffected.
+pub struct SerialScope {
+    prev: bool,
+}
+
+impl SerialScope {
+    /// Opens a serial scope on the calling thread.
+    #[must_use]
+    pub fn enter() -> SerialScope {
+        SerialScope {
+            prev: SERIAL.with(|s| s.replace(true)),
+        }
+    }
+}
+
+impl Drop for SerialScope {
+    fn drop(&mut self) {
+        SERIAL.with(|s| s.set(self.prev));
     }
 }
 
@@ -432,7 +450,9 @@ fn run_tasks(job: &Job) {
         let task = unsafe { &*job.task };
         let result = catch_unwind(AssertUnwindSafe(|| {
             let _scope = ChaosScope::enter(job.chaos.clone());
-            let _cancel = TaskCancelScope::enter(job.cancel.clone());
+            let _cancel = CancelScope {
+                prev: CURRENT_CANCEL.with(|c| c.replace(job.cancel.clone())),
+            };
             task(idx);
         }));
         if let Err(payload) = result {
@@ -519,9 +539,9 @@ pub fn parallel_for<F: Fn(usize) + Sync>(count: usize, task: F) {
     let p = pool();
     let threads = p.threads.load(Ordering::Relaxed);
     let chaos = local_chaos();
-    if threads <= 1 || count == 1 {
-        // Serial fast path: same semantics (including the ambient chaos
-        // scope and panic propagation — a panic here unwinds the caller
+    if threads <= 1 || count == 1 || SERIAL.with(Cell::get) {
+        // Inline path: same semantics (including the ambient chaos scope
+        // and panic propagation — a panic here unwinds the caller
         // directly).
         let _scope = ChaosScope::enter(chaos);
         for i in 0..count {
@@ -860,6 +880,96 @@ mod tests {
             assert!(!cancellation_pending(), "inner scope shadows outer");
         }
         assert!(cancellation_pending(), "outer scope restored");
+    }
+
+    #[test]
+    fn serial_scope_runs_every_primitive_in_order_on_the_caller() {
+        with_threads(4, || {
+            let _serial = SerialScope::enter();
+            let caller = thread::current().id();
+            let visited = Mutex::new(Vec::new());
+            let visit = |i: usize| {
+                assert_eq!(thread::current().id(), caller);
+                lock_ignore_poison(&visited).push(i);
+            };
+            parallel_for(9, visit);
+            let mut data = [0u8; 9];
+            parallel_chunks_mut(&mut data, 2, |ci, _| visit(ci));
+            parallel_fill(&mut data, 1, |i| {
+                visit(i);
+                0
+            });
+            let expect: Vec<usize> = (0..9).chain(0..5).chain(0..9).collect();
+            assert_eq!(visited.into_inner().unwrap(), expect);
+        });
+    }
+
+    #[test]
+    fn serial_scopes_nest_and_restore_on_drop() {
+        let open = || SERIAL.with(Cell::get);
+        assert!(!open());
+        {
+            let _outer = SerialScope::enter();
+            {
+                let _inner = SerialScope::enter();
+                assert!(open());
+            }
+            assert!(open(), "dropping the inner scope keeps the outer one");
+        }
+        assert!(!open());
+    }
+
+    #[test]
+    fn serial_scope_does_not_serialise_other_threads() {
+        with_threads(4, || {
+            let _serial = SerialScope::enter();
+            thread::scope(|s| {
+                s.spawn(|| {
+                    // Task 0 waits for task 1 to start: inline in-order
+                    // execution would never get there.
+                    let started = AtomicBool::new(false);
+                    let deadline = Instant::now() + Duration::from_secs(30);
+                    parallel_for(2, |i| {
+                        if i == 1 {
+                            started.store(true, Ordering::Release);
+                        }
+                        while !started.load(Ordering::Acquire) {
+                            assert!(Instant::now() < deadline, "job ran inline");
+                            thread::yield_now();
+                        }
+                    });
+                });
+            });
+        });
+    }
+
+    #[test]
+    fn chaos_and_cancel_scopes_apply_on_the_inline_path() {
+        with_threads(4, || {
+            let _serial = SerialScope::enter();
+            chaos_arm_panic_after(5);
+            let ticks = AtomicUsize::new(0);
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                parallel_for(16, |_| {
+                    ticks.fetch_add(1, Ordering::Relaxed);
+                    chaos_checkpoint();
+                });
+            }));
+            chaos_disarm();
+            assert!(result.is_err(), "chaos fault must fire");
+            assert_eq!(ticks.into_inner(), 5, "in order, so the fifth task");
+
+            let token = CancelToken::new();
+            token.cancel();
+            let _scope = token.enter();
+            let seen = AtomicUsize::new(0);
+            parallel_for(8, |_| {
+                if cancellation_pending() {
+                    seen.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+            assert_eq!(seen.into_inner(), 8);
+        });
     }
 
     #[test]

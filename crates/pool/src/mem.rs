@@ -198,21 +198,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn allocator_tracks_live_and_peak() {
-        reset_peak();
-        let before = live_bytes();
-        let buf = vec![0u8; 1 << 20];
-        assert!(live_bytes() >= before + (1 << 20));
-        assert!(peak_live_bytes() >= before + (1 << 20));
-        drop(buf);
-        assert!(live_bytes() < before + (1 << 20));
-        // The peak survives the free until reset.
-        assert!(peak_live_bytes() >= before + (1 << 20));
-        reset_peak();
-        assert!(peak_live_bytes() < before + (1 << 20));
-    }
-
-    #[test]
     fn parse_budget_suffixes() {
         assert_eq!(parse_budget("1024"), Some(1024));
         assert_eq!(parse_budget("64K"), Some(64 << 10));

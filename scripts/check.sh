@@ -5,6 +5,11 @@
 #   2. the full test suite (unit + integration + property tests)
 #   3. clippy with -D warnings
 #
+# Before any of that, a grep gate: no kernel crate may read the pool size
+# (`current_threads()`), so a hand-rolled "small input or one thread, take
+# the serial twin" gate cannot come back — kernels state a grain and the
+# pool decides (DESIGN.md §9/§10).
+#
 # Six library crates (zkperf-core, zkperf-groth16, zkperf-io,
 # zkperf-pool, zkperf-resilience, zkperf-serve) additionally deny
 # clippy::unwrap_used and clippy::expect_used outside #[cfg(test)] via
@@ -17,6 +22,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> grep gate: no current_threads() in kernel crates"
+if grep -rn 'current_threads()' crates/{ff,ec,poly,circuit,groth16,plonk,stark}/src; then
+    echo "kernel crates must not branch on the pool size; give the job a grain instead" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --workspace --offline
 
@@ -26,7 +37,9 @@ cargo test -q --workspace --offline
 # Proofs and measurements must be byte-identical at any pool size, so the
 # determinism suites run twice: once serial, once on a 4-thread pool.
 # (Tests that need other counts call pool::set_threads explicitly.)
-echo "==> determinism suites at ZKPERF_THREADS=1 and 4"
+# thread_determinism also holds traced_op_counts_are_thread_count_invariant:
+# per-stage op counts of a traced run on all three backends at 1/2/4 threads.
+echo "==> determinism suites (proof bytes and traced op counts) at ZKPERF_THREADS=1 and 4"
 ZKPERF_THREADS=1 cargo test -q --offline --test determinism --test thread_determinism
 ZKPERF_THREADS=4 cargo test -q --offline --test determinism --test thread_determinism
 

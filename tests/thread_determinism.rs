@@ -10,28 +10,35 @@
 //! (under a pinned RNG) and for the randomness-free STARK pipeline.
 //!
 //! A single `#[test]` drives all three pipelines because the pool size is
-//! process-global state.
+//! process-global state; the second test, which holds the same rule up to
+//! the *observed* op stream of a traced run, takes turns with it through
+//! [`POOL_SIZE`].
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Mutex;
+
 use zkperf::circuit::library;
-use zkperf::core::{PlonkBackend, ProverBackend};
+use zkperf::core::{measure_cell_backend, BackendKind, Curve, PlonkBackend, ProverBackend, Stage};
 use zkperf::ec::{scale_points_reference, Bn254};
 use zkperf::ff::{Field, Goldilocks};
 use zkperf::groth16::{contribute, prove, setup, verify};
 use zkperf::io::{write_proof, write_zkey};
+use zkperf::machine::CpuProfile;
 use zkperf::plonk::{plonk_prove, plonk_setup, plonk_verify, Commitment};
 use zkperf::pool;
 use zkperf::stark::StarkParams;
 
-/// 2^12 constraints clears every parallel gate in the pairing pipeline
-/// (MSM ≥ 2^10 points, NTT ≥ 2^12 domain, setup/quotient ≥ 2^12 scalars,
-/// constraint evaluation ≥ 2^10 rows).
+/// Held by each test while it owns the process-wide pool size.
+static POOL_SIZE: Mutex<()> = Mutex::new(());
+
+/// 2^12 constraints splits every pool job of the pairing pipeline into
+/// several tasks (MSM windows from 2^10 points, NTT passes from a 2^12
+/// domain, setup scalars by 2^11, constraint rows by 2^9).
 const CONSTRAINTS: usize = 1 << 12;
 
-/// 2^10 constraints at blowup 8 puts the STARK LDE at 2^13, past the
-/// NTT parallel gate as well as the Merkle (64) and FRI fold (256)
-/// grains.
+/// 2^10 constraints at blowup 8 puts the STARK LDE at 2^13, several tasks
+/// per NTT pass as well as per Merkle (64) and FRI fold (256) layer.
 const STARK_CONSTRAINTS: usize = 1 << 10;
 
 /// `.zkey` and proof bytes of one setup → contribute → prove round under a
@@ -94,6 +101,7 @@ fn stark_proof_bytes() -> Vec<u8> {
 
 #[test]
 fn proofs_are_byte_identical_across_thread_counts() {
+    let _turn = POOL_SIZE.lock().unwrap_or_else(|e| e.into_inner());
     // First round at the ambient pool size (ZKPERF_THREADS when
     // scripts/check.sh drives this binary), then explicit 1/2/4-thread
     // pools; every round must serialize to the same bytes.
@@ -126,4 +134,39 @@ fn proofs_are_byte_identical_across_thread_counts() {
         groth16_bytes(true) == groth16_baseline,
         "the batched contribution sweep and the per-point loop disagree"
     );
+}
+
+/// A trace session is per-thread, so what it records must not depend on
+/// how many workers the pool has: `measure_stage` keeps the pool inline
+/// for the session's lifetime, and every stage's counters come out equal.
+/// (Before the pool had a serial scope the STARK prover, which never
+/// gated its pool calls on the tracer, lost ~95 % of its `Proving` ops to
+/// worker threads at two threads and up.)
+#[test]
+fn traced_op_counts_are_thread_count_invariant() {
+    let _turn = POOL_SIZE.lock().unwrap_or_else(|e| e.into_inner());
+    let cpu = CpuProfile::i7_8650u();
+    let cells = [
+        (BackendKind::Groth16, Curve::Bn128),
+        (BackendKind::Plonk, Curve::Bn128),
+        (BackendKind::Stark, Curve::Goldilocks),
+    ];
+    for (backend, curve) in cells {
+        for log in [8u32, 10] {
+            let counts = |threads: usize| -> Vec<_> {
+                pool::set_threads(threads);
+                let cell = measure_cell_backend(backend, curve, &cpu, 1 << log, &Stage::ALL);
+                cell.unwrap().into_iter().map(|m| (m.stage, m.counts)).collect()
+            };
+            let serial = counts(1);
+            for threads in [2usize, 4] {
+                assert_eq!(
+                    serial,
+                    counts(threads),
+                    "{backend:?} 2^{log}: traced op counts differ at {threads} threads"
+                );
+            }
+        }
+    }
+    pool::set_threads(1);
 }
