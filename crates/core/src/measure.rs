@@ -1,9 +1,12 @@
 //! Running one protocol stage under the microarchitecture simulator.
 
+use std::sync::Once;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
-use zkperf_ff::{Field, Frobenius};
+use zkperf_circuit::poseidon::permutation_constants;
+use zkperf_ec::{Affine, Bls12_381, Bn254, CurveParams, Engine};
+use zkperf_ff::{Field, Goldilocks};
 use zkperf_machine::{CpuProfile, MachineReport, MachineSim};
 use zkperf_trace::{self as trace, OpCounts};
 
@@ -71,14 +74,24 @@ impl StageMeasurement {
     }
 }
 
-/// Builds the process-wide tables the kernels create on first use — the
-/// Poseidon constants of the backend's field and the tower Frobenius
-/// coefficients the pairings read — before the session opens: a cell's
-/// counts must not depend on what ran earlier in the process.
-fn build_first_use_tables<B: ProverBackend>() {
-    zkperf_circuit::poseidon::permutation_constants::<B::Fr>();
-    zkperf_ff::bn254::Fq12::one().frobenius(1);
-    zkperf_ff::bls12_381::Fq12::one().frobenius(1);
+/// Builds, once per process, the tables the kernels derive on first use,
+/// before any session opens: a cell's counts must not depend on what ran
+/// earlier in the process. These are the Poseidon constants of the three
+/// circuit fields and the STARK hash's round schedule, the GLV lattice of
+/// both G1 groups, and what a pairing reads (loop digits, twist-Frobenius
+/// scalars, the tower Frobenius coefficients).
+fn build_first_use_tables() {
+    fn engine_tables<E: Engine>() {
+        permutation_constants::<E::Fr>();
+        E::G1::glv_params();
+        E::pairing(&Affine::generator(), &Affine::generator());
+    }
+    static BUILT: Once = Once::new();
+    BUILT.call_once(|| {
+        engine_tables::<Bn254>();
+        engine_tables::<Bls12_381>();
+        zkperf_stark::poseidon::permute([Goldilocks::zero(); 3]);
+    });
 }
 
 /// Runs `stage` of `workload` on the simulated `cpu` and collects the
@@ -98,7 +111,7 @@ pub fn measure_stage<B: ProverBackend>(
     cpu: &CpuProfile,
 ) -> Result<StageMeasurement, StageError> {
     let curve: Curve = B::curve();
-    build_first_use_tables::<B>();
+    build_first_use_tables();
     let (sink, handle) = MachineSim::new(cpu.clone(), stage.exec_env()).shared();
     let session = trace::Session::begin_with_sink(Box::new(sink));
     // The session is this thread's alone: work a kernel handed to a pool

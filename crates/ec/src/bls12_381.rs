@@ -3,12 +3,12 @@
 use std::sync::OnceLock;
 
 use zkperf_ff::bls12_381::{
-    Fq, Fq12, Fq12Params, Fq2, Fq2Params, Fq6, Fq6Params, Fr, BLS_X, BLS_X_IS_NEGATIVE,
+    Fq, Fq12, Fq12Params, Fq2, Fq2Params, Fq6Params, Fr, BLS_X, BLS_X_IS_NEGATIVE,
 };
-use zkperf_ff::{BigUint, Field, Frobenius, PrimeField};
+use zkperf_ff::{Field, Frobenius, PrimeField};
+use zkperf_trace as trace;
 
 use crate::curve::{Affine, CurveParams, Projective};
-use crate::pairing::{final_exponentiation, hard_exponent, miller_loop, ExtPoint};
 use crate::pairing_fast::{self, G2Prepared, TwistType};
 
 /// Marker for the BLS12-381 G1 group (`y² = x³ + 4` over `Fq`).
@@ -32,14 +32,7 @@ impl CurveParams for G1Params {
     fn glv_params() -> Option<&'static crate::glv::GlvParams<Self>> {
         static CELL: std::sync::OnceLock<Option<crate::glv::GlvParams<G1Params>>> =
             std::sync::OnceLock::new();
-        CELL.get_or_init(|| {
-            // Escape hatch for A/B benchmarking and debugging.
-            if std::env::var("ZKPERF_NO_GLV").is_ok_and(|v| v == "1") {
-                return None;
-            }
-            crate::glv::derive::<G1Params>()
-        })
-        .as_ref()
+        CELL.get_or_init(crate::glv::derive::<G1Params>).as_ref()
     }
 }
 
@@ -83,49 +76,6 @@ pub type G2Projective = Projective<G2Params>;
 /// Target-group values (the order-`r` subgroup of `Fq12*`).
 pub type Gt = Fq12;
 
-fn embed_fq(x: Fq) -> Fq12 {
-    Fq12::from_base(Fq6::from_base(Fq2::from_base(x)))
-}
-
-/// Maps a G2 point through the M-twist isomorphism onto `E(Fq12)`:
-/// `(x', y') ↦ (x'·w⁻², y'·w⁻³)` where `w⁶ = ξ`.
-pub fn untwist(q: &G2Affine) -> ExtPoint<Fq12> {
-    if q.infinity {
-        return ExtPoint::identity();
-    }
-    let w = Fq12::new(Fq6::zero(), Fq6::one());
-    let winv = w.inverse().expect("w != 0");
-    let winv2 = winv.square();
-    let winv3 = winv2 * winv;
-    ExtPoint {
-        x: Fq12::from_base(Fq6::from_base(q.x)) * winv2,
-        y: Fq12::from_base(Fq6::from_base(q.y)) * winv3,
-        infinity: false,
-    }
-}
-
-/// The BLS Miller loop `f_{|x|,Q}(P)`, conjugated because the BLS parameter
-/// is negative.
-pub fn miller(p: &G1Affine, q: &G2Affine) -> Fq12 {
-    if p.infinity || q.infinity {
-        return Fq12::one();
-    }
-    let (xp, yp) = (embed_fq(p.x), embed_fq(p.y));
-    let q12 = untwist(q);
-    let s = BigUint::from_u64(BLS_X);
-    let (f, _) = miller_loop(&q12, xp, yp, &s);
-    if BLS_X_IS_NEGATIVE {
-        f.conjugate()
-    } else {
-        f
-    }
-}
-
-/// The hard-part exponent `(q⁴ − q² + 1)/r`.
-pub fn pairing_hard_exponent() -> BigUint {
-    hard_exponent(&Fq::modulus(), &Fr::modulus())
-}
-
 /// Binary digits of `|x|`, least-significant first — the BLS parameter is
 /// already low-weight, so plain bits beat a NAF recoding here.
 fn ate_digits() -> &'static [i8] {
@@ -157,16 +107,8 @@ fn eval_prepared(p: &G1Affine, coeffs: &[[Fq2; 3]]) -> Fq12 {
 
 /// Precomputes the Miller-loop line coefficients of a fixed G2 point so
 /// that pairings against it reduce to sparse multiplications.
-///
-/// When the fast path is gated off (`ZKPERF_NO_FAST_PAIRING=1` or an
-/// active trace session) no lines are computed and pairings fall back to
-/// the untwisted reference through the retained affine point.
 pub fn prepare_g2(q: &G2Affine) -> G2Prepared<G2Params> {
-    let coeffs = if pairing_fast::fast_pairing_enabled() && !q.infinity {
-        Some(ate_coeffs(q))
-    } else {
-        None
-    };
+    let coeffs = if q.infinity { Vec::new() } else { ate_coeffs(q) };
     G2Prepared { q: *q, coeffs }
 }
 
@@ -180,16 +122,17 @@ fn pow_x(g: &Fq12) -> Fq12 {
     }
 }
 
-/// Final exponentiation via the BLS addition chain with cyclotomic
-/// x-power exponentiations. Agrees bit-for-bit with
-/// [`final_exponentiation`].
+/// Final exponentiation `f^((q¹² − 1)/r)` via the BLS addition chain with
+/// cyclotomic x-power exponentiations. Agrees bit-for-bit with the plain
+/// exponentiation (the `pairing_bls12_381` oracle in `zkperf-testkit`).
 pub fn final_exponentiation_fast(f: Fq12) -> Gt {
-    // Easy part, identical to the reference: f^(q⁶−1)(q²+1).
+    let _g = trace::region_profile("final_exp");
+    // Easy part: f^(q⁶−1)(q²+1).
     let f1 = f.conjugate() * f.inverse().expect("pairing value non-zero");
     let r = f1.frobenius(2) * f1;
     // Hard part: (q⁴ − q² + 1)/r = m·(x+q)·(x²+q²−1) + 1 with
     // m = (x−1)²/3 — exact for the BLS parameter (x ≡ 1 mod 3), and
-    // pinned against the reference exponentiation in the tests. The
+    // pinned against the reference exponentiation by the testkit oracle. The
     // parameter is negative, so powers of x−1 = −(|x|+1) conjugate after
     // raising to |x|+1.
     let rxm1 = r.cyclotomic_pow_u64(BLS_X + 1).conjugate();
@@ -199,24 +142,12 @@ pub fn final_exponentiation_fast(f: Fq12) -> Gt {
     c * r
 }
 
-fn pairing_fast_path(p: &G1Affine, q: &G2Affine) -> Gt {
+/// The full optimal-ate pairing `e(P, Q)`.
+pub fn pairing(p: &G1Affine, q: &G2Affine) -> Gt {
     if p.infinity || q.infinity {
         return Fq12::one();
     }
     final_exponentiation_fast(eval_prepared(p, &ate_coeffs(q)))
-}
-
-/// The full optimal-ate pairing `e(P, Q)`.
-///
-/// Runs the twisted projective fast path unless gated off via
-/// `ZKPERF_NO_FAST_PAIRING=1` or an active trace session, in which case
-/// the untwisted serial reference runs; both produce bit-identical values.
-pub fn pairing(p: &G1Affine, q: &G2Affine) -> Gt {
-    if pairing_fast::fast_pairing_enabled() {
-        pairing_fast_path(p, q)
-    } else {
-        final_exponentiation(miller(p, q), &pairing_hard_exponent())
-    }
 }
 
 /// `e(P₁,Q₁)·…·e(Pₙ,Qₙ)` with a single shared final exponentiation.
@@ -225,53 +156,34 @@ pub fn pairing(p: &G1Affine, q: &G2Affine) -> Gt {
 /// lengths, the longer one is truncated to the shorter and the extra
 /// entries are ignored.
 pub fn multi_pairing(ps: &[G1Affine], qs: &[G2Affine]) -> Gt {
-    if pairing_fast::fast_pairing_enabled() {
-        let mut f = Fq12::one();
-        for (p, q) in ps.iter().zip(qs) {
-            if p.infinity || q.infinity {
-                continue;
-            }
-            f *= eval_prepared(p, &ate_coeffs(q));
+    let mut f = Fq12::one();
+    for (p, q) in ps.iter().zip(qs) {
+        if p.infinity || q.infinity {
+            continue;
         }
-        final_exponentiation_fast(f)
-    } else {
-        let mut f = Fq12::one();
-        for (p, q) in ps.iter().zip(qs) {
-            f *= miller(p, q);
-        }
-        final_exponentiation(f, &pairing_hard_exponent())
+        f *= eval_prepared(p, &ate_coeffs(q));
     }
+    final_exponentiation_fast(f)
 }
 
 /// [`multi_pairing`] over points prepared with [`prepare_g2`], skipping
 /// the per-pairing line computation entirely. Follows the same truncation
-/// contract for mismatched lengths, and falls back to the untwisted
-/// reference whenever the fast path is gated off.
+/// contract for mismatched lengths.
 pub fn multi_pairing_prepared(ps: &[G1Affine], qs: &[&G2Prepared<G2Params>]) -> Gt {
-    if pairing_fast::fast_pairing_enabled() {
-        let mut f = Fq12::one();
-        for (p, prep) in ps.iter().zip(qs) {
-            if p.infinity || prep.q.infinity {
-                continue;
-            }
-            match &prep.coeffs {
-                Some(coeffs) => f *= eval_prepared(p, coeffs),
-                None => f *= eval_prepared(p, &ate_coeffs(&prep.q)),
-            }
+    let mut f = Fq12::one();
+    for (p, prep) in ps.iter().zip(qs) {
+        if p.infinity || prep.q.infinity {
+            continue;
         }
-        final_exponentiation_fast(f)
-    } else {
-        let mut f = Fq12::one();
-        for (p, prep) in ps.iter().zip(qs) {
-            f *= miller(p, &prep.q);
-        }
-        final_exponentiation(f, &pairing_hard_exponent())
+        f *= eval_prepared(p, &prep.coeffs);
     }
+    final_exponentiation_fast(f)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zkperf_ff::BigUint;
 
     #[test]
     fn generators_are_on_curve_and_in_subgroup() {
@@ -292,13 +204,6 @@ mod tests {
         let g = G1Projective::generator();
         let r_plus_1 = &Fr::modulus() + &BigUint::one();
         assert_eq!(g.mul_bigint(&r_plus_1), g);
-    }
-
-    #[test]
-    fn untwisted_generator_is_on_e_fq12() {
-        let q = untwist(&G2Affine::generator());
-        let b = embed_fq(Fq::from_u64(4));
-        assert_eq!(q.y.square(), q.x.square() * q.x + b);
     }
 
     #[test]
@@ -348,29 +253,6 @@ mod tests {
     fn bls_parameter_supports_the_cube_root_chain() {
         // The final-exp chain divides (|x|+1) by 3; that must be exact.
         assert_eq!((BLS_X + 1) % 3, 0);
-    }
-
-    #[test]
-    fn fast_pairing_matches_untwisted_reference_bit_for_bit() {
-        let g1 = G1Projective::generator();
-        let g2 = G2Projective::generator();
-        for (a, b) in [(1u64, 1u64), (6, 35), (41, 43)] {
-            let p = (g1 * Fr::from_u64(a)).to_affine();
-            let q = (g2 * Fr::from_u64(b)).to_affine();
-            let fast = pairing_fast_path(&p, &q);
-            let reference = final_exponentiation(miller(&p, &q), &pairing_hard_exponent());
-            assert_eq!(fast, reference);
-        }
-    }
-
-    #[test]
-    fn fast_final_exponentiation_matches_reference() {
-        let mut rng = zkperf_ff::test_rng();
-        let hard = pairing_hard_exponent();
-        for _ in 0..2 {
-            let f = Fq12::random(&mut rng);
-            assert_eq!(final_exponentiation_fast(f), final_exponentiation(f, &hard));
-        }
     }
 
     #[test]

@@ -2,13 +2,11 @@
 
 use std::sync::OnceLock;
 
-use zkperf_ff::bn254::{Fq, Fq12, Fq12Params, Fq2, Fq2Params, Fq6, Fq6Params, Fr, BN_X};
+use zkperf_ff::bn254::{Fq, Fq12, Fq12Params, Fq2, Fq2Params, Fq6Params, Fr, BN_X};
 use zkperf_ff::{BigUint, Field, Frobenius, PrimeField};
+use zkperf_trace as trace;
 
 use crate::curve::{Affine, CurveParams, Projective};
-use crate::pairing::{
-    final_exponentiation, hard_exponent, line_and_add, miller_loop, ExtPoint,
-};
 use crate::pairing_fast::{self, G2Prepared, TwistType};
 
 /// Marker for the BN254 G1 group (`y² = x³ + 3` over `Fq`).
@@ -28,14 +26,7 @@ impl CurveParams for G1Params {
     fn glv_params() -> Option<&'static crate::glv::GlvParams<Self>> {
         static CELL: std::sync::OnceLock<Option<crate::glv::GlvParams<G1Params>>> =
             std::sync::OnceLock::new();
-        CELL.get_or_init(|| {
-            // Escape hatch for A/B benchmarking and debugging.
-            if std::env::var("ZKPERF_NO_GLV").is_ok_and(|v| v == "1") {
-                return None;
-            }
-            crate::glv::derive::<G1Params>()
-        })
-        .as_ref()
+        CELL.get_or_init(crate::glv::derive::<G1Params>).as_ref()
     }
 }
 
@@ -79,52 +70,6 @@ pub type G2Projective = Projective<G2Params>;
 
 /// Target-group values (the order-`r` subgroup of `Fq12*`).
 pub type Gt = Fq12;
-
-fn embed_fq(x: Fq) -> Fq12 {
-    Fq12::from_base(Fq6::from_base(Fq2::from_base(x)))
-}
-
-/// Maps a G2 point through the D-twist isomorphism onto `E(Fq12)`:
-/// `(x', y') ↦ (x'·w², y'·w³)` where `w⁶ = ξ`.
-pub fn untwist(q: &G2Affine) -> ExtPoint<Fq12> {
-    if q.infinity {
-        return ExtPoint::identity();
-    }
-    let w2 = Fq12::new(Fq6::new(Fq2::zero(), Fq2::one(), Fq2::zero()), Fq6::zero());
-    let w3 = Fq12::new(Fq6::zero(), Fq6::new(Fq2::zero(), Fq2::one(), Fq2::zero()));
-    ExtPoint {
-        x: Fq12::from_base(Fq6::from_base(q.x)) * w2,
-        y: Fq12::from_base(Fq6::from_base(q.y)) * w3,
-        infinity: false,
-    }
-}
-
-/// The optimal-ate Miller loop `f_{6x+2,Q}(P)` with the two Frobenius
-/// correction lines.
-pub fn miller(p: &G1Affine, q: &G2Affine) -> Fq12 {
-    if p.infinity || q.infinity {
-        return Fq12::one();
-    }
-    let (xp, yp) = (embed_fq(p.x), embed_fq(p.y));
-    let q12 = untwist(q);
-    let s = &BigUint::from_u64(BN_X).mul_u64(6) + &BigUint::from_u64(2);
-    let (mut f, mut t) = miller_loop(&q12, xp, yp, &s);
-    // Correction steps with Q1 = π(Q) and Q2 = π²(Q).
-    let q1 = q12.frobenius(1);
-    let q2 = q12.frobenius(2);
-    let (l, t1) = line_and_add(&t, &q1, xp, yp);
-    f *= l;
-    t = t1;
-    let (l, _) = line_and_add(&t, &q2.neg(), xp, yp);
-    f *= l;
-    f
-}
-
-/// The hard-part exponent `(q⁴ − q² + 1)/r` (recomputed per call; cached by
-/// callers that do many pairings).
-pub fn pairing_hard_exponent() -> BigUint {
-    hard_exponent(&Fq::modulus(), &Fr::modulus())
-}
 
 /// NAF digits of the optimal-ate loop count `6x + 2`, least-significant
 /// first (the value exceeds 64 bits, hence the `u128` arithmetic).
@@ -180,31 +125,25 @@ fn eval_prepared(p: &G1Affine, coeffs: &[[Fq2; 3]]) -> Fq12 {
 
 /// Precomputes the Miller-loop line coefficients of a fixed G2 point so
 /// that pairings against it reduce to sparse multiplications.
-///
-/// When the fast path is gated off (`ZKPERF_NO_FAST_PAIRING=1` or an
-/// active trace session) no lines are computed and pairings fall back to
-/// the untwisted reference through the retained affine point.
 pub fn prepare_g2(q: &G2Affine) -> G2Prepared<G2Params> {
-    let coeffs = if pairing_fast::fast_pairing_enabled() && !q.infinity {
-        Some(ate_coeffs(q))
-    } else {
-        None
-    };
+    let coeffs = if q.infinity { Vec::new() } else { ate_coeffs(q) };
     G2Prepared { q: *q, coeffs }
 }
 
-/// Final exponentiation via the Frobenius decomposition of the hard part
-/// and cyclotomic x-power chains — three exponentiations by the BN
-/// parameter instead of a full 2790-bit square-and-multiply. Agrees
-/// bit-for-bit with [`final_exponentiation`].
+/// Final exponentiation `f^((q¹² − 1)/r)` via the Frobenius decomposition
+/// of the hard part and cyclotomic x-power chains — three exponentiations
+/// by the BN parameter instead of a full 2790-bit square-and-multiply.
+/// Agrees bit-for-bit with the plain exponentiation (the `pairing_bn254`
+/// oracle in `zkperf-testkit`).
 pub fn final_exponentiation_fast(f: Fq12) -> Gt {
-    // Easy part, identical to the reference: f^(q⁶−1)(q²+1).
+    let _g = trace::region_profile("final_exp");
+    // Easy part: f^(q⁶−1)(q²+1).
     let f1 = f.conjugate() * f.inverse().expect("pairing value non-zero");
     let r = f1.frobenius(2) * f1;
     // Hard part: (q⁴ − q² + 1)/r written in base q with x-polynomial
     // digits d = −λ₀ − λ₁·q + (6x²+1)·q² + q³ where
     // λ₀ = 36x³+30x²+18x+2 and λ₁ = 36x³+18x²+12x−1 (exactness is pinned
-    // against the reference exponentiation in the tests).
+    // against the reference exponentiation by the testkit oracle).
     let rx = r.cyclotomic_pow_u64(BN_X);
     let r3x = rx.cyclotomic_square() * rx;
     let r6x = r3x.cyclotomic_square();
@@ -223,24 +162,12 @@ pub fn final_exponentiation_fast(f: Fq12) -> Gt {
         * r.frobenius(3)
 }
 
-fn pairing_fast_path(p: &G1Affine, q: &G2Affine) -> Gt {
+/// The full optimal-ate pairing `e(P, Q)`.
+pub fn pairing(p: &G1Affine, q: &G2Affine) -> Gt {
     if p.infinity || q.infinity {
         return Fq12::one();
     }
     final_exponentiation_fast(eval_prepared(p, &ate_coeffs(q)))
-}
-
-/// The full optimal-ate pairing `e(P, Q)`.
-///
-/// Runs the twisted projective fast path unless gated off via
-/// `ZKPERF_NO_FAST_PAIRING=1` or an active trace session, in which case
-/// the untwisted serial reference runs; both produce bit-identical values.
-pub fn pairing(p: &G1Affine, q: &G2Affine) -> Gt {
-    if pairing_fast::fast_pairing_enabled() {
-        pairing_fast_path(p, q)
-    } else {
-        final_exponentiation(miller(p, q), &pairing_hard_exponent())
-    }
 }
 
 /// `e(P₁,Q₁)·…·e(Pₙ,Qₙ)` with a single shared final exponentiation.
@@ -249,49 +176,28 @@ pub fn pairing(p: &G1Affine, q: &G2Affine) -> Gt {
 /// lengths, the longer one is truncated to the shorter and the extra
 /// entries are ignored.
 pub fn multi_pairing(ps: &[G1Affine], qs: &[G2Affine]) -> Gt {
-    if pairing_fast::fast_pairing_enabled() {
-        let mut f = Fq12::one();
-        for (p, q) in ps.iter().zip(qs) {
-            if p.infinity || q.infinity {
-                continue;
-            }
-            f *= eval_prepared(p, &ate_coeffs(q));
+    let mut f = Fq12::one();
+    for (p, q) in ps.iter().zip(qs) {
+        if p.infinity || q.infinity {
+            continue;
         }
-        final_exponentiation_fast(f)
-    } else {
-        let mut f = Fq12::one();
-        for (p, q) in ps.iter().zip(qs) {
-            f *= miller(p, q);
-        }
-        final_exponentiation(f, &pairing_hard_exponent())
+        f *= eval_prepared(p, &ate_coeffs(q));
     }
+    final_exponentiation_fast(f)
 }
 
 /// [`multi_pairing`] over points prepared with [`prepare_g2`], skipping
 /// the per-pairing line computation entirely. Follows the same truncation
-/// contract for mismatched lengths, and falls back to the untwisted
-/// reference whenever the fast path is gated off — prepared points carry
-/// their affine original for exactly that purpose.
+/// contract for mismatched lengths.
 pub fn multi_pairing_prepared(ps: &[G1Affine], qs: &[&G2Prepared<G2Params>]) -> Gt {
-    if pairing_fast::fast_pairing_enabled() {
-        let mut f = Fq12::one();
-        for (p, prep) in ps.iter().zip(qs) {
-            if p.infinity || prep.q.infinity {
-                continue;
-            }
-            match &prep.coeffs {
-                Some(coeffs) => f *= eval_prepared(p, coeffs),
-                None => f *= eval_prepared(p, &ate_coeffs(&prep.q)),
-            }
+    let mut f = Fq12::one();
+    for (p, prep) in ps.iter().zip(qs) {
+        if p.infinity || prep.q.infinity {
+            continue;
         }
-        final_exponentiation_fast(f)
-    } else {
-        let mut f = Fq12::one();
-        for (p, prep) in ps.iter().zip(qs) {
-            f *= miller(p, &prep.q);
-        }
-        final_exponentiation(f, &pairing_hard_exponent())
+        f *= eval_prepared(p, &prep.coeffs);
     }
+    final_exponentiation_fast(f)
 }
 
 #[cfg(test)]
@@ -306,13 +212,6 @@ mod tests {
         let g2 = G2Affine::generator();
         assert!(g2.is_on_curve());
         assert!(g2.is_in_subgroup());
-    }
-
-    #[test]
-    fn untwisted_generator_is_on_e_fq12() {
-        let q = untwist(&G2Affine::generator());
-        let b = embed_fq(Fq::from_u64(3));
-        assert_eq!(q.y.square(), q.x.square() * q.x + b);
     }
 
     #[test]
@@ -374,43 +273,8 @@ mod tests {
         let q = G2Affine::generator();
         let q1 = mul_by_char(&q);
         assert!(q1.is_on_curve());
-        // ψ satisfies ψ²(Q) − [t]ψ(Q) + [q]Q = 0; spot-check the cheap
-        // consequence that the untwisted image matches π(untwist(Q)).
-        let lifted = untwist(&q1);
-        let direct = untwist(&q).frobenius(1);
-        assert_eq!(lifted.x, direct.x);
-        assert_eq!(lifted.y, direct.y);
-    }
-
-    #[test]
-    fn fast_pairing_matches_untwisted_reference_bit_for_bit() {
-        let g1 = G1Projective::generator();
-        let g2 = G2Projective::generator();
-        for (a, b) in [(1u64, 1u64), (127, 911), (5, 7)] {
-            let p = (g1 * Fr::from_u64(a)).to_affine();
-            let q = (g2 * Fr::from_u64(b)).to_affine();
-            let fast = pairing_fast_path(&p, &q);
-            let reference = final_exponentiation(miller(&p, &q), &pairing_hard_exponent());
-            assert_eq!(fast, reference);
-        }
-        // Identity inputs agree too.
-        assert_eq!(
-            pairing_fast_path(&G1Affine::identity(), &G2Affine::generator()),
-            final_exponentiation(
-                miller(&G1Affine::identity(), &G2Affine::generator()),
-                &pairing_hard_exponent()
-            )
-        );
-    }
-
-    #[test]
-    fn fast_final_exponentiation_matches_reference() {
-        let mut rng = zkperf_ff::test_rng();
-        let hard = pairing_hard_exponent();
-        for _ in 0..4 {
-            let f = Fq12::random(&mut rng);
-            assert_eq!(final_exponentiation_fast(f), final_exponentiation(f, &hard));
-        }
+        // G2 is the q-eigenspace of the Frobenius on E[r]: ψ(Q) = [q]Q.
+        assert_eq!(q1, q.to_projective().mul_bigint(&Fq::modulus()).to_affine());
     }
 
     #[test]

@@ -305,8 +305,7 @@ impl<C: CurveParams> Projective<C> {
     /// Scalar multiplication with a fixed 4-bit window: ~w× fewer
     /// additions than double-and-add at the cost of a 15-entry table.
     /// Used by ceremony contributions for the δ updates; the key sections
-    /// they re-scale go through [`crate::scale_points`], which falls back
-    /// to this per point under a trace session.
+    /// they re-scale go through [`crate::scale_points`].
     ///
     /// When the group exposes [`CurveParams::glv_params`] and the exponent
     /// is a canonical scalar (`exp < r`), the multiplication runs as a
@@ -320,14 +319,9 @@ impl<C: CurveParams> Projective<C> {
         if exp.is_zero() {
             return Self::identity();
         }
-        // Instrumented runs stay on the generic window loop: the
-        // characterization suite pins that op stream, and the lazy GLV
-        // parameter derivation must not execute inside a traced region.
-        if !trace::is_active() {
-            if let Some(glv) = C::glv_params() {
-                if exp < &C::Scalar::modulus() {
-                    return self.mul_windowed_glv(glv, exp);
-                }
+        if let Some(glv) = C::glv_params() {
+            if exp < &C::Scalar::modulus() {
+                return self.mul_windowed_glv(glv, exp);
             }
         }
         let _g = trace::region_profile("scalar_mul");

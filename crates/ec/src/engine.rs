@@ -123,6 +123,48 @@ mod tests {
         engine_bilinearity::<Bls12_381>();
     }
 
+    /// No kernel asks whether a trace session is recording: under one every
+    /// entry point returns the untraced value, prepared lines included.
+    fn kernels_run_the_same_under_a_session<E>()
+    where
+        E: Engine<G2Prepared = crate::G2Prepared<<E as Engine>::G2>>,
+    {
+        let mut rng = zkperf_ff::test_rng();
+        let ps: Vec<Affine<E::G1>> = (0..40)
+            .map(|_| Projective::random(&mut rng).to_affine())
+            .collect();
+        let ks: Vec<E::Fr> = (0..40).map(|_| E::Fr::random(&mut rng)).collect();
+        let q = Projective::<E::G2>::random(&mut rng).to_affine();
+        let run = || {
+            let prepared = E::prepare_g2(&q);
+            let (mut g1, mut g2) = (ps.clone(), vec![q; 3]);
+            crate::scale_points(&mut g1, &ks[0]);
+            crate::scale_points(&mut g2, &ks[1]);
+            (
+                E::pairing(&ps[0], &q),
+                E::multi_pairing_prepared(&ps[..2], &[&prepared, &prepared]),
+                crate::msm(&ps, &ks),
+                (g1, g2),
+                prepared,
+            )
+        };
+        let untraced = run();
+        let session = zkperf_trace::Session::begin();
+        let traced = run();
+        let report = session.finish();
+        assert_eq!(traced, untraced);
+        assert!(!traced.4.coeffs.is_empty(), "lines are prepared under a session");
+        for region in ["miller_loop", "final_exp", "msm", "scalar_mul"] {
+            assert!(report.region(region).is_some(), "no {region} region recorded");
+        }
+    }
+
+    #[test]
+    fn a_trace_session_observes_the_shipped_kernels() {
+        kernels_run_the_same_under_a_session::<Bn254>();
+        kernels_run_the_same_under_a_session::<Bls12_381>();
+    }
+
     #[test]
     fn engine_names_match_paper_terminology() {
         assert_eq!(Bn254::NAME, "BN128");

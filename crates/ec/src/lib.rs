@@ -31,7 +31,6 @@ mod engine;
 mod fixed_base;
 pub mod glv;
 mod msm;
-pub mod pairing;
 pub mod pairing_fast;
 mod scale;
 pub mod tuning;
@@ -49,4 +48,4 @@ pub use fixed_base::FixedBaseTable;
 pub use glv::{DecomposedScalar, GlvParams, SignedHalf};
 pub use msm::{msm, msm_naive, msm_stream};
 pub use pairing_fast::{fast_pairing_enabled, G2Prepared, TwistType};
-pub use scale::{scale_points, scale_points_reference, SCALE_CHUNK};
+pub use scale::{scale_points, SCALE_CHUNK};

@@ -35,8 +35,8 @@
 //! slice is its one-chunk call. Under it there is one bucket body, written
 //! against the `zkperf-pool` primitives: whether it runs on workers or
 //! inline on the caller is the pool's decision (its size, the job's chunk
-//! count, an open `pool::SerialScope`), never this module's — the only
-//! session-dependent choice left here is plain versus GLV scalars.
+//! count, an open `pool::SerialScope`), never this module's, and nothing
+//! here asks whether a trace session is recording.
 //!
 //! [`msm_naive`] keeps the unoptimized reference semantics; the
 //! property-test suite cross-checks the two on both curves.
@@ -155,11 +155,7 @@ where
     if n == 0 {
         return Ok(Projective::identity());
     }
-    // Instrumented runs skip the GLV route: the characterization suite
-    // pins the plain op stream, and the one-time parameter derivation must
-    // never land inside a traced region, where its field ops would skew
-    // exactly one measurement.
-    let glv = if trace::is_active() { None } else { C::glv_params() };
+    let glv = C::glv_params();
     // Window geometry fixed once from the total problem size.
     let (total_bits, c) = match glv {
         Some(g) => {

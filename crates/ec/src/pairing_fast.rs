@@ -1,28 +1,25 @@
 //! The fast pairing engine: twisted-curve Miller loops with precomputed
 //! line coefficients.
 //!
-//! The reference implementation in [`crate::pairing`] runs the Miller loop
-//! on the untwisted curve `E(Fq12)` in affine coordinates — one `Fq12`
-//! inversion per step. This module keeps G2 on the sextic twist over `Fq2`
-//! and uses homogeneous projective coordinates, so a doubling step costs a
-//! handful of `Fq2` multiplications and no inversion at all. Line
-//! evaluations populate only three of the six `Fq2` tower slots and are
-//! folded into the accumulator with the sparse `mul_by_014` / `mul_by_034`
-//! kernels from `zkperf-ff`.
+//! A textbook Miller loop maps G2 onto the full curve `E(Fq12)` and runs
+//! there in affine coordinates — one `Fq12` inversion per step (that form
+//! lives in `zkperf-testkit::reference` as the oracle). This module keeps
+//! G2 on the sextic twist over `Fq2` and uses homogeneous projective
+//! coordinates, so a doubling step costs a handful of `Fq2`
+//! multiplications and no inversion at all. Line evaluations populate only
+//! three of the six `Fq2` tower slots and are folded into the accumulator
+//! with the sparse `mul_by_014` / `mul_by_034` kernels from `zkperf-ff`.
 //!
 //! The line *coefficients* depend only on Q, so for a fixed G2 point the
 //! whole sequence is precomputed once into a [`G2Prepared`] and every
 //! subsequent pairing against that point pays just the sparse
 //! multiplications — the production trick behind prepared verifying keys.
 //!
-//! Gating follows the GLV precedent: `ZKPERF_NO_FAST_PAIRING=1` or an
-//! active trace session routes every pairing back to the untwisted serial
-//! reference, so instrumented op streams are unchanged by this module.
-//! Both paths produce bit-identical `Gt` outputs — the Miller values
+//! This is the only pairing engine in the crate, traced or not. Its `Gt`
+//! outputs are bit-identical to that reference's — the Miller values
 //! differ by subfield factors that the final exponentiation kills, and the
-//! testkit pins the post-exponentiation equality differentially.
-
-use std::sync::OnceLock;
+//! testkit `pairing_*` oracles pin the post-exponentiation equality
+//! differentially.
 
 use zkperf_ff::{CubicExt, CubicExtParams, Field, QuadExt, QuadExtParams};
 use zkperf_trace as trace;
@@ -40,28 +37,24 @@ pub enum TwistType {
     M,
 }
 
-/// True when the twisted fast path may run: not disabled via
-/// `ZKPERF_NO_FAST_PAIRING=1` and no trace session is live (instrumented
-/// runs must keep the reference op stream).
+// The twisted engine is the only one left, so this is constant. It stays
+// because `benchmark/src/env.rs` records it as provenance and `benchmark/`
+// must build unmodified beside a code change; the benchmark-only follow-up
+// of ROADMAP item 5 drops the field and then this function.
+#[doc(hidden)]
 pub fn fast_pairing_enabled() -> bool {
-    static DISABLED: OnceLock<bool> = OnceLock::new();
-    let disabled = *DISABLED
-        .get_or_init(|| std::env::var("ZKPERF_NO_FAST_PAIRING").is_ok_and(|v| v == "1"));
-    !disabled && !trace::is_active()
+    true
 }
 
 /// A G2 point with its full Miller-loop line-coefficient sequence
 /// precomputed.
-///
-/// `coeffs` is `None` when the point was prepared while the fast path was
-/// gated off (or for the identity); consumers fall back to the reference
-/// Miller loop through the retained affine point.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct G2Prepared<C: CurveParams> {
-    /// The original affine point (reference fallback and identity checks).
+    /// The original affine point (identity checks).
     pub q: Affine<C>,
-    /// Line-coefficient triples in loop order, when precomputed.
-    pub coeffs: Option<Vec<[C::Base; 3]>>,
+    /// Line-coefficient triples in loop order; empty for the identity,
+    /// which pairs to one without walking any line.
+    pub coeffs: Vec<[C::Base; 3]>,
 }
 
 /// A twist point in homogeneous projective coordinates `(X : Y : Z)`
@@ -167,6 +160,7 @@ pub(crate) fn prepare_coeffs<C: CurveParams>(
     digits: &[i8],
     corrections: &[(C::Base, C::Base)],
 ) -> Vec<[C::Base; 3]> {
+    let _g = trace::region_profile("miller_loop");
     let two_inv = C::Base::from_u64(2)
         .inverse()
         .expect("field characteristic is odd");
@@ -231,6 +225,7 @@ where
     P6: CubicExtParams<Base = QuadExt<PF2>>,
     P12: QuadExtParams<Base = CubicExt<P6>>,
 {
+    let _g = trace::region_profile("miller_loop");
     let mut f = QuadExt::<P12>::one();
     let mut it = coeffs.iter();
     for &digit in digits[..digits.len() - 1].iter().rev() {
@@ -276,15 +271,5 @@ mod tests {
             acc = 2 * acc + d as u128;
         }
         assert_eq!(acc, 0b1011_0100);
-    }
-
-    #[test]
-    fn fast_pairing_gate_respects_trace_sessions() {
-        // Outside any trace session the gate is env-controlled; inside one
-        // it must be closed regardless.
-        let _ = fast_pairing_enabled();
-        let session = zkperf_trace::Session::begin();
-        assert!(!fast_pairing_enabled());
-        let _ = session.finish();
     }
 }

@@ -11,22 +11,23 @@
 //!
 //! The scalar is decomposed once per call: the GLV split `k = k₁ + k₂·λ`
 //! when the group has [`CurveParams::glv_params`], otherwise one
-//! full-width stream (G2, or `ZKPERF_NO_GLV=1`) through the same loop.
+//! full-width stream (G2) through the same loop.
 //! Each stream is recoded once to width-4 wNAF, so a point costs about
 //! `half_bits` batched doublings plus `2·half_bits/5` batched additions
 //! against its odd-multiple table `{P, 3P, 5P, 7P}` — ≈ 1 400 base-field
 //! multiplications on the G1 groups, against ≈ 3 900 for a Jacobian
-//! [`Projective::mul_windowed`] and its final inversion.
+//! [`crate::Projective::mul_windowed`] and its final inversion.
 //!
 //! Results are affine, and an affine point is the canonical form of its
-//! group element, so the output is byte-identical to the per-point
-//! reference at any chunking and any thread count.
+//! group element, so the output is byte-identical to a per-point
+//! [`crate::Projective::mul_windowed`] loop (the reference of the
+//! `zkperf-testkit` oracles) at any chunking and any thread count.
 
 use zkperf_ff::{batch_inverse_with_scratch, Field, PrimeField};
 use zkperf_pool as pool;
 use zkperf_trace as trace;
 
-use crate::curve::{Affine, CurveParams, Projective};
+use crate::curve::{Affine, CurveParams};
 
 /// wNAF window width: digits are odd and below `2^(W−1)` in magnitude.
 const W: u32 = 4;
@@ -49,16 +50,10 @@ pub const SCALE_CHUNK: usize = 512;
 /// Chunks of [`SCALE_CHUNK`] points fan out over the pool; the chunk
 /// boundaries depend only on `points.len()`. Identity lanes come back as
 /// the canonical [`Affine::identity`], whatever coordinates they carried
-/// in. Like [`Projective::mul_windowed`], the GLV route assumes the points
+/// in. Like [`crate::Projective::mul_windowed`], the GLV route assumes the points
 /// lie in the prime-order subgroup.
-///
-/// Under an op-stream trace session the call runs
-/// [`scale_points_reference`] instead, the serial per-point loop whose op
-/// stream the characterization suite pins.
 pub fn scale_points<C: CurveParams>(points: &mut [Affine<C>], k: &C::Scalar) {
-    if trace::is_active() {
-        return scale_points_reference(points, k);
-    }
+    let _g = trace::region_profile("scalar_mul");
     let glv = C::glv_params();
     let streams: Vec<DigitStream> = match glv {
         Some(glv) => {
@@ -83,21 +78,6 @@ pub fn scale_points<C: CurveParams>(points: &mut [Affine<C>], k: &C::Scalar) {
     pool::parallel_chunks_mut(points, SCALE_CHUNK, |_, chunk| {
         scale_chunk(chunk, &streams, glv);
     });
-}
-
-/// The per-point form of [`scale_points`]: one [`Projective::mul_windowed`]
-/// per point and one batch normalisation. It is what an op-stream trace
-/// session records, and the reference the fast kernel is tested against.
-pub fn scale_points_reference<C: CurveParams>(points: &mut [Affine<C>], k: &C::Scalar) {
-    let exp = k.to_biguint();
-    let scaled: Vec<Projective<C>> = points
-        .iter()
-        .map(|p| {
-            trace::control(1);
-            p.to_projective().mul_windowed(&exp)
-        })
-        .collect();
-    points.copy_from_slice(&Projective::batch_to_affine(&scaled));
 }
 
 /// One recoded scalar component; `endo` streams multiply `φ(P)`.
@@ -309,7 +289,7 @@ fn tangent<C: CurveParams>(p: &Affine<C>, inv: &C::Base) -> Affine<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bn254::{G1Affine, G1Params, G1Projective, G2Params};
+    use crate::bn254::{G1Affine, G1Projective};
     use zkperf_ff::bn254::Fr;
     use zkperf_ff::BigUint;
 
@@ -343,29 +323,6 @@ mod tests {
             }
             let negated = wnaf(&limbs, true);
             assert!(digits.iter().zip(&negated).all(|(a, b)| *a == -*b));
-        }
-    }
-
-    fn check_against_reference<C: CurveParams>(points: &[Affine<C>], k: &C::Scalar) {
-        let mut fast = points.to_vec();
-        scale_points(&mut fast, k);
-        let mut slow = points.to_vec();
-        scale_points_reference(&mut slow, k);
-        assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn matches_the_per_point_reference_on_both_groups() {
-        let mut rng = zkperf_ff::test_rng();
-        let g1: Vec<_> = (0..SCALE_CHUNK + 3)
-            .map(|_| G1Projective::random(&mut rng).to_affine())
-            .collect();
-        let g2: Vec<_> = (0..5)
-            .map(|_| Projective::<G2Params>::random(&mut rng).to_affine())
-            .collect();
-        for k in [Fr::zero(), Fr::one(), -Fr::one(), Fr::random(&mut rng)] {
-            check_against_reference::<G1Params>(&g1, &k);
-            check_against_reference::<G2Params>(&g2, &k);
         }
     }
 

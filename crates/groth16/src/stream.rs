@@ -33,7 +33,6 @@ use std::borrow::Cow;
 
 use zkperf_ec::{tuning, Affine, Engine};
 use zkperf_pool as pool;
-use zkperf_trace as trace;
 
 use crate::key::{ProvingKey, VerifyingKey};
 
@@ -177,16 +176,14 @@ pub trait QuerySink<E: Engine> {
 /// Points per chunk when the key is resident ([`crate::setup`],
 /// [`crate::prove`]): sized from `ZKPERF_MEM_BUDGET` by the G1 point, as a
 /// key streamed to disk is, and the whole query when there is no budget.
-/// Under a live trace session it is the whole query too, so op streams
-/// never depend on the budget.
 pub(crate) fn resident_chunk_points<E: Engine>() -> usize {
     match pool::mem::budget() {
-        Some(budget) if !trace::is_active() => tuning::stream_chunk_points(
+        Some(budget) => tuning::stream_chunk_points(
             budget,
             std::mem::size_of::<Affine<E::G1>>(),
             std::mem::size_of::<E::Fr>(),
         ),
-        _ => usize::MAX,
+        None => usize::MAX,
     }
 }
 

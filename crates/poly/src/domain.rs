@@ -2,12 +2,13 @@
 //!
 //! There is one butterfly network, [`Radix2Domain`]'s `transform`, written
 //! against the `zkperf-pool` primitives with a decomposition fixed by
-//! `task_elems`: it is the flat transform, the row kernel of the four-step
-//! layout, and what a trace session records (its `control`/`data_move`
-//! hooks sit in it). Whether a pass fans out or runs inline on the caller
-//! is the pool's decision — its size, a one-task job, an open
-//! `SerialScope` — and never this module's; the only session-dependent
-//! choice here is flat versus four-step.
+//! `task_elems`: it is the flat transform and the row kernel of the
+//! four-step layout, and its `control`/`data_move` hooks (with the
+//! `memcpy` hook of the four-step transposes) are what a trace session
+//! records. Whether a pass fans out or runs inline on the caller is the
+//! pool's decision — its size, a one-task job, an open `SerialScope` — and
+//! never this module's; flat versus four-step depends on the domain size
+//! and the memory budget only.
 
 use zkperf_ff::{batch_inverse, BigUint, PrimeField};
 use zkperf_pool as pool;
@@ -32,9 +33,9 @@ fn task_elems(n: usize) -> usize {
 /// the blocked four-step layout, whose row transforms read the cached
 /// tables of the two √n-sized sub-domains instead — precomputing a
 /// full-size table there would only burn memory. Domains between the two
-/// thresholds do not exist (the caps are adjacent); an instrumented
-/// (trace-active) large transform falls back to the flat pass with
-/// incremental twiddles.
+/// thresholds do not exist (the caps are adjacent); a large transform
+/// spilled to the flat pass by a memory budget runs it with incremental
+/// twiddles.
 const MAX_CACHED_TWIDDLE_LOG: u32 = 17;
 
 /// Smallest `log₂(size)` routed through the cache-blocked four-step NTT.
@@ -278,12 +279,10 @@ impl<F: PrimeField> Radix2Domain<F> {
     }
 
     /// True when transforms should take the blocked four-step path: only
-    /// on domains large enough to have sub-domains, and never while a
-    /// trace session is live (the characterization suite pins the flat
-    /// serial op stream).
+    /// on domains large enough to have sub-domains, unless a memory budget
+    /// spills them back to the flat pass.
     fn use_four_step(&self) -> bool {
         self.four_step.is_some()
-            && !trace::is_active()
             && !spill_to_flat(self.log_size, self.size, std::mem::size_of::<F>(), pool::mem::budget())
     }
 
@@ -562,6 +561,11 @@ impl<F: PrimeField> Radix2Domain<F> {
         const TILE: usize = 16;
         pool::parallel_chunks_mut(dst, TILE * src_rows, |ci, band| {
             let c0 = ci * TILE;
+            trace::memcpy(
+                band.as_ptr() as usize,
+                &src[c0] as *const F as usize,
+                std::mem::size_of_val(band),
+            );
             for r0 in (0..src_rows).step_by(TILE) {
                 let r_hi = (r0 + TILE).min(src_rows);
                 for (dc, drow) in band.chunks_mut(src_rows).enumerate() {
@@ -927,6 +931,19 @@ mod tests {
             d.ifft_in_place_four_step(&mut inv_blocked);
             assert_eq!(inv_flat, inv_blocked, "inverse, size 2^{log}");
         }
+    }
+
+    #[test]
+    fn a_trace_session_records_the_four_step_transposes() {
+        let d = Radix2Domain::<Fr>::new(1 << 10).unwrap();
+        let mut values = vec![Fr::one(); d.size()];
+        // As `measure_stage` does: the session is this thread's alone.
+        let _serial = pool::SerialScope::enter();
+        let session = trace::Session::begin();
+        d.fft_in_place_four_step(&mut values);
+        // Three transposes, each moving the whole buffer band by band.
+        let buffer = std::mem::size_of_val(values.as_slice()) as u64;
+        assert_eq!(session.finish().counts.memcpy_bytes, 3 * buffer);
     }
 
     #[test]

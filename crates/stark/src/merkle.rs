@@ -250,8 +250,8 @@ mod tests {
         let report = session.finish();
         assert_eq!(traced, untraced);
         assert!(traced.2);
-        // Under the session every permutation was the generic, instrumented
-        // one: 16·3 leaf + 15 node + 3 + 4 path.
+        // The kernel reports every permutation, four-lane or single, as one
+        // region entry: 16·3 leaf + 15 node + 3 + 4 path.
         assert_eq!(report.region("poseidon").map(|p| p.calls), Some(70));
     }
 

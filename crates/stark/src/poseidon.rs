@@ -38,17 +38,15 @@
 //! The schedule is derived once ([`OnceLock`]) from
 //! [`permutation_constants`]; there is no second copy of the numbers.
 //!
-//! Under an op-stream trace session the entry points run the generic
-//! permutation lane by lane: same values, and the per-op event stream and
-//! `poseidon` region the recorded characterisation data was taken with.
+//! The word helpers bypass `Goldilocks`'s per-operation trace hooks, so
+//! under an op-stream session the kernel reports itself, one `poseidon`
+//! region entry per permutation ("trace hook" below).
 
 use std::sync::OnceLock;
 
-use zkperf_circuit::poseidon::{
-    permutation_constants, poseidon_permute, FULL_ROUNDS, PARTIAL_ROUNDS, T,
-};
+use zkperf_circuit::poseidon::{permutation_constants, FULL_ROUNDS, PARTIAL_ROUNDS, T};
 use zkperf_ff::{Field, Goldilocks};
-use zkperf_trace as trace;
+use zkperf_trace::{self as trace, OpCost};
 
 type F = Goldilocks;
 type Matrix = [[F; T]; T];
@@ -292,22 +290,64 @@ fn permute_words_x4(states: [[u64; T]; 4]) -> [[u64; T]; 4] {
     [a, b, c, d]
 }
 
-// ---------------------------------------------------------- entry points
+// ------------------------------------------------------------ trace hook
 
-/// Whether this thread is recording an op-stream session — the module's
-/// (and the crate's) only such test. The word kernel reports no events, so
-/// under a session the entry points below run the generic permutation.
+/// Multiplications one permutation performs: per full round `T` S-boxes of
+/// three and `T` dot products of `T`; per partial round one S-box, one dot
+/// product and `T − 1` multiply-adds.
+const MULS: u32 = (FULL_ROUNDS * (3 * T + T * T) + PARTIAL_ROUNDS * (3 + T + (T - 1))) as u32;
+
+/// Additions one permutation performs: per full round `T` constants and
+/// `T − 1` per dot product; per partial round one constant, the dot
+/// product's `T − 1` and one per multiply-add.
+const ADDS: u32 = (FULL_ROUNDS * (T + T * (T - 1)) + PARTIAL_ROUNDS * (1 + 2 * (T - 1))) as u32;
+
+/// Reports the permutations the word kernel is about to run on `states()`
+/// to a live op-stream session — the module's (and the crate's) only
+/// `is_active` test, and all it guards is [`report_permutations`]. The
+/// states come as a closure so that the array the reporter reads exists
+/// only under a session: built up front, it is stored to the stack on
+/// every call and the kernel's lanes are allocated around it.
 #[inline(always)]
-fn op_stream_session() -> bool {
-    trace::is_active()
+fn trace_permutations<const N: usize>(states: impl FnOnce() -> [[u64; T]; N]) {
+    if trace::is_active() {
+        report_permutations(&states());
+    }
 }
+
+/// The hooks of [`trace_permutations`], nothing else: per permutation one
+/// `poseidon` region entry retiring [`MULS`] multiplications and [`ADDS`]
+/// additions, the state and every round record loaded where they lie, and
+/// the state stored back where it was loaded (the kernel permutes in place).
+#[cold]
+#[inline(never)]
+fn report_permutations(states: &[[u64; T]]) {
+    let schedule = Schedule::get();
+    let load = |addr: usize, bytes: usize| trace::load(addr, bytes as u32);
+    for state in states {
+        let _g = trace::region_profile("poseidon");
+        load(state.as_ptr() as usize, std::mem::size_of_val(state));
+        for round in schedule.first_full.iter().chain(&schedule.last_full) {
+            load(round as *const FullRound as usize, std::mem::size_of::<FullRound>());
+        }
+        for round in &schedule.partial {
+            load(round as *const PartialRound as usize, std::mem::size_of::<PartialRound>());
+        }
+        for cost in [OpCost::mont_mul(1).times(MULS), OpCost::mod_add(1).times(ADDS)] {
+            trace::compute(cost.compute);
+            trace::control(cost.control);
+            trace::data_move(cost.data);
+        }
+        trace::store(state.as_ptr() as usize, std::mem::size_of_val(state) as u32);
+    }
+}
+
+// ---------------------------------------------------------- entry points
 
 /// The Poseidon permutation over Goldilocks; equal to
 /// `circuit::poseidon::poseidon_permute::<Goldilocks>` on every input.
 pub fn permute(state: [F; T]) -> [F; T] {
-    if op_stream_session() {
-        return poseidon_permute(state);
-    }
+    trace_permutations(|| [words(state)]);
     permute_words(words(state)).map(F::from_u64)
 }
 
@@ -320,17 +360,16 @@ pub fn hash2(l: F, r: F) -> F {
 /// Four independent [`hash2`] calls, `out[i] = hash2(l[i], r[i])`, with
 /// the four permutations interleaved round by round.
 pub fn hash2_x4(l: [F; 4], r: [F; 4]) -> [F; 4] {
-    if op_stream_session() {
-        return std::array::from_fn(|i| hash2(l[i], r[i]));
-    }
-    let states = std::array::from_fn(|i| words([l[i], r[i], F::zero()]));
-    permute_words_x4(states).map(|s| F::from_u64(s[0]))
+    let states = || std::array::from_fn(|i| words([l[i], r[i], F::zero()]));
+    trace_permutations(states);
+    permute_words_x4(states()).map(|s| F::from_u64(s[0]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::Rng;
+    use zkperf_circuit::poseidon::poseidon_permute;
     use zkperf_ff::goldilocks::MODULUS;
     use zkperf_ff::test_rng;
 
@@ -473,7 +512,16 @@ mod tests {
         let traced = (permute(state), hash2_x4(l, r));
         let report = session.finish();
         assert_eq!(traced, untraced);
-        // One generic permutation per lane, each in the `poseidon` region.
-        assert_eq!(report.region("poseidon").map(|p| p.calls), Some(5));
+        // One `poseidon` region entry per permutation — each lane of the
+        // four-lane call on its own — holding the whole reported stream.
+        let region = report.region("poseidon").expect("poseidon region");
+        assert_eq!(region.calls, 5);
+        assert_eq!(region.counts, report.counts);
+        assert_eq!((MULS, ADDS), (592, 352));
+        let mul = OpCost::mont_mul(1).times(MULS);
+        let add = OpCost::mod_add(1).times(ADDS);
+        assert_eq!(report.counts.compute_uops, 5 * u64::from(mul.compute + add.compute));
+        let rounds = (FULL_ROUNDS + PARTIAL_ROUNDS) as u64;
+        assert_eq!((report.counts.loads, report.counts.stores), (5 * (1 + rounds), 5));
     }
 }

@@ -16,7 +16,7 @@
 //! | signed-window batch-affine `msm`     | `msm_naive` + double-and-add     |
 //! | GLV lattice decomposition            | `k1 + λ·k2 ≡ k (mod r)` BigUint  |
 //! | GLV msm / `mul_windowed` Straus      | naive MSM + double-and-add       |
-//! | shared-scalar `scale_points`         | per-lane double-and-add          |
+//! | shared-scalar `scale_points`         | double-and-add + per-point loop  |
 //! | `FixedBaseTable` mul / `mul_batch`   | double-and-add                   |
 //! | cached-twiddle NTT (fwd/inv/coset)   | O(n²) DFT + roundtrip identity   |
 //! | four-step blocked NTT (forced path)  | flat radix-2 transform           |
@@ -49,7 +49,7 @@ use crate::gen::{
 use crate::reference::{
     add_mod_biguint, coset_dft_reference, dft_reference, horner, merkle_root_reference,
     merkle_row_digest_reference, msm_double_and_add, mul_mod_biguint, pow_mod_biguint,
-    sub_mod_biguint,
+    scale_points_reference, sub_mod_biguint,
 };
 use crate::rng::SplitRng;
 
@@ -328,8 +328,9 @@ fn glv_mul_windowed_case<C: CurveParams>(rng: &mut SplitRng) -> CaseResult {
 /// Runs [`scale_points`] over the batch `lanes` describes — lane `i` is
 /// `pool[j]`, negated when flagged — and compares every lane with
 /// double-and-add, field for field (so an identity result must be the
-/// canonical [`Affine::identity`]). The reference multiplies each pool
-/// point once; the lanes only index it.
+/// canonical [`Affine::identity`]), then the whole batch with the
+/// per-point window loop it replaced. The double-and-add reference
+/// multiplies each pool point once; the lanes only index it.
 fn scale_points_batch<C: CurveParams>(
     pool: &[Affine<C>],
     lanes: &[(usize, bool)],
@@ -343,7 +344,15 @@ fn scale_points_batch<C: CurveParams>(
         }
     };
     let mut got: Vec<Affine<C>> = lanes.iter().map(|lane| pick(pool, lane)).collect();
+    let mut per_point = got.clone();
     scale_points(&mut got, k);
+    scale_points_reference(&mut per_point, k);
+    if got != per_point {
+        return fail(
+            "scale_points vs scale_points_reference",
+            format_args!("{} lanes, scalar {k}", lanes.len()),
+        );
+    }
     let exp = k.to_biguint();
     let scaled: Vec<Affine<C>> = pool
         .iter()
@@ -406,13 +415,16 @@ fn scale_points_case<C: CurveParams>(rng: &mut SplitRng) -> CaseResult {
 // -------------------------------------------------------------- pairing
 
 /// One randomized case of the pairing oracle for a curve module: the
-/// twisted fast path against the untwisted serial reference (bit for
-/// bit), bilinearity, non-degeneracy, identity and negated inputs, the
+/// twisted engine against the untwisted reference (bit for bit, on a
+/// drawn pair, the generators and identity inputs; the final
+/// exponentiation also on a field element that is no Miller value),
+/// bilinearity, non-degeneracy, identity and negated inputs, the
 /// prepared-lines route, and the documented mismatched-length truncation.
 macro_rules! pairing_case {
-    ($name:ident, $module:path) => {
+    ($name:ident, $module:path, $reference:path) => {
         fn $name(rng: &mut SplitRng) -> CaseResult {
             use $module as cv;
+            use $reference as slow;
             use zkperf_ff::Field;
             type Fr = <cv::G1Params as CurveParams>::Scalar;
 
@@ -422,15 +434,25 @@ macro_rules! pairing_case {
             let b: Fr = adversarial_field(rng);
             let p = (g1 * a).to_affine();
             let q = (g2 * b).to_affine();
+            let o1 = Affine::<cv::G1Params>::identity();
+            let o2 = Affine::<cv::G2Params>::identity();
 
-            // Fast path against the untwisted serial reference.
+            // The twisted engine against the untwisted reference.
             let fast = cv::pairing(&p, &q);
-            let reference = zkperf_ec::pairing::final_exponentiation(
-                cv::miller(&p, &q),
-                &cv::pairing_hard_exponent(),
-            );
-            if fast != reference {
+            if fast != slow::pairing(&p, &q) {
                 return fail("pairing fast vs reference", format_args!("a {a}, b {b}"));
+            }
+            for (pi, qi) in [(g1.to_affine(), g2.to_affine()), (o1, q), (p, o2)] {
+                if cv::pairing(&pi, &qi) != slow::pairing(&pi, &qi) {
+                    return fail("pairing fast vs reference", "generators or an identity");
+                }
+            }
+            let f = cv::Gt::random(rng);
+            let hard = slow::pairing_hard_exponent();
+            if cv::final_exponentiation_fast(f)
+                != crate::reference::pairing::final_exponentiation(f, &hard)
+            {
+                return fail("final exponentiation fast vs reference", format_args!("f {f:?}"));
             }
 
             // Bilinearity: e(cP, Q) = e(P, cQ) = e(P, Q)^c.
@@ -447,8 +469,6 @@ macro_rules! pairing_case {
             if cv::pairing(&g1.to_affine(), &g2.to_affine()).is_one() {
                 return fail("pairing non-degeneracy", "e(G1, G2) = 1");
             }
-            let o1 = Affine::<cv::G1Params>::identity();
-            let o2 = Affine::<cv::G2Params>::identity();
             if !cv::pairing(&o1, &q).is_one() || !cv::pairing(&p, &o2).is_one() {
                 return fail("pairing identity input", "e(O, Q) or e(P, O) != 1");
             }
@@ -493,8 +513,8 @@ macro_rules! pairing_case {
     };
 }
 
-pairing_case!(pairing_bn254_case, zkperf_ec::bn254);
-pairing_case!(pairing_bls12_381_case, zkperf_ec::bls12_381);
+pairing_case!(pairing_bn254_case, zkperf_ec::bn254, crate::reference::pairing::bn254);
+pairing_case!(pairing_bls12_381_case, zkperf_ec::bls12_381, crate::reference::pairing::bls12_381);
 
 // ------------------------------------------------------------------ NTT
 

@@ -8,6 +8,8 @@
 //! optimized Montgomery/window/butterfly machinery cannot cancel itself
 //! out on both sides of a comparison.
 
+pub mod pairing;
+
 use zkperf_circuit::poseidon::poseidon_hash2;
 use zkperf_ec::{Affine, CurveParams, Projective};
 use zkperf_ff::{BigUint, Field, Goldilocks, PrimeField};
@@ -63,6 +65,19 @@ pub fn msm_double_and_add<C: CurveParams>(
         acc += scalar_mul_double_and_add(&bases[i], &scalars[i]);
     }
     acc
+}
+
+/// `Pᵢ ← k·Pᵢ` one point at a time: a [`Projective::mul_windowed`] per
+/// point and one batch normalisation. What a ceremony contribution ran
+/// before `zkperf_ec::scale_points` walked a chunk of points through one
+/// shared double/add chain, and the oracle for it.
+pub fn scale_points_reference<C: CurveParams>(points: &mut [Affine<C>], k: &C::Scalar) {
+    let exp = k.to_biguint();
+    let scaled: Vec<Projective<C>> = points
+        .iter()
+        .map(|p| p.to_projective().mul_windowed(&exp))
+        .collect();
+    points.copy_from_slice(&Projective::batch_to_affine(&scaled));
 }
 
 /// Evaluates the polynomial with coefficient vector `coeffs` at every

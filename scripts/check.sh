@@ -5,10 +5,14 @@
 #   2. the full test suite (unit + integration + property tests)
 #   3. clippy with -D warnings
 #
-# Before any of that, a grep gate: no kernel crate may read the pool size
-# (`current_threads()`), so a hand-rolled "small input or one thread, take
-# the serial twin" gate cannot come back — kernels state a grain and the
-# pool decides (DESIGN.md §9/§10).
+# Before any of that, two grep gates. No kernel crate may read the pool
+# size (`current_threads()`), so a hand-rolled "small input or one thread,
+# take the serial twin" gate cannot come back — kernels state a grain and
+# the pool decides (DESIGN.md §9/§10). And no crate may ask the tracer
+# whether a session is recording (`is_active()`) except the five files
+# whose test guards a block of trace hooks, nor read a `ZKPERF_NO_*`
+# switch: a trace session observes the kernel that ships, so nothing may
+# swap in another one under it (DESIGN.md §9).
 #
 # Six library crates (zkperf-core, zkperf-groth16, zkperf-io,
 # zkperf-pool, zkperf-resilience, zkperf-serve) additionally deny
@@ -25,6 +29,18 @@ cd "$(dirname "$0")/.."
 echo "==> grep gate: no current_threads() in kernel crates"
 if grep -rn 'current_threads()' crates/{ff,ec,poly,circuit,groth16,plonk,stark}/src; then
     echo "kernel crates must not branch on the pool size; give the job a grain instead" >&2
+    exit 1
+fi
+
+echo "==> grep gate: is_active() only around trace hooks, no ZKPERF_NO_* switches"
+if grep -rn 'is_active()' crates/{ec,poly,groth16,plonk,io,core,serve}/src ||
+    grep -rln 'is_active()' crates/{ff,circuit,stark}/src |
+    grep -vxE 'crates/(ff/src/(fp|goldilocks)|circuit/src/(lc|lang)|stark/src/poseidon)\.rs'; then
+    echo "a trace session records the kernel that ships: no algorithm may depend on is_active()" >&2
+    exit 1
+fi
+if grep -rn 'env::var("ZKPERF_NO_' crates; then
+    echo "no ZKPERF_NO_* switch: a second algorithm behind an env knob is a second code path" >&2
     exit 1
 fi
 
@@ -59,21 +75,20 @@ fi
 # G1 groups, so its oracles get a deeper dedicated pass: decompose
 # identity (k1 + λ·k2 ≡ k mod r) on boundary scalars, GLV MSM, the
 # mul_windowed Straus route and the shared-scalar scale_points sweep
-# against double-and-add. The GLV switch is read once per process, so a
-# second process with it thrown runs the scale_points oracles down the
-# single-stream fallback on G1 as well.
+# against double-and-add and the per-point window loop. The single-stream
+# scale_points loop a group without GLV parameters takes is what G2 runs;
+# its oracle (scale_points_bn254_g2) is in the smoke tier above.
 echo "==> fuzz_lite GLV tier"
-if ! ./target/release/fuzz_lite --only glv --iters 16 ||
-    ! ZKPERF_NO_GLV=1 ./target/release/fuzz_lite --only scale_points --iters 8; then
+if ! ./target/release/fuzz_lite --only glv --iters 16; then
     echo "fuzz_lite found GLV divergences; paste a replay line from above" >&2
     exit 1
 fi
 
 # The twisted-curve pairing engine sits under every Groth16/PLONK
-# verification, so its oracles get a dedicated pass: the fast path against
-# the untwisted serial reference bit-for-bit, bilinearity, non-degeneracy,
-# identity/negated inputs, prepared G2 lines, and the mismatched-length
-# truncation contract on both curves.
+# verification, so its oracles get a dedicated pass: the engine against
+# the untwisted reference in zkperf-testkit bit-for-bit, bilinearity,
+# non-degeneracy, identity/negated inputs, prepared G2 lines, and the
+# mismatched-length truncation contract on both curves.
 echo "==> fuzz_lite pairing tier"
 if ! ./target/release/fuzz_lite --only pairing --iters 16; then
     echo "fuzz_lite found pairing divergences; paste a replay line from above" >&2
@@ -143,6 +158,19 @@ if ! ZKPERF_CHAOS=20240808 ./target/release/loadgen --jobs 32 --seed 42; then
     echo "serve_smoke failed: see loadgen accounting errors above" >&2
     exit 1
 fi
+
+# Regeneration smoke: EXPERIMENTS.md is filled from what `experiments`
+# writes under results/, so the path the docs depend on runs here once, at
+# the smallest sweep, into a throwaway directory.
+echo "==> experiments smoke: exec_time at 2^3..2^4"
+smoke_results="$(mktemp -d)"
+if ! ZKPERF_RESULTS_DIR="$smoke_results" ZKPERF_MIN_LOG=3 ZKPERF_MAX_LOG=4 \
+    ./target/release/experiments exec_time || [ ! -s "$smoke_results/exec_time.json" ]; then
+    rm -rf "$smoke_results"
+    echo "experiments smoke failed: exec_time did not regenerate" >&2
+    exit 1
+fi
+rm -rf "$smoke_results"
 
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy -D warnings"

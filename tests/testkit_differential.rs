@@ -79,3 +79,34 @@ fn inventory_covers_every_optimized_kernel_family() {
         );
     }
 }
+
+/// What a trace session records is the batched / twisted kernel itself,
+/// not the reference it is pinned to: on the same input the session's
+/// micro-op total is strictly below the reference's.
+#[test]
+fn a_trace_session_records_the_optimized_kernels() {
+    use zkperf::ec::bn254::{pairing, G1Affine, G1Projective, G2Affine};
+    use zkperf::ec::scale_points;
+    use zkperf::ff::{bn254::Fr, test_rng, Field};
+    use zkperf_testkit::reference::{pairing::bn254 as slow, scale_points_reference};
+
+    let mut rng = test_rng();
+    let points: Vec<G1Affine> = (0..64)
+        .map(|_| G1Projective::random(&mut rng).to_affine())
+        .collect();
+    let k = Fr::random(&mut rng);
+    let (p, q) = (points[0], G2Affine::generator());
+    let traced_uops = |kernel: &dyn Fn()| {
+        // Once untraced, so no first-use table lands in the session.
+        kernel();
+        let session = zkperf::trace::Session::begin();
+        kernel();
+        session.finish().counts.total_uops()
+    };
+    let fast = traced_uops(&|| scale_points(&mut points.clone(), &k));
+    let reference = traced_uops(&|| scale_points_reference(&mut points.clone(), &k));
+    assert!(0 < fast && fast < reference, "scale_points {fast} vs reference {reference}");
+    let fast = traced_uops(&|| assert!(!pairing(&p, &q).is_one()));
+    let reference = traced_uops(&|| assert!(!slow::pairing(&p, &q).is_one()));
+    assert!(0 < fast && fast < reference, "pairing {fast} vs reference {reference}");
+}

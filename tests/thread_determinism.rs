@@ -20,7 +20,7 @@ use std::sync::Mutex;
 
 use zkperf::circuit::library;
 use zkperf::core::{measure_cell_backend, BackendKind, Curve, PlonkBackend, ProverBackend, Stage};
-use zkperf::ec::{scale_points_reference, Bn254};
+use zkperf::ec::Bn254;
 use zkperf::ff::{Field, Goldilocks};
 use zkperf::groth16::{contribute, prove, setup, verify};
 use zkperf::io::{write_proof, write_zkey};
@@ -28,6 +28,7 @@ use zkperf::machine::CpuProfile;
 use zkperf::plonk::{plonk_prove, plonk_setup, plonk_verify, Commitment};
 use zkperf::pool;
 use zkperf::stark::StarkParams;
+use zkperf_testkit::reference::scale_points_reference;
 
 /// Held by each test while it owns the process-wide pool size.
 static POOL_SIZE: Mutex<()> = Mutex::new(());
