@@ -1,5 +1,5 @@
-//! Regenerates one table or figure of the paper, or all ten in one run
-//! (E0-E9, sharing the two cached sweeps). See EXPERIMENTS.md for the
+//! Regenerates one table or figure of the paper, or all of them in one run
+//! (E0-E9 and E13, sharing the cached sweeps). See EXPERIMENTS.md for the
 //! paper-vs-measured record.
 //!
 //! usage: `experiments <name|all>`

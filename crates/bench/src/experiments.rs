@@ -1,12 +1,17 @@
-//! The ten experiments (E0-E9) behind the `experiments <name|all>` binary.
+//! The experiments (E0-E9, E13) behind the `experiments <name|all>` binary.
 
 use std::collections::BTreeMap;
 
-use zkperf_core::{analysis, Curve, Stage, StageMeasurement, SweepConfig};
+use serde::Serialize;
+use zkperf_core::{
+    analysis, measure_stage, render, BackendKind, Curve, Groth16Backend, ProverBackend, Stage,
+    StageError, StageMeasurement, SweepConfig, Workload,
+};
+use zkperf_ec::{Bls12_381, Bn254};
 use zkperf_machine::CpuProfile;
 use zkperf_scale::SimCores;
 
-use crate::{emit, sweep_cached};
+use crate::{emit, sweep_cached, sweep_cached_by};
 
 fn main_sweep() -> Vec<StageMeasurement> {
     sweep_cached(&SweepConfig::default(), "main")
@@ -143,8 +148,163 @@ pub fn table6_parallelism() {
     emit("table6_parallelism", &analysis::render_parallelism(&rows), &rows);
 }
 
+/// The traced setup stage of one cell with the key generated by the party
+/// that uses it ([`ProverBackend::setup`]), where the main sweep's setup
+/// stage is the ceremony.
+fn single_party_setup_cell(
+    curve: Curve,
+    cpu: &CpuProfile,
+    constraints: usize,
+    _stages: &[Stage],
+) -> Result<Vec<StageMeasurement>, StageError> {
+    fn run<B: ProverBackend>(
+        cpu: &CpuProfile,
+        constraints: usize,
+    ) -> Result<Vec<StageMeasurement>, StageError> {
+        let mut workload = Workload::<B>::exponentiate(constraints).with_single_party_setup();
+        workload.prepare_for(Stage::Setup)?;
+        Ok(vec![measure_stage(&mut workload, Stage::Setup, cpu)?])
+    }
+    match curve {
+        Curve::Bn128 => run::<Groth16Backend<Bn254>>(cpu, constraints),
+        Curve::Bls12_381 => run::<Groth16Backend<Bls12_381>>(cpu, constraints),
+        Curve::Goldilocks => Err(StageError::UnsupportedCurve {
+            backend: BackendKind::Groth16,
+            curve,
+        }),
+    }
+}
+
+/// One cell of E13: the setup stage both ways.
+#[derive(Debug, Clone, Serialize)]
+pub struct SetupSplitCell {
+    /// Simulated CPU.
+    pub cpu: String,
+    /// Curve.
+    pub curve: Curve,
+    /// Constraint count.
+    pub constraints: usize,
+    /// Simulated seconds of `setup` then `contribute` (the main sweep).
+    pub ceremony_seconds: f64,
+    /// Micro-ops of the same.
+    pub ceremony_uops: u64,
+    /// Simulated seconds of the single-party keygen.
+    pub single_party_seconds: f64,
+    /// Micro-ops of the same.
+    pub single_party_uops: u64,
+    /// `ceremony_seconds / single_party_seconds`.
+    pub ratio: f64,
+}
+
+/// E13's two tables.
+#[derive(Debug, Clone, Serialize)]
+pub struct SetupSplit {
+    /// Per (CPU, curve, size) cell.
+    pub cells: Vec<SetupSplitCell>,
+    /// E0's five-stage shares with the ceremony as the setup stage.
+    pub ceremony_shares: Vec<analysis::ExecTimeRow>,
+    /// The same with the single-party keygen as the setup stage; every
+    /// other stage is the main sweep's.
+    pub single_party_shares: Vec<analysis::ExecTimeRow>,
+}
+
+fn render_setup_split(split: &SetupSplit) -> String {
+    let cells = render::table(
+        &[
+            "cpu",
+            "curve",
+            "2^k",
+            "ceremony s",
+            "ceremony uops",
+            "single-party s",
+            "single-party uops",
+            "ratio",
+        ],
+        &split
+            .cells
+            .iter()
+            .map(|c| {
+                vec![
+                    c.cpu.clone(),
+                    c.curve.to_string(),
+                    c.constraints.trailing_zeros().to_string(),
+                    render::f(c.ceremony_seconds, 4),
+                    c.ceremony_uops.to_string(),
+                    render::f(c.single_party_seconds, 4),
+                    c.single_party_uops.to_string(),
+                    render::f(c.ratio, 2),
+                ]
+            })
+            .collect::<Vec<_>>(),
+    );
+    let shares = render::table(
+        &["stage", "sim seconds", "ceremony %", "sim seconds", "single-party %"],
+        &split
+            .ceremony_shares
+            .iter()
+            .zip(&split.single_party_shares)
+            .map(|(c, s)| {
+                vec![
+                    c.stage.to_string(),
+                    render::f(c.seconds, 4),
+                    render::f(c.percent, 1),
+                    render::f(s.seconds, 4),
+                    render::f(s.percent, 1),
+                ]
+            })
+            .collect::<Vec<_>>(),
+    );
+    format!(
+        "setup stage: ceremony (setup + contribute) vs single-party keygen\n{cells}\n\
+         stage shares, summed over the sweep, with each as the setup stage\n{shares}"
+    )
+}
+
+/// E13 — the setup stage as a ceremony and as a self-generated key.
+pub fn setup_split() {
+    let main = main_sweep();
+    let config = SweepConfig {
+        stages: vec![Stage::Setup],
+        ..SweepConfig::default()
+    };
+    let single = sweep_cached_by(&config, "single-party-setup", single_party_setup_cell);
+    let same_cell = |a: &StageMeasurement, b: &StageMeasurement| {
+        a.machine.cpu == b.machine.cpu && a.curve == b.curve && a.constraints == b.constraints
+    };
+    let cells = single
+        .iter()
+        .filter_map(|s| {
+            let c = main
+                .iter()
+                .find(|m| m.stage == Stage::Setup && same_cell(m, s))?;
+            Some(SetupSplitCell {
+                cpu: s.machine.cpu.clone(),
+                curve: s.curve,
+                constraints: s.constraints,
+                ceremony_seconds: c.machine.seconds(),
+                ceremony_uops: c.counts.total_uops(),
+                single_party_seconds: s.machine.seconds(),
+                single_party_uops: s.counts.total_uops(),
+                ratio: c.machine.seconds() / s.machine.seconds(),
+            })
+        })
+        .collect();
+    let with_single: Vec<StageMeasurement> = main
+        .iter()
+        .filter(|m| m.stage != Stage::Setup)
+        .chain(&single)
+        .cloned()
+        .collect();
+    let split = SetupSplit {
+        cells,
+        ceremony_shares: analysis::exec_time_breakdown(&main),
+        single_party_shares: analysis::exec_time_breakdown(&with_single),
+    };
+    emit("setup_split", &render_setup_split(&split), &split);
+}
+
 /// Every experiment under the name of the `results/` files it writes.
-pub const EXPERIMENTS: [(&str, fn()); 10] = [
+pub const EXPERIMENTS: [(&str, fn()); 11] = [
     ("exec_time", exec_time),
     ("fig4_topdown", fig4_topdown),
     ("fig5_loads_stores", fig5_loads_stores),
@@ -155,9 +315,10 @@ pub const EXPERIMENTS: [(&str, fn()); 10] = [
     ("fig6_strong_scaling", fig6_strong_scaling),
     ("fig7_weak_scaling", fig7_weak_scaling),
     ("table6_parallelism", table6_parallelism),
+    ("setup_split", setup_split),
 ];
 
-/// Regenerates all ten experiments, sharing the cached sweeps.
+/// Regenerates every experiment, sharing the cached sweeps.
 pub fn all() {
     for (_, run) in EXPERIMENTS {
         run();

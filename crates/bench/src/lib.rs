@@ -2,8 +2,8 @@
 //! output, and the default configuration.
 //!
 //! Each experiment regenerates one table or figure of the paper. They share
-//! a measurement sweep cached under `results/` so that running all ten does
-//! not re-simulate the matrix ten times. Delete `results/sweep-*.json` (or
+//! a measurement sweep cached under `results/` so that running all of them
+//! does not re-simulate the matrix each time. Delete `results/sweep-*.json` (or
 //! change `ZKPERF_MIN_LOG`/`ZKPERF_MAX_LOG`) to force fresh measurements.
 //!
 //! The sweep runner is resilient: every cell runs under a bounded-retry
@@ -173,6 +173,24 @@ fn cell_policy() -> RetryPolicy {
 /// whole sweep. Completed cells are checkpointed to the cache after every
 /// cell, so re-running after an interruption resumes mid-sweep.
 pub fn sweep_cached(config: &SweepConfig, cache_name: &str) -> Vec<StageMeasurement> {
+    sweep_cached_by(config, cache_name, measure_cell)
+}
+
+/// What measures one (curve, CPU, constraints, stages) cell of a sweep.
+type MeasureCell = fn(
+    zkperf_core::Curve,
+    &zkperf_machine::CpuProfile,
+    usize,
+    &[zkperf_core::Stage],
+) -> Result<Vec<StageMeasurement>, zkperf_core::StageError>;
+
+/// [`sweep_cached`] with the cells measured by `measure` instead of
+/// [`measure_cell`]; `cache_name` must be one no other `measure` uses.
+fn sweep_cached_by(
+    config: &SweepConfig,
+    cache_name: &str,
+    measure: MeasureCell,
+) -> Vec<StageMeasurement> {
     let path = try_results_dir().map(|d| d.join(format!("sweep-{cache_name}.json")));
     let fingerprint = config_fingerprint(config);
     let mut cached = match &path {
@@ -229,7 +247,7 @@ pub fn sweep_cached(config: &SweepConfig, cache_name: &str) -> Vec<StageMeasurem
         let label = cell_label(curve, cpu.name, log);
         let stages = config.stages.clone();
         let outcome = run_with_retry(&policy, &label, &mut quarantine, move || {
-            measure_cell(curve, &cpu, 1 << log, &stages)
+            measure(curve, &cpu, 1 << log, &stages)
         });
         done += 1;
         match outcome {

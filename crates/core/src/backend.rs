@@ -133,6 +133,21 @@ pub trait ProverBackend: 'static {
     /// The backend's setup error, wrapped in [`StageError`].
     fn setup(r1cs: &R1cs<Self::Fr>, rng: &mut StdRng) -> Result<Self::Keys, StageError>;
 
+    /// Runs setup the way a multi-party ceremony does, for backends where
+    /// that is more work than [`setup`](Self::setup) for the same keys and
+    /// the same `rng` draws (Groth16: key generation, then a phase-2
+    /// contribution by a party who does not know δ). The traced
+    /// [`Workload`](crate::Workload) setup stage runs this one, because
+    /// the paper measured the snarkjs `groth16 setup` + `zkey contribute`
+    /// sequence; everything that just needs keys calls `setup`.
+    ///
+    /// # Errors
+    ///
+    /// As [`setup`](Self::setup).
+    fn setup_ceremony(r1cs: &R1cs<Self::Fr>, rng: &mut StdRng) -> Result<Self::Keys, StageError> {
+        Self::setup(r1cs, rng)
+    }
+
     /// Produces a proof for `witness`.
     ///
     /// # Errors
@@ -251,17 +266,24 @@ where
     }
 
     fn setup(r1cs: &R1cs<E::Fr>, rng: &mut StdRng) -> Result<Self::Keys, StageError> {
+        // snarkjs zkeys need at least one phase-2 contribution before they
+        // are usable. The one party here generates the key and contributes
+        // to it, so the contribution is folded into the key builder.
+        Ok(groth16::setup_contributed::<E, _>(r1cs, rng)?)
+    }
+
+    fn setup_ceremony(r1cs: &R1cs<E::Fr>, rng: &mut StdRng) -> Result<Self::Keys, StageError> {
         let mut pk = groth16::setup::<E, _>(r1cs, rng)?;
         // `groth16::setup` last polls before its G2 batch, and the
-        // contribution is the longer half of a cold build: a deadline that
+        // contribution is the longer half of the ceremony: a deadline that
         // fired in between must not pay for it.
         if zkperf_pool::cancellation_pending() {
             return Err(StageError::Cancelled {
                 stage: Stage::Setup,
             });
         }
-        // snarkjs zkeys need at least one phase-2 contribution before they
-        // are usable; the paper's setup measurement includes it.
+        // The paper's setup measurement is `groth16 setup` followed by
+        // `zkey contribute`: the contributor's sweep over `L` and `H`.
         groth16::contribute::<E, _>(&mut pk, rng);
         Ok(pk)
     }
@@ -557,11 +579,14 @@ mod tests {
         let circuit = exponentiate::<zkperf_ff::bn254::Fr>(8);
         let token = zkperf_pool::CancelToken::with_deadline(std::time::Instant::now());
         let _scope = token.enter();
-        let err = Groth16Backend::<Bn254>::setup(circuit.r1cs(), &mut rng()).err();
-        assert!(
-            err.as_ref().is_some_and(StageError::is_cancellation),
-            "expected a cancellation, got {err:?}"
-        );
+        type B = Groth16Backend<Bn254>;
+        for setup in [B::setup, B::setup_ceremony] {
+            let err = setup(circuit.r1cs(), &mut rng()).err();
+            assert!(
+                err.as_ref().is_some_and(StageError::is_cancellation),
+                "expected a cancellation, got {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -207,6 +207,32 @@ mod tests {
     }
 
     #[test]
+    fn traced_setup_is_the_ceremony_and_backend_setup_does_no_scalar_mul() {
+        type B = crate::backend::Groth16Backend<Bn254>;
+        let cpu = CpuProfile::i7_8650u();
+        let mut w = Workload::<B>::exponentiate(1 << 8);
+        w.prepare_for(Stage::Setup).unwrap();
+        let ceremony = measure_stage(&mut w, Stage::Setup, &cpu).unwrap();
+        assert!(ceremony.region("contribute").is_some());
+        assert!(ceremony.region_uops("scalar_mul") > 0);
+        assert_eq!(
+            ceremony.counts.total_uops(),
+            102_165_929,
+            "the traced setup stage at 2^8 moved: it was 102165929 uops before \
+             `setup_contributed` existed (62833229 of them in `scalar_mul`)"
+        );
+
+        // The same circuit through `B::setup`, as serve and the CLI run it.
+        let mut w = Workload::<B>::exponentiate(1 << 8).with_single_party_setup();
+        w.prepare_for(Stage::Setup).unwrap();
+        let single = measure_stage(&mut w, Stage::Setup, &cpu).unwrap();
+        assert!(single.region("fixed_base_msm").is_some());
+        assert!(single.region("contribute").is_none());
+        assert!(single.region("scalar_mul").is_none());
+        assert!(single.counts.total_uops() < ceremony.counts.total_uops());
+    }
+
+    #[test]
     fn failed_stage_tears_down_the_session_cleanly() {
         let cpu = CpuProfile::i7_8650u();
         let mut w = Workload::<crate::backend::Groth16Backend<Bn254>>::exponentiate(8);

@@ -256,6 +256,7 @@ pub struct Workload<B: ProverBackend> {
     source: String,
     public_inputs: Vec<B::Fr>,
     private_inputs: Vec<B::Fr>,
+    single_party_setup: bool,
     circuit: Option<Circuit<B::Fr>>,
     keys: Option<B::Keys>,
     witness: Option<Witness<B::Fr>>,
@@ -275,6 +276,7 @@ impl<B: ProverBackend> Workload<B> {
             source: library::exponentiate_source(constraints),
             public_inputs: vec![B::Fr::from_u64(3)],
             private_inputs: Vec::new(),
+            single_party_setup: false,
             circuit: None,
             keys: None,
             witness: None,
@@ -317,12 +319,22 @@ impl<B: ProverBackend> Workload<B> {
             source: source.into(),
             public_inputs,
             private_inputs,
+            single_party_setup: false,
             circuit: None,
             keys: None,
             witness: None,
             proof: None,
             verified: None,
         }
+    }
+
+    /// Makes the setup stage generate the keys as the single party that
+    /// will also use them ([`ProverBackend::setup`]). By default the stage
+    /// emulates the toolchain the paper measured and runs
+    /// [`ProverBackend::setup_ceremony`]; the keys are the same either way.
+    pub fn with_single_party_setup(mut self) -> Self {
+        self.single_party_setup = true;
+        self
     }
 
     /// The constraint count this workload targets.
@@ -416,7 +428,14 @@ impl<B: ProverBackend> Workload<B> {
             Stage::Setup => {
                 let circuit = self.circuit.as_ref().ok_or(missing(Stage::Compile))?;
                 let mut rng = workload_rng(1);
-                self.keys = Some(B::setup(circuit.r1cs(), &mut rng)?);
+                // The five stages emulate snarkjs, whose setup is `groth16
+                // setup` then `zkey contribute` (DESIGN §5).
+                let setup = if self.single_party_setup {
+                    B::setup
+                } else {
+                    B::setup_ceremony
+                };
+                self.keys = Some(setup(circuit.r1cs(), &mut rng)?);
             }
             Stage::Witness => {
                 let circuit = self.circuit.as_ref().ok_or(missing(Stage::Compile))?;
@@ -488,14 +507,29 @@ fn staged_sizes<B: ProverBackend>(w: &Workload<B>, stage: Stage) -> (usize, usiz
     }
 }
 
+/// Where the emulated toolchain's buffers sit in the address space. The
+/// simulator sees real addresses, and a 32-byte load crosses a cache line
+/// or not depending on its base modulo 64, so the base must not be
+/// wherever the linker put a byte array this build: a page-aligned anchor,
+/// addressed at fixed in-page offsets (the ones the statics had in the
+/// binary that recorded `results/`; any fixed values would do).
+#[repr(align(4096))]
+struct EmulationAnchor([u8; 4096]);
+static EMULATION_ANCHOR: EmulationAnchor = EmulationAnchor([0; 4096]);
+const STAGE_IO_OFFSET: usize = 0x17f;
+const RUNTIME_HEAP_OFFSET: usize = 0x1bf;
+
+fn emulation_base(offset: usize) -> usize {
+    EMULATION_ANCHOR.0.as_ptr() as usize + offset
+}
+
 /// Streams a stage's file artifacts through the memory system, as the
 /// snarkjs CLI does when it loads/saves `.r1cs`/`.zkey`/`.wtns` files.
 /// These staging copies are what give the paper's setup/proving stages
 /// their multi-GB/s peak-bandwidth windows (Table III).
 pub(crate) fn emit_stage_io(bytes: usize) {
     let _g = trace::region_profile("file_staging");
-    static BUF: [u8; 64] = [0u8; 64];
-    let base = BUF.as_ptr() as usize;
+    let base = emulation_base(STAGE_IO_OFFSET);
     let mut remaining = bytes;
     let mut offset = 0usize;
     while remaining > 0 {
@@ -520,8 +554,7 @@ pub fn emit_runtime_init() {
     let _g = trace::region_profile("runtime_init");
     // Streaming the module image into the heap.
     const MODULE_BYTES: usize = 128 << 10;
-    static BACKING: [u8; 4096] = [0u8; 4096];
-    let base = BACKING.as_ptr() as usize;
+    let base = emulation_base(RUNTIME_HEAP_OFFSET);
     trace::alloc(MODULE_BYTES);
     trace::memcpy(base, base + (64 << 20), MODULE_BYTES);
     // Parse/compile loop: mixed ops with data-dependent branches.

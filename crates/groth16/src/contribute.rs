@@ -2,11 +2,15 @@
 //!
 //! A Groth16 zkey produced by `snarkjs groth16 setup` is not usable until
 //! at least one participant has contributed randomness to the phase-2
-//! ceremony; the paper's `setup` stage measurement therefore includes this
-//! pass, which re-randomizes δ and multiplies every δ-divided key section
-//! by the one scalar `d⁻¹` ([`zkperf_ec::scale_points`]). It dominates the
-//! stage's time and memory traffic (the paper's 76.1% share and 1000×
-//! loads).
+//! ceremony. A contributor does not know δ, so the pass re-randomizes δ
+//! and multiplies every δ-divided key point by the one scalar `d⁻¹`
+//! ([`zkperf_ec::scale_points`]): a variable-base sweep that costs several
+//! times the key generation it follows. The paper's `setup` stage is the
+//! two together, and this pass is what gives that stage its 76.1% share
+//! and 1000× loads; the traced `Workload` setup stage runs it for that
+//! reason (`ProverBackend::setup_ceremony`). A party generating a key for
+//! itself knows δ and needs no sweep: [`setup_contributed`](crate::setup_contributed)
+//! produces the same key from the same RNG draws.
 
 use rand::Rng;
 
@@ -39,7 +43,7 @@ pub fn contribute<E: Engine, R: Rng + ?Sized>(pk: &mut ProvingKey<E>, rng: &mut 
         .to_affine();
 
     // Every δ-divided element picks up d⁻¹, in place: the O(n) sweep that
-    // makes setup the heaviest stage.
+    // makes a ceremony's setup the heaviest stage.
     scale_points(&mut pk.l_query, &d_inv);
     scale_points(&mut pk.h_query, &d_inv);
 }

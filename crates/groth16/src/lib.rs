@@ -14,6 +14,13 @@
 //! two over a resident [`ProvingKey`]; `zkperf-io` implements the traits
 //! over a file.
 //!
+//! A key needs one phase-2 contribution before it is usable. There are two
+//! verbs for that: [`contribute`], the ceremony step a party who does not
+//! know δ applies to someone else's key, and [`setup_contributed`], the
+//! key builder run by the single party who generates a key for itself —
+//! the same bytes as [`setup`] then [`contribute`], at the cost of
+//! [`setup`] alone.
+//!
 //! # Examples
 //!
 //! ```
@@ -47,7 +54,7 @@ pub use key::{Proof, ProvingKey, VerifyingKey};
 pub use prepared::PreparedVerifyingKey;
 pub use prove::{prove, prove_streamed, ProveError};
 pub use qap::{compute_h_coefficients, evaluate_constraints, evaluate_matrices_at};
-pub use setup::{setup, setup_streamed, SetupError};
+pub use setup::{setup, setup_contributed, setup_streamed, SetupError};
 pub use stream::{
     ChunkedKey, FixedParts, G1Chunks, G1Query, G2Chunks, MemorySink, QuerySink, QuerySource,
     StreamError, StreamHeader, G1_QUERIES,

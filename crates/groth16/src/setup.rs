@@ -1,8 +1,10 @@
 //! The `setup` stage: trusted parameter generation.
 //!
-//! One key builder, [`setup_streamed`], emits the query vectors chunk by
-//! chunk into a [`QuerySink`]; [`setup`] collects them into a resident
-//! [`ProvingKey`] through a [`MemorySink`]. The query scalars are built by
+//! One key builder emits the query vectors chunk by chunk into a
+//! [`QuerySink`]: [`setup_streamed`] is that builder, [`setup`] collects
+//! its chunks into a resident [`ProvingKey`] through a [`MemorySink`], and
+//! [`setup_contributed`] is [`setup`] with one phase-2 contribution folded
+//! into δ before the group phase. The query scalars are built by
 //! `zkperf-pool` jobs over `SCALAR_GRAIN`-scalar chunks — one body each,
 //! inline on the caller when the pool says so.
 
@@ -73,8 +75,40 @@ pub fn setup<E: Engine, R: Rng + ?Sized>(
     r1cs: &R1cs<E::Fr>,
     rng: &mut R,
 ) -> Result<ProvingKey<E>, SetupError> {
+    setup_resident(r1cs, rng, false)
+}
+
+/// [`setup`] followed by one [`contribute`](crate::contribute), for the
+/// party that runs both: the same key, byte for byte, and the same RNG
+/// draws (τ, α, β, γ, δ, then the contribution's `d`), without the
+/// contribution's variable-base sweep.
+///
+/// A phase-2 contributor multiplies every `L` and `H` point by `d⁻¹`
+/// because they do not know δ. The caller of this function drew δ a
+/// moment earlier, so it uses `δ·d` and `(δ·d)⁻¹` in the scalar phase and
+/// the fixed-base pass emits the contributed key directly. Trust
+/// assumptions are those of `setup` then `contribute` by one party, who
+/// held both δ and `d` either way; a key other parties will contribute
+/// to goes through [`setup`] and [`contribute`](crate::contribute).
+///
+/// # Errors
+///
+/// As [`setup`].
+pub fn setup_contributed<E: Engine, R: Rng + ?Sized>(
+    r1cs: &R1cs<E::Fr>,
+    rng: &mut R,
+) -> Result<ProvingKey<E>, SetupError> {
+    setup_resident(r1cs, rng, true)
+}
+
+/// The key builder into a [`MemorySink`].
+fn setup_resident<E: Engine, R: Rng + ?Sized>(
+    r1cs: &R1cs<E::Fr>,
+    rng: &mut R,
+    contributed: bool,
+) -> Result<ProvingKey<E>, SetupError> {
     let mut sink = MemorySink::<E>::new();
-    setup_streamed(r1cs, rng, resident_chunk_points::<E>(), &mut sink)?;
+    build_key(r1cs, rng, resident_chunk_points::<E>(), &mut sink, contributed)?;
     sink.into_proving_key()
         .ok_or_else(|| SetupError::Sink(StreamError::msg("key sink was never finished")))
 }
@@ -83,11 +117,13 @@ pub fn setup<E: Engine, R: Rng + ?Sized>(
 /// chunks of `chunk_points` points.
 ///
 /// The toxic waste `(τ, α, β, γ, δ)` is sampled from `rng` and dropped on
-/// return. Dominated by fixed-base multi-exponentiation — this is the
-/// paper's most time-consuming stage (76.1% of total execution time).
-/// The RNG draws and the emitted points do not depend on `chunk_points`
-/// (affine coordinates are canonical), so a key streamed to disk and read
-/// back equals the resident one byte for byte. Emission order: header,
+/// return. Dominated by fixed-base multi-exponentiation: the G1 query
+/// batches. (The paper's 76.1%-of-execution-time setup
+/// stage is this plus a ceremony [`contribute`](crate::contribute), which
+/// is the larger part.) The RNG draws and the emitted points do not
+/// depend on `chunk_points` (affine coordinates are canonical), so a key
+/// streamed to disk and read back equals the resident one byte for
+/// byte. Emission order: header,
 /// then the [`crate::G1_QUERIES`] in order, then the G2 query, then the
 /// fixed parts.
 ///
@@ -104,6 +140,20 @@ pub fn setup_streamed<E: Engine, R: Rng + ?Sized, S: QuerySink<E>>(
     rng: &mut R,
     chunk_points: usize,
     sink: &mut S,
+) -> Result<VerifyingKey<E>, SetupError> {
+    build_key(r1cs, rng, chunk_points, sink, false)
+}
+
+/// The one key builder. With `contributed`, one more invertible scalar
+/// `d` is drawn after δ and the key is built for `δ·d`: what
+/// [`contribute`](crate::contribute) would turn the plain key into with
+/// the same `rng`.
+fn build_key<E: Engine, R: Rng + ?Sized, S: QuerySink<E>>(
+    r1cs: &R1cs<E::Fr>,
+    rng: &mut R,
+    chunk_points: usize,
+    sink: &mut S,
+    contributed: bool,
 ) -> Result<VerifyingKey<E>, SetupError> {
     let _g = trace::region_profile("setup");
     let domain =
@@ -136,7 +186,12 @@ pub fn setup_streamed<E: Engine, R: Rng + ?Sized, S: QuerySink<E>>(
     };
     let (alpha, beta) = (nonzero(rng), nonzero(rng));
     let (gamma, gamma_inv) = invertible(rng);
-    let (delta, delta_inv) = invertible(rng);
+    let (mut delta, mut delta_inv) = invertible(rng);
+    if contributed {
+        let (d, d_inv) = invertible(rng);
+        delta *= d;
+        delta_inv *= d_inv;
+    }
 
     if pool::cancellation_pending() {
         return Err(SetupError::Cancelled);
@@ -257,5 +312,64 @@ mod tests {
         );
         assert_eq!(pk.h_query.len(), pk.domain_size);
         assert_eq!(pk.domain_size, 16); // 10 constraints → 16-point domain
+    }
+
+    /// Counts chunks and cancels the ambient token on receiving the
+    /// `cancel_at`-th.
+    struct CancellingSink {
+        token: pool::CancelToken,
+        cancel_at: usize,
+        chunks: usize,
+    }
+
+    impl CancellingSink {
+        fn chunk(&mut self) -> Result<(), StreamError> {
+            self.chunks += 1;
+            if self.chunks == self.cancel_at {
+                self.token.cancel();
+            }
+            Ok(())
+        }
+    }
+
+    impl QuerySink<Bn254> for CancellingSink {
+        fn begin(&mut self, _: &StreamHeader) -> Result<(), StreamError> {
+            Ok(())
+        }
+        fn g1_chunk(
+            &mut self,
+            _: G1Query,
+            _: &[zkperf_ec::Affine<<Bn254 as Engine>::G1>],
+        ) -> Result<(), StreamError> {
+            self.chunk()
+        }
+        fn g2_chunk(
+            &mut self,
+            _: &[zkperf_ec::Affine<<Bn254 as Engine>::G2>],
+        ) -> Result<(), StreamError> {
+            self.chunk()
+        }
+        fn finish(&mut self, _: &FixedParts<Bn254>) -> Result<(), StreamError> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_cancellation_mid_build_stops_at_the_next_chunk_boundary() {
+        let circuit = exponentiate::<zkperf_ff::bn254::Fr>(10);
+        let build = |cancel_at: usize| {
+            let token = pool::CancelToken::new();
+            let _scope = token.enter();
+            let mut sink = CancellingSink { token: token.clone(), cancel_at, chunks: 0 };
+            let built = build_key(circuit.r1cs(), &mut zkperf_ff::test_rng(), 4, &mut sink, true);
+            (built.map(|_| ()), sink.chunks)
+        };
+        let (built, total) = build(usize::MAX);
+        assert_eq!(built, Ok(()));
+        // Every boundary, G1 to G2 included: no chunk is computed after the
+        // one during which the token fired.
+        for cancel_at in 1..total {
+            assert_eq!(build(cancel_at), (Err(SetupError::Cancelled), cancel_at));
+        }
     }
 }

@@ -14,7 +14,7 @@ use zkperf_circuit::library::exponentiate;
 use zkperf_ec::Bn254;
 use zkperf_ff::bn254::Fr;
 use zkperf_ff::Field;
-use zkperf_groth16::{contribute, prove, setup, verify, Proof, VerifyingKey};
+use zkperf_groth16::{prove, setup_contributed, verify, Proof, VerifyingKey};
 use zkperf_io::{
     read_proof, read_vkey, read_witness, write_proof, write_vkey, write_witness,
 };
@@ -33,8 +33,7 @@ struct Fixture {
 fn fixture() -> Fixture {
     let circuit = exponentiate::<Fr>(4);
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xfacade);
-    let mut pk = setup::<Bn254, _>(circuit.r1cs(), &mut rng).unwrap();
-    contribute::<Bn254, _>(&mut pk, &mut rng);
+    let pk = setup_contributed::<Bn254, _>(circuit.r1cs(), &mut rng).unwrap();
     let witness = circuit
         .generate_witness(&[Fr::from_u64(3)], &[])
         .unwrap();

@@ -147,8 +147,8 @@ impl<B: ProverBackend> ArtifactCache<B> {
 
         // The instruction stream is required for witness generation, so
         // the compile always runs; the disk artifacts exist to skip the
-        // trusted setup (the paper's 76%-of-runtime stage) and to
-        // cross-check the compile output.
+        // trusted setup (most of a cold build, about as long as a prove of
+        // the same circuit) and to cross-check the compile output.
         let start = std::time::Instant::now();
         let circuit = lang::compile::<B::Fr>(&spec.source)?;
         self.reconcile_r1cs(key, &circuit)?;

@@ -2,8 +2,9 @@
 # Benchmark-regression harness.
 #
 # Runs the wall-clock benches (kernel micro-benches, including the
-# phase-2 contribution sweep bn254_contribute_2e12 that the stage rows'
-# setup column leaves out, the PLONK rows bn254_plonk_setup_2e12 and
+# ceremony's phase-2 contribution sweep bn254_contribute_2e12 — the only
+# timed ceremony number; the stage rows' setup column is what a
+# single-party keygen costs — the PLONK rows bn254_plonk_setup_2e12 and
 # bn254_plonk_prove_2e12 and the STARK rows stark_prove_2e14, stark_verify
 # and goldilocks_poseidon_x4, plus the combined Groth16 setup+prove path on
 # the exponentiation workloads at 2^10..2^14), writes

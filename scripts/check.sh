@@ -5,14 +5,17 @@
 #   2. the full test suite (unit + integration + property tests)
 #   3. clippy with -D warnings
 #
-# Before any of that, two grep gates. No kernel crate may read the pool
+# Before any of that, three grep gates. No kernel crate may read the pool
 # size (`current_threads()`), so a hand-rolled "small input or one thread,
 # take the serial twin" gate cannot come back — kernels state a grain and
 # the pool decides (DESIGN.md §9/§10). And no crate may ask the tracer
 # whether a session is recording (`is_active()`) except the five files
 # whose test guards a block of trace hooks, nor read a `ZKPERF_NO_*`
 # switch: a trace session observes the kernel that ships, so nothing may
-# swap in another one under it (DESIGN.md §9).
+# swap in another one under it (DESIGN.md §9). And `zkperf-core` and
+# `zkperf-serve` call `groth16::contribute` in one place, the body of
+# `ProverBackend::setup_ceremony`: key generation for one's own use is
+# `setup_contributed`, which needs no sweep (DESIGN.md §5).
 #
 # Six library crates (zkperf-core, zkperf-groth16, zkperf-io,
 # zkperf-pool, zkperf-resilience, zkperf-serve) additionally deny
@@ -41,6 +44,15 @@ if grep -rn 'is_active()' crates/{ec,poly,groth16,plonk,io,core,serve}/src ||
 fi
 if grep -rn 'env::var("ZKPERF_NO_' crates; then
     echo "no ZKPERF_NO_* switch: a second algorithm behind an env knob is a second code path" >&2
+    exit 1
+fi
+
+echo "==> grep gate: core and serve run contribute only inside setup_ceremony"
+if grep -rn 'contribute::<' crates/{core,serve}/src | grep -v '^crates/core/src/backend.rs:' ||
+    awk '/^    fn /{inside = /fn setup_ceremony\(/}
+         /contribute::</ && !inside {print FILENAME ":" FNR ":" $0; bad = 1}
+         END {exit !bad}' crates/core/src/backend.rs; then
+    echo "whoever just needs keys calls B::setup (groth16::setup_contributed): the contribution sweep is the ceremony's" >&2
     exit 1
 fi
 
@@ -162,14 +174,16 @@ fi
 # Regeneration smoke: EXPERIMENTS.md is filled from what `experiments`
 # writes under results/, so the path the docs depend on runs here once, at
 # the smallest sweep, into a throwaway directory.
-echo "==> experiments smoke: exec_time at 2^3..2^4"
+echo "==> experiments smoke: exec_time and setup_split at 2^3..2^4"
 smoke_results="$(mktemp -d)"
-if ! ZKPERF_RESULTS_DIR="$smoke_results" ZKPERF_MIN_LOG=3 ZKPERF_MAX_LOG=4 \
-    ./target/release/experiments exec_time || [ ! -s "$smoke_results/exec_time.json" ]; then
-    rm -rf "$smoke_results"
-    echo "experiments smoke failed: exec_time did not regenerate" >&2
-    exit 1
-fi
+for name in exec_time setup_split; do
+    if ! ZKPERF_RESULTS_DIR="$smoke_results" ZKPERF_MIN_LOG=3 ZKPERF_MAX_LOG=4 \
+        ./target/release/experiments "$name" || [ ! -s "$smoke_results/$name.json" ]; then
+        rm -rf "$smoke_results"
+        echo "experiments smoke failed: $name did not regenerate" >&2
+        exit 1
+    fi
+done
 rm -rf "$smoke_results"
 
 if cargo clippy --version >/dev/null 2>&1; then

@@ -19,6 +19,7 @@ mapping = {
     "table5": "table5_opcode_mix.txt",
     "table6": "table6_parallelism.txt",
     "plonk": "plonk_vs_groth16.txt",
+    "setup_split": "setup_split.txt",
 }
 STAGES = ["Compile", "Setup", "Witness", "Proving", "Verifying"]
 

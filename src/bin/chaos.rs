@@ -28,7 +28,7 @@ use zkperf_circuit::library::exponentiate;
 use zkperf_ec::Bn254;
 use zkperf_ff::bn254::Fr;
 use zkperf_ff::Field;
-use zkperf_groth16::{contribute, prove, setup, verify};
+use zkperf_groth16::{prove, setup_contributed, verify};
 use zkperf_io::{
     read_proof, read_r1cs, read_vkey, read_witness, read_zkey, write_proof, write_r1cs,
     write_vkey, write_witness, write_zkey,
@@ -78,8 +78,7 @@ struct Artifacts {
 fn build_artifacts() -> Artifacts {
     let circuit = exponentiate::<Fr>(8);
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xc4a0_5eed);
-    let mut pk = setup::<Bn254, _>(circuit.r1cs(), &mut rng).expect("chaos setup");
-    contribute::<Bn254, _>(&mut pk, &mut rng);
+    let pk = setup_contributed::<Bn254, _>(circuit.r1cs(), &mut rng).expect("chaos setup");
     let witness = circuit
         .generate_witness(&[Fr::from_u64(3)], &[])
         .expect("chaos witness");

@@ -48,8 +48,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         ["setup", r1cs_path, zkey_out, vkey_out] => {
             let r1cs = zkio::read_r1cs::<Fr>(&mut BufReader::new(File::open(r1cs_path)?))?;
             let mut rng = rand::thread_rng();
-            let mut pk = groth16::setup::<Bn254, _>(&r1cs, &mut rng)?;
-            groth16::contribute::<Bn254, _>(&mut pk, &mut rng);
+            let pk = groth16::setup_contributed::<Bn254, _>(&r1cs, &mut rng)?;
             zkio::write_zkey(&mut BufWriter::new(File::create(zkey_out)?), &pk)?;
             zkio::write_vkey(&mut BufWriter::new(File::create(vkey_out)?), &pk.vk)?;
             println!(

@@ -15,7 +15,7 @@ use zkperf::ec::{Bls12_381, Bn254};
 use zkperf::ff::{Field, PrimeField};
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 /// Depth of the Merkle-membership acceptance workload.
 const MERKLE_DEPTH: usize = 20;
@@ -141,6 +141,48 @@ fn acceptance_workloads_run_through_all_three_backends() {
     conformance_pass::<Groth16Backend<Bn254>>(1 << 14, MERKLE_DEPTH);
     conformance_pass::<PlonkBackend<Bn254>>(1 << 14, MERKLE_DEPTH);
     conformance_pass::<StarkBackend>(1 << 14, MERKLE_DEPTH);
+}
+
+/// `setup_ceremony` is `setup` done the expensive way: the same `rng`
+/// draws, and keys that prove to the same bytes and verify each other's
+/// proofs. Returns both key sets for a backend-specific comparison.
+fn assert_ceremony_matches_setup<B: ProverBackend>() -> (B::Keys, B::Keys) {
+    let label = B::label();
+    let (circuit, w) = exponentiate_fixture::<B::Fr>(1 << 6);
+    let mut rng = StdRng::seed_from_u64(0x5eed_c0de);
+    let mut ceremony_rng = rng.clone();
+    let keys = B::setup(circuit.r1cs(), &mut rng).unwrap();
+    let ceremony = B::setup_ceremony(circuit.r1cs(), &mut ceremony_rng).unwrap();
+    assert_eq!(
+        rng.clone().next_u64(),
+        ceremony_rng.clone().next_u64(),
+        "{label}: setup and setup_ceremony leave the RNG at different positions"
+    );
+    assert_eq!(B::keys_size_bytes(&keys), B::keys_size_bytes(&ceremony));
+    let proof = B::prove(&keys, circuit.r1cs(), &w, &mut rng).unwrap();
+    let by_ceremony = B::prove(&ceremony, circuit.r1cs(), &w, &mut ceremony_rng).unwrap();
+    assert_eq!(
+        B::encode_proof(&proof),
+        B::encode_proof(&by_ceremony),
+        "{label}: the two key sets prove to different bytes"
+    );
+    assert!(B::verify(&keys, circuit.r1cs(), &by_ceremony, w.public()).unwrap());
+    assert!(B::verify(&ceremony, circuit.r1cs(), &proof, w.public()).unwrap());
+    (keys, ceremony)
+}
+
+#[test]
+fn setup_ceremony_builds_the_keys_setup_builds() {
+    // Groth16 overrides the ceremony (setup, then a contribution by sweep);
+    // its keys compare field for field on both curves.
+    let (keys, ceremony) = assert_ceremony_matches_setup::<Groth16Backend<Bn254>>();
+    assert_eq!(keys, ceremony);
+    let (keys, ceremony) = assert_ceremony_matches_setup::<Groth16Backend<Bls12_381>>();
+    assert_eq!(keys, ceremony);
+    // PLONK and STARK have no contribution: the provided default.
+    assert_ceremony_matches_setup::<PlonkBackend<Bn254>>();
+    let (params, ceremony) = assert_ceremony_matches_setup::<StarkBackend>();
+    assert_eq!(params, ceremony);
 }
 
 #[test]

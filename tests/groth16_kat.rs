@@ -9,16 +9,23 @@
 //! chunking-invariance suites (`stream_*` oracles, the unit tests in
 //! `groth16::stream` and `io::stream`) compare against a value that no
 //! refactor of both sides at once can move.
+//!
+//! The `<case>.contributed.*` lines are the once-contributed key and a
+//! proof under it, recorded from `setup` → `contribute` → `prove` one
+//! commit before `setup_contributed` existed. The ceremony sequence and
+//! the single-party key builder must both reproduce them.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use zkperf::circuit::library::{
     exponentiate, merkle_membership_poseidon, merkle_path_inputs_poseidon, multiplier_chain,
 };
 use zkperf::circuit::{Circuit, Witness};
 use zkperf::ec::{Bls12_381, Bn254, CurveParams, Engine};
 use zkperf::ff::Field;
-use zkperf::groth16::{prove, prove_streamed, setup, setup_streamed, verify};
+use zkperf::groth16::{
+    contribute, prove, prove_streamed, setup, setup_contributed, setup_streamed, verify, ProvingKey,
+};
 use zkperf::io::{
     write_proof, write_vkey, write_zkey, FieldCodec, StreamedZkeyReader, StreamedZkeyWriter,
 };
@@ -62,23 +69,75 @@ where
     bytes
 }
 
+/// Proves under `pk` with `rng` and checks the `.zkey`, `.vkey` and
+/// `.proof` lines of `name`.
+fn check_key<E: Engine>(
+    name: &str,
+    context: &str,
+    pk: &ProvingKey<E>,
+    rng: &mut StdRng,
+    circuit: &Circuit<E::Fr>,
+    w: &Witness<E::Fr>,
+) -> zkperf::groth16::Proof<E>
+where
+    <E::G1 as CurveParams>::Base: FieldCodec,
+    <E::G2 as CurveParams>::Base: FieldCodec,
+{
+    let proof = prove::<E, _>(pk, circuit.r1cs(), w, rng).unwrap();
+    assert!(verify::<E>(&pk.vk, &proof, w.public()).unwrap());
+    let (mut zkey, mut vkey) = (Vec::new(), Vec::new());
+    write_zkey::<E>(&mut zkey, pk).unwrap();
+    write_vkey::<E>(&mut vkey, &pk.vk).unwrap();
+    check(&format!("{name}.zkey"), context, &zkey);
+    check(&format!("{name}.vkey"), context, &vkey);
+    check(&format!("{name}.proof"), context, &proof_bytes::<E>(&proof));
+    proof
+}
+
 /// Setup → prove → verify through the resident entry points under the
-/// ambient pool size and budget.
+/// ambient pool size and budget: the bare key, then the once-contributed
+/// key two ways — the ceremony sequence (`setup` then `contribute`, which
+/// recorded the `.contributed.` lines) and the single-party
+/// `setup_contributed` — which must also leave the RNG at the same
+/// position, so the `prove` that follows draws the same `r`, `s`.
 fn check_resident<E: Engine>(name: &str, context: &str, circuit: &Circuit<E::Fr>, w: &Witness<E::Fr>)
 where
     <E::G1 as CurveParams>::Base: FieldCodec,
     <E::G2 as CurveParams>::Base: FieldCodec,
 {
-    let mut rng = rng();
-    let pk = setup::<E, _>(circuit.r1cs(), &mut rng).unwrap();
-    let proof = prove::<E, _>(&pk, circuit.r1cs(), w, &mut rng).unwrap();
-    assert!(verify::<E>(&pk.vk, &proof, w.public()).unwrap());
-    let (mut zkey, mut vkey) = (Vec::new(), Vec::new());
-    write_zkey::<E>(&mut zkey, &pk).unwrap();
-    write_vkey::<E>(&mut vkey, &pk.vk).unwrap();
-    check(&format!("{name}.zkey"), context, &zkey);
-    check(&format!("{name}.vkey"), context, &vkey);
-    check(&format!("{name}.proof"), context, &proof_bytes::<E>(&proof));
+    let mut plain_rng = rng();
+    let pk = setup::<E, _>(circuit.r1cs(), &mut plain_rng).unwrap();
+    check_key::<E>(name, context, &pk, &mut plain_rng, circuit, w);
+
+    let contributed = format!("{name}.contributed");
+    let mut ceremony_rng = rng();
+    let mut ceremony = setup::<E, _>(circuit.r1cs(), &mut ceremony_rng).unwrap();
+    contribute::<E, _>(&mut ceremony, &mut ceremony_rng);
+    let mut fused_rng = rng();
+    let fused = setup_contributed::<E, _>(circuit.r1cs(), &mut fused_rng).unwrap();
+    assert_eq!(
+        ceremony_rng.clone().next_u64(),
+        fused_rng.clone().next_u64(),
+        "`{contributed}` ({context}): the two keygens leave the RNG at different positions"
+    );
+    let by_ceremony = check_key::<E>(
+        &contributed,
+        &format!("{context}, setup then contribute"),
+        &ceremony,
+        &mut ceremony_rng,
+        circuit,
+        w,
+    );
+    let by_fused = check_key::<E>(
+        &contributed,
+        &format!("{context}, setup_contributed"),
+        &fused,
+        &mut fused_rng,
+        circuit,
+        w,
+    );
+    assert!(verify::<E>(&fused.vk, &by_ceremony, w.public()).unwrap());
+    assert!(verify::<E>(&ceremony.vk, &by_fused, w.public()).unwrap());
 }
 
 /// Setup streamed to a chunked `.zkey` file, the proof produced off that
