@@ -152,6 +152,7 @@ pub fn table6_parallelism() {
 /// that uses it ([`ProverBackend::setup`]), where the main sweep's setup
 /// stage is the ceremony.
 fn single_party_setup_cell(
+    backend: BackendKind,
     curve: Curve,
     cpu: &CpuProfile,
     constraints: usize,
@@ -165,13 +166,14 @@ fn single_party_setup_cell(
         workload.prepare_for(Stage::Setup)?;
         Ok(vec![measure_stage(&mut workload, Stage::Setup, cpu)?])
     }
-    match curve {
-        Curve::Bn128 => run::<Groth16Backend<Bn254>>(cpu, constraints),
-        Curve::Bls12_381 => run::<Groth16Backend<Bls12_381>>(cpu, constraints),
-        Curve::Goldilocks => Err(StageError::UnsupportedCurve {
-            backend: BackendKind::Groth16,
-            curve,
-        }),
+    // Only Groth16 has a ceremony that differs from its single-party
+    // keygen, so only its cells have a split to measure.
+    match (backend, curve) {
+        (BackendKind::Groth16, Curve::Bn128) => run::<Groth16Backend<Bn254>>(cpu, constraints),
+        (BackendKind::Groth16, Curve::Bls12_381) => {
+            run::<Groth16Backend<Bls12_381>>(cpu, constraints)
+        }
+        _ => Err(StageError::UnsupportedCurve { backend, curve }),
     }
 }
 

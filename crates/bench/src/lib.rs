@@ -20,13 +20,16 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use serde::{de::DeserializeOwned, Deserialize, Serialize};
-use zkperf_core::{measure_cell, StageMeasurement, SweepConfig};
+use serde::{Deserialize, Serialize};
+use zkperf_core::{
+    measure_cell_backend, BackendKind, Curve, Stage, StageError, StageMeasurement, SweepConfig,
+};
+use zkperf_machine::CpuProfile;
 use zkperf_resilience::{run_with_retry, Quarantine, RetryPolicy, RunOutcome};
 
 /// Bump when [`CachedSweep`]'s shape changes; older caches (including the
 /// pre-versioned format) are treated as misses, never as parse errors.
-const CACHE_FORMAT_VERSION: u32 = 2;
+const CACHE_FORMAT_VERSION: u32 = 3;
 
 /// Directory all experiment outputs land in, or `None` (with a logged
 /// warning) when it cannot be created — callers then run uncached.
@@ -43,19 +46,6 @@ pub fn try_results_dir() -> Option<PathBuf> {
             None
         }
     }
-}
-
-/// Directory all experiment outputs land in.
-///
-/// Kept for callers that only build paths; the directory may not exist if
-/// creation failed (a warning is printed and writes degrade gracefully).
-pub fn results_dir() -> PathBuf {
-    let dir = std::env::var("ZKPERF_RESULTS_DIR").unwrap_or_else(|_| "results".into());
-    let path = PathBuf::from(dir);
-    // Best-effort creation; on failure the warning is printed and later
-    // reads simply miss.
-    let _ = try_results_dir();
-    path
 }
 
 fn config_fingerprint(config: &SweepConfig) -> String {
@@ -173,19 +163,22 @@ fn cell_policy() -> RetryPolicy {
 /// whole sweep. Completed cells are checkpointed to the cache after every
 /// cell, so re-running after an interruption resumes mid-sweep.
 pub fn sweep_cached(config: &SweepConfig, cache_name: &str) -> Vec<StageMeasurement> {
-    sweep_cached_by(config, cache_name, measure_cell)
+    sweep_cached_by(config, cache_name, measure_cell_backend)
 }
 
-/// What measures one (curve, CPU, constraints, stages) cell of a sweep.
+/// What measures one (backend, curve, CPU, constraints, stages) cell of a
+/// sweep.
 type MeasureCell = fn(
-    zkperf_core::Curve,
-    &zkperf_machine::CpuProfile,
+    BackendKind,
+    Curve,
+    &CpuProfile,
     usize,
-    &[zkperf_core::Stage],
-) -> Result<Vec<StageMeasurement>, zkperf_core::StageError>;
+    &[Stage],
+) -> Result<Vec<StageMeasurement>, StageError>;
 
 /// [`sweep_cached`] with the cells measured by `measure` instead of
-/// [`measure_cell`]; `cache_name` must be one no other `measure` uses.
+/// [`measure_cell_backend`]; `cache_name` must be one no other `measure`
+/// uses.
 fn sweep_cached_by(
     config: &SweepConfig,
     cache_name: &str,
@@ -198,26 +191,12 @@ fn sweep_cached_by(
         None => CachedSweep::empty(fingerprint.clone()),
     };
 
-    let cells: Vec<(zkperf_core::Curve, zkperf_machine::CpuProfile, u32)> = config
-        .curves
-        .iter()
-        .flat_map(|&curve| {
-            config.cpus.iter().flat_map(move |cpu| {
-                config
-                    .log_sizes
-                    .iter()
-                    .map(move |&log| (curve, cpu.clone(), log))
-            })
-        })
-        .collect();
+    let cells = config.cells();
     let total = cells.len();
     let pending: Vec<_> = cells
         .into_iter()
-        .filter(|(curve, cpu, log)| {
-            !cached
-                .completed_cells
-                .contains(&cell_label(*curve, cpu.name, *log))
-        })
+        .map(|cell| (cell_label(cell), cell))
+        .filter(|(label, _)| !cached.completed_cells.contains(label))
         .collect();
 
     if pending.is_empty() {
@@ -243,11 +222,10 @@ fn sweep_cached_by(
     let policy = cell_policy();
     let mut quarantine = Quarantine::new(1);
     let mut done = total - pending.len();
-    for (curve, cpu, log) in pending {
-        let label = cell_label(curve, cpu.name, log);
-        let stages = config.stages.clone();
+    for (label, (backend, curve, cpu, log)) in pending {
+        let (cpu, stages) = (cpu.clone(), config.stages.clone());
         let outcome = run_with_retry(&policy, &label, &mut quarantine, move || {
-            measure(curve, &cpu, 1 << log, &stages)
+            measure(backend, curve, &cpu, 1 << log, &stages)
         });
         done += 1;
         match outcome {
@@ -291,8 +269,9 @@ fn sweep_cached_by(
     cached.measurements
 }
 
-fn cell_label(curve: zkperf_core::Curve, cpu: &str, log: u32) -> String {
-    format!("{curve:?}/{cpu}/2^{log}")
+/// The cache key of one [`SweepConfig::cells`] entry.
+fn cell_label((backend, curve, cpu, log): (BackendKind, Curve, &CpuProfile, u32)) -> String {
+    format!("{backend}/{curve:?}/{}/2^{log}", cpu.name)
 }
 
 /// Writes an experiment's text rendering and JSON rows side by side and
@@ -316,22 +295,9 @@ pub fn emit<T: Serialize>(name: &str, text: &str, rows: &T) {
     println!("{text}");
 }
 
-/// Loads a previously emitted JSON artifact (used by tests).
-pub fn load_rows<T: DeserializeOwned>(name: &str) -> Option<T> {
-    let path = results_dir().join(format!("{name}.json"));
-    read_json(&path)
-}
-
-fn read_json<T: DeserializeOwned>(path: &Path) -> Option<T> {
-    let bytes = fs::read(path).ok()?;
-    serde_json::from_slice(&bytes).ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zkperf_core::{Curve, Stage};
-    use zkperf_machine::CpuProfile;
 
     fn tiny_config() -> SweepConfig {
         SweepConfig {
@@ -339,7 +305,61 @@ mod tests {
             cpus: vec![CpuProfile::i7_8650u()],
             curves: vec![Curve::Bn128],
             stages: vec![Stage::Witness],
-            backends: vec![zkperf_core::BackendKind::Groth16],
+            backends: vec![BackendKind::Groth16],
+        }
+    }
+
+    fn results_dir() -> PathBuf {
+        try_results_dir().expect("results dir is creatable")
+    }
+
+    #[test]
+    fn configured_backends_are_measured_and_cached() {
+        fn never_called(
+            backend: BackendKind,
+            curve: Curve,
+            _: &CpuProfile,
+            _: usize,
+            _: &[Stage],
+        ) -> Result<Vec<StageMeasurement>, StageError> {
+            Err(StageError::UnsupportedCurve { backend, curve })
+        }
+        let config = SweepConfig {
+            log_sizes: vec![3, 4],
+            stages: vec![Stage::Setup],
+            ..tiny_config()
+        };
+        let groth16 = sweep_cached(&config, "backends-groth16");
+        assert_eq!(groth16.len(), 2);
+
+        let stark = sweep_cached(
+            &config.clone().with_backends([BackendKind::Stark]),
+            "backends-stark",
+        );
+        assert_eq!(stark.len(), 2);
+        assert!(stark
+            .iter()
+            .all(|m| m.curve == Curve::Goldilocks && m.backend == BackendKind::Stark));
+
+        let both = config.with_backends([BackendKind::Groth16, BackendKind::Plonk]);
+        let pair = sweep_cached(&both, "backends-pair");
+        assert_eq!(pair.len(), 2 * groth16.len());
+        let (g, p) = pair.split_at(groth16.len());
+        for ((g, p), alone) in g.iter().zip(p).zip(&groth16) {
+            assert_eq!((g.backend, p.backend), (BackendKind::Groth16, BackendKind::Plonk));
+            assert_eq!(g.constraints, p.constraints);
+            assert_eq!(g.counts, alone.counts);
+            assert_ne!(g.counts, p.counts);
+        }
+        // Every cell is cached under its own backend's label: a second
+        // call measures nothing.
+        let again = sweep_cached_by(&both, "backends-pair", never_called);
+        let rows = |ms: &[StageMeasurement]| -> Vec<_> {
+            ms.iter().map(|m| (m.backend, m.counts)).collect()
+        };
+        assert_eq!(rows(&again), rows(&pair));
+        for name in ["groth16", "stark", "pair"] {
+            let _ = fs::remove_file(results_dir().join(format!("sweep-backends-{name}.json")));
         }
     }
 
@@ -410,7 +430,12 @@ mod tests {
         let partial = CachedSweep {
             format_version: CACHE_FORMAT_VERSION,
             fingerprint: fingerprint.clone(),
-            completed_cells: vec![cell_label(Curve::Bn128, CpuProfile::i7_8650u().name, 3)],
+            completed_cells: vec![cell_label((
+                BackendKind::Groth16,
+                Curve::Bn128,
+                &CpuProfile::i7_8650u(),
+                3,
+            ))],
             measurements: half,
         };
         let path = results_dir().join("sweep-resumetest.json");

@@ -576,18 +576,17 @@ pub fn render_parallelism(rows: &[ParallelismRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::{measure_cell, run_sweep, SweepConfig};
+    use crate::matrix::measure_cell;
     use zkperf_machine::CpuProfile;
 
     fn small_matrix() -> Vec<StageMeasurement> {
-        let config = SweepConfig {
-            log_sizes: vec![6, 7],
-            cpus: vec![CpuProfile::i7_8650u(), CpuProfile::i9_13900k()],
-            curves: vec![Curve::Bn128],
-            stages: Stage::ALL.to_vec(),
-            backends: vec![crate::BackendKind::Groth16],
-        };
-        run_sweep(&config, |_, _| {}).unwrap()
+        let mut ms = Vec::new();
+        for cpu in [CpuProfile::i7_8650u(), CpuProfile::i9_13900k()] {
+            for log in [6, 7] {
+                ms.extend(measure_cell(Curve::Bn128, &cpu, 1 << log, &Stage::ALL).unwrap());
+            }
+        }
+        ms
     }
 
     #[test]

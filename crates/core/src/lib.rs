@@ -48,7 +48,7 @@ pub use backend::{
     BackendKind, Groth16Backend, KeyLoad, PlonkBackend, ProverBackend, StarkBackend,
 };
 pub use graphs::stage_task_graph;
-pub use matrix::{measure_cell, measure_cell_backend, run_sweep, SweepConfig};
+pub use matrix::{measure_cell, measure_cell_backend, SweepConfig};
 pub use measure::{measure_stage, RegionSummary, StageMeasurement};
 pub use stage::{Curve, Stage};
 pub use workload::{emit_runtime_init, StageError, Workload};

@@ -1,10 +1,10 @@
-//! Sweep driver: runs the measurement matrix
-//! (stage × constraint size × CPU × curve × backend).
+//! The measurement matrix (stage × constraint size × CPU × curve ×
+//! backend): which cells a sweep has and how one cell is measured. The
+//! driver that walks them is `zkperf-bench`'s `sweep_cached`.
 
 use serde::Serialize;
 use zkperf_ec::{Bls12_381, Bn254};
 use zkperf_machine::CpuProfile;
-use zkperf_pool as pool;
 
 use crate::backend::{BackendKind, Groth16Backend, PlonkBackend, ProverBackend, StarkBackend};
 use crate::measure::{measure_stage, StageMeasurement};
@@ -30,19 +30,6 @@ pub struct SweepConfig {
 }
 
 impl SweepConfig {
-    /// The paper's full matrix: sizes 2^10..2^18, three CPUs, two curves,
-    /// five stages. Hours of simulation — prefer [`SweepConfig::default`]
-    /// unless regenerating everything.
-    pub fn paper_full() -> Self {
-        SweepConfig {
-            log_sizes: (10..=18).collect(),
-            cpus: CpuProfile::paper_cpus(),
-            curves: Curve::ALL.to_vec(),
-            stages: Stage::ALL.to_vec(),
-            backends: vec![BackendKind::Groth16],
-        }
-    }
-
     /// Replaces the backend set (e.g. all three of [`BackendKind::ALL`]
     /// for the cross-scheme comparison).
     pub fn with_backends(mut self, backends: impl IntoIterator<Item = BackendKind>) -> Self {
@@ -61,6 +48,29 @@ impl SweepConfig {
     pub fn with_log_sizes(mut self, log_sizes: impl IntoIterator<Item = u32>) -> Self {
         self.log_sizes = log_sizes.into_iter().collect();
         self
+    }
+
+    /// Every pipeline of the matrix as the arguments of
+    /// [`measure_cell_backend`] (size as `log₂`), in sweep order: backend,
+    /// then curve, then CPU, then size. The transparent backend has no
+    /// pairing-curve axis — it always runs over Goldilocks — so for
+    /// [`BackendKind::Stark`] the curve dimension collapses to that one.
+    pub fn cells(&self) -> Vec<(BackendKind, Curve, &CpuProfile, u32)> {
+        let mut cells = Vec::new();
+        for &backend in &self.backends {
+            let curves: &[Curve] = match backend {
+                BackendKind::Stark => &[Curve::Goldilocks],
+                _ => &self.curves,
+            };
+            for &curve in curves {
+                for cpu in &self.cpus {
+                    for &log in &self.log_sizes {
+                        cells.push((backend, curve, cpu, log));
+                    }
+                }
+            }
+        }
+        cells
     }
 }
 
@@ -165,84 +175,6 @@ pub fn measure_cell_backend(
     }
 }
 
-/// Runs the whole configured sweep, invoking `progress` after each cell
-/// with (cells done, cells total).
-///
-/// On a multi-thread pool the cells fan out as one pool task each: every
-/// cell writes its own result slot, results and progress callbacks are
-/// then replayed in matrix order, and a panic inside a cell (organic or
-/// injected via [`pool::chaos_arm_panic_after`]) is contained to that
-/// cell as [`StageError::WorkerPanic`] — a crashed cell never aborts the
-/// sweep, the pool, or the process. Instrumented trace sessions are
-/// per-thread, so concurrently measured cells record the same op streams
-/// they would serially.
-///
-/// Fail-fast by value: the first failing cell *in matrix order* is
-/// reported (under the pool, later cells may also have run; their results
-/// are discarded). Retry, quarantine and partial-result recovery live in
-/// `zkperf-bench`'s resilient runner, which drives [`measure_cell`] cell
-/// by cell.
-///
-/// # Errors
-///
-/// Returns the failing cell's [`StageError`].
-pub fn run_sweep(
-    config: &SweepConfig,
-    mut progress: impl FnMut(usize, usize),
-) -> Result<Vec<StageMeasurement>, StageError> {
-    let mut cells = Vec::new();
-    for &backend in &config.backends {
-        // The transparent backend has no pairing-curve axis: it always
-        // runs over Goldilocks, so the curve dimension collapses to one.
-        let curves: Vec<Curve> = match backend {
-            BackendKind::Stark => vec![Curve::Goldilocks],
-            _ => config.curves.clone(),
-        };
-        for curve in curves {
-            for cpu in &config.cpus {
-                for &log in &config.log_sizes {
-                    cells.push((backend, curve, cpu, log));
-                }
-            }
-        }
-    }
-    let total = cells.len();
-
-    let mut slots: Vec<Option<Result<Vec<StageMeasurement>, StageError>>> = Vec::new();
-    slots.resize_with(total, || None);
-    pool::parallel_for_each_mut(&mut slots, |i, slot| {
-        let (backend, curve, cpu, log) = cells[i];
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool::chaos_checkpoint();
-            measure_cell_backend(backend, curve, cpu, 1 << log, &config.stages)
-        }));
-        *slot = Some(run.unwrap_or_else(|payload| {
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "panic payload of unknown type".to_string());
-            Err(StageError::WorkerPanic { message })
-        }));
-    });
-
-    let mut out = Vec::new();
-    for (done, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(Ok(ms)) => out.extend(ms),
-            Some(Err(e)) => return Err(e),
-            // Unreachable: parallel_for_each_mut fills every slot.
-            None => {
-                return Err(StageError::WorkerPanic {
-                    message: "cell result missing".to_string(),
-                })
-            }
-        }
-        progress(done + 1, total);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,72 +189,36 @@ mod tests {
     }
 
     #[test]
-    fn paper_full_matches_evaluation_section() {
-        let c = SweepConfig::paper_full();
-        assert_eq!(c.log_sizes, (10..=18).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn injected_pool_panic_surfaces_as_typed_error() {
+    fn cells_enumerate_the_matrix_in_sweep_order() {
         let config = SweepConfig {
             log_sizes: vec![4, 5],
-            cpus: vec![CpuProfile::i7_8650u()],
-            curves: vec![Curve::Bn128],
+            cpus: vec![CpuProfile::i7_8650u(), CpuProfile::i9_13900k()],
+            curves: Curve::ALL.to_vec(),
             stages: vec![Stage::Compile],
-            backends: vec![BackendKind::Groth16],
+            backends: vec![BackendKind::Plonk, BackendKind::Stark],
         };
-        pool::set_threads(2);
-        pool::chaos_arm_panic_after(1);
-        let err = run_sweep(&config, |_, _| {}).unwrap_err();
-        pool::chaos_disarm();
-        pool::set_threads(1);
-        assert!(matches!(err, StageError::WorkerPanic { .. }));
-        assert!(err.to_string().contains("chaos"));
-    }
-
-    #[test]
-    fn parallel_sweep_matches_serial_sweep() {
-        let config = SweepConfig {
-            log_sizes: vec![4, 5],
-            cpus: vec![CpuProfile::i7_8650u()],
-            curves: vec![Curve::Bn128],
-            stages: vec![Stage::Compile, Stage::Witness],
-            backends: vec![BackendKind::Groth16],
-        };
-        pool::set_threads(1);
-        let serial = run_sweep(&config, |_, _| {}).unwrap();
-        pool::set_threads(4);
-        let parallel = run_sweep(&config, |_, _| {}).unwrap();
-        pool::set_threads(1);
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.stage, p.stage);
-            assert_eq!(s.constraints, p.constraints);
-            // Identical op streams: the paper's counters must not depend
-            // on the thread count.
-            assert_eq!(s.counts, p.counts);
-        }
-    }
-
-    #[test]
-    fn tiny_sweep_produces_every_cell() {
-        let config = SweepConfig {
-            log_sizes: vec![4],
-            cpus: vec![CpuProfile::i7_8650u()],
-            curves: vec![Curve::Bn128],
-            stages: vec![Stage::Compile, Stage::Witness],
-            backends: vec![BackendKind::Groth16],
-        };
-        let mut calls = 0;
-        let ms = run_sweep(&config, |done, total| {
-            calls += 1;
-            assert!(done <= total);
-        })
-        .unwrap();
-        assert_eq!(calls, 1);
-        assert_eq!(ms.len(), 2);
-        assert_eq!(ms[0].stage, Stage::Compile);
-        assert_eq!(ms[1].stage, Stage::Witness);
-        assert_eq!(ms[0].constraints, 16);
+        let (i7, i9) = (CpuProfile::i7_8650u().name, CpuProfile::i9_13900k().name);
+        let got: Vec<_> = config
+            .cells()
+            .into_iter()
+            .map(|(backend, curve, cpu, log)| (backend, curve, cpu.name, log))
+            .collect();
+        let (plonk, stark) = (BackendKind::Plonk, BackendKind::Stark);
+        let want = [
+            (plonk, Curve::Bn128, i7, 4),
+            (plonk, Curve::Bn128, i7, 5),
+            (plonk, Curve::Bn128, i9, 4),
+            (plonk, Curve::Bn128, i9, 5),
+            (plonk, Curve::Bls12_381, i7, 4),
+            (plonk, Curve::Bls12_381, i7, 5),
+            (plonk, Curve::Bls12_381, i9, 4),
+            (plonk, Curve::Bls12_381, i9, 5),
+            // STARK contributes one curve, whatever `curves` says.
+            (stark, Curve::Goldilocks, i7, 4),
+            (stark, Curve::Goldilocks, i7, 5),
+            (stark, Curve::Goldilocks, i9, 4),
+            (stark, Curve::Goldilocks, i9, 5),
+        ];
+        assert_eq!(got, want);
     }
 }

@@ -68,12 +68,6 @@ pub enum StageError {
         /// The stage whose boundary tripped.
         stage: Stage,
     },
-    /// A pool worker panicked while running this cell; the panic was
-    /// contained to the cell (never aborting the sweep or the process).
-    WorkerPanic {
-        /// The panic payload's message, when it carried one.
-        message: String,
-    },
     /// The ambient [`zkperf_pool::CancelToken`] was cancelled or its
     /// deadline expired before or during this stage.
     Cancelled {
@@ -113,9 +107,6 @@ impl std::fmt::Display for StageError {
             }
             StageError::Injected { stage } => {
                 write!(f, "chaos fault injected at the {} boundary", stage.name())
-            }
-            StageError::WorkerPanic { message } => {
-                write!(f, "pool worker panicked: {message}")
             }
             StageError::Cancelled { stage } => {
                 write!(f, "{} cancelled by caller or deadline", stage.name())

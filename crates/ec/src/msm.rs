@@ -22,8 +22,7 @@
 //!   instead of ~11 for a Jacobian mixed addition.
 //! * **Cache-aware window choice.** The width comes from the shared
 //!   Pippenger cost model ([`crate::tuning`]) parameterized by the host's
-//!   measured L2/LLC geometry, so the live bucket array stays in cache;
-//!   `ZKPERF_MSM_WINDOW` pins it for reproducing fixed configurations.
+//!   measured L2/LLC geometry, so the live bucket array stays in cache.
 //!
 //! Scalars are written once into one flat limb buffer
 //! ([`PrimeField::write_canonical_limbs`] or the GLV half-magnitudes), and

@@ -30,10 +30,7 @@
 //! The cache sizes come from a one-time host probe
 //! ([`zkperf_machine::host_caches`]), *not* from the simulated
 //! [`zkperf_machine::CpuProfile`]: op streams must stay identical across
-//! simulated CPUs. `ZKPERF_MSM_WINDOW=<bits>` overrides the choice for
-//! reproducing a fixed configuration.
-
-use std::sync::OnceLock;
+//! simulated CPUs.
 
 use zkperf_machine::host_caches;
 
@@ -52,23 +49,6 @@ const DRAM_PENALTY: u64 = 6;
 
 /// Widest window the model will pick; matches the fixed-base table limit.
 const MAX_WINDOW: usize = 14;
-
-/// Parses `ZKPERF_MSM_WINDOW` once per process.
-fn env_override() -> Option<usize> {
-    static OVERRIDE: OnceLock<Option<usize>> = OnceLock::new();
-    *OVERRIDE.get_or_init(|| {
-        let raw = std::env::var("ZKPERF_MSM_WINDOW").ok()?;
-        match raw.trim().parse::<usize>() {
-            Ok(bits) if (1..=MAX_WINDOW).contains(&bits) => Some(bits),
-            _ => {
-                eprintln!(
-                    "zkperf: ignoring ZKPERF_MSM_WINDOW={raw:?} (expected 1..={MAX_WINDOW})"
-                );
-                None
-            }
-        }
-    })
-}
 
 /// Evaluates the cost model for one candidate width.
 fn window_cost(
@@ -97,11 +77,8 @@ fn window_cost(
 /// against the host cache hierarchy.
 ///
 /// Deterministic per process: the host probe runs once, and the simulated
-/// CPU profile is never consulted. `ZKPERF_MSM_WINDOW` wins over the model.
+/// CPU profile is never consulted.
 pub fn window_bits(n: usize, scalar_bits: usize, point_bytes: usize) -> usize {
-    if let Some(bits) = env_override() {
-        return bits;
-    }
     if n <= 1 {
         return 1;
     }
@@ -158,8 +135,8 @@ mod tests {
     use super::*;
 
     fn model(n: usize, bits: usize) -> usize {
-        // Route through the public chooser so the env override and host
-        // probe paths are exercised too (override unset under cargo test).
+        // Route through the public chooser so the host probe path is
+        // exercised too.
         window_bits(n, bits, 64)
     }
 

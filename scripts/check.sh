@@ -172,18 +172,24 @@ if ! ZKPERF_CHAOS=20240808 ./target/release/loadgen --jobs 32 --seed 42; then
 fi
 
 # Regeneration smoke: EXPERIMENTS.md is filled from what `experiments`
-# writes under results/, so the path the docs depend on runs here once, at
-# the smallest sweep, into a throwaway directory.
-echo "==> experiments smoke: exec_time and setup_split at 2^3..2^4"
+# and `real_scaling --backends` (E10, README's backend table) write under
+# results/, so the paths the docs depend on run here once, at the smallest
+# sizes, into a throwaway directory.
+echo "==> experiments smoke: exec_time and setup_split at 2^3..2^4, backends at 2^4..2^5"
 smoke_results="$(mktemp -d)"
-for name in exec_time setup_split; do
-    if ! ZKPERF_RESULTS_DIR="$smoke_results" ZKPERF_MIN_LOG=3 ZKPERF_MAX_LOG=4 \
-        ./target/release/experiments "$name" || [ ! -s "$smoke_results/$name.json" ]; then
+smoke() { # <output name> <command...>
+    local name="$1"
+    shift
+    if ! ZKPERF_RESULTS_DIR="$smoke_results" ZKPERF_MIN_LOG=3 ZKPERF_MAX_LOG=4 "$@" ||
+        [ ! -s "$smoke_results/$name.json" ]; then
         rm -rf "$smoke_results"
         echo "experiments smoke failed: $name did not regenerate" >&2
         exit 1
     fi
-done
+}
+smoke exec_time ./target/release/experiments exec_time
+smoke setup_split ./target/release/experiments setup_split
+smoke backends ./target/release/real_scaling --backends 4,5
 rm -rf "$smoke_results"
 
 if cargo clippy --version >/dev/null 2>&1; then
@@ -192,14 +198,5 @@ if cargo clippy --version >/dev/null 2>&1; then
 else
     echo "==> cargo clippy not installed; skipping lint step" >&2
 fi
-
-# Smoke bench: reduced-size kernel micro-benches against the committed
-# baseline, failing on any kernel regressing past the threshold (default
-# 25%; override with ZKPERF_BENCH_THRESHOLD). Catches "tests still pass
-# but the fast path quietly fell off a cliff" changes. The full suite
-# (with stage-level speedup numbers) lives in scripts/bench.sh.
-echo "==> smoke bench vs BENCH_baseline.json"
-./target/release/bench_regression --smoke --baseline BENCH_baseline.json \
-    --threshold "${ZKPERF_BENCH_THRESHOLD:-0.25}"
 
 echo "==> all checks passed"

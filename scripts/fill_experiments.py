@@ -18,7 +18,7 @@ mapping = {
     "fig7": "fig7_weak_scaling.txt",
     "table5": "table5_opcode_mix.txt",
     "table6": "table6_parallelism.txt",
-    "plonk": "plonk_vs_groth16.txt",
+    "plonk": "backends.txt",
     "setup_split": "setup_split.txt",
 }
 STAGES = ["Compile", "Setup", "Witness", "Proving", "Verifying"]
