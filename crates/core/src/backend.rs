@@ -27,7 +27,7 @@ use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
 use zkperf_circuit::{R1cs, Witness};
-use zkperf_ec::{CurveParams, Engine};
+use zkperf_ec::{Affine, CurveParams, Engine};
 use zkperf_ff::{Field, Goldilocks, PrimeField};
 use zkperf_groth16 as groth16;
 use zkperf_io::{
@@ -397,17 +397,18 @@ where
         keys.size_bytes()
     }
 
+    /// Body layout: `[a] [b] [c] [z] [t_lo] [t_mid] [t_hi]` compressed,
+    /// the six evaluations, `W_ζ W_ζω` compressed — 9·33 + 6·32 bytes on
+    /// BN254 when no point is the identity.
     fn encode_proof(proof: &Self::Proof) -> Vec<u8> {
         let mut body = Payload::default();
-        for c in &proof.wire_commits {
+        let committed = proof.wire_commits.iter().chain([&proof.z_commit]).chain(&proof.t_commits);
+        for c in committed {
             encode_point_compressed(&c.0, &mut body);
         }
-        encode_point_compressed(&proof.z_commit.0, &mut body);
-        encode_point_compressed(&proof.t_commit.0, &mut body);
-        for v in &proof.evals_zeta {
+        for v in &proof.evals {
             v.encode(&mut body);
         }
-        proof.z_omega_eval.encode(&mut body);
         encode_point_compressed(&proof.w_zeta.0, &mut body);
         encode_point_compressed(&proof.w_zeta_omega.0, &mut body);
         let mut container = Container::new(MAGIC_PLONK_PROOF);
@@ -429,34 +430,29 @@ where
             .map_err(|e| bad(e.to_string()))?;
         let mut cur = Cursor::new(section);
         let point = |cur: &mut Cursor<'_>| {
-            decode_point_compressed::<E::G1>(cur).map(plonk::Commitment::<E>)
+            decode_point_compressed::<E::G1>(cur).map_err(|e| bad(e.to_string()))
         };
-        let wire_commits = [point(&mut cur), point(&mut cur), point(&mut cur)];
-        let [a, b, c] = wire_commits;
-        let wire_commits = [
-            a.map_err(|e| bad(e.to_string()))?,
-            b.map_err(|e| bad(e.to_string()))?,
-            c.map_err(|e| bad(e.to_string()))?,
-        ];
-        let z_commit = point(&mut cur).map_err(|e| bad(e.to_string()))?;
-        let t_commit = point(&mut cur).map_err(|e| bad(e.to_string()))?;
-        let mut evals_zeta = [E::Fr::zero(); 13];
-        for slot in evals_zeta.iter_mut() {
+        let mut committed = [plonk::Commitment::<E>(Affine::identity()); 7];
+        for slot in committed.iter_mut() {
+            slot.0 = point(&mut cur)?;
+        }
+        let [a, b, c, z_commit, t_lo, t_mid, t_hi] = committed;
+        let mut evals = [E::Fr::zero(); 6];
+        for slot in evals.iter_mut() {
             *slot = E::Fr::decode(&mut cur).map_err(|e| bad(e.to_string()))?;
         }
-        let z_omega_eval = E::Fr::decode(&mut cur).map_err(|e| bad(e.to_string()))?;
-        let w_zeta = decode_point_compressed::<E::G1>(&mut cur)
-            .map(plonk::OpeningProof::<E>)
-            .map_err(|e| bad(e.to_string()))?;
-        let w_zeta_omega = decode_point_compressed::<E::G1>(&mut cur)
-            .map(plonk::OpeningProof::<E>)
-            .map_err(|e| bad(e.to_string()))?;
+        let w_zeta = plonk::OpeningProof::<E>(point(&mut cur)?);
+        let w_zeta_omega = plonk::OpeningProof::<E>(point(&mut cur)?);
+        // The layout has no optional tail: bytes past it are another
+        // layout's, not padding.
+        if !cur.finished() {
+            return Err(bad(format!("{} bytes past the proof body", cur.remaining())));
+        }
         Ok(plonk::PlonkProof {
-            wire_commits,
+            wire_commits: [a, b, c],
             z_commit,
-            t_commit,
-            evals_zeta,
-            z_omega_eval,
+            t_commits: [t_lo, t_mid, t_hi],
+            evals,
             w_zeta,
             w_zeta_omega,
         })

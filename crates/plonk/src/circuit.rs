@@ -169,9 +169,12 @@ impl<F: PrimeField> PlonkCircuit<F> {
 
         let raw_gates = gb.q_l.len();
         let n = raw_gates.next_power_of_two().max(4);
-        if Radix2Domain::<F>::new(4 * n).is_none() {
+        // The quotient needs the 4n domain too; the n domain is only used
+        // here, to encode the permutation.
+        let (Some(domain), Some(_)) = (Radix2Domain::<F>::new(n), Radix2Domain::<F>::new(4 * n))
+        else {
             return Err(ArithmetizeError::TooManyGates { gates: raw_gates });
-        }
+        };
 
         // Padding rows: all-zero selectors, wires alias wire 0 (the
         // constant-one wire, present in every witness).
@@ -195,7 +198,6 @@ impl<F: PrimeField> PlonkCircuit<F> {
 
         // Copy-constraint permutation: cycle the positions of each wire.
         let num_wires = num_base_wires + aux_defs.len();
-        let domain = Radix2Domain::<F>::new(n).expect("checked above");
         let ks = Self::coset_labels(&domain);
         let encode = |col: usize, row: usize| ks[col] * domain.element(row);
         let mut positions: Vec<Vec<(usize, usize)>> = vec![Vec::new(); num_wires];
@@ -243,21 +245,24 @@ impl<F: PrimeField> PlonkCircuit<F> {
     }
 
     /// Picks coset labels `1, k₁, k₂` such that `H`, `k₁H`, `k₂H` are
-    /// pairwise disjoint (kᵢⁿ ≠ 1 and (k₁/k₂)ⁿ ≠ 1).
+    /// pairwise disjoint: the smallest integers whose n-th powers differ
+    /// from each other's and from 1 (`kH = k'H` iff `kⁿ = k'ⁿ`).
     fn coset_labels(domain: &Radix2Domain<F>) -> [F; 3] {
-        let n = domain.size() as u64;
-        let in_h = |v: F| v.pow(&zkperf_ff::BigUint::from_u64(n)).is_one();
-        let mut candidates = (2u64..).map(F::from_u64);
-        let k1 = candidates
-            .by_ref()
-            .find(|&k| !in_h(k))
-            .expect("non-coset element exists");
-        let k2 = candidates
-            .find(|&k| {
-                !in_h(k) && !in_h(k * k1.inverse().expect("k1 != 0"))
-            })
-            .expect("second coset exists");
-        [F::one(), k1, k2]
+        let n = zkperf_ff::BigUint::from_u64(domain.size() as u64);
+        let mut labels = [F::one(); 3];
+        let mut nth_powers = [F::one(); 3];
+        let mut found = 1;
+        let mut k = F::one();
+        while found < 3 {
+            k += F::one();
+            let kn = k.pow(&n);
+            if !nth_powers[..found].contains(&kn) {
+                labels[found] = k;
+                nth_powers[found] = kn;
+                found += 1;
+            }
+        }
+        labels
     }
 
     /// Gate-slot values `(a, b, c)` columns drawn from a full R1CS

@@ -123,53 +123,14 @@ impl<E: Engine> Srs<E> {
         // coefficients.
         let acc =
             commitment.0.to_projective() + (g1 * value).neg() + proof.0.to_projective() * z;
+        self.pairing_check(&acc.to_affine(), &proof.0.neg())
+    }
+
+    /// `e(p, [1]₂) · e(q, [τ]₂) == 1`: one product of two pairings against
+    /// the cached lines of the SRS's G2 points.
+    pub(crate) fn pairing_check(&self, p: &Affine<E::G1>, q: &Affine<E::G1>) -> bool {
         let (g2_lines, g2_tau_lines) = self.prepared_g2();
-        E::multi_pairing_prepared(
-            &[acc.to_affine(), proof.0.neg()],
-            &[g2_lines, g2_tau_lines],
-        )
-        .is_one()
-    }
-
-    /// Verifies a ν-batched opening of several `(commitment, value)` pairs
-    /// at the same point `z` with one pairing check.
-    pub fn verify_batched_opening(
-        &self,
-        items: &[(Commitment<E>, E::Fr)],
-        z: E::Fr,
-        nu: E::Fr,
-        proof: &OpeningProof<E>,
-    ) -> bool {
-        let mut combined = Projective::<E::G1>::identity();
-        let mut combined_value = E::Fr::zero();
-        let mut power = E::Fr::one();
-        for (c, y) in items {
-            combined += c.0.to_projective() * power;
-            combined_value += *y * power;
-            power *= nu;
-        }
-        self.verify_opening(&Commitment(combined.to_affine()), z, combined_value, proof)
-    }
-
-    /// Opens `Σ νⁱ·pᵢ` at `z` — the witness
-    /// [`verify_batched_opening`](Self::verify_batched_opening) checks —
-    /// and returns it with the combined value `Σ νⁱ·pᵢ(z)`.
-    pub fn open_batched(
-        &self,
-        polys: &[&DensePolynomial<E::Fr>],
-        z: E::Fr,
-        nu: E::Fr,
-    ) -> (E::Fr, OpeningProof<E>) {
-        let len = polys.iter().map(|p| p.coeffs().len()).max().unwrap_or(0);
-        let mut combined = vec![E::Fr::zero(); len];
-        let mut power = E::Fr::one();
-        for p in polys {
-            for (acc, &c) in combined.iter_mut().zip(p.coeffs()) {
-                *acc += c * power;
-            }
-            power *= nu;
-        }
-        self.open(&DensePolynomial::new(combined), z)
+        E::multi_pairing_prepared(&[*p, *q], &[g2_lines, g2_tau_lines]).is_one()
     }
 }
 
@@ -211,31 +172,6 @@ mod tests {
         assert_ne!(c1, c2);
         // Zero polynomial commits to the identity.
         assert!(srs.commit(&DensePolynomial::zero()).0.infinity);
-    }
-
-    #[test]
-    fn batched_opening_verifies_and_rejects_corruption() {
-        let srs = srs(8);
-        let polys = [poly(&[1, 1]), poly(&[9, 0, 2]), poly(&[4])];
-        let refs: Vec<&DensePolynomial<Fr>> = polys.iter().collect();
-        let commits: Vec<Commitment<Bn254>> =
-            polys.iter().map(|p| srs.commit(p)).collect();
-        let z = Fr::from_u64(11);
-        let nu = Fr::from_u64(33);
-        let (combined_value, proof) = srs.open_batched(&refs, z, nu);
-        let items: Vec<(Commitment<Bn254>, Fr)> = commits
-            .iter()
-            .copied()
-            .zip(polys.iter().map(|p| p.evaluate(z)))
-            .collect();
-        let [y0, y1, y2] = [items[0].1, items[1].1, items[2].1];
-        assert_eq!(combined_value, y0 + nu * y1 + nu * nu * y2);
-        assert!(srs.verify_batched_opening(&items, z, nu, &proof));
-        let mut bad = items.clone();
-        bad[1].1 += Fr::one();
-        assert!(!srs.verify_batched_opening(&bad, z, nu, &proof));
-        // Different nu breaks the binding between proof and batch.
-        assert!(!srs.verify_batched_opening(&items, z, nu + Fr::one(), &proof));
     }
 
     #[test]

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 //! A KZG-based PLONK proving system over the zkperf substrate.
 //!
@@ -115,16 +116,14 @@ mod tests {
         let w = circuit.generate_witness(&[Fr::from_u64(2)], &[]).unwrap();
         let proof = plonk_prove(&pk, w.full()).unwrap();
 
-        let mut bad = proof.clone();
-        bad.evals_zeta[0] += Fr::one();
-        assert!(!plonk_verify(pk.vk(), &bad, w.public()));
+        for i in 0..proof.evals.len() {
+            let mut bad = proof.clone();
+            bad.evals[i] += Fr::one();
+            assert!(!plonk_verify(pk.vk(), &bad, w.public()), "evaluation {i}");
+        }
 
         let mut bad = proof.clone();
-        bad.z_omega_eval += Fr::one();
-        assert!(!plonk_verify(pk.vk(), &bad, w.public()));
-
-        let mut bad = proof.clone();
-        bad.t_commit = bad.z_commit;
+        bad.t_commits[1] = bad.z_commit;
         assert!(!plonk_verify(pk.vk(), &bad, w.public()));
 
         let mut bad = proof.clone();
@@ -136,7 +135,7 @@ mod tests {
     fn unsatisfying_witness_cannot_prove() {
         // Tamper with the witness: the gate identity fails on the domain,
         // the quotient is not a polynomial of degree 3n − 4, and the prover
-        // says so instead of committing to it.
+        // says so instead of committing to its pieces.
         let circuit = exponentiate::<Fr>(4);
         let mut rng = zkperf_ff::test_rng();
         let pk = plonk_setup::<Bn254, _>(circuit.r1cs(), &mut rng).unwrap();

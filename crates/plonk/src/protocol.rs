@@ -1,44 +1,59 @@
 //! The PLONK protocol: setup, prove, verify.
 //!
-//! This is the "unlinearized" KZG-PLONK variant: the prover opens every
-//! committed polynomial (wires, permutation accumulator, selectors, σ
-//! columns, quotient) at the evaluation challenge and the verifier checks
-//! the quotient identity numerically, rather than through the linearization
-//! polynomial of the original paper. Proofs carry a few more field elements
-//! but the algebra is identical, and the prover cost profile — the thing
-//! this suite measures — matches vanilla PLONK: one more wire commitment
-//! and several more FFT passes than Groth16, which is exactly why the paper
-//! reports PlonK proving at about twice the Groth16 time. Blinding factors
-//! are omitted (this suite characterizes performance, not deployments);
-//! soundness is unaffected.
+//! This is the final protocol of the PLONK paper (Gabizon, Williamson,
+//! Ciobotaru, §8.3) — the one snarkjs runs and the source paper measured —
+//! without blinding factors (this suite characterizes performance, not
+//! deployments; soundness is unaffected). The quotient `t` is split into
+//! `t_lo, t_mid, t_hi` of fewer than n coefficients each, round 4 sends six
+//! evaluations `ā, b̄, c̄, s̄σ1, s̄σ2` (at ζ) and `z̄ω` (at ζω), and the gate,
+//! permutation and quotient identities are checked through the
+//! linearisation polynomial
+//!
+//! ```text
+//! r(X) = ā·b̄·q_M + ā·q_L + b̄·q_R + c̄·q_O + q_C + PI(ζ)
+//!      + α[(ā+βk₀ζ+γ)(b̄+βk₁ζ+γ)(c̄+βk₂ζ+γ)·z − (ā+βs̄σ1+γ)(b̄+βs̄σ2+γ)(c̄+β·S_σ3+γ)·z̄ω]
+//!      + α²·L₁(ζ)·(z − 1) − Z_H(ζ)·(t_lo + ζⁿ·t_mid + ζ²ⁿ·t_hi),      r(ζ) = 0,
+//! ```
+//!
+//! whose commitment the verifier assembles from the key's and the proof's
+//! commitments. The two opening witnesses are
+//! `W_ζ = (r + ν(a − ā) + ν²(b − b̄) + ν³(c − c̄) + ν⁴(S_σ1 − s̄σ1) + ν⁵(S_σ2 − s̄σ2))/(X − ζ)`
+//! and `W_ζω = (z − z̄ω)/(X − ζω)`, and the verifier checks both with one
+//! product of two pairings under a batching challenge `u`. Every committed
+//! polynomial has degree below n, so the SRS holds n powers and each of a
+//! proof's nine MSMs runs over at most n points. That is four more
+//! commitments than Groth16 makes, beside transforms on a 4n coset, which
+//! is why the paper reports PlonK proving at about twice the Groth16 time.
 //!
 //! # What the key holds, and what a proof transforms
 //!
 //! Everything that depends on the circuit alone is computed once, by
 //! [`plonk_setup`], and kept in the prover key (`Preprocessed`): the five
-//! selector and three σ polynomials in coefficient form (opened at ζ in
-//! rounds 4–5), their evaluations on the 4n coset the quotient is computed
-//! on (no table for an all-zero column — `q_R` and `q_C` on the
+//! selector and three σ polynomials in coefficient form (combined into `r`
+//! and `W_ζ` in round 5), their evaluations on the 4n coset the quotient is
+//! computed on (no table for an all-zero column — `q_R` and `q_C` on the
 //! exponentiation circuits), `L₁` on that coset from its closed form
 //! `(xⁿ − 1)/(n(x − 1))`, the four distinct values of `1/Z_H` there
-//! (`Z_H(g·ω₄ⁿʲ)` depends on `j mod 4` only), and both NTT domains. That is
-//! at most `8·4n + 4n` field elements of tables beside `8n` coefficients.
+//! (`Z_H(g·ω₄ⁿʲ)` depends on `j mod 4` only), and both NTT domains.
+//! That is at most `8·4n + 4n` field elements of tables beside `8n`
+//! coefficients.
 //!
-//! A proof then runs five size-n inverse NTTs (`a, b, c, z, PI`), five
-//! forward coset NTTs of size 4n for the same columns and one inverse
-//! coset NTT for `t` — where interpolating and extending every circuit
-//! column, `L₁` and `z(ωx)` per proof took fourteen and fifteen. `z(ωx)`
-//! on the coset is `z` four slots further on (`ω = ω₄ⁿ⁴`), read in place.
-//! The row loops (grand-product factors, quotient, `L₁`) and the fourteen
-//! evaluations of round 4 are `zkperf-pool` jobs with a decomposition fixed
-//! by `ROW_GRAIN`; every chunk writes only its own slots, so the values
-//! are the same at any thread count, and inline on the caller when the
-//! pool says so.
+//! A proof then runs four size-n inverse NTTs (`a, b, c, z`), four forward
+//! coset NTTs of size 4n for the same columns and one inverse coset NTT for
+//! `t`. `z(ωx)` on the coset is `z` four slots further on (`ω = ω₄ⁿ⁴`), read
+//! in place, and the public-input polynomial `PI = Σ −vᵢ·Lᵢ` is read off
+//! the key's `L₁` table (`Lᵢ(x) = L₁(x/ωⁱ)`: that table 4i slots back), one
+//! multiplication per public row and coset row. The row loops
+//! (grand-product factors, quotient, `L₁`, the round-5 combination) and the
+//! six evaluations of round 4 are
+//! `zkperf-pool` jobs with a decomposition fixed by `ROW_GRAIN`; every
+//! chunk writes only its own slots, so the values are the same at any
+//! thread count, and inline on the caller when the pool says so.
 
 use rand::Rng;
 
 use zkperf_circuit::R1cs;
-use zkperf_ec::Engine;
+use zkperf_ec::{msm, Affine, Engine};
 use zkperf_ff::{batch_inverse, BigUint, Field, PrimeField};
 use zkperf_poly::{DensePolynomial, Radix2Domain};
 use zkperf_pool as pool;
@@ -48,8 +63,14 @@ use crate::circuit::{ArithmetizeError, PlonkCircuit};
 use crate::kzg::{Commitment, OpeningProof, Srs};
 use crate::transcript::Transcript;
 
-/// Polynomials opened at ζ, in transcript order.
-const OPENED_AT_ZETA: usize = 13;
+/// Polynomials batched into the opening at ζ, in the order
+/// [`ZetaCombination::scalars`] lists them: `q_L, q_R, q_O, q_M, q_C, z,
+/// S_σ3, t_lo, t_mid, t_hi` (`r` less its constant term), then
+/// `a, b, c, S_σ1, S_σ2`.
+const COMBINED_AT_ZETA: usize = 15;
+
+/// Where `z` sits among them.
+const Z_SLOT: usize = 5;
 
 /// Rows per pool task in the row loops. A multiple of 4, so a chunk's
 /// first row sits at phase 0 of the period-4 `1/Z_H` table.
@@ -106,23 +127,22 @@ pub struct PlonkVerifyingKey<E: Engine> {
     pub srs: Srs<E>,
 }
 
-/// A PLONK proof.
+/// A PLONK proof: nine G1 points and six field elements.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlonkProof<E: Engine> {
     /// Commitments `[a], [b], [c]` to the wire polynomials.
     pub wire_commits: [Commitment<E>; 3],
     /// Commitment `[z]` to the permutation accumulator.
     pub z_commit: Commitment<E>,
-    /// Commitment `[t]` to the quotient polynomial.
-    pub t_commit: Commitment<E>,
-    /// Evaluations at ζ, in protocol order:
-    /// `a, b, c, z, s₁, s₂, s₃, q_L, q_R, q_O, q_M, q_C, t`.
-    pub evals_zeta: [E::Fr; OPENED_AT_ZETA],
-    /// `z(ζω)`.
-    pub z_omega_eval: E::Fr,
-    /// Batched opening witness at ζ.
+    /// Commitments `[t_lo], [t_mid], [t_hi]` to the three pieces of the
+    /// quotient, `t = t_lo + Xⁿ·t_mid + X²ⁿ·t_hi`.
+    pub t_commits: [Commitment<E>; 3],
+    /// `ā, b̄, c̄, s̄σ1, s̄σ2` (evaluations at ζ) and `z̄ω` (`z` at ζω), in
+    /// transcript order.
+    pub evals: [E::Fr; 6],
+    /// Opening witness `W_ζ` for the batched polynomials at ζ.
     pub w_zeta: OpeningProof<E>,
-    /// Opening witness for `z` at ζω.
+    /// Opening witness `W_ζω` for `z` at ζω.
     pub w_zeta_omega: OpeningProof<E>,
 }
 
@@ -140,11 +160,21 @@ pub enum PlonkError {
     },
     /// The witness does not satisfy the circuit: the permutation grand
     /// product does not close, or the quotient is not a polynomial of the
-    /// degree the SRS was sized for.
+    /// degree its three pieces hold.
     UnsatisfiedWitness,
     /// A factor of the permutation grand product vanished, so a
     /// denominator has no inverse (β and γ hit a root: probability ~n/p).
     ZeroPermutationFactor,
+    /// The evaluation challenge ζ fell inside the domain, where the
+    /// Lagrange closed forms divide by zero (probability n/p).
+    ChallengeInDomain,
+    /// The SRS cannot commit to a polynomial of the circuit's size.
+    SrsTooSmall {
+        /// Highest degree the protocol commits to.
+        needed: usize,
+        /// Highest degree the SRS supports.
+        have: usize,
+    },
     /// The ambient [`zkperf_pool::CancelToken`] was cancelled or its
     /// deadline expired; the operation was abandoned at a round boundary.
     Cancelled,
@@ -160,6 +190,12 @@ impl std::fmt::Display for PlonkError {
             PlonkError::UnsatisfiedWitness => write!(f, "witness does not satisfy the circuit"),
             PlonkError::ZeroPermutationFactor => {
                 write!(f, "a factor of the permutation grand product is zero")
+            }
+            PlonkError::ChallengeInDomain => {
+                write!(f, "the evaluation challenge fell inside the domain")
+            }
+            PlonkError::SrsTooSmall { needed, have } => {
+                write!(f, "SRS supports degree {have}, the circuit needs {needed}")
             }
             PlonkError::Cancelled => write!(f, "plonk operation cancelled by caller or deadline"),
         }
@@ -187,11 +223,25 @@ fn coset_eval<F: PrimeField>(domain4: &Radix2Domain<F>, p: &DensePolynomial<F>) 
     buf
 }
 
+/// `PI(x_j) = Σ −vᵢ·Lᵢ(x_j)` on row `j` of the 4n coset, `public` holding
+/// `(row i, vᵢ)`. `Lᵢ(x) = L₁(x/ωⁱ)` and `ω = ω₄⁴`, so `Lᵢ` on the coset is
+/// the `L₁` table read 4i slots back: one multiplication per public row.
+fn public_input_on_coset<F: PrimeField>(l1_coset: &[F], public: &[(usize, F)], j: usize) -> F {
+    // The table's length 4n is a power of two, and i < n.
+    let mask = l1_coset.len() - 1;
+    public.iter().fold(F::zero(), |acc, &(row, v)| {
+        acc - v * l1_coset[(j + l1_coset.len() - 4 * row) & mask]
+    })
+}
+
 impl<F: PrimeField> Preprocessed<F> {
-    fn new(circuit: &PlonkCircuit<F>) -> Self {
+    fn new(circuit: &PlonkCircuit<F>) -> Result<Self, ArithmetizeError> {
         let n = circuit.n;
-        let domain = Radix2Domain::<F>::new(n).expect("checked by arithmetization");
-        let domain4 = Radix2Domain::<F>::new(4 * n).expect("checked by arithmetization");
+        let (Some(domain), Some(domain4)) =
+            (Radix2Domain::<F>::new(n), Radix2Domain::<F>::new(4 * n))
+        else {
+            return Err(ArithmetizeError::TooManyGates { gates: n });
+        };
         let column = |evals: &Vec<F>| {
             let poly = interpolate(&domain, evals);
             let coset = if poly.is_zero() {
@@ -211,11 +261,13 @@ impl<F: PrimeField> Preprocessed<F> {
         let (g, w4) = (domain4.coset_shift(), domain4.group_gen());
         let gn = g.pow(&BigUint::from_u64(n as u64));
         let i = domain4.element(n);
-        let mut zh_inv = [gn, gn * i, -gn, -(gn * i)].map(|v| v - F::one());
+        let zh = [gn, gn * i, -gn, -(gn * i)].map(|v| v - F::one());
+        // One inversion for the four 1/Z_H and 1/n (n < p).
+        let mut inv = [zh[0], zh[1], zh[2], zh[3], F::from_u64(n as u64)];
+        batch_inverse(&mut inv);
+        let [zh_inv @ .., n_inv] = inv;
         // L₁(x) = Z_H(x) / (n·(x − 1)).
-        let n_inv = F::from_u64(n as u64).inverse().expect("n < p");
-        let l1_numerators = zh_inv.map(|zh| zh * n_inv);
-        batch_inverse(&mut zh_inv);
+        let l1_numerators = zh.map(|v| v * n_inv);
         let mut l1_coset = vec![F::zero(); domain4.size()];
         pool::parallel_chunks_mut(&mut l1_coset, ROW_GRAIN, |ci, chunk| {
             let start = ci * ROW_GRAIN;
@@ -229,14 +281,14 @@ impl<F: PrimeField> Preprocessed<F> {
                 *slot *= l1_numerators[k % 4];
             }
         });
-        Preprocessed {
+        Ok(Preprocessed {
             domain,
             domain4,
             selectors,
             sigmas,
             l1_coset,
             zh_inv,
-        }
+        })
     }
 }
 
@@ -258,14 +310,13 @@ pub fn plonk_setup<E: Engine, R: Rng + ?Sized>(
         return Err(PlonkError::Cancelled);
     }
     let n = circuit.n;
-    // Without blinding the largest committed polynomial is the quotient:
-    // degree 4(n − 1) for z·a·b·c, less n for Z_H, is 3n − 4. 3n + 1 powers
-    // cover it.
-    let srs = Srs::<E>::generate(3 * n, rng);
+    // Wires, accumulator, quotient pieces, circuit columns and opening
+    // witnesses all have degree below n: n powers cover them.
+    let srs = Srs::<E>::generate(n - 1, rng);
     if pool::cancellation_pending() {
         return Err(PlonkError::Cancelled);
     }
-    let pre = Preprocessed::new(&circuit);
+    let pre = Preprocessed::new(&circuit)?;
     let q_commits = pre.selectors.each_ref().map(|c| srs.commit(&c.poly));
     let sigma_commits = pre.sigmas.each_ref().map(|c| srs.commit(&c.poly));
     if pool::cancellation_pending() {
@@ -314,6 +365,90 @@ where
     for c in vk.q_commits.iter().chain(vk.sigma_commits.iter()) {
         t.absorb_point(&c.0);
     }
+}
+
+/// The transcript challenges both sides' round-5 algebra reads.
+struct Challenges<F> {
+    beta: F,
+    gamma: F,
+    alpha: F,
+    zeta: F,
+    nu: F,
+}
+
+/// What prover and verifier both derive from the challenges and the six
+/// evaluations: the scalar on each polynomial (or commitment) batched into
+/// the opening at ζ, and the value their combination takes there.
+struct ZetaCombination<F> {
+    scalars: [F; COMBINED_AT_ZETA],
+    value: F,
+}
+
+/// `ω` generates the domain of `vk.n` rows. `None` when ζ lies in that
+/// domain, where the Lagrange closed forms divide by zero.
+fn zeta_combination<E: Engine>(
+    vk: &PlonkVerifyingKey<E>,
+    omega: E::Fr,
+    public_values: &[E::Fr],
+    challenges: &Challenges<E::Fr>,
+    evals: &[E::Fr; 6],
+) -> Option<ZetaCombination<E::Fr>> {
+    let Challenges { beta, gamma, alpha, zeta, nu } = *challenges;
+    let [a, b, c, s1, s2, z_omega] = *evals;
+    let [k0, k1, k2] = vk.coset_ks;
+    let one = E::Fr::one();
+
+    // Z_H(ζ), then L₁(ζ) and PI(ζ) = Σ −vᵢ·Lᵢ(ζ) from
+    // Lᵢ(ζ) = ωⁱ·Z_H(ζ)/(n·(ζ − ωⁱ)): one inversion for n, ζ − 1 and every
+    // ζ − ωⁱ, in which a zero stays zero.
+    let zeta_n = zeta.pow(&BigUint::from_u64(vk.n as u64));
+    let zh = zeta_n - one;
+    let roots: Vec<E::Fr> = vk
+        .public_rows
+        .iter()
+        .map(|&row| omega.pow(&BigUint::from_u64(row as u64)))
+        .collect();
+    let mut inv = vec![E::Fr::from_u64(vk.n as u64), zeta - one];
+    inv.extend(roots.iter().map(|&w| zeta - w));
+    batch_inverse(&mut inv);
+    if zh.is_zero() || inv.iter().any(Field::is_zero) {
+        return None;
+    }
+    let zh_over_n = zh * inv[0];
+    let l1 = zh_over_n * inv[1];
+    let weighted = roots.iter().zip(&inv[2..]).zip(public_values);
+    let pi = zh_over_n * weighted.fold(E::Fr::zero(), |acc, ((&w, &d), &v)| acc - v * w * d);
+
+    let alpha2_l1 = alpha.square() * l1;
+    let identity = (a + beta * k0 * zeta + gamma)
+        * (b + beta * k1 * zeta + gamma)
+        * (c + beta * k2 * zeta + gamma);
+    let sigma = alpha * (a + beta * s1 + gamma) * (b + beta * s2 + gamma) * z_omega;
+    // r = Σ scalarᵢ·pᵢ + r₀ over the first ten polynomials, and r(ζ) = 0.
+    let r0 = pi - alpha2_l1 - sigma * (c + gamma);
+    let nu2 = nu.square();
+    let [nu3, nu4] = [nu2 * nu, nu2.square()];
+    let nu5 = nu4 * nu;
+    Some(ZetaCombination {
+        scalars: [
+            a,
+            b,
+            c,
+            a * b,
+            one,
+            alpha * identity + alpha2_l1,
+            -(sigma * beta),
+            -zh,
+            -(zh * zeta_n),
+            -(zh * zeta_n.square()),
+            nu,
+            nu2,
+            nu3,
+            nu4,
+            nu5,
+        ],
+        value: nu * a + nu2 * b + nu3 * c + nu4 * s1 + nu5 * s2 - r0,
+    })
 }
 
 /// Round 2: the permutation accumulator `z` over the domain,
@@ -370,13 +505,16 @@ fn permutation_accumulator<F: PrimeField>(
 fn quotient<F: PrimeField>(
     circuit: &PlonkCircuit<F>,
     pre: &Preprocessed<F>,
-    [a, b, c, z, pi]: [&DensePolynomial<F>; 5],
+    [a, b, c, z]: [&DensePolynomial<F>; 4],
+    public_values: &[F],
     [beta, gamma, alpha]: [F; 3],
 ) -> DensePolynomial<F> {
     let domain4 = &pre.domain4;
-    let [a4, b4, c4, z4, pi4] = [a, b, c, z, pi].map(|p| coset_eval(domain4, p));
+    let [a4, b4, c4, z4] = [a, b, c, z].map(|p| coset_eval(domain4, p));
     let [ql, qr, qo, qm, qc] = pre.selectors.each_ref().map(|col| col.coset.as_slice());
     let [s1, s2, s3] = pre.sigmas.each_ref().map(|col| col.coset.as_slice());
+    let public: Vec<(usize, F)> =
+        circuit.public_rows.iter().copied().zip(public_values.iter().copied()).collect();
     // An all-zero column has no table and contributes nothing.
     let term = |col: &[F], j: usize, v: F| col.get(j).map_or_else(F::zero, |&q| q * v);
     let m = domain4.size();
@@ -395,7 +533,7 @@ fn quotient<F: PrimeField>(
                 + term(qo, j, c)
                 + term(qm, j, a * b)
                 + qc.get(j).copied().unwrap_or_else(F::zero)
-                + pi4[j];
+                + public_input_on_coset(&pre.l1_coset, &public, j);
             // z(ωx) on the coset is z four slots on: ω = ω₄⁴.
             let perm1 = z
                 * (a + beta_k[0] * x + gamma)
@@ -420,7 +558,8 @@ fn quotient<F: PrimeField>(
 ///
 /// Returns [`PlonkError::WitnessLength`] when the witness was generated
 /// for a different circuit, [`PlonkError::UnsatisfiedWitness`] when it does
-/// not satisfy this one, and [`PlonkError::Cancelled`] when the ambient
+/// not satisfy this one, [`PlonkError::SrsTooSmall`] when the key's SRS
+/// cannot hold the circuit, and [`PlonkError::Cancelled`] when the ambient
 /// token fires between rounds.
 pub fn plonk_prove<E: Engine>(
     pk: &PlonkProverKey<E>,
@@ -438,6 +577,13 @@ where
         });
     }
     let n = circuit.n;
+    // Every polynomial the protocol commits to has fewer than n
+    // coefficients; checked once so no later `Srs::commit` can meet its
+    // assertion.
+    let (needed, have) = (n - 1, pk.srs.max_degree());
+    if have < needed {
+        return Err(PlonkError::SrsTooSmall { needed, have });
+    }
     let domain = &pre.domain;
     let omega = domain.group_gen();
 
@@ -476,39 +622,40 @@ where
         return Err(PlonkError::Cancelled);
     }
 
-    // Round 3: the quotient.
-    let mut pi_evals = vec![E::Fr::zero(); n];
-    for (&row, &v) in circuit.public_rows.iter().zip(&pi_values) {
-        pi_evals[row] = -v;
-    }
-    let pi_poly = interpolate(domain, &pi_evals);
+    // Round 3: the quotient, in three pieces of n coefficients.
     let t_poly = quotient(
         circuit,
         pre,
-        [&a_poly, &b_poly, &c_poly, &z_poly, &pi_poly],
+        [&a_poly, &b_poly, &c_poly, &z_poly],
+        &pi_values,
         [beta, gamma, alpha],
     );
     if pool::cancellation_pending() {
         return Err(PlonkError::Cancelled);
     }
-    // Exact division leaves degree 3n − 4 (see `plonk_setup`); anything
-    // beyond means the gate or permutation identity failed on the domain.
+    // Exact division leaves degree 4(n − 1) − n = 3n − 4 (z·a·b·c less
+    // Z_H); anything beyond means the gate or permutation identity failed
+    // on the domain.
     if t_poly.degree() > 3 * n - 4 {
         return Err(PlonkError::UnsatisfiedWitness);
     }
-    let t_commit = pk.srs.commit(&t_poly);
-    transcript.absorb_point(&t_commit.0);
+    let mut pieces = t_poly.coeffs().chunks(n);
+    let t_polys: [DensePolynomial<E::Fr>; 3] = std::array::from_fn(|_| {
+        DensePolynomial::new(pieces.next().map_or_else(Vec::new, <[E::Fr]>::to_vec))
+    });
+    drop(t_poly);
+    let t_commits = t_polys.each_ref().map(|p| pk.srs.commit(p));
+    for c in &t_commits {
+        transcript.absorb_point(&c.0);
+    }
     let zeta = transcript.challenge();
 
-    // Round 4: the thirteen evaluations at ζ and z(ζω), one task each.
+    // Round 4: five evaluations at ζ and z(ζω), one task each.
     let [s1, s2, s3] = pre.sigmas.each_ref().map(|col| &col.poly);
-    let [ql, qr, qo, qm, qc] = pre.selectors.each_ref().map(|col| &col.poly);
-    let opened = [
-        &a_poly, &b_poly, &c_poly, &z_poly, s1, s2, s3, ql, qr, qo, qm, qc, &t_poly,
-    ];
+    let at_zeta = [&a_poly, &b_poly, &c_poly, s1, s2];
     let zeta_omega = zeta * omega;
-    let mut evals = [E::Fr::zero(); OPENED_AT_ZETA + 1];
-    pool::parallel_fill(&mut evals, 1, |i| match opened.get(i) {
+    let mut evals = [E::Fr::zero(); 6];
+    pool::parallel_fill(&mut evals, 1, |i| match at_zeta.get(i) {
         Some(p) => p.evaluate(zeta),
         None => z_poly.evaluate(zeta_omega),
     });
@@ -516,26 +663,45 @@ where
         transcript.absorb(*v);
     }
     let nu = transcript.challenge();
-    let mut evals_zeta = [E::Fr::zero(); OPENED_AT_ZETA];
-    evals_zeta.copy_from_slice(&evals[..OPENED_AT_ZETA]);
 
-    // Round 5: opening witnesses.
-    let (_, w_zeta) = pk.srs.open_batched(&opened, zeta, nu);
+    // Round 5: r and the ν-batch in one pass over the coefficient forms,
+    // then the two opening witnesses.
+    let challenges = Challenges { beta, gamma, alpha, zeta, nu };
+    let combination = zeta_combination(&pk.vk, omega, &pi_values, &challenges, &evals)
+        .ok_or(PlonkError::ChallengeInDomain)?;
+    let [ql, qr, qo, qm, qc] = pre.selectors.each_ref().map(|col| &col.poly);
+    let [t_lo, t_mid, t_hi] = &t_polys;
+    let combined_polys: [_; COMBINED_AT_ZETA] = [
+        ql, qr, qo, qm, qc, &z_poly, s3, t_lo, t_mid, t_hi, &a_poly, &b_poly, &c_poly, s1, s2,
+    ];
+    let mut combined = vec![E::Fr::zero(); n];
+    pool::parallel_chunks_mut(&mut combined, ROW_GRAIN, |ci, chunk| {
+        for (p, &scalar) in combined_polys.iter().zip(&combination.scalars) {
+            let coeffs = p.coeffs().get(ci * ROW_GRAIN..).unwrap_or(&[]);
+            for (acc, &coeff) in chunk.iter_mut().zip(coeffs) {
+                *acc += coeff * scalar;
+            }
+        }
+    });
+    combined[0] -= combination.value;
+    let (remainder, w_zeta) = pk.srs.open(&DensePolynomial::new(combined), zeta);
+    debug_assert!(remainder.is_zero(), "the batch at ζ vanishes there");
     let (_, w_zeta_omega) = pk.srs.open(&z_poly, zeta_omega);
 
     Ok(PlonkProof {
         wire_commits,
         z_commit,
-        t_commit,
-        evals_zeta,
-        z_omega_eval: evals[OPENED_AT_ZETA],
+        t_commits,
+        evals,
         w_zeta,
         w_zeta_omega,
     })
 }
 
 /// Verifies a PLONK proof against the public-input values (the circuit's
-/// public witness prefix `[1, outputs…, public inputs…]`).
+/// public witness prefix `[1, outputs…, public inputs…]`). A key whose
+/// public fields describe no domain of this field is rejected like a bad
+/// proof.
 pub fn plonk_verify<E: Engine>(
     vk: &PlonkVerifyingKey<E>,
     proof: &PlonkProof<E>,
@@ -545,13 +711,16 @@ where
     <E::G1 as zkperf_ec::CurveParams>::Base: PrimeField,
 {
     let _g = trace::region_profile("plonk_verify");
-    if public_values.len() != vk.public_rows.len() {
+    let n = vk.n;
+    if public_values.len() != vk.public_rows.len()
+        || !n.is_power_of_two()
+        || vk.public_rows.iter().any(|&row| row >= n)
+    {
         return false;
     }
-    let n = vk.n;
-    let domain = Radix2Domain::<E::Fr>::new(n).expect("vk domain is valid");
-    let omega = domain.group_gen();
-    let [k0, k1, k2] = vk.coset_ks;
+    let Some(omega) = E::Fr::root_of_unity_pow2(n.trailing_zeros()) else {
+        return false;
+    };
 
     // Replay the transcript.
     let mut transcript = Transcript::<E::Fr>::new(0x504c_4f4e);
@@ -566,84 +735,44 @@ where
     let gamma = transcript.challenge();
     transcript.absorb_point(&proof.z_commit.0);
     let alpha = transcript.challenge();
-    transcript.absorb_point(&proof.t_commit.0);
+    for c in &proof.t_commits {
+        transcript.absorb_point(&c.0);
+    }
     let zeta = transcript.challenge();
-    for v in proof
-        .evals_zeta
-        .iter()
-        .chain(std::iter::once(&proof.z_omega_eval))
-    {
+    for v in &proof.evals {
         transcript.absorb(*v);
     }
     let nu = transcript.challenge();
+    transcript.absorb_point(&proof.w_zeta.0);
+    transcript.absorb_point(&proof.w_zeta_omega.0);
+    let u = transcript.challenge();
 
-    let [a, b, c, z, s1, s2, s3, ql, qr, qo, qm, qc, t] = proof.evals_zeta;
-
-    // Z_H(ζ), L₁(ζ) and PI(ζ).
-    let zeta_n = zeta.pow(&BigUint::from_u64(n as u64));
-    let zh = zeta_n - E::Fr::one();
-    if zh.is_zero() {
+    let challenges = Challenges { beta, gamma, alpha, zeta, nu };
+    let Some(combination) =
+        zeta_combination(vk, omega, public_values, &challenges, &proof.evals)
+    else {
         return false; // ζ landed in the domain (negligible probability)
-    }
-    let n_inv = E::Fr::from_u64(n as u64).inverse().expect("n < p");
-    let lagrange_at = |row: usize| -> E::Fr {
-        let w_i = domain.element(row);
-        w_i * n_inv * zh * (zeta - w_i).inverse().expect("zeta not in domain")
     };
-    let l1 = lagrange_at(0);
-    let mut pi = E::Fr::zero();
-    for (&row, &v) in vk.public_rows.iter().zip(public_values) {
-        pi += -v * lagrange_at(row);
-    }
+    let z_omega = proof.evals[5];
 
-    // The quotient identity at ζ.
-    let gate = ql * a + qr * b + qo * c + qm * a * b + qc + pi;
-    let perm1 = z
-        * (a + beta * k0 * zeta + gamma)
-        * (b + beta * k1 * zeta + gamma)
-        * (c + beta * k2 * zeta + gamma)
-        - proof.z_omega_eval
-            * (a + beta * s1 + gamma)
-            * (b + beta * s2 + gamma)
-            * (c + beta * s3 + gamma);
-    let perm2 = (z - E::Fr::one()) * l1;
-    if gate + alpha * perm1 + alpha.square() * perm2 != t * zh {
-        return false;
-    }
-
-    // KZG checks: the 13 openings at ζ (batched) and z at ζω.
-    let commitments = [
-        proof.wire_commits[0],
-        proof.wire_commits[1],
-        proof.wire_commits[2],
-        proof.z_commit,
-        vk.sigma_commits[0],
-        vk.sigma_commits[1],
-        vk.sigma_commits[2],
-        vk.q_commits[0],
-        vk.q_commits[1],
-        vk.q_commits[2],
-        vk.q_commits[3],
-        vk.q_commits[4],
-        proof.t_commit,
+    // e(W_ζ + u·W_ζω, [τ]₂) = e(ζ·W_ζ + uζω·W_ζω + F − E, [1]₂), where
+    // F = [r − r₀] + ν[a] + … + ν⁵[S_σ2] + u[z] and E carries the claimed
+    // values; the right-hand G1 point is one MSM.
+    let [ql, qr, qo, qm, qc] = vk.q_commits;
+    let [s1, s2, s3] = vk.sigma_commits;
+    let [a, b, c] = proof.wire_commits;
+    let [t_lo, t_mid, t_hi] = proof.t_commits;
+    let combined_commits: [_; COMBINED_AT_ZETA] = [
+        ql, qr, qo, qm, qc, proof.z_commit, s3, t_lo, t_mid, t_hi, a, b, c, s1, s2,
     ];
-    let items: Vec<(Commitment<E>, E::Fr)> = commitments
-        .iter()
-        .copied()
-        .zip(proof.evals_zeta.iter().copied())
-        .collect();
-    if !vk
-        .srs
-        .verify_batched_opening(&items, zeta, nu, &proof.w_zeta)
-    {
-        return false;
-    }
-    vk.srs.verify_opening(
-        &proof.z_commit,
-        zeta * omega,
-        proof.z_omega_eval,
-        &proof.w_zeta_omega,
-    )
+    let mut points: Vec<_> = combined_commits.iter().map(|c| c.0).collect();
+    let mut scalars = combination.scalars.to_vec();
+    scalars[Z_SLOT] += u;
+    points.extend([Affine::generator(), proof.w_zeta.0, proof.w_zeta_omega.0]);
+    scalars.extend([-(combination.value + u * z_omega), zeta, u * zeta * omega]);
+    let rhs = msm(&points, &scalars);
+    let lhs = proof.w_zeta.0.to_projective() + proof.w_zeta_omega.0.to_projective() * u;
+    vk.srs.pairing_check(&rhs.to_affine(), &lhs.neg().to_affine())
 }
 
 #[cfg(test)]
@@ -660,7 +789,7 @@ mod tests {
         for log_n in [2u32, 5, 9] {
             let r1cs_rows = (1 << log_n) - 3; // plus three public-input gates
             let circuit = PlonkCircuit::from_r1cs(exponentiate::<Fr>(r1cs_rows).r1cs()).unwrap();
-            let pre = Preprocessed::new(&circuit);
+            let pre = Preprocessed::new(&circuit).unwrap();
             let (n, m) = (circuit.n, 4 * circuit.n);
             assert_eq!((n, pre.domain4.size()), (1 << log_n, m));
 
@@ -678,6 +807,34 @@ mod tests {
         }
     }
 
+    /// `PI` on the coset the way the prover used to get it: a length-n
+    /// vector that is zero off the public rows, interpolated and extended.
+    #[test]
+    fn closed_form_public_input_matches_interpolate_and_extend() {
+        let mut rng = zkperf_ff::test_rng();
+        for log_n in [2u32, 5, 9] {
+            let circuit =
+                PlonkCircuit::from_r1cs(exponentiate::<Fr>((1 << log_n) - 3).r1cs()).unwrap();
+            let pre = Preprocessed::new(&circuit).unwrap();
+            let n = circuit.n;
+            for count in [1, 3, n / 2] {
+                // Rows spread over the domain, the last one included.
+                let rows: Vec<usize> = (1..=count).map(|i| i * (n / count) - 1).collect();
+                let public: Vec<(usize, Fr)> =
+                    rows.into_iter().map(|row| (row, Fr::random(&mut rng))).collect();
+                let mut evals = vec![Fr::zero(); n];
+                for &(row, v) in &public {
+                    evals[row] = -v;
+                }
+                let transformed = coset_eval(&pre.domain4, &interpolate(&pre.domain, &evals));
+                let closed: Vec<Fr> = (0..4 * n)
+                    .map(|j| public_input_on_coset(&pre.l1_coset, &public, j))
+                    .collect();
+                assert_eq!(closed, transformed, "n = {n}, {count} public rows");
+            }
+        }
+    }
+
     #[test]
     fn all_zero_columns_hold_no_table_and_still_prove() {
         // Exponentiation never uses q_R or q_C; the Poseidon circuit's
@@ -688,11 +845,11 @@ mod tests {
         let tables: Vec<bool> = pk.pre.selectors.iter().map(|c| !c.coset.is_empty()).collect();
         assert_eq!(tables, [true, false, true, true, false]);
         assert!(pk.pre.selectors[1].poly.is_zero());
-        assert!(pk.vk.q_commits[1].0.infinity);
+        // The verifier's MSM takes [q_R] and [q_C] as identity points.
+        assert!(pk.vk.q_commits[1].0.infinity && pk.vk.q_commits[4].0.infinity);
         let w = exp.generate_witness(&[Fr::from_u64(3)], &[]).unwrap();
         let proof = plonk_prove(&pk, w.full()).unwrap();
         assert!(plonk_verify(&pk.vk, &proof, w.public()));
-        assert!(proof.evals_zeta[8].is_zero() && proof.evals_zeta[11].is_zero());
 
         let poseidon = merkle_membership_poseidon::<Fr>(1);
         let pk = plonk_setup::<Bn254, _>(poseidon.r1cs(), &mut rng).unwrap();
@@ -705,12 +862,92 @@ mod tests {
         let mut rng = zkperf_ff::test_rng();
         let pk = plonk_setup::<Bn254, _>(exponentiate::<Fr>(12).r1cs(), &mut rng).unwrap();
         let n = pk.circuit.n;
-        assert_eq!(pk.srs.max_degree(), 3 * n);
+        assert_eq!(pk.srs.max_degree(), n - 1);
         assert_eq!(pk.vk.srs.max_degree(), 0);
-        // 3n + 1 powers, 8n column values, 6 non-zero polynomials with
-        // their 4n tables, L₁ and the four 1/Z_H values.
+        // n powers, 8n column values, 6 non-zero polynomials with their 4n
+        // tables, L₁ and the four 1/Z_H values.
         let elements = 8 * n + 6 * 5 * n + 4 * n + 4;
-        assert_eq!(pk.size_bytes(), (3 * n + 1) * 64 + elements * 32);
+        assert_eq!(pk.size_bytes(), n * 64 + elements * 32);
+    }
+
+    #[test]
+    fn unsatisfied_witness_is_a_typed_error_not_a_proof() {
+        // The last wire of the multiplication chain is wrong but the copy
+        // constraints still close: only the degree check on t, taken
+        // before the split into pieces, can notice.
+        let circuit = exponentiate::<Fr>(12);
+        let mut rng = zkperf_ff::test_rng();
+        let pk = plonk_setup::<Bn254, _>(circuit.r1cs(), &mut rng).unwrap();
+        let w = circuit.generate_witness(&[Fr::from_u64(3)], &[]).unwrap();
+        let mut tampered = w.full().to_vec();
+        *tampered.last_mut().unwrap() += Fr::one();
+        assert_eq!(plonk_prove(&pk, &tampered), Err(PlonkError::UnsatisfiedWitness));
+    }
+
+    #[test]
+    fn a_key_with_a_short_srs_is_a_typed_error_not_a_panic() {
+        let circuit = exponentiate::<Fr>(12);
+        let mut rng = zkperf_ff::test_rng();
+        let mut pk = plonk_setup::<Bn254, _>(circuit.r1cs(), &mut rng).unwrap();
+        let n = pk.circuit.n;
+        pk.srs = Srs::generate(n - 2, &mut rng);
+        let w = circuit.generate_witness(&[Fr::from_u64(3)], &[]).unwrap();
+        assert_eq!(
+            plonk_prove(&pk, w.full()),
+            Err(PlonkError::SrsTooSmall { needed: n - 1, have: n - 2 })
+        );
+    }
+
+    #[test]
+    fn hostile_verifying_keys_are_rejected_without_a_panic() {
+        let circuit = exponentiate::<Fr>(12);
+        let mut rng = zkperf_ff::test_rng();
+        let pk = plonk_setup::<Bn254, _>(circuit.r1cs(), &mut rng).unwrap();
+        let w = circuit.generate_witness(&[Fr::from_u64(3)], &[]).unwrap();
+        let proof = plonk_prove(&pk, w.full()).unwrap();
+        assert!(plonk_verify(&pk.vk, &proof, w.public()));
+        for n in [0, 3, 1 << 40] {
+            let vk = PlonkVerifyingKey { n, ..pk.vk.clone() };
+            assert!(!plonk_verify(&vk, &proof, w.public()), "n = {n}");
+        }
+        let mut vk = pk.vk.clone();
+        vk.public_rows[1] = vk.n;
+        assert!(!plonk_verify(&vk, &proof, w.public()), "public row outside the domain");
+    }
+
+    /// Work as counts that repeat exactly, at n = 2^6.
+    #[test]
+    fn a_proof_is_nine_msms_and_nine_transforms_and_a_verify_one_pairing_product() {
+        let circuit = exponentiate::<Fr>((1 << 6) - 3);
+        let mut rng = zkperf_ff::test_rng();
+        let pk = plonk_setup::<Bn254, _>(circuit.r1cs(), &mut rng).unwrap();
+        let n = pk.circuit.n;
+        assert_eq!(n, 1 << 6);
+        // Every MSM reads a prefix of these n powers.
+        assert_eq!(pk.srs.g1_powers.len(), n);
+        let w = circuit.generate_witness(&[Fr::from_u64(3)], &[]).unwrap();
+        let calls = |report: &trace::SessionReport, region: &str| {
+            report.region(region).map_or(0, |r| r.calls)
+        };
+
+        // A session sees the thread it was opened on.
+        let _inline = pool::SerialScope::enter();
+        let session = trace::Session::begin();
+        let proof = plonk_prove(&pk, w.full()).unwrap();
+        let report = session.finish();
+        assert_eq!(calls(&report, "msm"), 9);
+        // 4 size-n inverse NTTs, 4 size-4n coset NTTs, 1 inverse coset NTT.
+        assert_eq!(calls(&report, "fft"), 9);
+
+        // The key prepares its G2 lines on first use.
+        assert!(plonk_verify(&pk.vk, &proof, w.public()));
+        let session = trace::Session::begin();
+        assert!(plonk_verify(&pk.vk, &proof, w.public()));
+        let report = session.finish();
+        assert_eq!(calls(&report, "msm"), 1);
+        assert_eq!(calls(&report, "scalar_mul"), 1); // u·W_ζω
+        assert_eq!(calls(&report, "miller_loop"), 2); // one product of two pairs
+        assert_eq!(calls(&report, "final_exp"), 1);
     }
 
     #[test]

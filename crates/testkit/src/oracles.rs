@@ -24,7 +24,7 @@
 //! | twisted pairing + prepared G2 lines  | untwisted Miller + BigUint exp   |
 //! | N-thread pool execution              | 1-thread execution, bit-for-bit  |
 //! | Groth16 / PLONK pipelines            | end-to-end accept on valid input |
-//! | PLONK key tables + quotient `t`      | Lagrange-basis evals + identity  |
+//! | PLONK evaluations, `r₀`, openings    | Lagrange basis + unbatched KZG   |
 //! | Goldilocks field arithmetic          | `BigUint` canonical arithmetic   |
 //! | Poseidon Merkle tree (STARK)         | recursive shared-nothing root    |
 //! | FRI fold kernel                      | even/odd Horner on squared coset |
@@ -732,29 +732,70 @@ fn groth16_roundtrip_case<E: Engine>(rng: &mut SplitRng) -> CaseResult {
     }
 }
 
-fn plonk_roundtrip_case<E: Engine>(rng: &mut SplitRng) -> CaseResult
+/// β, γ, α, ζ, ν as the PLONK transcript yields them for `proof`.
+pub(crate) fn plonk_challenges<E: Engine>(
+    vk: &zkperf_plonk::PlonkVerifyingKey<E>,
+    public: &[E::Fr],
+    proof: &zkperf_plonk::PlonkProof<E>,
+) -> [E::Fr; 5]
 where
     <E::G1 as CurveParams>::Base: PrimeField,
 {
-    let (circuit, witness) = adversarial_circuit::<E::Fr>(rng);
-    let pk = zkperf_plonk::plonk_setup::<E, _>(circuit.r1cs(), rng)
-        .map_err(|e| format!("setup failed: {e}"))?;
-    let proof =
-        zkperf_plonk::plonk_prove(&pk, witness.full()).map_err(|e| format!("prove failed: {e}"))?;
-    if !zkperf_plonk::plonk_verify(pk.vk(), &proof, witness.public()) {
-        return fail(
-            "plonk roundtrip",
-            format_args!("valid proof rejected ({})", circuit.name()),
-        );
+    let mut t = zkperf_plonk::Transcript::<E::Fr>::new(0x504c_4f4e);
+    t.absorb(E::Fr::from_u64(vk.n as u64));
+    for c in vk.q_commits.iter().chain(&vk.sigma_commits) {
+        t.absorb_point(&c.0);
     }
-    Ok(())
+    for v in public {
+        t.absorb(*v);
+    }
+    for c in &proof.wire_commits {
+        t.absorb_point(&c.0);
+    }
+    let (beta, gamma) = (t.challenge(), t.challenge());
+    t.absorb_point(&proof.z_commit.0);
+    let alpha = t.challenge();
+    for c in &proof.t_commits {
+        t.absorb_point(&c.0);
+    }
+    let zeta = t.challenge();
+    for v in &proof.evals {
+        t.absorb(*v);
+    }
+    [beta, gamma, alpha, zeta, t.challenge()]
 }
 
-/// The prover reads its circuit polynomials and coset tables from the key
-/// and computes `t` from them; this recomputes, from the raw columns and
-/// the Lagrange basis at ζ alone, every evaluation the proof carries and
-/// the identity `t(ζ)·Z_H(ζ) = gate + α·perm₁ + α²·perm₂` they must satisfy.
-fn plonk_quotient_identity_case<E: Engine>(rng: &mut SplitRng) -> CaseResult
+/// The permutation accumulator over the domain, one field inversion per
+/// row: `z₀ = 1`, `zᵢ₊₁ = zᵢ·Π(w + β·k·ωⁱ + γ)/Π(w + β·σ + γ)`.
+pub(crate) fn plonk_accumulator<F: PrimeField>(
+    plonk: &zkperf_plonk::PlonkCircuit<F>,
+    domain: &Radix2Domain<F>,
+    cols: &[Vec<F>; 3],
+    beta: F,
+    gamma: F,
+) -> Result<Vec<F>, String> {
+    let mut z = Vec::with_capacity(plonk.n);
+    let mut acc = F::one();
+    for i in 0..plonk.n {
+        z.push(acc);
+        let x = domain.element(i);
+        let (mut num, mut den) = (F::one(), F::one());
+        for ((col, sigma), &k) in cols.iter().zip(&plonk.sigma).zip(&plonk.coset_ks) {
+            num *= col[i] + beta * k * x + gamma;
+            den *= col[i] + beta * sigma[i] + gamma;
+        }
+        acc *= num * den.inverse().ok_or("zero permutation factor")?;
+    }
+    Ok(z)
+}
+
+/// End-to-end accept, then everything a proof carries recomputed from the
+/// raw columns and the Lagrange basis alone: `ā, b̄, c̄, s̄σ1, s̄σ2` at ζ, `z̄ω`
+/// from an accumulator rebuilt row by row, the constant term `r₀` of the
+/// linearisation from those, and the two KZG openings checked one at a
+/// time against `[r − r₀] + ν[a] + … + ν⁵[S_σ2]` assembled by double-and-add
+/// — no batching scalar, no MSM, none of the prover's tables.
+fn plonk_roundtrip_case<E: Engine>(rng: &mut SplitRng) -> CaseResult
 where
     <E::G1 as CurveParams>::Base: PrimeField,
 {
@@ -771,73 +812,90 @@ where
     let proof =
         zkperf_plonk::plonk_prove(&pk, witness.full()).map_err(|e| format!("prove failed: {e}"))?;
     let vk = pk.vk();
+    if !zkperf_plonk::plonk_verify(vk, &proof, witness.public()) {
+        return fail(
+            "plonk roundtrip",
+            format_args!("valid proof rejected ({})", circuit.name()),
+        );
+    }
     let plonk = zkperf_plonk::PlonkCircuit::from_r1cs(circuit.r1cs())
         .map_err(|e| format!("arithmetize failed: {e}"))?;
-
-    // β, γ, α, ζ from the transcript, in the prover's order.
-    let mut t = zkperf_plonk::Transcript::<E::Fr>::new(0x504c_4f4e);
-    t.absorb(E::Fr::from_u64(vk.n as u64));
-    for c in vk.q_commits.iter().chain(&vk.sigma_commits) {
-        t.absorb_point(&c.0);
-    }
-    for v in witness.public() {
-        t.absorb(*v);
-    }
-    for c in &proof.wire_commits {
-        t.absorb_point(&c.0);
-    }
-    let (beta, gamma) = (t.challenge(), t.challenge());
-    t.absorb_point(&proof.z_commit.0);
-    let alpha = t.challenge();
-    t.absorb_point(&proof.t_commit.0);
-    let zeta = t.challenge();
+    let [beta, gamma, alpha, zeta, nu] = plonk_challenges(vk, witness.public(), &proof);
 
     let domain = Radix2Domain::<E::Fr>::new(plonk.n).ok_or("no domain")?;
+    let zeta_omega = zeta * domain.group_gen();
     let lagrange = domain.lagrange_coefficients_at(zeta);
-    let at_zeta = |evals: &[E::Fr]| -> E::Fr {
-        evals.iter().zip(&lagrange).fold(E::Fr::zero(), |acc, (&e, &l)| acc + e * l)
+    let combine = |evals: &[E::Fr], basis: &[E::Fr]| -> E::Fr {
+        evals.iter().zip(basis).fold(E::Fr::zero(), |acc, (&e, &l)| acc + e * l)
     };
     let cols = plonk.wire_columns(witness.full());
-    let wires = cols.each_ref().map(|col| at_zeta(col));
-    let circuit_columns = [
-        &plonk.sigma[0],
-        &plonk.sigma[1],
-        &plonk.sigma[2],
-        &plonk.q_l,
-        &plonk.q_r,
-        &plonk.q_o,
-        &plonk.q_m,
-        &plonk.q_c,
-    ]
-    .map(|col| at_zeta(col));
-    // z(ζ), z(ζω) and t(ζ) are pinned through the identity below.
-    if proof.evals_zeta[..3] != wires || proof.evals_zeta[4..12] != circuit_columns {
+    let z = plonk_accumulator(&plonk, &domain, &cols, beta, gamma)?;
+    let expected = [
+        combine(&cols[0], &lagrange),
+        combine(&cols[1], &lagrange),
+        combine(&cols[2], &lagrange),
+        combine(&plonk.sigma[0], &lagrange),
+        combine(&plonk.sigma[1], &lagrange),
+        combine(&z, &domain.lagrange_coefficients_at(zeta_omega)),
+    ];
+    if proof.evals != expected {
         return fail(
             "plonk evaluations",
             format_args!("differ from the Lagrange-basis values ({})", circuit.name()),
         );
     }
+
+    let [a, b, c, s1, s2, z_omega] = expected;
+    let [k0, k1, k2] = plonk.coset_ks;
     let pi = plonk
         .public_rows
         .iter()
         .zip(witness.public())
         .fold(E::Fr::zero(), |acc, (&row, &v)| acc - v * lagrange[row]);
-    let [a, b, c, z, s1, s2, s3, ql, qr, qo, qm, qc, t_zeta] = proof.evals_zeta;
-    let [k0, k1, k2] = plonk.coset_ks;
-    let gate = ql * a + qr * b + qo * c + qm * a * b + qc + pi;
-    let perm1 = z
-        * (a + beta * k0 * zeta + gamma)
+    let l1 = lagrange[0];
+    let sigma_product = (a + beta * s1 + gamma) * (b + beta * s2 + gamma) * z_omega;
+    let r0 = pi - alpha.square() * l1 - alpha * sigma_product * (c + gamma);
+    let identity_product = (a + beta * k0 * zeta + gamma)
         * (b + beta * k1 * zeta + gamma)
-        * (c + beta * k2 * zeta + gamma)
-        - proof.z_omega_eval
-            * (a + beta * s1 + gamma)
-            * (b + beta * s2 + gamma)
-            * (c + beta * s3 + gamma);
-    let perm2 = (z - E::Fr::one()) * lagrange[0];
-    if t_zeta * domain.eval_vanishing(zeta) != gate + alpha * perm1 + alpha.square() * perm2 {
+        * (c + beta * k2 * zeta + gamma);
+    let zh = domain.eval_vanishing(zeta);
+    let zeta_n = zh + E::Fr::one();
+    let term = |commit: &zkperf_plonk::Commitment<E>, scalar: E::Fr| {
+        commit.0.to_projective().mul_bigint(&scalar.to_biguint())
+    };
+    let [ql, qr, qo, qm, qc] = &vk.q_commits;
+    let [t_lo, t_mid, t_hi] = &proof.t_commits;
+    let mut nus = [nu; 5]; // ν, ν², …, ν⁵
+    for i in 1..5 {
+        nus[i] = nus[i - 1] * nu;
+    }
+    let t_at_zeta =
+        term(t_lo, E::Fr::one()) + term(t_mid, zeta_n) + term(t_hi, zeta_n.square());
+    let batch = term(qm, a * b)
+        + term(ql, a)
+        + term(qr, b)
+        + term(qo, c)
+        + term(qc, E::Fr::one())
+        + term(&proof.z_commit, alpha * identity_product + alpha.square() * l1)
+        + term(&vk.sigma_commits[2], -(alpha * beta * sigma_product))
+        + t_at_zeta.mul_bigint(&(-zh).to_biguint())
+        + term(&proof.wire_commits[0], nus[0])
+        + term(&proof.wire_commits[1], nus[1])
+        + term(&proof.wire_commits[2], nus[2])
+        + term(&vk.sigma_commits[0], nus[3])
+        + term(&vk.sigma_commits[1], nus[4]);
+    let value = nus[0] * a + nus[1] * b + nus[2] * c + nus[3] * s1 + nus[4] * s2 - r0;
+    let batch = zkperf_plonk::Commitment::<E>(batch.to_affine());
+    if !vk.srs.verify_opening(&batch, zeta, value, &proof.w_zeta) {
         return fail(
-            "plonk quotient identity",
-            format_args!("t(ζ)·Z_H(ζ) is off ({}, n = {})", circuit.name(), plonk.n),
+            "plonk linearisation",
+            format_args!("W_ζ does not open [r − r₀] + ν-batch to −r₀ + ν-batch ({})", circuit.name()),
+        );
+    }
+    if !vk.srs.verify_opening(&proof.z_commit, zeta_omega, z_omega, &proof.w_zeta_omega) {
+        return fail(
+            "plonk accumulator opening",
+            format_args!("W_ζω does not open [z] to z̄ω at ζω ({})", circuit.name()),
         );
     }
     Ok(())
@@ -1358,8 +1416,8 @@ pub fn all_oracles() -> Vec<Oracle> {
             run: plonk_roundtrip_case::<zkperf_ec::Bn254>,
         },
         Oracle {
-            name: "plonk_quotient_identity",
-            run: plonk_quotient_identity_case::<zkperf_ec::Bn254>,
+            name: "plonk_roundtrip_bls12_381",
+            run: plonk_roundtrip_case::<zkperf_ec::Bls12_381>,
         },
         Oracle {
             name: "stream_msm_bn254_g1",

@@ -361,13 +361,8 @@ where
         return Err("fixture proof does not verify".into());
     }
     let mut out = Vec::new();
-    // Evaluation order in `evals_zeta`:
-    // a, b, c, z, s₁, s₂, s₃, q_L, q_R, q_O, q_M, q_C, t.
-    const EVAL_A: usize = 0;
-    const EVAL_Z: usize = 3;
-    const EVAL_S1: usize = 4;
-    const EVAL_QL: usize = 7;
-    const EVAL_T: usize = 12;
+    // Order in `evals`: ā, b̄, c̄, s̄σ1, s̄σ2, z̄ω.
+    const EVAL_Z_OMEGA: usize = 5;
 
     // -- commitment mutations ---------------------------------------
     let mut bad = proof.clone();
@@ -380,37 +375,61 @@ where
     bad.z_commit.0 = doubled(&bad.z_commit.0);
     record_plonk::<E>(&mut out, "z_commit_doubled", vk, &bad, public);
     let mut bad = proof.clone();
-    bad.z_commit = bad.t_commit;
+    bad.z_commit = bad.t_commits[0];
     record_plonk::<E>(&mut out, "z_commit_replaced_by_t", vk, &bad, public);
-    let mut bad = proof.clone();
-    bad.t_commit.0 = doubled(&bad.t_commit.0);
-    record_plonk::<E>(&mut out, "t_commit_doubled", vk, &bad, public);
-    let mut bad = proof.clone();
-    bad.t_commit.0 = Affine::identity();
-    record_plonk::<E>(&mut out, "t_commit_identity", vk, &bad, public);
-
-    // -- claimed-evaluation mutations -------------------------------
-    for (name, idx) in [
-        ("eval_wire_tampered", EVAL_A),
-        ("eval_z_tampered", EVAL_Z),
-        ("eval_sigma_tampered", EVAL_S1),
-        ("eval_selector_tampered", EVAL_QL),
-        ("eval_quotient_tampered", EVAL_T),
+    for (piece, doubled_name, identity_name) in [
+        (0, "t_lo_commit_doubled", "t_lo_commit_identity"),
+        (1, "t_mid_commit_doubled", "t_mid_dropped_to_identity"),
+        (2, "t_hi_commit_doubled", "t_hi_commit_identity"),
     ] {
         let mut bad = proof.clone();
-        bad.evals_zeta[idx] += E::Fr::one();
+        bad.t_commits[piece].0 = doubled(&bad.t_commits[piece].0);
+        record_plonk::<E>(&mut out, doubled_name, vk, &bad, public);
+        let mut bad = proof.clone();
+        bad.t_commits[piece].0 = Affine::identity();
+        record_plonk::<E>(&mut out, identity_name, vk, &bad, public);
+    }
+    let mut bad = proof.clone();
+    bad.t_commits.swap(0, 2);
+    record_plonk::<E>(&mut out, "t_pieces_swapped", vk, &bad, public);
+
+    // -- claimed-evaluation mutations -------------------------------
+    for (idx, name) in [
+        "eval_a_tampered",
+        "eval_b_tampered",
+        "eval_c_tampered",
+        "eval_sigma1_tampered",
+        "eval_sigma2_tampered",
+        "z_omega_tampered",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let mut bad = proof.clone();
+        bad.evals[idx] += E::Fr::one();
         record_plonk::<E>(&mut out, name, vk, &bad, public);
     }
     let mut bad = proof.clone();
-    bad.evals_zeta.rotate_left(1);
+    bad.evals.rotate_left(1);
     record_plonk::<E>(&mut out, "evals_rotated", vk, &bad, public);
-    let mut bad = proof.clone();
-    bad.z_omega_eval += E::Fr::one();
-    record_plonk::<E>(&mut out, "z_omega_tampered", vk, &bad, public);
     // Wrong-domain evaluation: claim z(ζ) where the protocol expects
-    // z(ζω) — a correctly computed value for the wrong domain point.
+    // z(ζω) — a correctly computed value for the wrong domain point. The
+    // proof no longer carries z(ζ), so it is rebuilt from the witness.
+    let plonk = zkperf_plonk::PlonkCircuit::from_r1cs(circuit.r1cs())
+        .map_err(|e| format!("fixture arithmetization failed: {e}"))?;
+    let domain = zkperf_poly::Radix2Domain::<E::Fr>::new(plonk.n).ok_or("no fixture domain")?;
+    let [beta, gamma, _, zeta, _] = crate::oracles::plonk_challenges(vk, public, &proof);
+    let z = crate::oracles::plonk_accumulator(
+        &plonk,
+        &domain,
+        &plonk.wire_columns(w.full()),
+        beta,
+        gamma,
+    )?;
+    let lagrange = domain.lagrange_coefficients_at(zeta);
     let mut bad = proof.clone();
-    bad.z_omega_eval = bad.evals_zeta[EVAL_Z];
+    bad.evals[EVAL_Z_OMEGA] =
+        z.iter().zip(&lagrange).fold(E::Fr::zero(), |acc, (&e, &l)| acc + e * l);
     record_plonk::<E>(&mut out, "z_omega_wrong_domain", vk, &bad, public);
 
     // -- opening-proof mutations ------------------------------------
@@ -423,6 +442,23 @@ where
     let mut bad = proof.clone();
     std::mem::swap(&mut bad.w_zeta, &mut bad.w_zeta_omega);
     record_plonk::<E>(&mut out, "opening_proofs_swapped", vk, &bad, public);
+    // Scaling both sides of one pairing equation by the same factor keeps
+    // it true; the batching scalar u is drawn after both witnesses, so the
+    // scaled pair meets a different equation.
+    let mut bad = proof.clone();
+    bad.w_zeta.0 = doubled(&bad.w_zeta.0);
+    bad.w_zeta_omega.0 = doubled(&bad.w_zeta_omega.0);
+    record_plonk::<E>(&mut out, "both_openings_scaled_by_same_factor", vk, &bad, public);
+    let mut bad = proof.clone();
+    bad.w_zeta_omega = bad.w_zeta;
+    record_plonk::<E>(&mut out, "w_zeta_omega_replaced_by_w_zeta", vk, &bad, public);
+
+    // -- key mutations ----------------------------------------------
+    // S_σ3 is the one σ that is never opened: it enters only through the
+    // linearisation commitment the verifier assembles.
+    let mut wrong_vk = vk.clone();
+    wrong_vk.sigma_commits[2].0 = doubled(&wrong_vk.sigma_commits[2].0);
+    record_plonk::<E>(&mut out, "vk_sigma3_commit_doubled", &wrong_vk, &proof, public);
 
     // -- public-input mutations -------------------------------------
     let mut tampered = public.to_vec();
@@ -781,7 +817,7 @@ mod tests {
     fn plonk_mutation_classes_all_rejected() {
         let mut rng = SplitRng::from_seed(0x50d5);
         let outcomes = run_plonk_mutations::<zkperf_ec::Bn254>(&mut rng).unwrap();
-        assert!(outcomes.len() >= 15);
+        assert!(outcomes.len() >= 28);
         for o in &outcomes {
             assert!(o.rejected, "{} accepted a mutated input: {}", o.name, o.outcome);
         }

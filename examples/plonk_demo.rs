@@ -6,6 +6,7 @@
 use std::time::Instant;
 
 use zkperf::circuit::library::exponentiate;
+use zkperf::core::{PlonkBackend, ProverBackend};
 use zkperf::ec::Bn254;
 use zkperf::ff::{bn254::Fr, Field};
 use zkperf::groth16;
@@ -30,7 +31,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let p_proof = plonk_prove(&p_pk, witness.full())?;
     let p_ms = t.elapsed().as_secs_f64() * 1e3;
     assert!(plonk_verify(p_pk.vk(), &p_proof, witness.public()));
-    println!("PlonK:   proved in {p_ms:.1} ms, ACCEPT");
+    let p_bytes = PlonkBackend::<Bn254>::encode_proof(&p_proof).len();
+    println!("PlonK:   proved in {p_ms:.1} ms, proof {p_bytes} bytes, ACCEPT");
 
     println!(
         "\nPlonK/Groth16 proving-time ratio: {:.2}× (the paper reports ~2× for snarkjs)",

@@ -17,9 +17,9 @@
 # `ProverBackend::setup_ceremony`: key generation for one's own use is
 # `setup_contributed`, which needs no sweep (DESIGN.md §5).
 #
-# Six library crates (zkperf-core, zkperf-groth16, zkperf-io,
-# zkperf-pool, zkperf-resilience, zkperf-serve) additionally deny
-# clippy::unwrap_used and clippy::expect_used outside #[cfg(test)] via
+# Seven library crates (zkperf-core, zkperf-groth16, zkperf-io,
+# zkperf-plonk, zkperf-pool, zkperf-resilience, zkperf-serve) additionally
+# deny clippy::unwrap_used and clippy::expect_used outside #[cfg(test)] via
 # attributes at the top of their lib.rs, so step 3 also enforces the
 # panic-free-hot-path policy; tests and binaries may still unwrap.
 #
@@ -123,6 +123,16 @@ if ! ./target/release/fuzz_lite --only stream --iters 12; then
     echo "fuzz_lite found streaming divergences; paste a replay line from above" >&2
     exit 1
 fi
+
+# PLONK tier: the proof bytes (recorded at one thread, PR 23's protocol
+# change) and the cross-scheme integration suite at both ambient pool
+# sizes like the other two known-answer tests, then the mutation audit
+# over the nine-point proof layout — every class rejected, none by panic.
+echo "==> plonk tier: known-answer and integration tests at ZKPERF_THREADS=1 and 4"
+ZKPERF_THREADS=1 cargo test -q --offline --test plonk_proof_kat --test plonk_integration
+ZKPERF_THREADS=4 cargo test -q --offline --test plonk_proof_kat --test plonk_integration
+echo "==> plonk tier: mutation classes"
+cargo test -q --offline -p zkperf-testkit plonk_mutation_classes_all_rejected
 
 # STARK tier: the transparent backend's own gate. The backend-trait
 # conformance suite drives the satisfied/unsatisfied acceptance circuits
