@@ -217,9 +217,12 @@ mod tests {
         assert!(ceremony.region_uops("scalar_mul") > 0);
         assert_eq!(
             ceremony.counts.total_uops(),
-            102_165_929,
+            102_885_109,
             "the traced setup stage at 2^8 moved: it was 102165929 uops before \
-             `setup_contributed` existed (62833229 of them in `scalar_mul`)"
+             `setup_contributed` existed (62833229 of them in `scalar_mul`), and \
+             102885109 (63440297) since the GLV split became odd: a contribution \
+             scalar of this seed sits above r/2 and now splits as the negation of \
+             its negative, other digits for the same four sweeps"
         );
 
         // The same circuit through `B::setup`, as serve and the CLI run it.

@@ -28,6 +28,7 @@
 //! `⌊2³⁸⁴·|bⱼ|/r⌋`, and the residuals accumulate in fixed-width
 //! two's-complement limbs.
 
+use zkperf_ff::arith::{geq, sub_noborrow};
 use zkperf_ff::{BigUint, Field, PrimeField};
 
 use crate::curve::{Affine, CurveParams, Projective};
@@ -54,6 +55,16 @@ pub struct SignedHalf {
     pub limbs: [u64; HALF_LIMBS],
     /// Sign flag (ignored when the magnitude is zero).
     pub neg: bool,
+}
+
+impl SignedHalf {
+    /// `−self`; zero keeps a clear sign flag.
+    pub fn negated(self) -> Self {
+        SignedHalf {
+            limbs: self.limbs,
+            neg: !self.neg && self.limbs != [0; HALF_LIMBS],
+        }
+    }
 }
 
 /// The two half-width components of a decomposed scalar:
@@ -83,6 +94,11 @@ pub struct GlvParams<C: CurveParams> {
     g1: [u64; G_LIMBS],
     /// `⌊2³⁸⁴·|b1|/r⌋` — Babai rounding constant for `c2`.
     g2: [u64; G_LIMBS],
+    /// The group order `r`.
+    r: [u64; K_LIMBS],
+    /// `(r − 1)/2`: canonical scalars above it are the negatives of the
+    /// ones at or below it.
+    r_half: [u64; K_LIMBS],
     /// Upper bound on the bit length of `|k1|`, `|k2|`.
     half_bits: usize,
 }
@@ -121,8 +137,26 @@ impl<C: CurveParams> GlvParams<C> {
         self.decompose_limbs(&k)
     }
 
-    /// [`Self::decompose`] over raw canonical limbs.
+    /// [`Self::decompose`] over raw canonical limbs (`k < r`).
+    ///
+    /// The map is odd, `decompose(r − k) = −decompose(k)`: truncated Babai
+    /// rounding alone sends a small negative scalar (`r − 1`, the `q_O` of
+    /// every PLONK multiplication gate) to two full-width halves where its
+    /// negation is `(1, 0)`, so the upper half of `[0, r)` decomposes its
+    /// negation and flips both signs.
     pub fn decompose_limbs(&self, k: &[u64; K_LIMBS]) -> DecomposedScalar {
+        if !geq(&self.r_half, k) {
+            let d = self.decompose_lower_half(&sub_noborrow(&self.r, k));
+            return DecomposedScalar {
+                k1: d.k1.negated(),
+                k2: d.k2.negated(),
+            };
+        }
+        self.decompose_lower_half(k)
+    }
+
+    /// The decomposition proper, for `k ≤ (r − 1)/2`.
+    fn decompose_lower_half(&self, k: &[u64; K_LIMBS]) -> DecomposedScalar {
         // Babai rounding (truncated): c1 ≈ k·b2/r, c2 ≈ −k·b1/r, so that
         // (k, 0) − c1·v1 − c2·v2 is a short lattice-offset vector.
         let m1 = mul_shift(k, &self.g1);
@@ -289,6 +323,13 @@ impl SignedBig {
     }
 }
 
+/// `v` as `N` little-endian limbs (`v < 2^(64·N)`).
+fn fixed_limbs<const N: usize>(v: &BigUint) -> [u64; N] {
+    let mut out = [0u64; N];
+    out.copy_from_slice(&v.to_limbs(N));
+    out
+}
+
 /// Finds a primitive cube root of unity in `F` (`p ≡ 1 mod 3` required):
 /// the first small base whose `(p−1)/3` power is non-trivial.
 fn cube_root_of_unity<F: PrimeField>() -> Option<F> {
@@ -453,17 +494,11 @@ where
         if q.bits() > G_LIMBS * 64 {
             return None;
         }
-        let limbs = q.to_limbs(G_LIMBS);
-        let mut out = [0u64; G_LIMBS];
-        out.copy_from_slice(&limbs);
-        Some(out)
+        Some(fixed_limbs(&q))
     };
     let to_half = |v: &SignedBig| -> SignedHalf {
-        let limbs = v.mag.to_limbs(HALF_LIMBS);
-        let mut out = [0u64; HALF_LIMBS];
-        out.copy_from_slice(&limbs);
         SignedHalf {
-            limbs: out,
+            limbs: fixed_limbs(&v.mag),
             neg: v.neg && !v.mag.is_zero(),
         }
     };
@@ -476,6 +511,8 @@ where
         b2: to_half(&b2),
         g1: barrett(&b2)?,
         g2: barrett(&b1)?,
+        r: fixed_limbs(&r),
+        r_half: fixed_limbs(&r.shr(1)),
         half_bits,
     };
 

@@ -1,4 +1,18 @@
 //! KZG polynomial commitments over a pairing engine.
+//!
+//! The G1 side of the SRS comes in two bases, both from one draw of τ. The
+//! monomial half `[τⁱ]₁` commits to a polynomial given by its coefficients
+//! ([`Srs::commit`], [`Srs::open`]). The Lagrange half `[Lᵢ(τ)]₁`, over one
+//! fixed domain, commits to a polynomial given by its values on that domain
+//! ([`Srs::commit_evaluations`]): `Σ vᵢ·[Lᵢ(τ)]₁ = [p(τ)]₁` for the `p` that
+//! interpolates `v`, so both routes reach the same group element and the
+//! caller picks the one whose input it already holds. Data that is born on
+//! the domain — PLONK's wires, accumulator, selectors and σ columns — keeps
+//! the shape it was born with (zero and padding rows, short repeated
+//! values), which the MSM skips or finishes early; interpolating first
+//! spreads it into n full-width coefficients. A polynomial that is born as
+//! coefficients (a quotient piece, an opening witness) has no evaluation
+//! form to commit from and stays on the powers.
 
 use std::sync::OnceLock;
 
@@ -6,14 +20,18 @@ use rand::Rng;
 
 use zkperf_ec::{msm, Affine, Engine, FixedBaseTable, Projective};
 use zkperf_ff::Field;
-use zkperf_poly::DensePolynomial;
+use zkperf_poly::{DensePolynomial, Radix2Domain};
 use zkperf_trace as trace;
 
-/// A structured reference string `([τⁱ]₁ for i ≤ degree, [1]₂, [τ]₂)`.
+/// A structured reference string `([τⁱ]₁ for i ≤ degree, [1]₂, [τ]₂)`,
+/// optionally with the same τ in the Lagrange basis of one domain.
 #[derive(Debug, Clone)]
 pub struct Srs<E: Engine> {
     /// G1 powers of τ.
     pub g1_powers: Vec<Affine<E::G1>>,
+    /// `[Lᵢ(τ)]₁` for the Lagrange basis of the domain given to
+    /// [`Srs::generate_for_domain`]; empty otherwise.
+    pub g1_lagrange: Vec<Affine<E::G1>>,
     /// `[1]₂`.
     pub g2: Affine<E::G2>,
     /// `[τ]₂`.
@@ -37,6 +55,25 @@ impl<E: Engine> Srs<E> {
     ///
     /// τ is drawn from `rng` and dropped (trusted setup).
     pub fn generate<R: Rng + ?Sized>(max_degree: usize, rng: &mut R) -> Self {
+        Self::sample(max_degree + 1, None, rng)
+    }
+
+    /// Samples a fresh SRS for polynomials of degree below the size n of
+    /// `domain`: n powers of τ and the n Lagrange-basis points of `domain`
+    /// at the same τ, drawn from `rng` exactly as [`Srs::generate`] draws
+    /// it.
+    pub fn generate_for_domain<R: Rng + ?Sized>(
+        domain: &Radix2Domain<E::Fr>,
+        rng: &mut R,
+    ) -> Self {
+        Self::sample(domain.size(), Some(domain), rng)
+    }
+
+    fn sample<R: Rng + ?Sized>(
+        powers: usize,
+        lagrange_domain: Option<&Radix2Domain<E::Fr>>,
+        rng: &mut R,
+    ) -> Self {
         let _g = trace::region_profile("kzg_srs");
         let tau = loop {
             let t = E::Fr::random(rng);
@@ -44,17 +81,25 @@ impl<E: Engine> Srs<E> {
                 break t;
             }
         };
-        let mut scalars = Vec::with_capacity(max_degree + 1);
+        let mut scalars = Vec::with_capacity(2 * powers);
         let mut acc = E::Fr::one();
-        for _ in 0..=max_degree {
+        for _ in 0..powers {
             scalars.push(acc);
             acc *= tau;
         }
+        if let Some(domain) = lagrange_domain {
+            scalars.extend(domain.lagrange_coefficients_at(tau));
+        }
+        // Both halves through one table of the generator.
         let g1 = Projective::<E::G1>::generator();
-        let g1_powers = FixedBaseTable::for_batch(&g1, scalars.len()).mul_batch(&scalars);
+        let mut g1_powers = FixedBaseTable::for_batch(&g1, scalars.len()).mul_batch(&scalars);
+        let g1_lagrange = g1_powers.split_off(powers);
+        // `split_off` leaves the room of both halves with the first.
+        g1_powers.shrink_to_fit();
         let g2gen = Projective::<E::G2>::generator();
         Srs {
             g1_powers,
+            g1_lagrange,
             g2: g2gen.to_affine(),
             g2_tau: (g2gen * tau).to_affine(),
             prepared_g2: OnceLock::new(),
@@ -66,6 +111,7 @@ impl<E: Engine> Srs<E> {
     pub fn verifier_part(&self) -> Self {
         Srs {
             g1_powers: self.g1_powers[..1].to_vec(),
+            g1_lagrange: Vec::new(),
             g2: self.g2,
             g2_tau: self.g2_tau,
             prepared_g2: OnceLock::new(),
@@ -77,9 +123,24 @@ impl<E: Engine> Srs<E> {
             .get_or_init(|| (E::prepare_g2(&self.g2), E::prepare_g2(&self.g2_tau)))
     }
 
-    /// Highest committable degree.
+    /// Highest committable degree (0 for an SRS with no powers, which
+    /// commits to nothing but the zero polynomial).
     pub fn max_degree(&self) -> usize {
-        self.g1_powers.len() - 1
+        self.g1_powers.len().saturating_sub(1)
+    }
+
+    /// `Σ scalarsᵢ·basisᵢ` over the leading points of one half of the SRS:
+    /// the one body, and the one length check, of both commit routes.
+    /// `None` when that half holds fewer points than there are scalars.
+    fn commit_over(basis: &[Affine<E::G1>], scalars: &[E::Fr]) -> Option<Commitment<E>> {
+        let _g = trace::region_profile("kzg_commit");
+        let basis = basis.get(..scalars.len())?;
+        // Zero everywhere (a selector the circuit never uses): the
+        // identity, with no MSM to set up.
+        if scalars.iter().all(Field::is_zero) {
+            return Some(Commitment(Affine::identity()));
+        }
+        Some(Commitment(msm(basis, scalars).to_affine()))
     }
 
     /// Commits to `p` as `[p(τ)]₁`.
@@ -88,14 +149,24 @@ impl<E: Engine> Srs<E> {
     ///
     /// Panics if `p.degree()` exceeds the SRS.
     pub fn commit(&self, p: &DensePolynomial<E::Fr>) -> Commitment<E> {
-        let _g = trace::region_profile("kzg_commit");
-        assert!(
-            p.is_zero() || p.degree() <= self.max_degree(),
-            "polynomial degree {} exceeds SRS degree {}",
-            p.degree(),
-            self.max_degree()
-        );
-        Commitment(msm(&self.g1_powers[..p.coeffs().len().max(1)], p.coeffs()).to_affine())
+        match Self::commit_over(&self.g1_powers, p.coeffs()) {
+            Some(commitment) => commitment,
+            None => panic!(
+                "polynomial degree {} exceeds SRS degree {}",
+                p.degree(),
+                self.max_degree()
+            ),
+        }
+    }
+
+    /// Commits to the polynomial of degree below n that takes `evals[i]`
+    /// at the i-th point of the SRS's Lagrange domain (and zero on the
+    /// rows past `evals`): the same `[p(τ)]₁` as [`Srs::commit`] of the
+    /// interpolated `p`, with no interpolation. `None` when the Lagrange
+    /// half holds fewer than `evals.len()` points — always, for an SRS
+    /// made by [`Srs::generate`].
+    pub fn commit_evaluations(&self, evals: &[E::Fr]) -> Option<Commitment<E>> {
+        Self::commit_over(&self.g1_lagrange, evals)
     }
 
     /// Opens `p` at `z`: returns `(p(z), [q(τ)]₁)`.
@@ -191,5 +262,61 @@ mod tests {
     fn oversized_polynomial_is_rejected() {
         let srs = srs(2);
         let _ = srs.commit(&poly(&[1, 2, 3, 4]));
+    }
+
+    #[test]
+    fn an_srs_without_powers_or_a_lagrange_half_commits_to_zero_only() {
+        let mut srs = srs(2);
+        assert!(srs.g1_lagrange.is_empty());
+        assert_eq!(srs.commit_evaluations(&[Fr::one()]), None);
+        assert!(srs.commit_evaluations(&[]).is_some_and(|c| c.0.infinity));
+        srs.g1_powers.clear();
+        assert_eq!(srs.max_degree(), 0);
+        assert!(srs.commit(&DensePolynomial::zero()).0.infinity);
+    }
+
+    /// Both routes reach the same group element, on the column shapes a
+    /// PLONK circuit produces.
+    fn evaluations_commit_like_their_interpolation<E: Engine>() {
+        let mut rng = zkperf_ff::test_rng();
+        for n in [4usize, 64, 1 << 10] {
+            let domain = Radix2Domain::<E::Fr>::new(n).unwrap();
+            let srs = Srs::<E>::generate_for_domain(&domain, &mut rng);
+            assert_eq!((srs.g1_powers.len(), srs.g1_lagrange.len()), (n, n));
+            assert!(srs.verifier_part().g1_lagrange.is_empty());
+
+            // Σ Lᵢ = 1.
+            let points = srs.g1_lagrange.iter().map(Affine::to_projective);
+            let sum = points.fold(Projective::identity(), |acc, p| acc + p);
+            assert_eq!(sum.to_affine(), Affine::generator(), "n = {n}");
+
+            let constant = |v: E::Fr| vec![v; n];
+            let mut single = constant(E::Fr::zero());
+            single[n - 1] = E::Fr::random(&mut rng);
+            let columns = [
+                ("random", (0..n).map(|_| E::Fr::random(&mut rng)).collect()),
+                ("all zero", constant(E::Fr::zero())),
+                ("all one", constant(E::Fr::one())),
+                ("all minus one", constant(-E::Fr::one())),
+                ("single non-zero", single),
+                ("one repeated value", constant(E::Fr::from_u64(0x2545_f491_4f6c_dd1d))),
+            ];
+            for (shape, evals) in columns {
+                let p = DensePolynomial::interpolate(&domain, &evals);
+                let from_values = srs.commit_evaluations(&evals);
+                assert_eq!(from_values, Some(srs.commit(&p)), "{shape}, n = {n}");
+            }
+            // Rows past the slice count as zero.
+            let mut prefix = constant(E::Fr::zero());
+            prefix[..3].fill(E::Fr::from_u64(7));
+            assert_eq!(srs.commit_evaluations(&prefix[..3]), srs.commit_evaluations(&prefix));
+            assert_eq!(srs.commit_evaluations(&vec![E::Fr::one(); n + 1]), None);
+        }
+    }
+
+    #[test]
+    fn evaluations_commit_like_their_interpolation_on_both_curves() {
+        evaluations_commit_like_their_interpolation::<Bn254>();
+        evaluations_commit_like_their_interpolation::<zkperf_ec::Bls12_381>();
     }
 }

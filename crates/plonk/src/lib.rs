@@ -60,7 +60,9 @@ mod tests {
 
     #[test]
     fn ambient_cancellation_stops_setup_and_prove() {
-        let circuit = exponentiate::<Fr>(10);
+        // Large enough that neither call reaches its last poll inside the
+        // 5 ms budget below (the commitments of 3, 9, 27, … are quick).
+        let circuit = exponentiate::<Fr>(1 << 10);
         let mut rng = zkperf_ff::test_rng();
         let pk = plonk_setup::<Bn254, _>(circuit.r1cs(), &mut rng).unwrap();
         let w = circuit.generate_witness(&[Fr::from_u64(3)], &[]).unwrap();

@@ -25,6 +25,22 @@
 //! commitments than Groth16 makes, beside transforms on a 4n coset, which
 //! is why the paper reports PlonK proving at about twice the Groth16 time.
 //!
+//! # Which half of the SRS a commitment reads
+//!
+//! The key's SRS holds τ in two bases (`kzg` module docs), and each
+//! commitment is made in the basis its data is born in — one route per kind
+//! of data, the same group element either way. The wires `a, b, c`, the
+//! accumulator `z` and the eight circuit columns are born as values on the
+//! n rows and commit over the Lagrange half, before anything interpolates
+//! them: padding rows, the constant-one wire, small selector values and
+//! all-zero columns cost the MSM what they hold, not n full-width
+//! coefficients. `t_lo, t_mid, t_hi` are born as coefficients (the quotient
+//! exists on the 4n coset and only its inverse transform has a degree to
+//! split at n), and `W_ζ`, `W_ζω` are quotients by `X − ζ`, `X − ζω`
+//! computed by synthetic division of coefficient forms: none of the five has
+//! values on the n rows to commit from short of a forward transform, so
+//! they stay on the powers.
+//!
 //! # What the key holds, and what a proof transforms
 //!
 //! Everything that depends on the circuit alone is computed once, by
@@ -38,10 +54,11 @@
 //! That is at most `8·4n + 4n` field elements of tables beside `8n`
 //! coefficients.
 //!
-//! A proof then runs four size-n inverse NTTs (`a, b, c, z`), four forward
-//! coset NTTs of size 4n for the same columns and one inverse coset NTT for
-//! `t`. `z(ωx)` on the coset is `z` four slots further on (`ω = ω₄ⁿ⁴`), read
-//! in place, and the public-input polynomial `PI = Σ −vᵢ·Lᵢ` is read off
+//! A proof then runs four size-n inverse NTTs (`a, b, c, z`, each in the
+//! vector its values were committed from), four forward coset NTTs of size
+//! 4n for the same columns and one inverse coset NTT for `t`. `z(ωx)` on
+//! the coset is `z` four slots further on (`ω = ω₄ⁿ⁴`), read in place, and
+//! the public-input polynomial `PI = Σ −vᵢ·Lᵢ` is read off
 //! the key's `L₁` table (`Lᵢ(x) = L₁(x/ωⁱ)`: that table 4i slots back), one
 //! multiplication per public row and coset row. The row loops
 //! (grand-product factors, quotient, `L₁`, the round-5 combination) and the
@@ -210,8 +227,25 @@ impl From<ArithmetizeError> for PlonkError {
     }
 }
 
-fn interpolate<F: PrimeField>(domain: &Radix2Domain<F>, evals: &[F]) -> DensePolynomial<F> {
-    DensePolynomial::interpolate(domain, evals)
+/// Values on the n rows → coefficient form, in the same allocation.
+fn into_coefficients<F: PrimeField>(
+    domain: &Radix2Domain<F>,
+    mut evals: Vec<F>,
+) -> DensePolynomial<F> {
+    domain.ifft_in_place(&mut evals);
+    DensePolynomial::new(evals)
+}
+
+/// `[p(τ)]₁` for the `p` taking `evals` on the n rows, over the Lagrange
+/// half of `srs`.
+fn commit_evaluations<E: Engine>(
+    srs: &Srs<E>,
+    evals: &[E::Fr],
+) -> Result<Commitment<E>, PlonkError> {
+    srs.commit_evaluations(evals).ok_or(PlonkError::SrsTooSmall {
+        needed: evals.len().saturating_sub(1),
+        have: srs.g1_lagrange.len().saturating_sub(1),
+    })
 }
 
 /// `p` on the 4n coset.
@@ -243,7 +277,7 @@ impl<F: PrimeField> Preprocessed<F> {
             return Err(ArithmetizeError::TooManyGates { gates: n });
         };
         let column = |evals: &Vec<F>| {
-            let poly = interpolate(&domain, evals);
+            let poly = into_coefficients(&domain, evals.clone());
             let coset = if poly.is_zero() {
                 Vec::new()
             } else {
@@ -292,8 +326,10 @@ impl<F: PrimeField> Preprocessed<F> {
     }
 }
 
-/// Runs the PLONK setup over `r1cs`: arithmetizes, samples the SRS, and
-/// interpolates, extends and commits the circuit polynomials.
+/// Runs the PLONK setup over `r1cs`: arithmetizes, interpolates and
+/// extends the circuit columns, samples the SRS (one τ, in the monomial
+/// and the Lagrange basis of the n rows), and commits the columns from
+/// their values.
 ///
 /// # Errors
 ///
@@ -309,21 +345,26 @@ pub fn plonk_setup<E: Engine, R: Rng + ?Sized>(
     if pool::cancellation_pending() {
         return Err(PlonkError::Cancelled);
     }
-    let n = circuit.n;
-    // Wires, accumulator, quotient pieces, circuit columns and opening
-    // witnesses all have degree below n: n powers cover them.
-    let srs = Srs::<E>::generate(n - 1, rng);
+    let pre = Preprocessed::new(&circuit)?;
     if pool::cancellation_pending() {
         return Err(PlonkError::Cancelled);
     }
-    let pre = Preprocessed::new(&circuit)?;
-    let q_commits = pre.selectors.each_ref().map(|c| srs.commit(&c.poly));
-    let sigma_commits = pre.sigmas.each_ref().map(|c| srs.commit(&c.poly));
+    // Wires, accumulator, quotient pieces, circuit columns and opening
+    // witnesses all have degree below n: n points in either basis cover
+    // them.
+    let srs = Srs::<E>::generate_for_domain(&pre.domain, rng);
+    if pool::cancellation_pending() {
+        return Err(PlonkError::Cancelled);
+    }
+    let commit = |evals: &Vec<E::Fr>| commit_evaluations(&srs, evals);
+    let PlonkCircuit { q_l, q_r, q_o, q_m, q_c, sigma: [s1, s2, s3], .. } = &circuit;
+    let q_commits = [commit(q_l)?, commit(q_r)?, commit(q_o)?, commit(q_m)?, commit(q_c)?];
+    let sigma_commits = [commit(s1)?, commit(s2)?, commit(s3)?];
     if pool::cancellation_pending() {
         return Err(PlonkError::Cancelled);
     }
     let vk = PlonkVerifyingKey {
-        n,
+        n: circuit.n,
         q_commits,
         sigma_commits,
         coset_ks: circuit.coset_ks,
@@ -345,15 +386,16 @@ impl<E: Engine> PlonkProverKey<E> {
     }
 
     /// Approximate size of the key material: two coordinates per SRS
-    /// power, plus the field elements of the arithmetized columns and of
-    /// the preprocessed tables.
+    /// point of either basis, plus the field elements of the arithmetized
+    /// columns and of the preprocessed tables.
     pub fn size_bytes(&self) -> usize {
         let pre = &self.pre;
         let columns = pre.selectors.iter().chain(&pre.sigmas);
         let tables: usize = columns.map(|c| c.poly.coeffs().len() + c.coset.len()).sum();
         let elements = 8 * self.circuit.n + tables + pre.l1_coset.len() + pre.zh_inv.len();
         let coordinate = std::mem::size_of::<<E::G1 as zkperf_ec::CurveParams>::Base>();
-        (self.srs.max_degree() + 1) * 2 * coordinate + elements * std::mem::size_of::<E::Fr>()
+        let points = self.srs.g1_powers.len() + self.srs.g1_lagrange.len();
+        points * 2 * coordinate + elements * std::mem::size_of::<E::Fr>()
     }
 }
 
@@ -548,6 +590,9 @@ fn quotient<F: PrimeField>(
             x *= w4;
         }
     });
+    // The transform brings its own 4n rows of scratch: the four inputs
+    // go first.
+    drop([a4, b4, c4, z4]);
     domain4.coset_ifft_in_place(&mut t);
     DensePolynomial::new(t)
 }
@@ -578,21 +623,25 @@ where
     }
     let n = circuit.n;
     // Every polynomial the protocol commits to has fewer than n
-    // coefficients; checked once so no later `Srs::commit` can meet its
-    // assertion.
-    let (needed, have) = (n - 1, pk.srs.max_degree());
-    if have < needed {
-        return Err(PlonkError::SrsTooSmall { needed, have });
+    // coefficients, or n values on the rows; checked once for both halves
+    // of the SRS so no later commitment can come up short.
+    let points = pk.srs.g1_powers.len().min(pk.srs.g1_lagrange.len());
+    if points < n {
+        return Err(PlonkError::SrsTooSmall {
+            needed: n - 1,
+            have: points.saturating_sub(1),
+        });
     }
     let domain = &pre.domain;
     let omega = domain.group_gen();
 
-    let cols = circuit.wire_columns(witness);
+    let wires = circuit.wire_columns(witness);
     let pi_values = circuit.public_values(witness);
 
-    // Round 1: wire polynomials.
-    let [a_poly, b_poly, c_poly] = cols.each_ref().map(|col| interpolate(domain, col));
-    let wire_commits = [&a_poly, &b_poly, &c_poly].map(|p| pk.srs.commit(p));
+    // Round 1: the wires, committed from their values on the rows.
+    let commit = |evals: &Vec<E::Fr>| commit_evaluations(&pk.srs, evals);
+    let [a, b, c] = &wires;
+    let wire_commits = [commit(a)?, commit(b)?, commit(c)?];
 
     let mut transcript = Transcript::<E::Fr>::new(0x504c_4f4e); // "PLON"
     absorb_vk::<E>(&mut transcript, &pk.vk);
@@ -609,14 +658,15 @@ where
         return Err(PlonkError::Cancelled);
     }
 
-    // Round 2: permutation accumulator z.
-    let z_poly = interpolate(
-        domain,
-        &permutation_accumulator(circuit, domain, &cols, beta, gamma)?,
-    );
-    let z_commit = pk.srs.commit(&z_poly);
+    // Round 2: permutation accumulator z, committed the same way. The
+    // rounds from here on read coefficient forms, which take the place of
+    // the four value vectors.
+    let z = permutation_accumulator(circuit, domain, &wires, beta, gamma)?;
+    let z_commit = commit(&z)?;
     transcript.absorb_point(&z_commit.0);
     let alpha = transcript.challenge();
+    let [a_poly, b_poly, c_poly] = wires.map(|col| into_coefficients(domain, col));
+    let z_poly = into_coefficients(domain, z);
 
     if pool::cancellation_pending() {
         return Err(PlonkError::Cancelled);
@@ -795,7 +845,7 @@ mod tests {
 
             let mut l1_evals = vec![Fr::zero(); n];
             l1_evals[0] = Fr::one();
-            let l1 = coset_eval(&pre.domain4, &interpolate(&pre.domain, &l1_evals));
+            let l1 = coset_eval(&pre.domain4, &into_coefficients(&pre.domain, l1_evals));
             assert_eq!(pre.l1_coset, l1, "L₁ at n = {n}");
 
             let mut x = pre.domain4.coset_shift();
@@ -826,7 +876,7 @@ mod tests {
                 for &(row, v) in &public {
                     evals[row] = -v;
                 }
-                let transformed = coset_eval(&pre.domain4, &interpolate(&pre.domain, &evals));
+                let transformed = coset_eval(&pre.domain4, &into_coefficients(&pre.domain, evals));
                 let closed: Vec<Fr> = (0..4 * n)
                     .map(|j| public_input_on_coset(&pre.l1_coset, &public, j))
                     .collect();
@@ -863,11 +913,13 @@ mod tests {
         let pk = plonk_setup::<Bn254, _>(exponentiate::<Fr>(12).r1cs(), &mut rng).unwrap();
         let n = pk.circuit.n;
         assert_eq!(pk.srs.max_degree(), n - 1);
+        assert_eq!(pk.srs.g1_lagrange.len(), n);
         assert_eq!(pk.vk.srs.max_degree(), 0);
-        // n powers, 8n column values, 6 non-zero polynomials with their 4n
-        // tables, L₁ and the four 1/Z_H values.
+        assert!(pk.vk.srs.g1_lagrange.is_empty());
+        // n powers and n Lagrange points, 8n column values, 6 non-zero
+        // polynomials with their 4n tables, L₁ and the four 1/Z_H values.
         let elements = 8 * n + 6 * 5 * n + 4 * n + 4;
-        assert_eq!(pk.size_bytes(), n * 64 + elements * 32);
+        assert_eq!(pk.size_bytes(), 2 * n * 64 + elements * 32);
     }
 
     #[test]
@@ -890,12 +942,22 @@ mod tests {
         let mut rng = zkperf_ff::test_rng();
         let mut pk = plonk_setup::<Bn254, _>(circuit.r1cs(), &mut rng).unwrap();
         let n = pk.circuit.n;
-        pk.srs = Srs::generate(n - 2, &mut rng);
         let w = circuit.generate_witness(&[Fr::from_u64(3)], &[]).unwrap();
-        assert_eq!(
-            plonk_prove(&pk, w.full()),
-            Err(PlonkError::SrsTooSmall { needed: n - 1, have: n - 2 })
-        );
+        let full = pk.srs.clone();
+        let too_small = |have| Err(PlonkError::SrsTooSmall { needed: n - 1, have });
+
+        // Either half one point short, and no Lagrange half at all (what
+        // `Srs::generate` makes).
+        pk.srs.g1_powers.truncate(n - 1);
+        assert_eq!(plonk_prove(&pk, w.full()), too_small(n - 2));
+        pk.srs = full.clone();
+        pk.srs.g1_lagrange.truncate(n - 1);
+        assert_eq!(plonk_prove(&pk, w.full()), too_small(n - 2));
+        pk.srs = Srs::generate(n - 1, &mut rng);
+        assert_eq!(plonk_prove(&pk, w.full()), too_small(0));
+
+        pk.srs = full;
+        assert!(plonk_prove(&pk, w.full()).is_ok());
     }
 
     #[test]
@@ -920,18 +982,29 @@ mod tests {
     fn a_proof_is_nine_msms_and_nine_transforms_and_a_verify_one_pairing_product() {
         let circuit = exponentiate::<Fr>((1 << 6) - 3);
         let mut rng = zkperf_ff::test_rng();
-        let pk = plonk_setup::<Bn254, _>(circuit.r1cs(), &mut rng).unwrap();
-        let n = pk.circuit.n;
-        assert_eq!(n, 1 << 6);
-        // Every MSM reads a prefix of these n powers.
-        assert_eq!(pk.srs.g1_powers.len(), n);
-        let w = circuit.generate_witness(&[Fr::from_u64(3)], &[]).unwrap();
         let calls = |report: &trace::SessionReport, region: &str| {
             report.region(region).map_or(0, |r| r.calls)
         };
-
         // A session sees the thread it was opened on.
         let _inline = pool::SerialScope::enter();
+
+        // Setup draws τ and nothing else, and commits the six columns that
+        // are not zero everywhere (q_R and q_C are) from their values.
+        let mut after_tau = zkperf_ff::test_rng();
+        let _tau = Fr::random(&mut after_tau);
+        let session = trace::Session::begin();
+        let pk = plonk_setup::<Bn254, _>(circuit.r1cs(), &mut rng).unwrap();
+        let report = session.finish();
+        assert_eq!(rng.gen::<u64>(), after_tau.gen::<u64>());
+        assert_eq!(calls(&report, "msm"), 6);
+        // Eight columns to coefficient form, six of them on to the coset.
+        assert_eq!(calls(&report, "fft"), 14);
+        let n = pk.circuit.n;
+        assert_eq!(n, 1 << 6);
+        // Every MSM reads a prefix of n points, in one basis or the other.
+        assert_eq!((pk.srs.g1_powers.len(), pk.srs.g1_lagrange.len()), (n, n));
+        let w = circuit.generate_witness(&[Fr::from_u64(3)], &[]).unwrap();
+
         let session = trace::Session::begin();
         let proof = plonk_prove(&pk, w.full()).unwrap();
         let report = session.finish();

@@ -1,7 +1,8 @@
-//! The prover reads the circuit's coset tables from the key and commits
-//! nothing above n coefficients: a proof's allocation high-water mark is
-//! the five 4n-row vectors of round 3, not fifteen rebuilt tables and not
-//! the scratch of a 3n-point MSM.
+//! The prover reads the circuit's coset tables from the key, commits
+//! nothing above n points and holds each of a, b, c, z once: a proof's
+//! allocation high-water mark is the five 4n-row vectors of round 3 beside
+//! four n-row ones, not fifteen rebuilt tables, not the scratch of a
+//! 3n-point MSM and not values and coefficients side by side.
 //!
 //! The peak meter is process-wide, so this file holds one test and nothing
 //! else allocates beside it.
@@ -34,10 +35,12 @@ fn prove_peak_stays_below_the_old_quotient_round() {
     // inversion prefix or t) — 76·n field elements — and the whole proof
     // peaked at 164·n·32 B. While the quotient was committed and opened
     // whole the peak sat in the 3n-point MSMs, at about 68·n·32 B. With
-    // every MSM at n points it is back in round 3, which now holds five
-    // 4n-row vectors (a, b, c, z on the coset, and t) beside the wire
-    // columns and the four coefficient forms: about 28·n·32 B.
-    let bound = 32 * n * 32;
+    // every MSM at n points it is back in round 3, which holds five
+    // 4n-row vectors (a, b, c, z on the coset, and t) beside the four
+    // coefficient forms — the vectors the wire values and the accumulator
+    // were committed from, transformed in place: 24·n·32 B, and some MSM
+    // and transform scratch on the way there.
+    let bound = 28 * n * 32;
     assert!(
         peak < bound,
         "prove peaked at {peak} B ({}·n·32 B) above its inputs; the bound is {bound} B",

@@ -267,6 +267,23 @@ fn glv_decompose_case<C: CurveParams>(rng: &mut SplitRng) -> CaseResult {
                 );
             }
         }
+        // Odd: −s splits into the negated halves of s.
+        let negated = glv.decompose(&-*s);
+        if (negated.k1, negated.k2) != (d.k1.negated(), d.k2.negated()) {
+            return fail("glv decompose oddness", format_args!("scalar {s}"));
+        }
+    }
+    // A small negative scalar (−1 is the q_O of every PLONK multiplication
+    // gate) is one short component, not two full-width ones.
+    for s in [1, 2, rng.gen::<u64>() | 1, u64::MAX] {
+        let d = glv.decompose(&-C::Scalar::from_u64(s));
+        let expected = zkperf_ec::SignedHalf {
+            limbs: [s, 0, 0],
+            neg: true,
+        };
+        if (d.k1, d.k2) != (expected, zkperf_ec::SignedHalf::default()) {
+            return fail("glv decompose of a small negative", format_args!("−{s}"));
+        }
     }
     Ok(())
 }

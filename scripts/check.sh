@@ -5,7 +5,7 @@
 #   2. the full test suite (unit + integration + property tests)
 #   3. clippy with -D warnings
 #
-# Before any of that, three grep gates. No kernel crate may read the pool
+# Before any of that, four grep gates. No kernel crate may read the pool
 # size (`current_threads()`), so a hand-rolled "small input or one thread,
 # take the serial twin" gate cannot come back — kernels state a grain and
 # the pool decides (DESIGN.md §9/§10). And no crate may ask the tracer
@@ -15,7 +15,12 @@
 # swap in another one under it (DESIGN.md §9). And `zkperf-core` and
 # `zkperf-serve` call `groth16::contribute` in one place, the body of
 # `ProverBackend::setup_ceremony`: key generation for one's own use is
-# `setup_contributed`, which needs no sweep (DESIGN.md §5).
+# `setup_contributed`, which needs no sweep (DESIGN.md §5). And the PLONK
+# protocol commits over the SRS's powers (`srs.commit(`) only the three
+# quotient pieces — the two opening witnesses go through `srs.open` — so
+# a wire, the accumulator or a circuit column cannot quietly go back to
+# interpolate-then-commit: data born on the rows commits over the Lagrange
+# half (DESIGN.md §5).
 #
 # Seven library crates (zkperf-core, zkperf-groth16, zkperf-io,
 # zkperf-plonk, zkperf-pool, zkperf-resilience, zkperf-serve) additionally
@@ -53,6 +58,12 @@ if grep -rn 'contribute::<' crates/{core,serve}/src | grep -v '^crates/core/src/
          /contribute::</ && !inside {print FILENAME ":" FNR ":" $0; bad = 1}
          END {exit !bad}' crates/core/src/backend.rs; then
     echo "whoever just needs keys calls B::setup (groth16::setup_contributed): the contribution sweep is the ceremony's" >&2
+    exit 1
+fi
+
+echo "==> grep gate: plonk commits over the powers only the quotient pieces"
+if grep -n 'srs\.commit(' crates/plonk/src/protocol.rs | grep -v 't_polys'; then
+    echo "values on the rows commit through commit_evaluations (the Lagrange half of the SRS)" >&2
     exit 1
 fi
 
@@ -126,11 +137,17 @@ fi
 
 # PLONK tier: the proof bytes (recorded at one thread, PR 23's protocol
 # change) and the cross-scheme integration suite at both ambient pool
-# sizes like the other two known-answer tests, then the mutation audit
-# over the nine-point proof layout — every class rejected, none by panic.
-echo "==> plonk tier: known-answer and integration tests at ZKPERF_THREADS=1 and 4"
-ZKPERF_THREADS=1 cargo test -q --offline --test plonk_proof_kat --test plonk_integration
-ZKPERF_THREADS=4 cargo test -q --offline --test plonk_proof_kat --test plonk_integration
+# sizes like the other two known-answer tests — beside them the test that
+# a commitment from values is the commitment of their interpolation (both
+# curves, the column shapes a circuit produces) and the prover's memory
+# bound — then the mutation audit over the nine-point proof layout — every
+# class rejected, none by panic.
+echo "==> plonk tier: known-answer, integration, commit-equivalence and memory tests at ZKPERF_THREADS=1 and 4"
+for threads in 1 4; do
+    ZKPERF_THREADS=$threads cargo test -q --offline --test plonk_proof_kat --test plonk_integration
+    ZKPERF_THREADS=$threads cargo test -q --offline -p zkperf-plonk --lib evaluations_commit_like_their_interpolation
+    ZKPERF_THREADS=$threads cargo test -q --offline -p zkperf-plonk --test prove_memory
+done
 echo "==> plonk tier: mutation classes"
 cargo test -q --offline -p zkperf-testkit plonk_mutation_classes_all_rejected
 
