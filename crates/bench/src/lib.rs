@@ -6,26 +6,27 @@
 //! does not re-simulate the matrix each time. Delete `results/sweep-*.json` (or
 //! change `ZKPERF_MIN_LOG`/`ZKPERF_MAX_LOG`) to force fresh measurements.
 //!
-//! The sweep runner is resilient: every cell runs under a bounded-retry
-//! policy with a per-cell timeout, persistently failing cells are
-//! quarantined instead of aborting the sweep, cache files are written
-//! atomically (temp file + rename), and a sweep interrupted mid-run
-//! resumes from the cells already recorded in the cache. A missing or
-//! unwritable results directory degrades to running without a cache
-//! rather than panicking.
+//! The sweep runner survives its cells: each runs once, on the calling
+//! thread, under `catch_unwind` and with no wall-clock cap (a cell is a
+//! deterministic simulation, so a second attempt would repeat the first);
+//! a cell that fails or panics is logged, skipped and listed at the end
+//! instead of aborting the sweep, and the next sweep runs it again. Cache
+//! files are written atomically (temp file + rename), and a sweep
+//! interrupted mid-run resumes from the cells already recorded in the
+//! cache. A missing or unwritable results directory degrades to running
+//! without a cache rather than panicking.
 
 pub mod experiments;
 
 use std::fs;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 use zkperf_core::{
     measure_cell_backend, BackendKind, Curve, Stage, StageError, StageMeasurement, SweepConfig,
 };
 use zkperf_machine::CpuProfile;
-use zkperf_resilience::{run_with_retry, Quarantine, RetryPolicy, RunOutcome};
 
 /// Bump when [`CachedSweep`]'s shape changes; older caches (including the
 /// pre-versioned format) are treated as misses, never as parse errors.
@@ -140,26 +141,12 @@ fn store_cache(path: Option<&Path>, cached: &CachedSweep) {
     }
 }
 
-/// The per-cell resilience settings of [`sweep_cached`].
-fn cell_policy() -> RetryPolicy {
-    // Large simulated cells are slow but not *that* slow; ten minutes per
-    // attempt only trips on a genuine hang.
-    RetryPolicy {
-        max_attempts: 2,
-        base_backoff: Duration::from_millis(100),
-        max_backoff: Duration::from_secs(2),
-        jitter: 0.5,
-        jitter_seed: 0x5eed_ce11,
-        timeout: Some(Duration::from_secs(600)),
-    }
-}
-
 /// Runs (or loads from cache) the measurement sweep for `config`, printing
 /// progress to stderr.
 ///
-/// Cells run one at a time under [`run_with_retry`]: a panicking, failing
-/// or timed-out cell is retried with backoff, then quarantined and
-/// skipped, so one bad cell costs its own measurements rather than the
+/// Cells run one at a time, once each, on the calling thread: a failing or
+/// panicking cell is logged and skipped (and measured again by the next
+/// sweep), so one bad cell costs its own measurements rather than the
 /// whole sweep. Completed cells are checkpointed to the cache after every
 /// cell, so re-running after an interruption resumes mid-sweep.
 pub fn sweep_cached(config: &SweepConfig, cache_name: &str) -> Vec<StageMeasurement> {
@@ -219,49 +206,36 @@ fn sweep_cached_by(
         eprintln!("[zkperf] running sweep ({fingerprint})");
     }
 
-    let policy = cell_policy();
-    let mut quarantine = Quarantine::new(1);
+    let mut skipped = Vec::new();
     let mut done = total - pending.len();
     for (label, (backend, curve, cpu, log)) in pending {
-        let (cpu, stages) = (cpu.clone(), config.stages.clone());
-        let outcome = run_with_retry(&policy, &label, &mut quarantine, move || {
-            measure(backend, curve, &cpu, 1 << log, &stages)
-        });
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+            measure(backend, curve, cpu, 1 << log, &config.stages)
+        }));
         done += 1;
         match outcome {
-            RunOutcome::Ok { value, attempts } => {
-                if attempts > 1 {
-                    eprintln!("[zkperf]   cell {label} succeeded on attempt {attempts}");
-                }
-                cached.measurements.extend(value);
+            Ok(Ok(measurements)) => {
+                cached.measurements.extend(measurements);
                 cached.completed_cells.push(label);
                 eprintln!("[zkperf]   cell {done}/{total}");
                 // Checkpoint after every cell so interruption loses at
                 // most the in-flight cell.
                 store_cache(path.as_deref(), &cached);
             }
-            RunOutcome::Failed { attempts, error } => {
-                eprintln!(
-                    "[zkperf]   cell {label} failed after {attempts} attempts: {error}; skipping"
-                );
+            Ok(Err(error)) => {
+                eprintln!("[zkperf]   cell {label} failed: {error}; skipping");
+                skipped.push(label);
             }
-            RunOutcome::TimedOut { attempts } => {
-                eprintln!("[zkperf]   cell {label} timed out ({attempts} attempts); skipping");
-            }
-            RunOutcome::Panicked { attempts, message } => {
-                eprintln!(
-                    "[zkperf]   cell {label} panicked after {attempts} attempts ({message}); skipping"
-                );
-            }
-            RunOutcome::Quarantined => {
-                eprintln!("[zkperf]   cell {label} quarantined; skipping");
+            // The panic hook has already printed the message.
+            Err(_) => {
+                eprintln!("[zkperf]   cell {label} panicked; skipping");
+                skipped.push(label);
             }
         }
     }
-    let skipped = quarantine.quarantined();
     if !skipped.is_empty() {
         eprintln!(
-            "[zkperf] warning: {} cell(s) quarantined: {}",
+            "[zkperf] warning: {} cell(s) failed and were not cached: {}",
             skipped.len(),
             skipped.join(", ")
         );
@@ -448,6 +422,51 @@ mod tests {
         // The checkpointed cache now records both cells.
         let reloaded = load_cache(&path, &fingerprint);
         assert_eq!(reloaded.completed_cells.len(), 2);
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_panicking_cell_is_run_once_per_sweep_and_left_uncached() {
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        // Calls per cell at 2^3, 2^4, 2^5.
+        static CALLS: [AtomicUsize; 3] = [const { AtomicUsize::new(0) }; 3];
+        fn panics_at_2e4(
+            backend: BackendKind,
+            curve: Curve,
+            cpu: &CpuProfile,
+            constraints: usize,
+            stages: &[Stage],
+        ) -> Result<Vec<StageMeasurement>, StageError> {
+            CALLS[constraints.trailing_zeros() as usize - 3].fetch_add(1, SeqCst);
+            assert_ne!(constraints, 1 << 4, "this cell always breaks");
+            measure_cell_backend(backend, curve, cpu, constraints, stages)
+        }
+        let calls = || CALLS.each_ref().map(|c| c.load(SeqCst));
+        let config = SweepConfig {
+            log_sizes: vec![3, 4, 5],
+            ..tiny_config()
+        };
+        let path = results_dir().join("sweep-panictest.json");
+        let _ = fs::remove_file(&path);
+
+        let first = sweep_cached_by(&config, "panictest", panics_at_2e4);
+        assert_eq!(calls(), [1, 1, 1], "no cell is attempted twice");
+        let sizes: Vec<usize> = first.iter().map(|m| m.constraints).collect();
+        assert_eq!(sizes, [8, 32], "the other cells are measured");
+        let cached = load_cache(&path, &config_fingerprint(&config));
+        let broken = cell_label((
+            BackendKind::Groth16,
+            Curve::Bn128,
+            &CpuProfile::i7_8650u(),
+            4,
+        ));
+        assert_eq!(cached.completed_cells.len(), 2, "and cached");
+        assert!(!cached.completed_cells.contains(&broken));
+
+        // The next sweep runs the missing cell again, and only that one.
+        let second = sweep_cached_by(&config, "panictest", panics_at_2e4);
+        assert_eq!(calls(), [1, 2, 1]);
+        assert_eq!(second.len(), 2);
         let _ = fs::remove_file(&path);
     }
 

@@ -27,19 +27,9 @@
 //! Each task body runs under [`std::panic::catch_unwind`]. The first
 //! captured payload is re-raised *on the calling thread* after all sibling
 //! tasks complete, so a panic inside a pool task behaves exactly like a
-//! panic in serial code: it unwinds the caller, not the process, and the
-//! resilience layer's `catch_unwind`-based runners convert it into a typed
-//! stage error.
-//!
-//! # Chaos hooks
-//!
-//! [`chaos_arm_panic_after`] arms a one-shot countdown, scoped to jobs
-//! submitted by the arming thread. Tasks that call [`chaos_checkpoint`]
-//! tick the countdown; the tick that drains it panics with
-//! [`CHAOS_PANIC_MSG`]. Because the panic is raised *inside* the task
-//! body, a task that wraps its work in `catch_unwind` can convert the
-//! injected fault into a typed error — the fault-injection hook used by
-//! the chaos-mode sweeps to prove worker panics never abort the process.
+//! panic in serial code: it unwinds the caller, not the process, and a
+//! caller that wants to survive it (the sweep driver, per cell) wraps the
+//! call in its own `catch_unwind`.
 //!
 //! # Cooperative cancellation and deadlines
 //!
@@ -76,7 +66,7 @@ static GLOBAL_ALLOCATOR: mem::TrackingAllocator = mem::TrackingAllocator;
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -116,9 +106,6 @@ struct Job {
     done_cv: Condvar,
     /// First captured panic payload from any task, re-raised by the caller.
     panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
-    /// Optional chaos countdown: the task execution that decrements this
-    /// from 1 to 0 panics deliberately.
-    chaos: Option<Arc<AtomicI64>>,
     /// Cancellation scope of the submitting thread, re-installed inside
     /// every task so [`cancellation_pending`] works across the pool.
     cancel: Option<Arc<CancelState>>,
@@ -152,11 +139,6 @@ struct Pool {
 static POOL: OnceLock<Pool> = OnceLock::new();
 
 thread_local! {
-    /// Chaos countdown armed on this thread; attached to jobs it submits.
-    static LOCAL_CHAOS: RefCell<Option<Arc<AtomicI64>>> = const { RefCell::new(None) };
-    /// The chaos countdown of the job whose task is currently executing on
-    /// this thread (if any); read by [`chaos_checkpoint`].
-    static CURRENT_CHAOS: RefCell<Option<Arc<AtomicI64>>> = const { RefCell::new(None) };
     /// The cancellation token governing work on this thread: installed by
     /// [`CancelToken::enter`] on submitting threads and re-installed inside
     /// pool tasks of jobs those threads publish, so a kernel can poll
@@ -295,32 +277,11 @@ fn ambient_cancel() -> Option<Arc<CancelState>> {
     CURRENT_CANCEL.with(|c| c.borrow().clone())
 }
 
-/// RAII guard installing a job's chaos countdown as this thread's ambient
-/// one for the duration of a task, restoring the previous value on drop
-/// (tasks nest when a worker participates in a job submitted from inside
-/// another task).
-struct ChaosScope {
-    prev: Option<Arc<AtomicI64>>,
-}
-
-impl ChaosScope {
-    fn enter(chaos: Option<Arc<AtomicI64>>) -> Self {
-        let prev = CURRENT_CHAOS.with(|c| c.replace(chaos));
-        ChaosScope { prev }
-    }
-}
-
-impl Drop for ChaosScope {
-    fn drop(&mut self) {
-        CURRENT_CHAOS.with(|c| *c.borrow_mut() = self.prev.take());
-    }
-}
-
 /// RAII guard for an ambient serial scope: until it drops, every job the
 /// calling thread submits runs `0..count` in order on that thread — the
 /// path a one-thread pool takes — so thread-local observers (a trace
-/// session) see all of the work. Task decomposition, chaos countdowns and
-/// cancellation are unchanged, and so are the results. Scopes nest; jobs
+/// session) see all of the work. Task decomposition and cancellation are
+/// unchanged, and so are the results. Scopes nest; jobs
 /// submitted from other threads are unaffected.
 pub struct SerialScope {
     prev: bool,
@@ -341,10 +302,6 @@ impl Drop for SerialScope {
         SERIAL.with(|s| s.set(self.prev));
     }
 }
-
-/// Message carried by deliberately injected pool-task panics, so the layers
-/// above can distinguish chaos faults from organic ones.
-pub const CHAOS_PANIC_MSG: &str = "chaos: injected pool task panic";
 
 fn env_threads() -> usize {
     match std::env::var("ZKPERF_THREADS") {
@@ -449,7 +406,6 @@ fn run_tasks(job: &Job) {
         // borrows is alive.
         let task = unsafe { &*job.task };
         let result = catch_unwind(AssertUnwindSafe(|| {
-            let _scope = ChaosScope::enter(job.chaos.clone());
             let _cancel = CancelScope {
                 prev: CURRENT_CANCEL.with(|c| c.replace(job.cancel.clone())),
             };
@@ -469,20 +425,6 @@ fn run_tasks(job: &Job) {
     }
 }
 
-/// Ticks the ambient chaos countdown (the one attached to the job whose
-/// task is currently running on this thread); the tick that drains it
-/// panics with [`CHAOS_PANIC_MSG`]. A no-op when no fault is armed, so
-/// production task bodies can call it unconditionally as their
-/// fault-injection point.
-pub fn chaos_checkpoint() {
-    let chaos = CURRENT_CHAOS.with(|c| c.borrow().clone());
-    if let Some(c) = chaos {
-        if c.fetch_sub(1, Ordering::Relaxed) == 1 {
-            panic!("{CHAOS_PANIC_MSG}");
-        }
-    }
-}
-
 /// Current target concurrency (including the calling thread). `1` means
 /// every parallel primitive degrades to a plain serial loop.
 pub fn current_threads() -> usize {
@@ -494,26 +436,6 @@ pub fn current_threads() -> usize {
 /// runs size the pool once from `ZKPERF_THREADS` at first use.
 pub fn set_threads(threads: usize) {
     pool().resize(threads);
-}
-
-/// Arms a one-shot chaos fault: among tasks of jobs submitted *by this
-/// thread* after arming, the `n`-th call to [`chaos_checkpoint`]
-/// (1-based, counted across those jobs in execution order) panics with
-/// [`CHAOS_PANIC_MSG`]. Disarm with [`chaos_disarm`]. Used by chaos-mode
-/// tests to prove worker panics surface as typed errors instead of
-/// aborting the process.
-pub fn chaos_arm_panic_after(n: u64) {
-    let n = i64::try_from(n.max(1)).unwrap_or(i64::MAX);
-    LOCAL_CHAOS.with(|c| *c.borrow_mut() = Some(Arc::new(AtomicI64::new(n))));
-}
-
-/// Disarms a pending [`chaos_arm_panic_after`] fault on this thread.
-pub fn chaos_disarm() {
-    LOCAL_CHAOS.with(|c| *c.borrow_mut() = None);
-}
-
-fn local_chaos() -> Option<Arc<AtomicI64>> {
-    LOCAL_CHAOS.with(|c| c.borrow().clone())
 }
 
 /// Runs `task(i)` for every `i in 0..count`, spreading the indices across
@@ -538,12 +460,9 @@ pub fn parallel_for<F: Fn(usize) + Sync>(count: usize, task: F) {
     }
     let p = pool();
     let threads = p.threads.load(Ordering::Relaxed);
-    let chaos = local_chaos();
     if threads <= 1 || count == 1 || SERIAL.with(Cell::get) {
-        // Inline path: same semantics (including the ambient chaos scope
-        // and panic propagation — a panic here unwinds the caller
-        // directly).
-        let _scope = ChaosScope::enter(chaos);
+        // Inline path: same semantics (the caller's cancel scope is already
+        // ambient, and a panic here unwinds the caller directly).
         for i in 0..count {
             task(i);
         }
@@ -571,7 +490,6 @@ pub fn parallel_for<F: Fn(usize) + Sync>(count: usize, task: F) {
         done: Mutex::new(0),
         done_cv: Condvar::new(),
         panic: Mutex::new(None),
-        chaos,
         cancel: ambient_cancel(),
     });
 
@@ -784,47 +702,6 @@ mod tests {
     }
 
     #[test]
-    fn chaos_countdown_fires_once_at_a_checkpoint() {
-        with_threads(2, || {
-            chaos_arm_panic_after(5);
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                parallel_for(16, |_| chaos_checkpoint());
-            }));
-            chaos_disarm();
-            let payload = result.expect_err("chaos fault must fire");
-            let msg = payload.downcast_ref::<String>().cloned().unwrap_or_default();
-            assert!(msg.contains("chaos"));
-            // One-shot: the next job runs clean.
-            parallel_for(16, |_| chaos_checkpoint());
-        });
-    }
-
-    #[test]
-    fn chaos_fault_inside_task_catch_unwind_is_typed_not_fatal() {
-        // The pattern the sweep runner uses: each task wraps its body in
-        // catch_unwind and converts the injected panic into a value.
-        with_threads(2, || {
-            chaos_arm_panic_after(3);
-            let faults = AtomicUsize::new(0);
-            parallel_for(8, |_| {
-                if catch_unwind(AssertUnwindSafe(chaos_checkpoint)).is_err() {
-                    faults.fetch_add(1, Ordering::Relaxed);
-                }
-            });
-            chaos_disarm();
-            assert_eq!(faults.into_inner(), 1);
-        });
-    }
-
-    #[test]
-    fn checkpoint_without_armed_fault_is_noop() {
-        with_threads(2, || {
-            chaos_checkpoint(); // outside any task
-            parallel_for(4, |_| chaos_checkpoint());
-        });
-    }
-
-    #[test]
     fn cancellation_is_ambient_and_scoped() {
         assert!(!cancellation_pending(), "no scope installed");
         let token = CancelToken::new();
@@ -944,21 +821,9 @@ mod tests {
     }
 
     #[test]
-    fn chaos_and_cancel_scopes_apply_on_the_inline_path() {
+    fn cancel_scope_applies_on_the_inline_path() {
         with_threads(4, || {
             let _serial = SerialScope::enter();
-            chaos_arm_panic_after(5);
-            let ticks = AtomicUsize::new(0);
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                parallel_for(16, |_| {
-                    ticks.fetch_add(1, Ordering::Relaxed);
-                    chaos_checkpoint();
-                });
-            }));
-            chaos_disarm();
-            assert!(result.is_err(), "chaos fault must fire");
-            assert_eq!(ticks.into_inner(), 5, "in order, so the fifth task");
-
             let token = CancelToken::new();
             token.cancel();
             let _scope = token.enter();

@@ -4,9 +4,9 @@
 //! * a decimal `u64` — chaos armed with that seed.
 //! * any other string — chaos armed with a seed hashed from the string.
 //!
-//! When armed, pipeline components that opt in (the sweep runner, the
-//! `chaos` binary) derive per-target [`FaultPlan`]s from the seed and
-//! inject faults at stage boundaries. Everything stays deterministic:
+//! When armed, pipeline components that opt in (`Workload::run_stage`,
+//! the job server, the `chaos` binary) derive per-target [`FaultPlan`]s
+//! from the seed and inject faults at stage boundaries. Everything stays deterministic:
 //! the same seed injects the same faults.
 
 use crate::fault::FaultPlan;
@@ -62,24 +62,6 @@ pub fn chaos_mode() -> ChaosMode {
     }
 }
 
-/// Arms the thread pool's one-shot panic injector from `mode`, choosing
-/// which upcoming pool-task checkpoint panics deterministically from the
-/// seed (label `"pool"`). Returns the 1-based checkpoint index, or `None`
-/// when chaos is off. Callers disarm with [`zkperf_pool::chaos_disarm`]
-/// once the protected region ends.
-pub fn arm_pool_chaos_with(mode: ChaosMode) -> Option<u64> {
-    let mut plan = mode.plan_for("pool")?;
-    // Bound the countdown so the fault lands inside even a small sweep.
-    let nth = plan.pick(16).unwrap_or(0) as u64 + 1;
-    zkperf_pool::chaos_arm_panic_after(nth);
-    Some(nth)
-}
-
-/// [`arm_pool_chaos_with`] driven by the ambient `ZKPERF_CHAOS` knob.
-pub fn arm_pool_chaos() -> Option<u64> {
-    arm_pool_chaos_with(chaos_mode())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,17 +77,6 @@ mod tests {
         assert!(ChaosMode::parse("banana").is_armed());
         assert_eq!(ChaosMode::parse("banana"), ChaosMode::parse("banana"));
         assert_ne!(ChaosMode::parse("banana"), ChaosMode::parse("mango"));
-    }
-
-    #[test]
-    fn pool_chaos_arms_only_when_seeded() {
-        assert_eq!(arm_pool_chaos_with(ChaosMode::Off), None);
-        let nth = arm_pool_chaos_with(ChaosMode::Seeded(7)).unwrap();
-        assert!((1..=16).contains(&nth));
-        // Same seed, same checkpoint: deterministic injection.
-        let again = arm_pool_chaos_with(ChaosMode::Seeded(7)).unwrap();
-        assert_eq!(nth, again);
-        zkperf_pool::chaos_disarm();
     }
 
     #[test]

@@ -1,22 +1,22 @@
-//! Fault injection and resilient execution for the zkperf pipeline.
+//! Fault injection for the zkperf pipeline.
 //!
-//! Three pieces live here:
+//! Two pieces live here:
 //!
 //! * [`fault`] — a deterministic, seeded [`fault::FaultPlan`] describing
 //!   artifact corruptions (bit flips, truncations) and I/O faults
 //!   (short or failing reads/writes), plus wrapping [`std::io::Read`] /
 //!   [`std::io::Write`] layers that inject them.
-//! * [`runner`] — bounded retry with backoff, per-attempt timeouts, and
-//!   quarantine for persistently failing work items.
 //! * [`chaos`] — the `ZKPERF_CHAOS` environment knob that arms
 //!   stage-boundary fault injection in the pipeline itself.
+//!
+//! What a caller does about an injected fault is its own business: the job
+//! server retries it (`zkperf-serve`'s `RetryPolicy`), the sweep driver
+//! logs the cell and moves on, the `chaos` binary counts it.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod chaos;
 pub mod fault;
-pub mod runner;
 
-pub use chaos::{arm_pool_chaos, arm_pool_chaos_with, chaos_mode, ChaosMode};
+pub use chaos::{chaos_mode, ChaosMode};
 pub use fault::{FaultKind, FaultPlan, FaultyReader, FaultyWriter};
-pub use runner::{run_with_retry, Quarantine, RetryPolicy, RunOutcome};

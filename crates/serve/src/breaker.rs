@@ -1,13 +1,12 @@
 //! A per-circuit circuit breaker over submission ticks.
 //!
-//! Failure counting reuses [`zkperf_resilience::Quarantine`]; this module
-//! adds the Closed → Open → HalfOpen lifecycle on top. Time is measured
-//! in *submission ticks* (one per [`crate::Server::submit`] call), not
-//! wall clock, so breaker behaviour is deterministic under replay.
+//! Each shape's terminal failures since its last success are counted; at
+//! the threshold the breaker runs the Closed → Open → HalfOpen lifecycle.
+//! Time is measured in *submission ticks* (one per [`crate::Server::submit`]
+//! call), not wall clock, so breaker behaviour is deterministic under
+//! replay.
 
 use std::collections::{HashMap, HashSet};
-
-use zkperf_resilience::Quarantine;
 
 /// What the breaker says about a circuit shape at admission time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,7 +27,9 @@ pub enum BreakerDecision {
 #[derive(Debug)]
 pub struct CircuitBreaker {
     cooldown_ticks: u64,
-    quarantine: Quarantine,
+    threshold: u32,
+    /// Terminal failures per key since its last success.
+    failures: HashMap<String, u32>,
     open_until: HashMap<String, u64>,
     half_open: HashSet<String>,
 }
@@ -39,7 +40,8 @@ impl CircuitBreaker {
     pub fn new(threshold: u32, cooldown_ticks: u64) -> CircuitBreaker {
         CircuitBreaker {
             cooldown_ticks: cooldown_ticks.max(1),
-            quarantine: Quarantine::new(threshold),
+            threshold: threshold.max(1),
+            failures: HashMap::new(),
             open_until: HashMap::new(),
             half_open: HashSet::new(),
         }
@@ -66,7 +68,7 @@ impl CircuitBreaker {
     /// Records a successful completion: closes the breaker and clears the
     /// failure history for `key`.
     pub fn record_success(&mut self, key: &str) {
-        self.quarantine.record_success(key);
+        self.failures.remove(key);
         self.open_until.remove(key);
         self.half_open.remove(key);
     }
@@ -75,7 +77,9 @@ impl CircuitBreaker {
     /// opened (or re-opened) the breaker.
     pub fn record_failure(&mut self, key: &str, tick: u64) -> bool {
         let was_half_open = self.half_open.remove(key);
-        let tripped = self.quarantine.record_failure(key);
+        let failures = self.failures.entry(key.to_string()).or_insert(0);
+        *failures += 1;
+        let tripped = *failures >= self.threshold;
         if tripped || was_half_open {
             self.open_until
                 .insert(key.to_string(), tick + self.cooldown_ticks);

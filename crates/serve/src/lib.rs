@@ -13,8 +13,10 @@
 //! - **per-job deadlines** — cooperative cancellation via
 //!   [`zkperf_pool::CancelToken`]; kernels stop at stage boundaries, so
 //!   determinism is never sacrificed to a kill,
-//! - **retries** — capped jittered exponential backoff from
-//!   [`zkperf_resilience::RetryPolicy`], deterministic under a fixed seed,
+//! - **retries** — of what a second attempt can change (an injected
+//!   fault, an artifact-cache read or write), with capped jittered
+//!   exponential backoff from [`RetryPolicy`], deterministic under a fixed
+//!   seed; a job that fails on its own inputs fails on its first attempt,
 //! - **circuit breakers** — circuit shapes that fail repeatedly are
 //!   quarantined for a cooldown instead of burning the queue,
 //! - **graceful degradation** — under overload the lowest-priority jobs
@@ -38,6 +40,7 @@ mod cache;
 mod job;
 mod metrics;
 mod queue;
+mod retry;
 mod server;
 
 pub use breaker::{BreakerDecision, CircuitBreaker};
@@ -47,4 +50,5 @@ pub use metrics::{
     LatencyRecorder, MemoryStats, ServeReport, StageRow, StageTable, DEFAULT_DOLLARS_PER_CPU_HOUR,
 };
 pub use queue::{AdmissionConfig, AdmissionQueue, QueuedJob};
+pub use retry::RetryPolicy;
 pub use server::{prove_serial, ResumeOutcomes, ServerConfig, ServiceMode, Server};

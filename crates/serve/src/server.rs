@@ -20,13 +20,14 @@ use zkperf_io::{
     read_container_file, write_container_file, Container, Cursor, Payload,
 };
 use zkperf_pool::CancelToken;
-use zkperf_resilience::{ChaosMode, RetryPolicy};
+use zkperf_resilience::ChaosMode;
 
 use crate::breaker::{BreakerDecision, CircuitBreaker};
 use crate::cache::{content_key, ArtifactCache, CacheStats, LoadTiming};
 use crate::job::{CircuitSpec, JobId, JobKind, JobOutcome, JobSpec, Priority, RejectReason};
 use crate::metrics::{ServeReport, StageTable, DEFAULT_DOLLARS_PER_CPU_HOUR};
 use crate::queue::{AdmissionConfig, AdmissionQueue, QueuedJob};
+use crate::retry::RetryPolicy;
 
 /// Container magic for drain checkpoints.
 const MAGIC_CHECKPOINT: [u8; 4] = *b"zksv";
@@ -40,8 +41,8 @@ const NO_DEADLINE: u64 = u64::MAX;
 pub struct ServerConfig {
     /// Queue depth and in-flight byte limits.
     pub admission: AdmissionConfig,
-    /// Retry schedule for failed attempts (jittered exponential backoff;
-    /// deterministic under its seed).
+    /// Retry schedule for attempts that failed transiently (jittered
+    /// exponential backoff; deterministic under its seed).
     pub retry: RetryPolicy,
     /// Terminal failures of one circuit shape before its breaker opens.
     pub breaker_threshold: u32,
@@ -74,7 +75,6 @@ impl Default for ServerConfig {
                 max_backoff: Duration::from_millis(20),
                 jitter: 0.5,
                 jitter_seed: 0x5e12_7e5e,
-                timeout: None,
             },
             breaker_threshold: 3,
             breaker_cooldown_ticks: 16,
@@ -89,6 +89,28 @@ impl Default for ServerConfig {
 
 /// Per-job resume results: `(original id, new id or typed rejection)`.
 pub type ResumeOutcomes = Vec<(JobId, Result<JobId, RejectReason>)>;
+
+/// A failed attempt, sorted by whether running the job again can change
+/// the outcome.
+enum AttemptError {
+    /// An injected fault (its chaos label carries the attempt number) or an
+    /// artifact-cache read or write (the next attempt re-reads the entry or
+    /// rebuilds it).
+    Transient(StageError),
+    /// A function of the job spec alone — a circuit that does not compile,
+    /// an unsatisfied witness, proof bytes that do not decode — or a
+    /// cancellation: another attempt ends the same way.
+    Terminal(StageError),
+}
+
+impl From<StageError> for AttemptError {
+    fn from(e: StageError) -> Self {
+        match e {
+            StageError::Injected { .. } | StageError::Artifact { .. } => AttemptError::Transient(e),
+            e => AttemptError::Terminal(e),
+        }
+    }
+}
 
 /// The service's degradation state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -469,9 +491,10 @@ impl<B: ProverBackend> Server<B> {
         while self.step() {}
     }
 
-    /// The retry loop around one job: attempts are separated by the
-    /// policy's jittered backoff, cancellation short-circuits, and the
-    /// breaker records the terminal result for the circuit shape.
+    /// The retry loop around one job: a transient failure is retried after
+    /// the policy's jittered backoff, a terminal one ends the job at once,
+    /// cancellation short-circuits, and the breaker records the terminal
+    /// result for the circuit shape.
     fn execute(&mut self, id: JobId, spec: &JobSpec) -> JobOutcome {
         let key = content_key(B::label(), &spec.circuit.source);
         let key_label = format!("{key:016x}");
@@ -500,21 +523,14 @@ impl<B: ProverBackend> Server<B> {
                         attempts,
                     };
                 }
-                Err(e) if e.is_cancellation() => {
+                Err(AttemptError::Terminal(e)) if e.is_cancellation() => {
                     let stage = match &e {
                         StageError::Cancelled { stage } => stage.name(),
                         _ => "unknown",
                     };
                     return self.late_outcome(has_deadline, stage, attempts);
                 }
-                Err(e) => {
-                    if attempts >= self.cfg.retry.max_attempts.max(1) {
-                        self.breaker.record_failure(&key_label, self.tick);
-                        return JobOutcome::Failed {
-                            error: e.to_string(),
-                            attempts,
-                        };
-                    }
+                Err(AttemptError::Transient(_)) if attempts < self.cfg.retry.max_attempts => {
                     let backoff = self.cfg.retry.backoff_before(attempts + 1);
                     if let Some(remaining) = token.remaining() {
                         if remaining <= backoff {
@@ -526,6 +542,13 @@ impl<B: ProverBackend> Server<B> {
                     if !backoff.is_zero() {
                         std::thread::sleep(backoff);
                     }
+                }
+                Err(AttemptError::Terminal(e) | AttemptError::Transient(e)) => {
+                    self.breaker.record_failure(&key_label, self.tick);
+                    return JobOutcome::Failed {
+                        error: e.to_string(),
+                        attempts,
+                    };
                 }
             }
         }
@@ -567,7 +590,7 @@ impl<B: ProverBackend> Server<B> {
         attempt: u32,
         spec: &JobSpec,
         token: &CancelToken,
-    ) -> Result<(Vec<u8>, Option<bool>), StageError> {
+    ) -> Result<(Vec<u8>, Option<bool>), AttemptError> {
         let _scope = token.enter();
 
         self.pre_stage(id, attempt, Stage::Compile)?;
@@ -585,7 +608,8 @@ impl<B: ProverBackend> Server<B> {
             return Err(StageError::ConstraintCountMismatch {
                 declared: spec.circuit.constraints,
                 compiled: entry.circuit.r1cs().num_constraints(),
-            });
+            }
+            .into());
         }
 
         self.pre_stage(id, attempt, Stage::Witness)?;
@@ -593,10 +617,13 @@ impl<B: ProverBackend> Server<B> {
         let to_field = |vals: &[u64]| -> Vec<B::Fr> {
             vals.iter().map(|&v| B::Fr::from_u64(v)).collect()
         };
-        let witness = entry.circuit.generate_witness(
-            &to_field(&spec.circuit.public_inputs),
-            &to_field(&spec.circuit.private_inputs),
-        )?;
+        let witness = entry
+            .circuit
+            .generate_witness(
+                &to_field(&spec.circuit.public_inputs),
+                &to_field(&spec.circuit.private_inputs),
+            )
+            .map_err(StageError::Witness)?;
         self.metrics.record("witness", start.elapsed().as_nanos() as u64);
 
         match &spec.kind {
@@ -617,7 +644,9 @@ impl<B: ProverBackend> Server<B> {
             JobKind::Verify { proof } => {
                 self.pre_stage(id, attempt, Stage::Verifying)?;
                 let start = Instant::now();
-                let parsed = B::decode_proof(proof)?;
+                // The job's own bytes, not a cache file: an `Artifact`
+                // error here does not change on the next attempt.
+                let parsed = B::decode_proof(proof).map_err(AttemptError::Terminal)?;
                 let ok = B::verify(&entry.keys, entry.circuit.r1cs(), &parsed, witness.public())?;
                 self.metrics.record("verify", start.elapsed().as_nanos() as u64);
                 Ok((Vec::new(), Some(ok)))

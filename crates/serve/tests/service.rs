@@ -135,11 +135,11 @@ fn expired_deadline_is_a_typed_outcome() {
 #[test]
 fn failing_circuit_shape_is_quarantined() {
     let dir = tmpdir("breaker");
-    let mut cfg = ServerConfig::default();
-    cfg.retry.max_attempts = 1;
-    cfg.retry.base_backoff = Duration::ZERO;
-    cfg.breaker_threshold = 2;
-    cfg.breaker_cooldown_ticks = 3;
+    let cfg = ServerConfig {
+        breaker_threshold: 2,
+        breaker_cooldown_ticks: 3,
+        ..ServerConfig::default()
+    };
     let mut server: Server<Groth16Backend<Bn254>> = Server::open(dir.join("server"), cfg).unwrap();
 
     let bad = JobSpec {
@@ -187,6 +187,62 @@ fn failing_circuit_shape_is_quarantined() {
     ));
     let (_, res) = server.submit(bad);
     assert!(matches!(res, Err(RejectReason::CircuitOpen { .. })));
+    assert!(server.accounting_errors().is_empty());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A failure that comes from the job's own inputs ends the job on its first
+/// attempt under the default retry policy: a second attempt would fail the
+/// same way.
+#[test]
+fn failures_of_the_job_itself_are_not_retried() {
+    let dir = tmpdir("terminal");
+    let mut server: Server<Groth16Backend<Bn254>> =
+        Server::open(dir.join("server"), ServerConfig::default()).unwrap();
+    let job = |circuit: CircuitSpec, kind: JobKind| JobSpec {
+        circuit,
+        kind,
+        priority: Priority::Normal,
+        deadline: None,
+    };
+    let unparseable = CircuitSpec {
+        name: "bad".into(),
+        source: "circuit bad { this does not parse".into(),
+        constraints: 1,
+        public_inputs: vec![],
+        private_inputs: vec![],
+    };
+    let unsatisfied = CircuitSpec {
+        name: "nine".into(),
+        source: "circuit nine { public input x; assert x * x == 9; }".into(),
+        constraints: 2,
+        public_inputs: vec![4],
+        private_inputs: vec![],
+    };
+    let cases = [
+        ("compile", job(unparseable, JobKind::Prove)),
+        ("witness", job(unsatisfied, JobKind::Prove)),
+        (
+            "proof payload",
+            job(
+                CircuitSpec::exponentiate(8, 3),
+                JobKind::Verify {
+                    proof: vec![0xde, 0xad, 0xbe, 0xef],
+                },
+            ),
+        ),
+    ];
+    for (what, spec) in cases {
+        let (id, res) = server.submit(spec);
+        assert!(res.is_ok());
+        server.run_until_drained();
+        match server.outcome(id) {
+            Some(JobOutcome::Failed { attempts: 1, error }) => {
+                assert!(error.contains(what), "{what}: {error}")
+            }
+            other => panic!("{what}: {other:?}"),
+        }
+    }
     assert!(server.accounting_errors().is_empty());
     let _ = fs::remove_dir_all(&dir);
 }

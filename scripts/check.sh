@@ -198,6 +198,18 @@ if ! ZKPERF_CHAOS=20240808 ./target/release/loadgen --jobs 32 --seed 42; then
     exit 1
 fi
 
+# Fault-injection tier: the `chaos` binary at a fixed seed — bit flips and
+# truncations of every artifact, faulty readers and writers around every
+# codec, and whole pipelines with stage-boundary faults armed. It exits
+# non-zero on any panic, any corrupt artifact that parses cleanly or
+# verifies, and any pipeline that stops on an error other than an
+# injected fault.
+echo "==> chaos: fault-injection suite at a fixed seed"
+if ! ./target/release/chaos 20240808; then
+    echo "chaos found violations; replay with the seed it printed above" >&2
+    exit 1
+fi
+
 # Regeneration smoke: EXPERIMENTS.md is filled from what `experiments`
 # and `real_scaling --backends` (E10, README's backend table) write under
 # results/, so the paths the docs depend on run here once, at the smallest

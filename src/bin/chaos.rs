@@ -12,8 +12,8 @@
 //! 2. **Faulty I/O layers** — writers that short-write or error mid-file
 //!    and readers that stop early, wrapped around every codec path.
 //! 3. **Stage-boundary faults** — pipelines run with `ZKPERF_CHAOS` armed,
-//!    so stage boundaries trip [`StageError::Injected`]; the resilient
-//!    runner must contain every failure.
+//!    so stage boundaries trip `StageError::Injected`; every pipeline must
+//!    either verify or stop at such a fault, never with another error.
 //!
 //! Every check runs under `catch_unwind`: a single panic anywhere is a
 //! violation. Exit status is 0 only when no violations occurred.
@@ -33,10 +33,7 @@ use zkperf_io::{
     read_proof, read_r1cs, read_vkey, read_witness, read_zkey, write_proof, write_r1cs,
     write_vkey, write_witness, write_zkey,
 };
-use zkperf_resilience::{
-    run_with_retry, ChaosMode, FaultKind, FaultyReader, FaultyWriter, Quarantine, RetryPolicy,
-    RunOutcome,
-};
+use zkperf_resilience::{ChaosMode, FaultKind, FaultyReader, FaultyWriter};
 
 /// Corruption rounds per artifact per fault shape.
 const ROUNDS: usize = 48;
@@ -231,45 +228,28 @@ fn io_fault_pass(mode: ChaosMode, artifacts: &Artifacts, tally: &mut Tally) {
 
 fn stage_boundary_pass(tally: &mut Tally) {
     use zkperf_core::{Groth16Backend, Stage, StageError, Workload};
-    let policy = RetryPolicy::once();
-    let mut quarantine = Quarantine::new(1);
     let mut injected = 0u64;
     for log in 2..=5u32 {
-        let label = format!("pipeline:2^{log}");
-        let outcome = run_with_retry(&policy, &label, &mut quarantine, move || {
+        tally.check(&format!("pipeline:2^{log}"), || {
             let mut w = Workload::<Groth16Backend<Bn254>>::exponentiate(1 << log);
             for stage in Stage::ALL {
-                w.run_stage(stage)?;
-            }
-            Ok::<_, StageError>(w.verified() == Some(true))
-        });
-        tally.checks += 1;
-        match outcome {
-            RunOutcome::Ok { value: true, .. } => {}
-            RunOutcome::Ok { value: false, .. } => {
-                tally.violations += 1;
-                eprintln!("[chaos] VIOLATION ({label}): clean pipeline failed to verify");
-            }
-            RunOutcome::Failed { error, .. } => {
-                // Injected stage faults are the expected failure mode.
-                if error.contains("chaos fault injected") {
-                    injected += 1;
-                    tally.faults += 1;
-                } else {
-                    tally.violations += 1;
-                    eprintln!("[chaos] VIOLATION ({label}): unexpected error: {error}");
+                match w.run_stage(stage) {
+                    Ok(()) => {}
+                    // Injected stage faults are the expected failure mode.
+                    Err(StageError::Injected { .. }) => {
+                        injected += 1;
+                        return Ok(());
+                    }
+                    Err(e) => return Err(format!("unexpected error: {e}")),
                 }
             }
-            RunOutcome::Panicked { message, .. } => {
-                tally.violations += 1;
-                eprintln!("[chaos] VIOLATION ({label}): panicked: {message}");
+            match w.verified() {
+                Some(true) => Ok(()),
+                _ => Err("clean pipeline failed to verify".into()),
             }
-            RunOutcome::TimedOut { .. } | RunOutcome::Quarantined => {
-                tally.violations += 1;
-                eprintln!("[chaos] VIOLATION ({label}): timed out or quarantined");
-            }
-        }
+        });
     }
+    tally.faults += injected;
     eprintln!("[chaos] stage boundaries: {injected} injected fault(s) contained");
 }
 

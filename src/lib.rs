@@ -21,7 +21,7 @@
 //! * [`machine`] — the trace-driven CPU simulator;
 //! * [`scale`] — simulated-multicore scaling and Amdahl/Gustafson fits;
 //! * [`core`] — the characterization framework (the paper's contribution);
-//! * [`resilience`] — retry policies, fault injection, chaos plumbing;
+//! * [`resilience`] — fault injection and the `ZKPERF_CHAOS` knob;
 //! * [`serve`] — the fault-tolerant proving-as-a-service daemon.
 //!
 //! # Quickstart
