@@ -12,7 +12,6 @@ use zkperf_circuit::{lang, library, Circuit, Witness, WitnessError};
 use zkperf_ff::Field;
 use zkperf_groth16::{ProveError, SetupError, VerifyError};
 use zkperf_plonk::PlonkError;
-use zkperf_resilience::{chaos_mode, ChaosMode};
 use zkperf_stark::StarkError;
 use zkperf_trace as trace;
 
@@ -23,7 +22,8 @@ use crate::stage::{Curve, Stage};
 ///
 /// Stage ordering violations and artifact-shape problems are reported as
 /// values instead of panics, so a sweep can record a failed cell and keep
-/// going. The `Injected` variant only occurs when `ZKPERF_CHAOS` is armed.
+/// going. [`Workload`] never returns the `Injected` variant: only a job
+/// server whose `ServerConfig::chaos` holds a seed injects it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StageError {
     /// `stage` was run before its prerequisite `needs`.
@@ -63,7 +63,8 @@ pub enum StageError {
         /// The curve it cannot run on.
         curve: Curve,
     },
-    /// A chaos-mode fault was injected at this stage boundary.
+    /// The job server's seeded fault injector tripped at this stage
+    /// boundary (`zkperf-serve`, chaos armed); the server retries it.
     Injected {
         /// The stage whose boundary tripped.
         stage: Stage,
@@ -391,18 +392,15 @@ impl<B: ProverBackend> Workload<B> {
     /// # Errors
     ///
     /// Returns [`StageError::MissingPrerequisite`] when an earlier stage
-    /// has not run, wraps the underlying pipeline error when a stage's
-    /// inputs are inconsistent, and returns [`StageError::Injected`] when
-    /// the `ZKPERF_CHAOS` knob forces a fault at this boundary. When the
-    /// ambient [`zkperf_pool::CancelToken`] has fired (or its deadline
-    /// expired) the stage is skipped entirely and
-    /// [`StageError::Cancelled`] is returned.
+    /// has not run, and wraps the underlying pipeline error when a stage's
+    /// inputs are inconsistent. When the ambient
+    /// [`zkperf_pool::CancelToken`] has fired (or its deadline expired)
+    /// the stage is skipped entirely and [`StageError::Cancelled`] is
+    /// returned. No fault is injected here and no environment is read: the
+    /// stage measured is the stage that ships.
     pub fn run_stage(&mut self, stage: Stage) -> Result<(), StageError> {
         if zkperf_pool::cancellation_pending() {
             return Err(StageError::Cancelled { stage });
-        }
-        if let Some(err) = self.chaos_injection(stage, chaos_mode()) {
-            return Err(err);
         }
         let missing = |needs: Stage| StageError::MissingPrerequisite { stage, needs };
         match stage {
@@ -452,15 +450,6 @@ impl<B: ProverBackend> Workload<B> {
             }
         }
         Ok(())
-    }
-
-    /// The fault (if any) a chaos plan injects at this stage boundary.
-    /// Sparse by design — roughly one in four boundaries trip — so any
-    /// seed faults somewhere while leaving most pipelines runnable.
-    fn chaos_injection(&self, stage: Stage, mode: ChaosMode) -> Option<StageError> {
-        let label = format!("stage:{}:{}", stage.name(), self.constraints);
-        let mut plan = mode.plan_for(&label)?;
-        plan.chance(1, 4).then_some(StageError::Injected { stage })
     }
 }
 
@@ -606,26 +595,6 @@ mod tests {
         w.run_stage(Stage::Compile).unwrap();
         let err = w.run_stage(Stage::Witness).unwrap_err();
         assert!(matches!(err, StageError::Witness(_)));
-    }
-
-    #[test]
-    fn chaos_mode_injects_deterministic_stage_faults() {
-        // Many (stage, size) boundaries under one seed: at 1-in-4 odds
-        // some must trip, and the same seed must trip the same ones.
-        let sweep = |mode: ChaosMode| -> Vec<Option<StageError>> {
-            (1..=10)
-                .flat_map(|n| {
-                    let w = Workload::<crate::backend::Groth16Backend<Bn254>>::exponentiate(n);
-                    Stage::ALL.map(|s| w.chaos_injection(s, mode))
-                })
-                .collect()
-        };
-        let armed = sweep(ChaosMode::Seeded(1234));
-        assert_eq!(armed, sweep(ChaosMode::Seeded(1234)), "replayable");
-        assert!(armed.iter().any(Option::is_some), "some boundary trips");
-        assert!(armed.iter().any(Option::is_none), "not every boundary");
-        assert_ne!(armed, sweep(ChaosMode::Seeded(77)), "seed matters");
-        assert!(sweep(ChaosMode::Off).iter().all(Option::is_none));
     }
 
     #[test]

@@ -1,17 +1,20 @@
 //! Open-loop load generator for zkperf-serve.
 //!
 //! Replays a seeded mixed trace (circuit sizes, priorities, deadlines,
-//! prove/verify mix) through a [`Server`], optionally under
-//! `ZKPERF_CHAOS` fault injection, and prints the per-stage
+//! prove/verify mix) through a [`Server`], optionally with the server's
+//! fault injector armed (`--chaos SEED`), and prints the per-stage
 //! p50/p99/p99.9 table plus cost-per-proof.
 //!
 //! Exit status is non-zero on any accounting violation: an accepted job
-//! without a typed outcome, outcome/counter disagreement, or a served
-//! proof whose bytes differ from the serial reference path.
+//! without a typed outcome, outcome/counter disagreement, a served proof
+//! whose bytes differ from the serial reference path, or a failed job
+//! whose error is not an injected fault (every job in the trace is
+//! well-formed, so nothing else may fail it).
 //!
 //! ```text
-//! loadgen [--jobs N] [--seed S] [--max-depth D] [--verify-only-depth V]
-//!         [--deadline-ms MS] [--cache-dir PATH] [--keep-cache]
+//! loadgen [--jobs N] [--seed S] [--chaos SEED] [--max-depth D]
+//!         [--verify-only-depth V] [--deadline-ms MS] [--cache-dir PATH]
+//!         [--keep-cache]
 //! ```
 
 use std::process::ExitCode;
@@ -19,9 +22,8 @@ use std::time::Duration;
 
 use rand::{Rng, SeedableRng};
 
-use zkperf_core::Groth16Backend;
+use zkperf_core::{Groth16Backend, Stage, StageError};
 use zkperf_ec::Bn254;
-use zkperf_resilience::chaos_mode;
 use zkperf_serve::{
     prove_serial, ArtifactCache, CircuitSpec, JobKind, JobOutcome, JobSpec, Priority,
     Server, ServerConfig,
@@ -30,6 +32,7 @@ use zkperf_serve::{
 struct Args {
     jobs: usize,
     seed: u64,
+    chaos: Option<u64>,
     max_depth: usize,
     verify_only_depth: usize,
     deadline_ms: u64,
@@ -41,6 +44,7 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         jobs: 40,
         seed: 42,
+        chaos: None,
         max_depth: 16,
         verify_only_depth: usize::MAX,
         deadline_ms: 30_000,
@@ -55,6 +59,9 @@ fn parse_args() -> Result<Args, String> {
         match flag.as_str() {
             "--jobs" => args.jobs = value("--jobs")?.parse().map_err(|e| format!("--jobs: {e}"))?,
             "--seed" => args.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
+            "--chaos" => {
+                args.chaos = Some(value("--chaos")?.parse().map_err(|e| format!("--chaos: {e}"))?)
+            }
             "--max-depth" => {
                 args.max_depth =
                     value("--max-depth")?.parse().map_err(|e| format!("--max-depth: {e}"))?
@@ -120,7 +127,6 @@ fn draw_job(rng: &mut rand::rngs::StdRng, deadline_ms: u64, proofs: &[(CircuitSp
 
 fn run() -> Result<Vec<String>, String> {
     let args = parse_args()?;
-    let chaos = chaos_mode();
     let cache_dir = args.cache_dir.clone().unwrap_or_else(|| {
         format!(
             "{}/zkperf-loadgen-{}",
@@ -130,7 +136,7 @@ fn run() -> Result<Vec<String>, String> {
     });
 
     let cfg = ServerConfig {
-        chaos,
+        chaos: args.chaos,
         verify_only_depth: args.verify_only_depth,
         ..ServerConfig::default()
     };
@@ -145,8 +151,11 @@ fn run() -> Result<Vec<String>, String> {
     let mut rejected = 0usize;
 
     println!(
-        "loadgen: {} jobs, seed {}, chaos {:?}, queue depth {}",
-        args.jobs, args.seed, chaos, args.max_depth
+        "loadgen: {} jobs, seed {}, chaos {}, queue depth {}",
+        args.jobs,
+        args.seed,
+        args.chaos.map_or_else(|| "off".to_string(), |s| s.to_string()),
+        args.max_depth
     );
 
     for _ in 0..args.jobs {
@@ -198,6 +207,21 @@ fn run() -> Result<Vec<String>, String> {
         }
     }
     println!("determinism: {compared} served proofs byte-checked against serial path");
+
+    // Every job in the trace is well-formed, so the injector is the only
+    // thing that may fail one (on its last attempt); any other error is a
+    // bug in the pipeline or the server.
+    let injected = Stage::ALL.map(|stage| StageError::Injected { stage }.to_string());
+    let mut failed = 0usize;
+    for (id, outcome) in server.outcomes() {
+        if let JobOutcome::Failed { error, .. } = outcome {
+            failed += 1;
+            if !injected.contains(error) {
+                errors.push(format!("job {id} failed on something other than an injected fault: {error}"));
+            }
+        }
+    }
+    println!("failures: {failed} failed job(s) checked for an injected fault");
 
     if !args.keep_cache {
         let _ = std::fs::remove_dir_all(&cache_dir);

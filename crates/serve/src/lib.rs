@@ -31,12 +31,18 @@
 //! shed-and-resubmitted, or checkpoint-resumed job yields byte-identical
 //! proof to a serial run of the same spec ([`prove_serial`]).
 //!
+//! The server is also the workspace's one stage-boundary fault injector:
+//! [`ServerConfig::chaos`] takes a seed, and a [`FaultPlan`] derived from
+//! it fails boundaries with `StageError::Injected`, which the retry loop
+//! absorbs.
+//!
 //! The `loadgen` binary replays an open-loop mixed trace through the
-//! server (optionally under `ZKPERF_CHAOS`) and reports per-stage
+//! server (optionally under `--chaos SEED`) and reports per-stage
 //! p50/p99/p99.9 latencies plus cost-per-proof.
 
 mod breaker;
 mod cache;
+mod fault;
 mod job;
 mod metrics;
 mod queue;
@@ -45,6 +51,7 @@ mod server;
 
 pub use breaker::{BreakerDecision, CircuitBreaker};
 pub use cache::{content_key, ArtifactCache, CacheEntry, CacheStats, LoadTiming};
+pub use fault::FaultPlan;
 pub use job::{CircuitSpec, JobId, JobKind, JobOutcome, JobSpec, Priority, RejectReason};
 pub use metrics::{
     LatencyRecorder, MemoryStats, ServeReport, StageRow, StageTable, DEFAULT_DOLLARS_PER_CPU_HOUR,

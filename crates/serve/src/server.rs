@@ -20,10 +20,10 @@ use zkperf_io::{
     read_container_file, write_container_file, Container, Cursor, Payload,
 };
 use zkperf_pool::CancelToken;
-use zkperf_resilience::ChaosMode;
 
 use crate::breaker::{BreakerDecision, CircuitBreaker};
 use crate::cache::{content_key, ArtifactCache, CacheStats, LoadTiming};
+use crate::fault::FaultPlan;
 use crate::job::{CircuitSpec, JobId, JobKind, JobOutcome, JobSpec, Priority, RejectReason};
 use crate::metrics::{ServeReport, StageTable, DEFAULT_DOLLARS_PER_CPU_HOUR};
 use crate::queue::{AdmissionConfig, AdmissionQueue, QueuedJob};
@@ -58,9 +58,11 @@ pub struct ServerConfig {
     /// batching. Only deadline-free verify jobs of the same circuit are
     /// batched; everything else keeps the per-job path.
     pub verify_batch_max: usize,
-    /// Fault-injection plan for stage boundaries (off by default; the
-    /// loadgen arms it from `ZKPERF_CHAOS`).
-    pub chaos: ChaosMode,
+    /// Seed of the stage-boundary fault injector: `None` (the default)
+    /// injects nothing; `Some(seed)` fails about one boundary in six with
+    /// [`StageError::Injected`], the same boundaries for the same seed
+    /// (`loadgen --chaos SEED`).
+    pub chaos: Option<u64>,
     /// Price assumption for the cost-per-proof report line.
     pub dollars_per_cpu_hour: f64,
 }
@@ -81,7 +83,7 @@ impl Default for ServerConfig {
             default_deadline: None,
             verify_only_depth: usize::MAX,
             verify_batch_max: 8,
-            chaos: ChaosMode::Off,
+            chaos: None,
             dollars_per_cpu_hour: DEFAULT_DOLLARS_PER_CPU_HOUR,
         }
     }
@@ -572,9 +574,9 @@ impl<B: ProverBackend> Server<B> {
         if zkperf_pool::cancellation_pending() {
             return Err(StageError::Cancelled { stage });
         }
-        let label = format!("serve:{id}:{attempt}:{}", stage.name());
-        if let Some(mut plan) = self.cfg.chaos.plan_for(&label) {
-            if plan.chance(1, 6) {
+        if let Some(seed) = self.cfg.chaos {
+            let label = format!("serve:{id}:{attempt}:{}", stage.name());
+            if FaultPlan::from_seed(seed).derive(&label).chance(1, 6) {
                 return Err(StageError::Injected { stage });
             }
         }

@@ -8,7 +8,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use zkperf_core::Groth16Backend;
+use zkperf_core::{Groth16Backend, Stage, StageError};
 use zkperf_ec::Bn254;
 use zkperf_serve::{
     prove_serial, ArtifactCache, CircuitSpec, JobKind, JobOutcome, JobSpec, Priority,
@@ -244,6 +244,58 @@ fn failures_of_the_job_itself_are_not_retried() {
         }
     }
     assert!(server.accounting_errors().is_empty());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The server's seeded fault injector: a seed replays the same faults on a
+/// fresh server, a retried job still serves the serial path's bytes, and
+/// with no seed nothing is injected.
+#[test]
+fn chaos_seed_replays_its_faults_and_retries_serve_serial_bytes() {
+    let dir = tmpdir("chaos");
+    let xs = 2..10u64;
+    let run = |tag: &str, chaos: Option<u64>| {
+        let cfg = ServerConfig {
+            chaos,
+            ..ServerConfig::default()
+        };
+        let mut server: Server<Groth16Backend<Bn254>> = Server::open(dir.join(tag), cfg).unwrap();
+        for x in xs.clone() {
+            assert!(server.submit(prove_job(8, x, Priority::Normal)).1.is_ok());
+        }
+        server.run_until_drained();
+        assert!(server.accounting_errors().is_empty());
+        server.outcomes().map(|(id, o)| (id, o.clone())).collect::<Vec<_>>()
+    };
+
+    let armed = run("armed", Some(7));
+    assert_eq!(armed, run("replay", Some(7)), "same seed, same faults and attempts");
+
+    let mut serial: ArtifactCache<Groth16Backend<Bn254>> = ArtifactCache::open(dir.join("serial")).unwrap();
+    let mut retried = 0;
+    for ((id, outcome), x) in armed.iter().zip(xs.clone()) {
+        match outcome {
+            JobOutcome::Served { proof, attempts, .. } if *attempts > 1 => {
+                let expected = prove_serial(&mut serial, &CircuitSpec::exponentiate(8, x)).unwrap();
+                assert_eq!(proof, &expected, "retried job {id} differs from serial path");
+                retried += 1;
+            }
+            JobOutcome::Served { .. } => {}
+            JobOutcome::Failed { error, .. } => assert!(
+                Stage::ALL.map(|stage| StageError::Injected { stage }.to_string()).contains(error),
+                "job {id} failed on something other than an injected fault: {error}"
+            ),
+            other => panic!("job {id}: {other:?}"),
+        }
+    }
+    assert!(retried > 0, "seed 7 serves some job on a later attempt: {armed:?}");
+
+    for (id, outcome) in run("off", None) {
+        assert!(
+            matches!(outcome, JobOutcome::Served { attempts: 1, .. }),
+            "job {id}: {outcome:?}"
+        );
+    }
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -1,6 +1,7 @@
 //! FRI parameters and their `ZKPERF_STARK_*` environment knobs.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Degree bound of the final FRI polynomial: folding stops once the
 /// claimed degree is `≤ FINAL_POLY_MAX_DEGREE` and the remaining
@@ -54,16 +55,21 @@ impl StarkParams {
     /// The defaults with any `ZKPERF_STARK_BLOWUP` / `ZKPERF_STARK_QUERIES`
     /// overrides applied. Out-of-range or malformed values are clamped to
     /// the documented ranges rather than erroring, so a bad knob degrades
-    /// to a sane run instead of killing a sweep.
+    /// to a sane run instead of killing a sweep. The environment is read
+    /// on the first call only; every later call returns the same
+    /// parameters.
     pub fn from_env() -> Self {
-        let mut p = StarkParams::default();
-        if let Some(b) = env_usize(BLOWUP_ENV) {
-            p.blowup = b.next_power_of_two().clamp(2, 64);
-        }
-        if let Some(q) = env_usize(QUERIES_ENV) {
-            p.num_queries = q.clamp(1, 128);
-        }
-        p
+        static RESOLVED: OnceLock<StarkParams> = OnceLock::new();
+        *RESOLVED.get_or_init(|| {
+            let mut p = StarkParams::default();
+            if let Some(b) = env_usize(BLOWUP_ENV) {
+                p.blowup = b.next_power_of_two().clamp(2, 64);
+            }
+            if let Some(q) = env_usize(QUERIES_ENV) {
+                p.num_queries = q.clamp(1, 128);
+            }
+            p
+        })
     }
 
     /// Approximate conjectured soundness of the query phase, in bits.

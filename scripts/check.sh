@@ -5,7 +5,7 @@
 #   2. the full test suite (unit + integration + property tests)
 #   3. clippy with -D warnings
 #
-# Before any of that, four grep gates. No kernel crate may read the pool
+# Before any of that, five grep gates. No kernel crate may read the pool
 # size (`current_threads()`), so a hand-rolled "small input or one thread,
 # take the serial twin" gate cannot come back — kernels state a grain and
 # the pool decides (DESIGN.md §9/§10). And no crate may ask the tracer
@@ -20,11 +20,16 @@
 # quotient pieces — the two opening witnesses go through `srs.open` — so
 # a wire, the accumulator or a circuit column cannot quietly go back to
 # interpolate-then-commit: data born on the rows commits over the Lagrange
-# half (DESIGN.md §5).
+# half (DESIGN.md §5). And the library sources read the environment in six
+# files only, the knobs that exist today (thread count, memory budget,
+# STARK parameters, sweep bounds, results directory, testkit seed): a new
+# knob in a library call path, read afresh on every call, is how a
+# measured stage ends up timing getenv or behaving differently from the
+# one that ships.
 #
-# Seven library crates (zkperf-core, zkperf-groth16, zkperf-io,
-# zkperf-plonk, zkperf-pool, zkperf-resilience, zkperf-serve) additionally
-# deny clippy::unwrap_used and clippy::expect_used outside #[cfg(test)] via
+# Six library crates (zkperf-core, zkperf-groth16, zkperf-io,
+# zkperf-plonk, zkperf-pool, zkperf-serve) additionally deny
+# clippy::unwrap_used and clippy::expect_used outside #[cfg(test)] via
 # attributes at the top of their lib.rs, so step 3 also enforces the
 # panic-free-hot-path policy; tests and binaries may still unwrap.
 #
@@ -64,6 +69,13 @@ fi
 echo "==> grep gate: plonk commits over the powers only the quotient pieces"
 if grep -n 'srs\.commit(' crates/plonk/src/protocol.rs | grep -v 't_polys'; then
     echo "values on the rows commit through commit_evaluations (the Lagrange half of the SRS)" >&2
+    exit 1
+fi
+
+echo "==> grep gate: environment reads only in the six knob files"
+if grep -rln 'env::var' crates/*/src |
+    grep -vxE 'crates/(pool/src/(lib|mem)|stark/src/params|core/src/matrix|bench/src/lib|testkit/src/rng)\.rs'; then
+    echo "a new environment read in a library crate: take the value as an argument, or resolve it once beside the existing knobs" >&2
     exit 1
 fi
 
@@ -187,23 +199,23 @@ if ! ./target/release/stream_smoke --log2 16 --budget 32M --threads 1,4; then
 fi
 
 # Serving smoke tier: replay a fixed-seed open-loop trace through the
-# zkperf-serve daemon with fault injection armed. The loadgen exits
+# zkperf-serve daemon with its fault injector armed. The loadgen exits
 # non-zero on any panic, any accepted-but-unaccounted job, any
-# deadline-accounting error, or any served proof whose bytes differ from
-# the serial reference pipeline — the service-level determinism and
-# fault-tolerance contract.
-echo "==> serve_smoke: loadgen under fixed-seed ZKPERF_CHAOS"
-if ! ZKPERF_CHAOS=20240808 ./target/release/loadgen --jobs 32 --seed 42; then
+# deadline-accounting error, any served proof whose bytes differ from
+# the serial reference pipeline, or any failed job whose error is not an
+# injected fault — the service-level determinism and fault-tolerance
+# contract.
+echo "==> serve_smoke: loadgen with the server's fault injector at a fixed seed"
+if ! ./target/release/loadgen --chaos 20240808 --jobs 32 --seed 42; then
     echo "serve_smoke failed: see loadgen accounting errors above" >&2
     exit 1
 fi
 
 # Fault-injection tier: the `chaos` binary at a fixed seed — bit flips and
-# truncations of every artifact, faulty readers and writers around every
-# codec, and whole pipelines with stage-boundary faults armed. It exits
-# non-zero on any panic, any corrupt artifact that parses cleanly or
-# verifies, and any pipeline that stops on an error other than an
-# injected fault.
+# truncations of every artifact, and faulty readers and writers around
+# every codec (stage-boundary faults are serve_smoke's, above). It exits
+# non-zero on any panic and any corrupt artifact that parses cleanly or
+# verifies.
 echo "==> chaos: fault-injection suite at a fixed seed"
 if ! ./target/release/chaos 20240808; then
     echo "chaos found violations; replay with the seed it printed above" >&2

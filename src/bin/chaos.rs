@@ -11,16 +11,17 @@
 //!    a violation, and a passing verification of corrupt data doubly so.
 //! 2. **Faulty I/O layers** — writers that short-write or error mid-file
 //!    and readers that stop early, wrapped around every codec path.
-//! 3. **Stage-boundary faults** — pipelines run with `ZKPERF_CHAOS` armed,
-//!    so stage boundaries trip `StageError::Injected`; every pipeline must
-//!    either verify or stop at such a fault, never with another error.
+//!
+//! Stage-boundary faults are the job server's (`zkperf-serve`,
+//! `ServerConfig::chaos`); `loadgen --chaos SEED` drives them.
 //!
 //! Every check runs under `catch_unwind`: a single panic anywhere is a
 //! violation. Exit status is 0 only when no violations occurred.
 //!
-//! Usage: `chaos [seed]`, or set `ZKPERF_CHAOS` (any non-off value arms
-//! the same seed grammar). Failing runs print the seed for exact replay.
+//! Usage: `chaos [seed]`, where `seed` is a `u64`. Failing runs print the
+//! seed for exact replay.
 
+use std::io::{self, Read, Write};
 use std::panic::{self, AssertUnwindSafe};
 
 use rand::SeedableRng;
@@ -33,10 +34,158 @@ use zkperf_io::{
     read_proof, read_r1cs, read_vkey, read_witness, read_zkey, write_proof, write_r1cs,
     write_vkey, write_witness, write_zkey,
 };
-use zkperf_resilience::{ChaosMode, FaultKind, FaultyReader, FaultyWriter};
+use zkperf_serve::FaultPlan;
 
 /// Corruption rounds per artifact per fault shape.
 const ROUNDS: usize = 48;
+
+/// Seed used when none is given.
+const DEFAULT_SEED: u64 = 0xc4a0_5eed;
+
+/// One concrete fault to inject.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FaultKind {
+    /// Flip bit `bit` (0..8) of the byte at `offset`.
+    BitFlip { offset: usize, bit: u8 },
+    /// Drop every byte past `keep`.
+    Truncate { keep: usize },
+    /// Reader reports end-of-file after `after` bytes.
+    ShortRead { after: usize },
+    /// Reader returns an I/O error after `after` bytes.
+    FailRead { after: usize },
+    /// Writer accepts only `after` bytes, then writes zero-length.
+    ShortWrite { after: usize },
+    /// Writer returns an I/O error after `after` bytes.
+    FailWrite { after: usize },
+}
+
+impl FaultKind {
+    /// Applies an artifact-shape fault (`BitFlip`/`Truncate`) to a byte
+    /// buffer. I/O faults do not modify buffers and are ignored here.
+    fn apply(&self, bytes: &mut Vec<u8>) {
+        match *self {
+            FaultKind::BitFlip { offset, bit } => {
+                if let Some(b) = bytes.get_mut(offset) {
+                    *b ^= 1 << (bit & 7);
+                }
+            }
+            FaultKind::Truncate { keep } => bytes.truncate(keep),
+            _ => {}
+        }
+    }
+}
+
+/// Chooses a single-bit flip somewhere inside a `len`-byte artifact.
+fn bit_flip(plan: &mut FaultPlan, len: usize) -> Option<FaultKind> {
+    let offset = plan.pick(len)?;
+    let bit = plan.pick(8)? as u8;
+    Some(FaultKind::BitFlip { offset, bit })
+}
+
+/// Chooses a truncation point strictly inside a `len`-byte artifact.
+fn truncation(plan: &mut FaultPlan, len: usize) -> Option<FaultKind> {
+    Some(FaultKind::Truncate {
+        keep: plan.pick(len)?,
+    })
+}
+
+/// Chooses an I/O fault with a budget somewhere inside `len` bytes.
+fn io_fault(plan: &mut FaultPlan, len: usize) -> Option<FaultKind> {
+    let after = plan.pick(len.max(1))?;
+    Some(match plan.pick(4)? {
+        0 => FaultKind::ShortRead { after },
+        1 => FaultKind::FailRead { after },
+        2 => FaultKind::ShortWrite { after },
+        _ => FaultKind::FailWrite { after },
+    })
+}
+
+/// `Read` layer that stops early or errors after a byte budget.
+struct FaultyReader<R> {
+    inner: R,
+    remaining: usize,
+    fail: bool,
+}
+
+impl<R: Read> FaultyReader<R> {
+    /// Wraps `inner` with the behavior of `fault`; non-read faults make
+    /// a transparent wrapper.
+    fn new(inner: R, fault: FaultKind) -> Self {
+        let (remaining, fail) = match fault {
+            FaultKind::ShortRead { after } => (after, false),
+            FaultKind::FailRead { after } => (after, true),
+            _ => (usize::MAX, false),
+        };
+        FaultyReader {
+            inner,
+            remaining,
+            fail,
+        }
+    }
+}
+
+impl<R: Read> Read for FaultyReader<R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if self.remaining == 0 {
+            return if self.fail {
+                Err(io::Error::other("injected read fault"))
+            } else {
+                Ok(0)
+            };
+        }
+        let cap = buf.len().min(self.remaining);
+        let n = self.inner.read(&mut buf[..cap])?;
+        self.remaining -= n;
+        Ok(n)
+    }
+}
+
+/// `Write` layer that stops early or errors after a byte budget.
+struct FaultyWriter<W> {
+    inner: W,
+    remaining: usize,
+    fail: bool,
+}
+
+impl<W: Write> FaultyWriter<W> {
+    /// Wraps `inner` with the behavior of `fault`; non-write faults make
+    /// a transparent wrapper.
+    fn new(inner: W, fault: FaultKind) -> Self {
+        let (remaining, fail) = match fault {
+            FaultKind::ShortWrite { after } => (after, false),
+            FaultKind::FailWrite { after } => (after, true),
+            _ => (usize::MAX, false),
+        };
+        FaultyWriter {
+            inner,
+            remaining,
+            fail,
+        }
+    }
+}
+
+impl<W: Write> Write for FaultyWriter<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.remaining == 0 {
+            return if self.fail {
+                Err(io::Error::other("injected write fault"))
+            } else {
+                // `write_all` turns a zero-length write into
+                // `ErrorKind::WriteZero`, which is exactly the failure
+                // we want callers to surface.
+                Ok(0)
+            };
+        }
+        let cap = buf.len().min(self.remaining);
+        let n = self.inner.write(&buf[..cap])?;
+        self.remaining -= n;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
 
 #[derive(Default)]
 struct Tally {
@@ -156,7 +305,7 @@ fn read_corrupt(name: &str, bytes: &[u8], artifacts: &Artifacts) -> Result<(), S
     Ok(())
 }
 
-fn corruption_pass(mode: ChaosMode, artifacts: &Artifacts, tally: &mut Tally) {
+fn corruption_pass(seed: u64, artifacts: &Artifacts, tally: &mut Tally) {
     let targets: [(&str, &[u8]); 5] = [
         ("r1cs", &artifacts.r1cs),
         ("wtns", &artifacts.wtns),
@@ -165,14 +314,12 @@ fn corruption_pass(mode: ChaosMode, artifacts: &Artifacts, tally: &mut Tally) {
         ("proof", &artifacts.proof),
     ];
     for (name, bytes) in targets {
-        let Some(mut plan) = mode.plan_for(&format!("corrupt:{name}")) else {
-            return;
-        };
+        let mut plan = FaultPlan::from_seed(seed).derive(&format!("corrupt:{name}"));
         for round in 0..ROUNDS {
             let fault = if round % 2 == 0 {
-                plan.bit_flip(bytes.len())
+                bit_flip(&mut plan, bytes.len())
             } else {
-                plan.truncation(bytes.len())
+                truncation(&mut plan, bytes.len())
             };
             let Some(fault) = fault else { continue };
             let mut corrupt = bytes.to_vec();
@@ -188,13 +335,11 @@ fn corruption_pass(mode: ChaosMode, artifacts: &Artifacts, tally: &mut Tally) {
     }
 }
 
-fn io_fault_pass(mode: ChaosMode, artifacts: &Artifacts, tally: &mut Tally) {
+fn io_fault_pass(seed: u64, artifacts: &Artifacts, tally: &mut Tally) {
     let circuit = exponentiate::<Fr>(8);
-    let Some(mut plan) = mode.plan_for("io") else {
-        return;
-    };
+    let mut plan = FaultPlan::from_seed(seed).derive("io");
     for _ in 0..ROUNDS {
-        let Some(fault) = plan.io_fault(artifacts.zkey.len()) else {
+        let Some(fault) = io_fault(&mut plan, artifacts.zkey.len()) else {
             continue;
         };
         tally.faults += 1;
@@ -226,62 +371,28 @@ fn io_fault_pass(mode: ChaosMode, artifacts: &Artifacts, tally: &mut Tally) {
     }
 }
 
-fn stage_boundary_pass(tally: &mut Tally) {
-    use zkperf_core::{Groth16Backend, Stage, StageError, Workload};
-    let mut injected = 0u64;
-    for log in 2..=5u32 {
-        tally.check(&format!("pipeline:2^{log}"), || {
-            let mut w = Workload::<Groth16Backend<Bn254>>::exponentiate(1 << log);
-            for stage in Stage::ALL {
-                match w.run_stage(stage) {
-                    Ok(()) => {}
-                    // Injected stage faults are the expected failure mode.
-                    Err(StageError::Injected { .. }) => {
-                        injected += 1;
-                        return Ok(());
-                    }
-                    Err(e) => return Err(format!("unexpected error: {e}")),
-                }
-            }
-            match w.verified() {
-                Some(true) => Ok(()),
-                _ => Err("clean pipeline failed to verify".into()),
-            }
-        });
-    }
-    tally.faults += injected;
-    eprintln!("[chaos] stage boundaries: {injected} injected fault(s) contained");
-}
-
 fn main() {
-    let seed_arg = std::env::args().nth(1);
-    let mode = match (&seed_arg, std::env::var("ZKPERF_CHAOS")) {
-        (Some(raw), _) => ChaosMode::parse(raw),
-        (None, Ok(raw)) => ChaosMode::parse(&raw),
-        (None, Err(_)) => ChaosMode::Seeded(0xc4a0_5eed),
-    };
-    let seed = match mode {
-        ChaosMode::Seeded(seed) => seed,
-        ChaosMode::Off => {
-            eprintln!("[chaos] knob parsed to 'off'; defaulting to seed 1");
-            1
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let seed = match args.as_slice() {
+        [] => DEFAULT_SEED,
+        [raw] => match raw.parse::<u64>() {
+            Ok(seed) => seed,
+            Err(e) => {
+                eprintln!("usage: chaos [seed]  (seed is a u64; {raw:?}: {e})");
+                std::process::exit(2);
+            }
+        },
+        _ => {
+            eprintln!("usage: chaos [seed]");
+            std::process::exit(2);
         }
     };
-    let mode = ChaosMode::Seeded(seed);
     eprintln!("[chaos] seed {seed} (replay with `chaos {seed}`)");
 
-    // Built with the knob disarmed: the uncorrupted pipeline must verify.
-    std::env::remove_var("ZKPERF_CHAOS");
     let artifacts = build_artifacts();
-
     let mut tally = Tally::default();
-    corruption_pass(mode, &artifacts, &mut tally);
-    io_fault_pass(mode, &artifacts, &mut tally);
-    // Arm the knob for the in-process stage boundaries, whatever spelling
-    // the seed arrived in.
-    std::env::set_var("ZKPERF_CHAOS", seed.to_string());
-    stage_boundary_pass(&mut tally);
-    std::env::remove_var("ZKPERF_CHAOS");
+    corruption_pass(seed, &artifacts, &mut tally);
+    io_fault_pass(seed, &artifacts, &mut tally);
 
     eprintln!(
         "[chaos] {} checks, {} faults injected, {} violation(s)",
@@ -292,4 +403,60 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!("[chaos] OK: every fault surfaced as a typed error or failed verification");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bit_flip_roundtrips_and_truncate_shrinks() {
+        let mut bytes = vec![0u8; 16];
+        let fault = FaultKind::BitFlip { offset: 5, bit: 3 };
+        fault.apply(&mut bytes);
+        assert_eq!(bytes[5], 1 << 3);
+        fault.apply(&mut bytes);
+        assert!(bytes.iter().all(|&b| b == 0));
+        FaultKind::Truncate { keep: 4 }.apply(&mut bytes);
+        assert_eq!(bytes.len(), 4);
+        // Out-of-range flips are no-ops, not panics.
+        FaultKind::BitFlip { offset: 99, bit: 0 }.apply(&mut bytes);
+        // The choosers stay inside the artifact and draw nothing from an
+        // empty one.
+        let mut plan = FaultPlan::from_seed(7);
+        for _ in 0..32 {
+            match bit_flip(&mut plan, 100) {
+                Some(FaultKind::BitFlip { offset, bit }) => assert!(offset < 100 && bit < 8),
+                other => panic!("{other:?}"),
+            }
+        }
+        assert_eq!(truncation(&mut plan, 0), None);
+    }
+
+    #[test]
+    fn faulty_reader_stops_or_errors() {
+        let data = vec![0xabu8; 64];
+        let mut short = FaultyReader::new(data.as_slice(), FaultKind::ShortRead { after: 10 });
+        let mut out = Vec::new();
+        short.read_to_end(&mut out).unwrap();
+        assert_eq!(out.len(), 10);
+
+        let mut failing = FaultyReader::new(data.as_slice(), FaultKind::FailRead { after: 10 });
+        let mut out = Vec::new();
+        assert!(failing.read_to_end(&mut out).is_err());
+    }
+
+    #[test]
+    fn faulty_writer_stops_or_errors() {
+        let mut sink = Vec::new();
+        let mut short = FaultyWriter::new(&mut sink, FaultKind::ShortWrite { after: 10 });
+        let err = short.write_all(&[1u8; 64]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+        assert_eq!(sink.len(), 10);
+
+        let mut sink = Vec::new();
+        let mut failing = FaultyWriter::new(&mut sink, FaultKind::FailWrite { after: 3 });
+        assert!(failing.write_all(&[1u8; 64]).is_err());
+        assert_eq!(sink.len(), 3);
+    }
 }

@@ -21,8 +21,8 @@
 //! * [`machine`] — the trace-driven CPU simulator;
 //! * [`scale`] — simulated-multicore scaling and Amdahl/Gustafson fits;
 //! * [`core`] — the characterization framework (the paper's contribution);
-//! * [`resilience`] — fault injection and the `ZKPERF_CHAOS` knob;
-//! * [`serve`] — the fault-tolerant proving-as-a-service daemon.
+//! * [`serve`] — the fault-tolerant proving-as-a-service daemon and its
+//!   seeded stage-boundary fault injector.
 //!
 //! # Quickstart
 //!
@@ -51,7 +51,6 @@ pub use zkperf_machine as machine;
 pub use zkperf_plonk as plonk;
 pub use zkperf_poly as poly;
 pub use zkperf_pool as pool;
-pub use zkperf_resilience as resilience;
 pub use zkperf_scale as scale;
 pub use zkperf_serve as serve;
 pub use zkperf_stark as stark;
