@@ -44,12 +44,6 @@ impl SweepConfig {
         self
     }
 
-    /// Restricts the sweep to the given sizes.
-    pub fn with_log_sizes(mut self, log_sizes: impl IntoIterator<Item = u32>) -> Self {
-        self.log_sizes = log_sizes.into_iter().collect();
-        self
-    }
-
     /// Every pipeline of the matrix as the arguments of
     /// [`measure_cell_backend`] (size as `log₂`), in sweep order: backend,
     /// then curve, then CPU, then size. The transparent backend has no

@@ -10,22 +10,21 @@
 //! both, and [`ArtifactError::is_corruption`] encodes the classification.
 //!
 //! Writers here are atomic: the artifact is serialized to a `.tmp` sibling
-//! and renamed into place, so a crashed or faulted write never leaves a
+//! and renamed into place ([`AtomicFile`], which the streamed `.zkey`
+//! writer uses too), so a crashed or faulted write never leaves a
 //! half-written container that later reads as corruption.
 
 use std::fs;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use zkperf_circuit::R1cs;
 use zkperf_ec::{CurveParams, Engine};
 use zkperf_ff::PrimeField;
-use zkperf_groth16::{Proof, ProvingKey, VerifyingKey};
+use zkperf_groth16::{Proof, VerifyingKey};
 
 use crate::codec::FieldCodec;
-use crate::files::{
-    read_proof, read_r1cs, read_vkey, read_zkey, write_proof, write_r1cs, write_vkey, write_zkey,
-};
+use crate::files::{read_proof, read_r1cs, read_vkey, write_proof, write_r1cs, write_vkey};
 use crate::format::{Container, FormatError};
 
 /// A container read or write that failed, annotated with the file it was
@@ -39,7 +38,7 @@ pub struct ArtifactError {
 }
 
 impl ArtifactError {
-    fn new(path: &Path, error: FormatError) -> Self {
+    pub(crate) fn new(path: &Path, error: FormatError) -> Self {
         ArtifactError {
             path: path.to_path_buf(),
             error,
@@ -86,30 +85,81 @@ impl std::error::Error for ArtifactError {
     }
 }
 
-fn open(path: &Path) -> Result<BufReader<fs::File>, ArtifactError> {
+/// Runs `read` over the buffered file at `path`, annotating any failure
+/// with the path.
+fn read_file<T>(
+    path: &Path,
+    read: impl FnOnce(&mut BufReader<fs::File>) -> Result<T, FormatError>,
+) -> Result<T, ArtifactError> {
     fs::File::open(path)
-        .map(BufReader::new)
-        .map_err(|e| ArtifactError::new(path, FormatError::Io(e)))
+        .map_err(FormatError::from)
+        .and_then(|file| read(&mut BufReader::new(file)))
+        .map_err(|e| ArtifactError::new(path, e))
 }
 
-/// Runs `write` against a temporary sibling of `path`, then renames it
-/// into place — the write is all-or-nothing from any reader's view.
-fn write_atomic(
+/// A `.tmp` sibling of an artifact path, written through a buffer and
+/// renamed onto the path by [`AtomicFile::commit`]; dropped uncommitted,
+/// it is removed, so a crashed or failed write never leaves a half-written
+/// artifact that later reads as corruption.
+pub(crate) struct AtomicFile {
+    path: PathBuf,
+    tmp: PathBuf,
+    out: BufWriter<fs::File>,
+    committed: bool,
+}
+
+impl AtomicFile {
+    pub(crate) fn create(path: &Path) -> Result<AtomicFile, ArtifactError> {
+        let tmp = path.with_extension("tmp");
+        let file = fs::File::create(&tmp).map_err(|e| ArtifactError::new(path, e.into()))?;
+        Ok(AtomicFile {
+            path: path.to_path_buf(),
+            tmp,
+            out: BufWriter::new(file),
+            committed: false,
+        })
+    }
+
+    pub(crate) fn path(&self) -> &Path {
+        &self.path
+    }
+
+    pub(crate) fn commit(&mut self) -> io::Result<()> {
+        self.out.flush()?;
+        fs::rename(&self.tmp, &self.path)?;
+        self.committed = true;
+        Ok(())
+    }
+}
+
+impl Write for AtomicFile {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.out.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.out.flush()
+    }
+}
+
+impl Drop for AtomicFile {
+    fn drop(&mut self) {
+        if !self.committed {
+            let _ = fs::remove_file(&self.tmp);
+        }
+    }
+}
+
+/// Runs `write` against an [`AtomicFile`] for `path` and commits it: the
+/// write is all-or-nothing from any reader's view.
+pub(crate) fn write_atomic(
     path: &Path,
-    write: impl FnOnce(&mut BufWriter<fs::File>) -> Result<(), FormatError>,
+    write: impl FnOnce(&mut AtomicFile) -> Result<(), FormatError>,
 ) -> Result<(), ArtifactError> {
-    let tmp = path.with_extension("tmp");
-    let result = (|| {
-        let file = fs::File::create(&tmp).map_err(FormatError::Io)?;
-        let mut w = BufWriter::new(file);
-        write(&mut w)?;
-        w.flush().map_err(FormatError::Io)?;
-        fs::rename(&tmp, path).map_err(FormatError::Io)
-    })();
-    result.map_err(|e| {
-        let _ = fs::remove_file(&tmp);
-        ArtifactError::new(path, e)
-    })
+    let mut file = AtomicFile::create(path)?;
+    write(&mut file)
+        .and_then(|()| Ok(file.commit()?))
+        .map_err(|e| ArtifactError::new(path, e))
 }
 
 /// Reads a full container from `path`, verifying magic and checksums.
@@ -119,8 +169,7 @@ fn write_atomic(
 /// [`ArtifactError`] carrying `path` on any failure, including a missing
 /// file (distinguish with [`ArtifactError::is_missing`]).
 pub fn read_container_file(path: &Path, magic: [u8; 4]) -> Result<Container, ArtifactError> {
-    let mut r = open(path)?;
-    Container::read_from(&mut r, magic).map_err(|e| ArtifactError::new(path, e))
+    read_file(path, |r| Container::read_from(r, magic))
 }
 
 /// Atomically writes a container to `path`.
@@ -146,8 +195,7 @@ macro_rules! path_io {
             <E::G1 as CurveParams>::Base: FieldCodec,
             <E::G2 as CurveParams>::Base: FieldCodec,
         {
-            let mut r = open(path)?;
-            run_read(path, |r| $read_inner::<E>(r), &mut r)
+            read_file(path, |r| $read_inner::<E>(r))
         }
 
         /// Atomically writes the artifact to `path` (see module docs).
@@ -165,14 +213,6 @@ macro_rules! path_io {
     };
 }
 
-fn run_read<T, R: Read>(
-    path: &Path,
-    read: impl FnOnce(&mut R) -> Result<T, FormatError>,
-    r: &mut R,
-) -> Result<T, ArtifactError> {
-    read(r).map_err(|e| ArtifactError::new(path, e))
-}
-
 /// Reads an `.r1cs` container from `path`.
 ///
 /// # Errors
@@ -180,8 +220,7 @@ fn run_read<T, R: Read>(
 /// [`ArtifactError`] carrying the path on any failure; use
 /// [`ArtifactError::is_corruption`] to decide evict-and-rebuild.
 pub fn read_r1cs_file<F: PrimeField>(path: &Path) -> Result<R1cs<F>, ArtifactError> {
-    let mut r = open(path)?;
-    run_read(path, |r| read_r1cs::<F>(r), &mut r)
+    read_file(path, |r| read_r1cs::<F>(r))
 }
 
 /// Atomically writes an `.r1cs` container to `path`.
@@ -191,12 +230,6 @@ pub fn read_r1cs_file<F: PrimeField>(path: &Path) -> Result<R1cs<F>, ArtifactErr
 /// [`ArtifactError`] carrying the path on any failure.
 pub fn write_r1cs_file<F: PrimeField>(path: &Path, r1cs: &R1cs<F>) -> Result<(), ArtifactError> {
     write_atomic(path, |w| write_r1cs::<F>(w, r1cs))
-}
-
-path_io! {
-    /// Reads a `.zkey` proving-key container from `path`.
-    read read_zkey_file, read_zkey -> ProvingKey<E>;
-    write write_zkey_file, write_zkey (ProvingKey<E>)
 }
 
 path_io! {
@@ -214,6 +247,7 @@ path_io! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::zkey::{read_zkey_file, write_zkey_file};
     use zkperf_circuit::library::exponentiate;
     use zkperf_ec::Bn254;
     use zkperf_ff::bn254::Fr;
@@ -261,7 +295,10 @@ mod tests {
         let err = read_zkey_file::<Bn254>(&path).unwrap_err();
         assert!(err.is_corruption(), "checksum mismatch classifies as corruption");
         assert!(!err.is_missing());
-        assert!(matches!(err.error, FormatError::ChecksumMismatch { .. }));
+        assert!(matches!(
+            &err.error,
+            FormatError::AtOffset { inner, .. } if matches!(**inner, FormatError::ChecksumMismatch { .. })
+        ));
         assert_eq!(err.path, path);
         assert!(err.to_string().contains("c.zkey"));
 

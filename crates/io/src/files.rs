@@ -1,11 +1,12 @@
-//! The concrete file formats: `.r1cs`, `.wtns`, `.zkey`, `.vkey`, `.proof`.
+//! The single-container file formats: `.r1cs`, `.wtns`, `.vkey`, `.proof`
+//! (the chunked `.zkey` is `crate::zkey`).
 
 use std::io::{Read, Write};
 
 use zkperf_circuit::{Constraint, LinearCombination, R1cs, Variable};
 use zkperf_ec::{CurveParams, Engine};
 use zkperf_ff::PrimeField;
-use zkperf_groth16::{Proof, ProvingKey, VerifyingKey};
+use zkperf_groth16::{Proof, VerifyingKey};
 use zkperf_trace as trace;
 
 use crate::codec::{
@@ -16,7 +17,6 @@ use crate::format::{Container, Cursor, FormatError, Payload};
 
 const MAGIC_R1CS: [u8; 4] = *b"zkr1";
 const MAGIC_WTNS: [u8; 4] = *b"zkwt";
-const MAGIC_ZKEY: [u8; 4] = *b"zkpk";
 const MAGIC_VKEY: [u8; 4] = *b"zkvk";
 const MAGIC_PROOF: [u8; 4] = *b"zkpf";
 
@@ -171,7 +171,12 @@ pub fn read_witness<F: PrimeField>(r: &mut impl Read) -> Result<Vec<F>, FormatEr
     Ok(out)
 }
 
-fn encode_vk<E: Engine>(vk: &VerifyingKey<E>) -> (Payload, Payload)
+/// Writes a verification key as a `.vkey` container.
+///
+/// # Errors
+///
+/// Propagates writer failures.
+pub fn write_vkey<E: Engine>(w: &mut impl Write, vk: &VerifyingKey<E>) -> Result<(), FormatError>
 where
     <E::G1 as CurveParams>::Base: FieldCodec,
     <E::G2 as CurveParams>::Base: FieldCodec,
@@ -183,38 +188,6 @@ where
     encode_point(&vk.beta_g2, &mut g2);
     encode_point(&vk.gamma_g2, &mut g2);
     encode_point(&vk.delta_g2, &mut g2);
-    (g1, g2)
-}
-
-fn decode_vk<E: Engine>(g1: &[u8], g2: &[u8]) -> Result<VerifyingKey<E>, FormatError>
-where
-    <E::G1 as CurveParams>::Base: FieldCodec,
-    <E::G2 as CurveParams>::Base: FieldCodec,
-{
-    let mut c1 = Cursor::new(g1);
-    let alpha_g1 = decode_point(&mut c1)?;
-    let ic = decode_point_vec(&mut c1)?;
-    let mut c2 = Cursor::new(g2);
-    Ok(VerifyingKey {
-        alpha_g1,
-        ic,
-        beta_g2: decode_point(&mut c2)?,
-        gamma_g2: decode_point(&mut c2)?,
-        delta_g2: decode_point(&mut c2)?,
-    })
-}
-
-/// Writes a verification key as a `.vkey` container.
-///
-/// # Errors
-///
-/// Propagates writer failures.
-pub fn write_vkey<E: Engine>(w: &mut impl Write, vk: &VerifyingKey<E>) -> Result<(), FormatError>
-where
-    <E::G1 as CurveParams>::Base: FieldCodec,
-    <E::G2 as CurveParams>::Base: FieldCodec,
-{
-    let (g1, g2) = encode_vk(vk);
     let mut container = Container::new(MAGIC_VKEY);
     container.push_section(SEC_G1, g1.0);
     container.push_section(SEC_G2, g2.0);
@@ -232,93 +205,16 @@ where
     <E::G2 as CurveParams>::Base: FieldCodec,
 {
     let container = Container::read_from(r, MAGIC_VKEY)?;
-    decode_vk::<E>(container.section(SEC_G1)?, container.section(SEC_G2)?)
-}
-
-/// Writes a proving key (including its embedded verification key) as a
-/// `.zkey`-style container.
-///
-/// # Errors
-///
-/// Propagates writer failures.
-pub fn write_zkey<E: Engine>(w: &mut impl Write, pk: &ProvingKey<E>) -> Result<(), FormatError>
-where
-    <E::G1 as CurveParams>::Base: FieldCodec,
-    <E::G2 as CurveParams>::Base: FieldCodec,
-{
-    let _g = trace::region_profile("file_io");
-    let mut header = Payload::default();
-    header.u64(pk.domain_size as u64);
-    header.u64(pk.num_public_wires as u64);
-    let mut g1 = Payload::default();
-    encode_point(&pk.beta_g1, &mut g1);
-    encode_point(&pk.delta_g1, &mut g1);
-    encode_point_vec(&pk.a_query, &mut g1);
-    encode_point_vec(&pk.b_g1_query, &mut g1);
-    encode_point_vec(&pk.l_query, &mut g1);
-    encode_point_vec(&pk.h_query, &mut g1);
-    let mut g2 = Payload::default();
-    encode_point_vec(&pk.b_g2_query, &mut g2);
-    let (vk_g1, vk_g2) = encode_vk(&pk.vk);
-    let mut container = Container::new(MAGIC_ZKEY);
-    container.push_section(SEC_HEADER, header.0);
-    container.push_section(SEC_G1, g1.0);
-    container.push_section(SEC_G2, g2.0);
-    container.push_section(SEC_G1 + 100, vk_g1.0);
-    container.push_section(SEC_G2 + 100, vk_g2.0);
-    container.write_to(w)
-}
-
-/// Reads a `.zkey` container.
-///
-/// # Errors
-///
-/// [`FormatError`] on malformed input (every point is curve-checked).
-pub fn read_zkey<E: Engine>(r: &mut impl Read) -> Result<ProvingKey<E>, FormatError>
-where
-    <E::G1 as CurveParams>::Base: FieldCodec,
-    <E::G2 as CurveParams>::Base: FieldCodec,
-{
-    let _g = trace::region_profile("file_io");
-    let container = Container::read_from(r, MAGIC_ZKEY)?;
-    let mut h = Cursor::new(container.section(SEC_HEADER)?);
-    let domain_size = h.u64()? as usize;
-    let num_public_wires = h.u64()? as usize;
-    // The prover trusts these header fields for domain construction and
-    // witness slicing; a tampered value must die here as a format error.
-    if domain_size == 0 || !domain_size.is_power_of_two() || domain_size > (1 << 30) {
-        return Err(FormatError::Corrupt("invalid zkey domain size"));
-    }
-    if num_public_wires > (1 << 30) {
-        return Err(FormatError::Corrupt("invalid zkey public wire count"));
-    }
     let mut c1 = Cursor::new(container.section(SEC_G1)?);
-    let beta_g1 = decode_point(&mut c1)?;
-    let delta_g1 = decode_point(&mut c1)?;
-    let a_query = decode_point_vec(&mut c1)?;
-    let b_g1_query = decode_point_vec(&mut c1)?;
-    let l_query = decode_point_vec(&mut c1)?;
-    let h_query = decode_point_vec(&mut c1)?;
+    let alpha_g1 = decode_point(&mut c1)?;
+    let ic = decode_point_vec(&mut c1)?;
     let mut c2 = Cursor::new(container.section(SEC_G2)?);
-    let b_g2_query = decode_point_vec(&mut c2)?;
-    let vk = decode_vk::<E>(
-        container.section(SEC_G1 + 100)?,
-        container.section(SEC_G2 + 100)?,
-    )?;
-    if num_public_wires > a_query.len() {
-        return Err(FormatError::Corrupt("public wires exceed a_query length"));
-    }
-    Ok(ProvingKey {
-        vk,
-        beta_g1,
-        delta_g1,
-        a_query,
-        b_g1_query,
-        b_g2_query,
-        l_query,
-        h_query,
-        domain_size,
-        num_public_wires,
+    Ok(VerifyingKey {
+        alpha_g1,
+        ic,
+        beta_g2: decode_point(&mut c2)?,
+        gamma_g2: decode_point(&mut c2)?,
+        delta_g2: decode_point(&mut c2)?,
     })
 }
 
@@ -365,11 +261,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::zkey::{read_zkey, write_zkey};
     use zkperf_circuit::library::exponentiate;
     use zkperf_ec::Bn254;
     use zkperf_ff::bn254::Fr;
     use zkperf_ff::Field;
-    use zkperf_groth16::{prove, setup, verify};
+    use zkperf_groth16::{prove, setup, verify, ProvingKey};
 
     #[test]
     fn r1cs_roundtrip_preserves_satisfiability() {
@@ -437,43 +334,6 @@ mod tests {
             read_witness::<Fr>(&mut buf.as_slice()),
             Err(FormatError::BadMagic { .. })
         ));
-    }
-
-    /// `ProvingKey::size_bytes` against the encoded `.zkey`: the file is
-    /// the key's coordinates plus framing (container and section headers,
-    /// the two header words, six length prefixes, one flag byte per point),
-    /// minus the coordinates of identity points, which encode as the flag
-    /// alone.
-    fn size_bytes_matches_the_encoded_zkey<E: Engine>()
-    where
-        <E::G1 as CurveParams>::Base: FieldCodec,
-        <E::G2 as CurveParams>::Base: FieldCodec,
-    {
-        let circuit = exponentiate::<E::Fr>(64);
-        let pk = setup::<E, _>(circuit.r1cs(), &mut zkperf_ff::test_rng()).unwrap();
-        let mut zkey = Vec::new();
-        write_zkey(&mut zkey, &pk).unwrap();
-
-        let g1_queries = [&pk.a_query, &pk.b_g1_query, &pk.l_query, &pk.h_query, &pk.vk.ic];
-        let g1_points = 3 + g1_queries.iter().map(|q| q.len()).sum::<usize>();
-        let g2_points = 3 + pk.b_g2_query.len();
-        let g1_identities: usize =
-            g1_queries.iter().map(|q| q.iter().filter(|p| p.infinity).count()).sum();
-        let g2_identities = pk.b_g2_query.iter().filter(|p| p.infinity).count();
-        assert!(g1_identities > 0 && g2_identities > 0, "sparse B query");
-        let g1_bytes = 2 * <E::G1 as CurveParams>::Base::encoded_len();
-        let g2_bytes = 2 * <E::G2 as CurveParams>::Base::encoded_len();
-        let framing = 12 + 5 * 16 + 16 + 6 * 8 + g1_points + g2_points;
-        assert_eq!(
-            zkey.len(),
-            pk.size_bytes() - g1_identities * g1_bytes - g2_identities * g2_bytes + framing
-        );
-    }
-
-    #[test]
-    fn proving_key_size_bytes_matches_the_encoded_zkey_on_both_curves() {
-        size_bytes_matches_the_encoded_zkey::<Bn254>();
-        size_bytes_matches_the_encoded_zkey::<zkperf_ec::Bls12_381>();
     }
 
     #[test]

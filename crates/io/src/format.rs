@@ -5,6 +5,10 @@
 //! per section a `u32` id, a `u64` byte length, a `u32` CRC32 of the
 //! payload, and the payload itself.
 //!
+//! This module is the one place that layout is written and parsed: the
+//! in-memory [`Container`] and the chunked `.zkey` writer and reader in
+//! `crate::zkey` all frame their records through the functions here.
+//!
 //! Readers accept exactly [`VERSION`]. A checksum mismatch surfaces as
 //! [`FormatError::ChecksumMismatch`] before any payload is decoded, so
 //! bit-level tampering is caught at the container layer rather than deep
@@ -113,6 +117,110 @@ const MAX_SECTIONS: usize = 1024;
 /// artifact the paper sweep can produce, with margin).
 const MAX_SECTION_LEN: u64 = 1 << 32;
 
+/// Bytes of the preamble: magic, version, section count.
+pub(crate) const PREAMBLE_LEN: u64 = 12;
+
+/// Bytes of a section record's header: id, payload length, CRC32.
+pub(crate) const SECTION_HEADER_LEN: u64 = 16;
+
+pub(crate) fn write_preamble(w: &mut impl Write, magic: [u8; 4], n: usize) -> io::Result<()> {
+    w.write_all(&magic)?;
+    w.write_all(&VERSION.to_le_bytes())?;
+    w.write_all(&(n as u32).to_le_bytes())
+}
+
+/// Reads the preamble of a container of any kind: its magic, version and
+/// section count, unchecked.
+///
+/// # Errors
+///
+/// An I/O error on a short input.
+pub fn read_preamble(r: &mut impl Read) -> Result<([u8; 4], u32, u32), FormatError> {
+    let mut magic = [0u8; 4];
+    r.read_exact(&mut magic)?;
+    Ok((magic, read_u32(r)?, read_u32(r)?))
+}
+
+/// Reads the preamble of an `expected` container of [`VERSION`] with at
+/// most `max_sections` sections, returning the section count.
+pub(crate) fn expect_preamble(
+    r: &mut impl Read,
+    expected: [u8; 4],
+    max_sections: usize,
+) -> Result<usize, FormatError> {
+    let (found, version, count) = read_preamble(r)?;
+    if found != expected {
+        return Err(FormatError::BadMagic { found, expected });
+    }
+    if version != VERSION {
+        return Err(FormatError::BadVersion(version));
+    }
+    if count as usize > max_sections {
+        return Err(FormatError::Corrupt("unreasonable section count"));
+    }
+    Ok(count as usize)
+}
+
+/// A section record's header.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SectionHeader {
+    pub(crate) id: u32,
+    pub(crate) len: u64,
+    pub(crate) crc: u32,
+}
+
+pub(crate) fn write_section(w: &mut impl Write, id: u32, payload: &[u8]) -> io::Result<()> {
+    w.write_all(&id.to_le_bytes())?;
+    w.write_all(&(payload.len() as u64).to_le_bytes())?;
+    w.write_all(&crc32(payload).to_le_bytes())?;
+    w.write_all(payload)
+}
+
+pub(crate) fn read_section_header(r: &mut impl Read) -> Result<SectionHeader, FormatError> {
+    let id = read_u32(r)?;
+    let len = read_u64(r)?;
+    if len > MAX_SECTION_LEN {
+        return Err(FormatError::Corrupt("unreasonable section length"));
+    }
+    let crc = read_u32(r)?;
+    Ok(SectionHeader { id, len, crc })
+}
+
+/// Reads the payload `section` announces and verifies its CRC32. The
+/// buffer grows with the bytes actually read, so a corrupt length on a
+/// short input fails fast instead of allocating what it claims.
+pub(crate) fn read_payload(
+    r: &mut impl Read,
+    section: &SectionHeader,
+) -> Result<Vec<u8>, FormatError> {
+    let mut payload = Vec::with_capacity(section.len.min(1 << 24) as usize);
+    r.take(section.len).read_to_end(&mut payload)?;
+    if payload.len() as u64 != section.len {
+        return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+    }
+    let computed = crc32(&payload);
+    if computed != section.crc {
+        return Err(FormatError::ChecksumMismatch {
+            section: section.id,
+            stored: section.crc,
+            computed,
+        });
+    }
+    Ok(payload)
+}
+
+fn read_u32(r: &mut impl Read) -> Result<u32, FormatError> {
+    let mut b = [0u8; 4];
+    r.read_exact(&mut b)?;
+    Ok(u32::from_le_bytes(b))
+}
+
+fn read_u64(r: &mut impl Read) -> Result<u64, FormatError> {
+    let mut b = [0u8; 8];
+    r.read_exact(&mut b)?;
+    Ok(u64::from_le_bytes(b))
+}
+
 /// An in-memory sectioned container.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Container {
@@ -153,14 +261,9 @@ impl Container {
     ///
     /// Propagates writer failures.
     pub fn write_to(&self, w: &mut impl Write) -> Result<(), FormatError> {
-        w.write_all(&self.magic)?;
-        w.write_all(&VERSION.to_le_bytes())?;
-        w.write_all(&(self.sections.len() as u32).to_le_bytes())?;
+        write_preamble(w, self.magic, self.sections.len())?;
         for (id, payload) in &self.sections {
-            w.write_all(&id.to_le_bytes())?;
-            w.write_all(&(payload.len() as u64).to_le_bytes())?;
-            w.write_all(&crc32(payload).to_le_bytes())?;
-            w.write_all(payload)?;
+            write_section(w, *id, payload)?;
         }
         Ok(())
     }
@@ -173,71 +276,17 @@ impl Container {
     /// [`FormatError`] on magic/version mismatch, truncated input, or a
     /// checksum failure.
     pub fn read_from(r: &mut impl Read, expected_magic: [u8; 4]) -> Result<Self, FormatError> {
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if magic != expected_magic {
-            return Err(FormatError::BadMagic {
-                found: magic,
-                expected: expected_magic,
-            });
-        }
-        let version = read_u32(r)?;
-        if version != VERSION {
-            return Err(FormatError::BadVersion(version));
-        }
-        let count = read_u32(r)? as usize;
-        if count > MAX_SECTIONS {
-            return Err(FormatError::Corrupt("unreasonable section count"));
-        }
+        let count = expect_preamble(r, expected_magic, MAX_SECTIONS)?;
         let mut sections = Vec::with_capacity(count);
         for _ in 0..count {
-            let id = read_u32(r)?;
-            let len = read_u64(r)?;
-            if len > MAX_SECTION_LEN {
-                return Err(FormatError::Corrupt("unreasonable section length"));
-            }
-            let stored = read_u32(r)?;
-            let payload = read_payload(r, len as usize)?;
-            let computed = crc32(&payload);
-            if stored != computed {
-                return Err(FormatError::ChecksumMismatch {
-                    section: id,
-                    stored,
-                    computed,
-                });
-            }
-            sections.push((id, payload));
+            let section = read_section_header(r)?;
+            sections.push((section.id, read_payload(r, &section)?));
         }
-        Ok(Container { magic, sections })
+        Ok(Container {
+            magic: expected_magic,
+            sections,
+        })
     }
-}
-
-/// Reads exactly `len` bytes in bounded chunks, so a corrupt length
-/// field on a short file fails fast instead of pre-allocating gigabytes.
-fn read_payload(r: &mut impl Read, len: usize) -> Result<Vec<u8>, FormatError> {
-    const CHUNK: usize = 64 * 1024;
-    let mut payload = Vec::with_capacity(len.min(CHUNK));
-    let mut buf = [0u8; CHUNK];
-    let mut remaining = len;
-    while remaining > 0 {
-        let n = remaining.min(CHUNK);
-        r.read_exact(&mut buf[..n])?;
-        payload.extend_from_slice(&buf[..n]);
-        remaining -= n;
-    }
-    Ok(payload)
-}
-
-pub(crate) fn read_u32(r: &mut impl Read) -> Result<u32, FormatError> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-pub(crate) fn read_u64(r: &mut impl Read) -> Result<u64, FormatError> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
 }
 
 /// A growable little-endian payload writer (section bodies are built with

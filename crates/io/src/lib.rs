@@ -29,18 +29,20 @@ mod artifact;
 mod codec;
 mod files;
 mod format;
-mod stream;
+mod zkey;
 
 pub use artifact::{
-    read_container_file, read_proof_file, read_r1cs_file, read_vkey_file, read_zkey_file,
-    write_container_file, write_proof_file, write_r1cs_file, write_vkey_file, write_zkey_file,
-    ArtifactError,
+    read_container_file, read_proof_file, read_r1cs_file, read_vkey_file, write_container_file,
+    write_proof_file, write_r1cs_file, write_vkey_file, ArtifactError,
 };
 pub use checksum::crc32;
 pub use codec::{decode_point_compressed, encode_point_compressed, FieldCodec};
 pub use files::{
-    read_proof, read_r1cs, read_vkey, read_witness, read_zkey, write_proof, write_r1cs,
-    write_vkey, write_witness, write_zkey,
+    read_proof, read_r1cs, read_vkey, read_witness, write_proof, write_r1cs, write_vkey,
+    write_witness,
 };
-pub use format::{Container, Cursor, FormatError, Payload, VERSION};
-pub use stream::{StreamedZkeyReader, StreamedZkeyWriter, MAGIC_ZKEY_STREAM};
+pub use format::{read_preamble, Container, Cursor, FormatError, Payload, VERSION};
+pub use zkey::{
+    read_zkey, read_zkey_file, write_zkey, write_zkey_chunks, write_zkey_file,
+    StreamedZkeyReader, StreamedZkeyWriter, MAGIC_ZKEY_STREAM,
+};

@@ -9,10 +9,12 @@
 //!   everything links `zkperf-pool`), so [`peak_live_bytes`] is an exact
 //!   allocation high-water mark, not a sampled estimate. Overhead is two
 //!   relaxed atomic updates per allocation.
-//! * **Streamed bytes.** Chunked readers/writers call
-//!   [`add_streamed_bytes`] for every chunk that crosses the process
-//!   boundary, giving benches and the serving report a bandwidth axis to
-//!   put next to the latency one.
+//! * **Streamed bytes.** The count of proving-key bytes that crossed a
+//!   file boundary: the `.zkey` writer and reader in `zkperf-io` call
+//!   [`add_streamed_bytes`] for every section payload they write to or
+//!   read from a file, and for nothing that stays in memory (a `Vec`
+//!   round trip adds 0). Benches and the serving report put it as a
+//!   bandwidth axis next to the latency one.
 //! * **The budget knob.** [`budget`] parses `ZKPERF_MEM_BUDGET` once
 //!   (plain bytes or a `K`/`M`/`G` suffix, powers of 1024). Budget-aware
 //!   stages — streaming MSM chunk sizing, the four-step NTT spill — treat
@@ -110,7 +112,7 @@ pub fn reset_peak() {
     PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
 }
 
-/// Records `n` bytes moved through a streaming reader/writer.
+/// Records `n` proving-key bytes written to or read from a file.
 pub fn add_streamed_bytes(n: u64) {
     STREAMED.fetch_add(n, Ordering::Relaxed);
 }

@@ -1,7 +1,7 @@
 //! The bounded admission queue: depth + in-flight byte budgets, priority
 //! ordering, and shed-lowest-first displacement.
 
-use crate::job::{JobId, JobKind, JobSpec, Priority, RejectReason};
+use crate::job::{JobId, JobSpec, Priority, RejectReason};
 
 /// Limits enforced at admission.
 #[derive(Debug, Clone)]
@@ -159,14 +159,6 @@ impl AdmissionQueue {
             self.inflight_bytes = self.inflight_bytes.saturating_sub(j.cost_bytes);
         }
         out
-    }
-
-    /// Whether any queued job is a prove job (used for degradation
-    /// decisions).
-    pub fn has_prove_work(&self) -> bool {
-        self.entries
-            .iter()
-            .any(|j| matches!(j.spec.kind, JobKind::Prove))
     }
 
     /// Ids currently queued, in execution order (tests / introspection).

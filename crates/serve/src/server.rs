@@ -202,11 +202,6 @@ impl<B: ProverBackend> Server<B> {
         self.tick
     }
 
-    /// Jobs currently queued.
-    pub fn queue_depth(&self) -> usize {
-        self.queue.depth()
-    }
-
     /// Ids currently queued, in execution order.
     pub fn queued_ids(&self) -> Vec<JobId> {
         self.queue.queued_ids()
@@ -600,8 +595,9 @@ impl<B: ProverBackend> Server<B> {
         let (entry, timing) = self.cache.load_or_build(&spec.circuit)?;
         self.metrics.record("compile", timing.compile_nanos);
         self.metrics.record("setup", timing.setup_nanos);
-        // A budgeted setup streams its key material; a cache hit streams
-        // nothing — either way the delta belongs to the setup stage.
+        // A cold build writes its key file and a disk hit reads it back;
+        // a memory hit touches no file. Whatever the key files moved
+        // belongs to the setup stage.
         self.metrics.record_streamed(
             "setup",
             zkperf_pool::mem::streamed_bytes().saturating_sub(streamed0),

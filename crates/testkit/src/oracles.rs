@@ -30,6 +30,7 @@
 //! | Poseidon Merkle tree (STARK)         | recursive shared-nothing root    |
 //! | FRI fold kernel                      | even/odd Horner on squared coset |
 //! | STARK pipeline + proof codec         | end-to-end accept + roundtrip    |
+//! | `.zkey` decoder (any chunking)       | typed error or exact re-encoding |
 
 use rand::Rng;
 use zkperf_ec::{
@@ -1134,6 +1135,164 @@ where
     Ok(())
 }
 
+// ---------------------------------------------------------------- zkey
+
+/// A `.zkey` file's section records as `(header offset, payload length)`,
+/// walked from the 12-byte preamble.
+fn zkey_sections(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let mut sections = Vec::new();
+    let mut at = 12;
+    while let Some(len) = bytes.get(at + 4..at + 12) {
+        let len = u64::from_le_bytes(len.try_into().unwrap_or_default()) as usize;
+        sections.push((at, len));
+        at = at.saturating_add(16).saturating_add(len);
+    }
+    sections
+}
+
+/// Re-seals the checksum of the section whose header is at `at`, so an
+/// edit of its payload reaches the decoder instead of the CRC check.
+fn zkey_reseal(bytes: &mut [u8], at: usize, len: usize) {
+    let crc = zkperf_io::crc32(&bytes[at + 16..at + 16 + len]);
+    bytes[at + 12..at + 16].copy_from_slice(&crc.to_le_bytes());
+}
+
+fn below(rng: &mut SplitRng, n: usize) -> usize {
+    rng.gen_range(0..n as u64) as usize
+}
+
+fn pick(rng: &mut SplitRng, choices: &[u64]) -> u64 {
+    choices[below(rng, choices.len())]
+}
+
+/// One seeded mutation of a valid `.zkey`, named by its class.
+fn mutate_zkey(rng: &mut SplitRng, valid: &[u8]) -> (&'static str, Vec<u8>) {
+    let mut bytes = valid.to_vec();
+    let sections = zkey_sections(valid);
+    let (at, len) = sections[below(rng, sections.len())];
+    let word = |at: usize| u64::from_le_bytes(valid[at..at + 8].try_into().unwrap_or_default());
+    let id = |at: usize| u32::from_le_bytes(valid[at..at + 4].try_into().unwrap_or_default());
+    let class = match below(rng, 9) {
+        0 => {
+            let bit = below(rng, bytes.len() * 8);
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            "bit flip"
+        }
+        1 => {
+            bytes.truncate(below(rng, bytes.len()));
+            "truncation"
+        }
+        2 => {
+            let n = sections.len() as u64;
+            let random = rng.gen::<u32>().into();
+            let count = pick(rng, &[0, n - 1, n + 1, u32::MAX.into(), random]);
+            bytes[8..12].copy_from_slice(&(count as u32).to_le_bytes());
+            "section count"
+        }
+        3 => {
+            let l = len as u64;
+            let random = rng.gen();
+            let edited = pick(
+                rng,
+                &[0, l.saturating_sub(1), l + 1, 1 << 32, u64::MAX, random],
+            );
+            bytes[at + 4..at + 12].copy_from_slice(&edited.to_le_bytes());
+            "section length"
+        }
+        4 => {
+            let other = sections[below(rng, sections.len())].0;
+            let random = rng.gen::<u32>().into();
+            let edited = pick(rng, &[id(other).into(), (id(at) ^ 1).into(), random]);
+            bytes[at..at + 4].copy_from_slice(&(edited as u32).to_le_bytes());
+            "section id"
+        }
+        5 => {
+            bytes[at + 12 + below(rng, 4)] ^= 1 << below(rng, 8);
+            "stored checksum"
+        }
+        6 | 7 => {
+            // The header payload: wires, public wires, domain, chunk size.
+            let field = 28 + 8 * if rng.gen_bool(0.5) { 3 } else { below(rng, 3) };
+            let old = word(field);
+            let random = rng.gen();
+            let edited = pick(
+                rng,
+                &[
+                    0,
+                    1,
+                    old.wrapping_sub(1),
+                    old.wrapping_add(1),
+                    old.wrapping_mul(2),
+                    u64::MAX,
+                    random,
+                ],
+            );
+            bytes[field..field + 8].copy_from_slice(&edited.to_le_bytes());
+            zkey_reseal(&mut bytes, 12, 32);
+            if field == 52 {
+                "header chunk size"
+            } else {
+                "header wire counts"
+            }
+        }
+        _ => {
+            bytes[at + 16 + below(rng, len)] ^= 1 << below(rng, 8);
+            zkey_reseal(&mut bytes, at, len);
+            "resealed payload"
+        }
+    };
+    (class, bytes)
+}
+
+/// The one key decoder under seeded mutation: a valid key (chunk size 1,
+/// 13 or one chunk per query) is mutated once and decoded. Every input
+/// must give a typed [`zkperf_io::FormatError`] or a key that re-encodes
+/// to the identical bytes at the header's own chunk size — never a panic.
+fn zkey_decode_case<E: Engine>(rng: &mut SplitRng) -> CaseResult
+where
+    <E::G1 as CurveParams>::Base: zkperf_io::FieldCodec,
+    <E::G2 as CurveParams>::Base: zkperf_io::FieldCodec,
+{
+    let (circuit, _) = adversarial_circuit::<E::Fr>(rng);
+    let pk = zkperf_groth16::setup::<E, _>(circuit.r1cs(), rng)
+        .map_err(|e| format!("setup failed: {e}"))?;
+    let chunk = [1, 13, usize::MAX][below(rng, 3)];
+    let encode = |pk: &zkperf_groth16::ProvingKey<E>, chunk| {
+        let mut bytes = Vec::new();
+        zkperf_io::write_zkey_chunks::<E>(&mut bytes, &zkperf_groth16::ChunkedKey::new(pk, chunk))
+            .map(|()| bytes)
+            .map_err(|e| format!("encode failed: {e}"))
+    };
+    let (class, bytes) = mutate_zkey(rng, &encode(&pk, chunk)?);
+    let decoded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        zkperf_io::read_zkey::<E>(&mut bytes.as_slice())
+    }));
+    let key = match decoded {
+        Err(_) => {
+            return fail(
+                "zkey decode",
+                format_args!("{class} panicked (chunk {chunk})"),
+            )
+        }
+        Ok(Err(_typed)) => return Ok(()),
+        Ok(Ok(key)) => key,
+    };
+    // An accepted header is the first section; its fourth word is the
+    // chunk size.
+    let own = bytes
+        .get(52..60)
+        .and_then(|w| w.try_into().ok())
+        .map(|w| u64::from_le_bytes(w) as usize)
+        .ok_or("accepted a key without a header")?;
+    if encode(&key, own)? != bytes {
+        return fail(
+            "zkey decode",
+            format_args!("{class} was accepted but does not re-encode to itself (chunk {chunk})"),
+        );
+    }
+    Ok(())
+}
+
 // --------------------------------------------------------------- stark
 
 /// One Goldilocks word for the hash kernel: the words at which its
@@ -1528,6 +1687,14 @@ pub fn all_oracles() -> Vec<Oracle> {
         Oracle {
             name: "stream_file_roundtrip_bn254",
             run: stream_file_roundtrip_case::<zkperf_ec::Bn254>,
+        },
+        Oracle {
+            name: "zkey_decode_bn254",
+            run: zkey_decode_case::<zkperf_ec::Bn254>,
+        },
+        Oracle {
+            name: "zkey_decode_bls12_381",
+            run: zkey_decode_case::<zkperf_ec::Bls12_381>,
         },
         Oracle {
             name: "stark_goldilocks_field_ops",

@@ -5,7 +5,7 @@
 #   2. the full test suite (unit + integration + property tests)
 #   3. clippy with -D warnings
 #
-# Before any of that, six grep gates. No kernel crate may read the pool
+# Before any of that, seven grep gates. No kernel crate may read the pool
 # size (`current_threads()`), so a hand-rolled "small input or one thread,
 # take the serial twin" gate cannot come back — kernels state a grain and
 # the pool decides (DESIGN.md §9/§10). And no crate may ask the tracer
@@ -27,7 +27,12 @@
 # measured stage ends up timing getenv or behaving differently from the
 # one that ships. And `unsafe` in zkperf-ff and zkperf-ec is written in
 # one file, crates/ff/src/lanes.rs, the AVX-512 IFMA kernels under the
-# batch-affine bucket add (DESIGN.md §17).
+# batch-affine bucket add (DESIGN.md §17). And the v2 section record —
+# preamble, `(id, len, crc32)` header, checksum check — is written and
+# parsed in crates/io/src/format.rs alone: the resident and the chunked
+# `.zkey` were two proving-key formats because the record layout had two
+# implementations, and a second one is how they would drift apart again
+# (DESIGN.md §15).
 #
 # Six library crates (zkperf-core, zkperf-groth16, zkperf-io,
 # zkperf-plonk, zkperf-pool, zkperf-serve) additionally deny
@@ -84,6 +89,13 @@ fi
 echo "==> grep gate: unsafe in zkperf-ff and zkperf-ec only in ff/src/lanes.rs"
 if grep -rnw 'unsafe' crates/{ff,ec}/src | grep -v '^crates/ff/src/lanes\.rs:'; then
     echo "zkperf-ff and zkperf-ec keep unsafe in one module, the IFMA lanes: write the new code safely" >&2
+    exit 1
+fi
+
+echo "==> grep gate: the container record layout lives in io/src/format.rs"
+if grep -rnE 'crc32\(|read_u(32|64)\(|VERSION\.to_le_bytes\(\)' crates/io/src |
+    grep -vE '^crates/io/src/(format|checksum)\.rs:'; then
+    echo "frame sections through zkperf-io's format module (write_section, read_section_header, read_payload)" >&2
     exit 1
 fi
 
@@ -160,6 +172,17 @@ fi
 echo "==> stream tier: Groth16 known-answer test at ZKPERF_THREADS=1 and 4"
 ZKPERF_THREADS=1 cargo test -q --offline --test groth16_kat
 ZKPERF_THREADS=4 cargo test -q --offline --test groth16_kat
+# The .zkey decoder — one reader for resident and streamed keys — under
+# seeded mutation: valid BN254 and BLS12-381 keys at 1, 13 and one chunk
+# per query take bit flips, truncations, section count/length/id edits,
+# stored-checksum flips, and re-sealed header and payload edits. Each must
+# give a typed FormatError or a key that re-encodes to the same bytes at
+# the header's chunk size; a skipped CRC check fails this tier.
+echo "==> fuzz_lite zkey tier"
+if ! ./target/release/fuzz_lite --only zkey --iters 64; then
+    echo "fuzz_lite found a .zkey decoder divergence; paste a replay line from above" >&2
+    exit 1
+fi
 echo "==> fuzz_lite stream tier"
 if ! ./target/release/fuzz_lite --only stream --iters 12; then
     echo "fuzz_lite found streaming divergences; paste a replay line from above" >&2

@@ -13,7 +13,8 @@
 //! are decimal field elements.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read};
+use std::io::{BufReader, BufWriter};
+use std::path::Path;
 use std::process::ExitCode;
 
 use zkperf::circuit::lang;
@@ -49,7 +50,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             let r1cs = zkio::read_r1cs::<Fr>(&mut BufReader::new(File::open(r1cs_path)?))?;
             let mut rng = rand::thread_rng();
             let pk = groth16::setup_contributed::<Bn254, _>(&r1cs, &mut rng)?;
-            zkio::write_zkey(&mut BufWriter::new(File::create(zkey_out)?), &pk)?;
+            zkio::write_zkey_file::<Bn254>(Path::new(zkey_out), &pk)?;
             zkio::write_vkey(&mut BufWriter::new(File::create(vkey_out)?), &pk.vk)?;
             println!(
                 "setup done ({} constraints): {zkey_out}, {vkey_out}",
@@ -86,7 +87,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             );
         }
         ["prove", zkey_path, r1cs_path, wtns_path, out] => {
-            let pk = zkio::read_zkey::<Bn254>(&mut BufReader::new(File::open(zkey_path)?))?;
+            let pk = zkio::read_zkey_file::<Bn254>(Path::new(zkey_path))?;
             let r1cs = zkio::read_r1cs::<Fr>(&mut BufReader::new(File::open(r1cs_path)?))?;
             let values = zkio::read_witness::<Fr>(&mut BufReader::new(File::open(wtns_path)?))?;
             // Re-derive the witness wrapper by checking satisfaction.
@@ -121,28 +122,21 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         ["info", path] => {
-            let mut bytes = Vec::new();
-            File::open(path)?.read_to_end(&mut bytes)?;
-            let magic: [u8; 4] = bytes
-                .get(..4)
-                .ok_or("file too short")?
-                .try_into()
-                .expect("4 bytes");
+            // The preamble alone: magic, version, section count.
+            let (magic, version, sections) = zkio::read_preamble(&mut File::open(path)?)?;
             let kind = match &magic {
                 b"zkr1" => "r1cs constraint system",
                 b"zkwt" => "witness vector",
-                b"zkpk" => "Groth16 proving key (zkey)",
+                b"zkst" => "Groth16 proving key (zkey)",
                 b"zkvk" => "Groth16 verification key",
                 b"zkpf" => "Groth16 proof",
+                b"zkpp" => "PLONK proof",
+                b"zksv" => "job server checkpoint",
                 _ => "unknown",
             };
             println!(
-                "{path}: {kind}, {} bytes, container version {}",
-                bytes.len(),
-                bytes
-                    .get(4..8)
-                    .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
-                    .unwrap_or(0)
+                "{path}: {kind}, {} bytes, container version {version}, {sections} sections",
+                std::fs::metadata(path)?.len()
             );
         }
         _ => {

@@ -68,6 +68,26 @@ fn full_workflow_accepts_and_rejects() {
     // info identifies the files.
     let out = zkperf().args(["info", &p("c.proof")]).output().unwrap();
     assert!(String::from_utf8_lossy(&out.stdout).contains("Groth16 proof"));
+    // `setup` wrote the chunked key: the header, a section per query and
+    // the fixed points.
+    let out = zkperf().args(["info", &p("c.zkey")]).output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("Groth16 proving key (zkey)"), "{stdout}");
+    assert!(stdout.contains("7 sections"), "{stdout}");
+    // A key cut short is a typed error with a non-zero exit (a panic exits
+    // 101), inside the preamble for `info` and inside a section for `prove`.
+    let key = std::fs::read(dir.join("c.zkey")).unwrap();
+    let (cut, r1cs, wtns, proof) = (p("cut.zkey"), p("c.r1cs"), p("c.wtns"), p("cut.proof"));
+    let info: &[&str] = &["info", &cut];
+    let prove: &[&str] = &["prove", &cut, &r1cs, &wtns, &proof];
+    for (len, args) in [(10, info), (key.len() - 9, prove)] {
+        std::fs::write(&cut, &key[..len]).unwrap();
+        let out = zkperf().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+    }
     let _ = std::fs::remove_dir_all(dir);
 }
 

@@ -7,8 +7,14 @@
 //! reproduce it at any thread count, with or without a memory budget, and
 //! off a streamed `.zkey` file at any chunk size — so the
 //! chunking-invariance suites (`stream_*` oracles, the unit tests in
-//! `groth16::stream` and `io::stream`) compare against a value that no
+//! `groth16::stream` and `io::zkey`) compare against a value that no
 //! refactor of both sides at once can move.
+//!
+//! The `.zkey` lines were recorded again when the resident proving-key
+//! framing was deleted and a resident key became the one-chunk streamed
+//! container; the streamed file at `usize::MAX` points per chunk must
+//! match them, so the fixture pins "resident == streamed at one chunk".
+//! The `.vkey` and `.proof` lines are the originals.
 //!
 //! The `<case>.contributed.*` lines are the once-contributed key and a
 //! proof under it, recorded from `setup` → `contribute` → `prove` one
@@ -141,7 +147,9 @@ where
 }
 
 /// Setup streamed to a chunked `.zkey` file, the proof produced off that
-/// file: the same vkey and proof lines as the resident run.
+/// file: the same vkey and proof lines as the resident run. At one chunk
+/// per query (`usize::MAX`) the file is the resident encoding, so it must
+/// match the `.zkey` line too.
 fn check_streamed_file<E: Engine>(name: &str, chunk: usize, circuit: &Circuit<E::Fr>, w: &Witness<E::Fr>)
 where
     <E::G1 as CurveParams>::Base: FieldCodec,
@@ -155,6 +163,10 @@ where
     let mut rng = rng();
     let mut writer = StreamedZkeyWriter::<E>::create(&path).unwrap();
     let vk = setup_streamed::<E, _, _>(circuit.r1cs(), &mut rng, chunk, &mut writer).unwrap();
+    if chunk == usize::MAX {
+        let bytes = std::fs::read(&path).unwrap();
+        check(&format!("{name}.zkey"), &context, &bytes);
+    }
     let reader = StreamedZkeyReader::<E>::open(&path).unwrap();
     let proof = prove_streamed::<E, _, _>(&reader, circuit.r1cs(), w, &mut rng);
     drop(reader);
@@ -203,15 +215,15 @@ fn keys_and_proofs_match_the_recorded_bytes() {
     let f = Fr::from_u64;
     // One-point chunks cost a full bucket sweep per point, so they run on
     // the small circuits only.
-    check_case::<Bn254>("bn254_exponentiate_2e6", &exponentiate(1 << 6), &[f(3)], &[], &[1, 13, 4096]);
-    check_case::<Bn254>("bn254_exponentiate_2e10", &exponentiate(1 << 10), &[f(3)], &[], &[13, 4096]);
-    check_case::<Bn254>("bn254_exponentiate_2e14", &exponentiate(1 << 14), &[f(3)], &[], &[4096]);
+    check_case::<Bn254>("bn254_exponentiate_2e6", &exponentiate(1 << 6), &[f(3)], &[], &[1, 13, 4096, usize::MAX]);
+    check_case::<Bn254>("bn254_exponentiate_2e10", &exponentiate(1 << 10), &[f(3)], &[], &[13, 4096, usize::MAX]);
+    check_case::<Bn254>("bn254_exponentiate_2e14", &exponentiate(1 << 14), &[f(3)], &[], &[4096, usize::MAX]);
     check_case::<Bn254>(
         "bn254_multiplier_chain_3",
         &multiplier_chain(3),
         &[],
         &[f(2), f(3), f(7)],
-        &[1, 13, 4096],
+        &[1, 13, 4096, usize::MAX],
     );
     let path = [(f(11), true), (f(12), false)];
     let (inputs, _root) = merkle_path_inputs_poseidon(f(7), &path);
@@ -220,7 +232,7 @@ fn keys_and_proofs_match_the_recorded_bytes() {
         &merkle_membership_poseidon(2),
         &[],
         &inputs,
-        &[1, 13, 4096],
+        &[1, 13, 4096, usize::MAX],
     );
     type Fr381 = zkperf::ff::bls12_381::Fr;
     check_case::<Bls12_381>(
@@ -228,6 +240,6 @@ fn keys_and_proofs_match_the_recorded_bytes() {
         &exponentiate(1 << 6),
         &[Fr381::from_u64(3)],
         &[],
-        &[1, 13, 4096],
+        &[1, 13, 4096, usize::MAX],
     );
 }
