@@ -4,10 +4,11 @@
 //! The experiment binaries predict multicore scaling from op counts: they
 //! replay a stage's task graph on [`zkperf_scale::SimCores`] and fit the
 //! resulting curve to Amdahl's law. This binary measures the *real* thing:
-//! it runs the uninstrumented setup+prove pipeline on the work-stealing
-//! pool at growing thread counts, fits the measured wall-clock speedups
-//! with the same [`zkperf_scale::fit::amdahl`], and prints both fits side
-//! by side.
+//! it runs the uninstrumented setup+prove pipeline (the single-party
+//! Groth16 keygen, then prove) on the work-stealing pool at growing thread
+//! counts, fits the measured wall-clock speedups with the same
+//! [`zkperf_scale::fit::amdahl`], and prints both fits side by side; the
+//! simulated side traces that same pipeline.
 //!
 //! On a single-core host the measured column is honestly flat (speedup
 //! ~1.0 everywhere — more workers, same core), while the simulated column
@@ -44,12 +45,11 @@ use serde::Serialize;
 use zkperf_bench::emit;
 use zkperf_circuit::library::exponentiate;
 use zkperf_core::{
-    measure_cell, render, stage_task_graph, Curve, Groth16Backend, PlonkBackend, ProverBackend,
-    Stage, StarkBackend,
+    measure_stage, render, Groth16Backend, PlonkBackend, ProverBackend, Stage, StageError,
+    StarkBackend, Workload,
 };
 use zkperf_ec::Bn254;
 use zkperf_ff::{bn254, Field};
-use zkperf_groth16::{prove, setup};
 use zkperf_machine::CpuProfile;
 use zkperf_scale::{fit, ParallelismFit, SimCores};
 
@@ -88,19 +88,24 @@ struct ScalingReport {
     size_sweep: Vec<SizeSweepPoint>,
 }
 
+/// The pipeline both sides of the strong-scaling comparison run: Groth16
+/// on BN254 with the single-party keygen (`ProverBackend::setup`).
+type Pipeline = Groth16Backend<Bn254>;
+
 /// Wall time of one setup+prove round at `n` constraints: `(nanos,
 /// peak_live_bytes, streamed_bytes)`.
 fn time_setup_prove(n: usize) -> (u64, u64, u64) {
+    use rand::SeedableRng;
     let circuit = exponentiate::<bn254::Fr>(n);
-    let mut rng = zkperf_ff::test_rng();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed_cafe);
     let witness = circuit
         .generate_witness(&[bn254::Fr::from_u64(3)], &[])
         .expect("witness generation succeeds");
     zkperf_pool::mem::reset_peak();
     let streamed0 = zkperf_pool::mem::streamed_bytes();
     let start = Instant::now();
-    let pk = setup::<Bn254, _>(circuit.r1cs(), &mut rng).expect("setup succeeds");
-    let proof = prove::<Bn254, _>(&pk, circuit.r1cs(), &witness, &mut rng).expect("prove succeeds");
+    let keys = Pipeline::setup(circuit.r1cs(), &mut rng).expect("setup succeeds");
+    let proof = Pipeline::prove(&keys, circuit.r1cs(), &witness, &mut rng).expect("prove succeeds");
     std::hint::black_box(proof);
     let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
     (
@@ -313,21 +318,23 @@ fn measured_scaling(log2: u32, threads: &[usize]) -> ScalingSeries {
     ScalingSeries { points, fit }
 }
 
-/// Simulated strong scaling for the same pipeline: instruments one
-/// setup+prove cell on the simulated i9, replays both stage task graphs
+/// Simulated strong scaling for the same pipeline: traces its setup and
+/// proving stages on the simulated i9, replays both recorded task graphs
 /// on `SimCores`, and combines them (the measured side times the two
 /// stages back to back, so the simulated side must too).
 fn simulated_scaling(sim_log2: u32, threads: &[usize]) -> ScalingSeries {
-    let ms = measure_cell(
-        Curve::Bn128,
-        &CpuProfile::i9_13900k(),
-        1 << sim_log2,
-        &[Stage::Setup, Stage::Proving],
-    )
-    .expect("simulated setup+prove cell succeeds");
-    let graphs: Vec<_> = ms.iter().map(stage_task_graph).collect();
+    let traced = || -> Result<_, StageError> {
+        let cpu = CpuProfile::i9_13900k();
+        let mut w = Workload::<Pipeline>::exponentiate(1 << sim_log2).with_single_party_setup();
+        w.prepare_for(Stage::Setup)?;
+        let setup = measure_stage(&mut w, Stage::Setup, &cpu)?;
+        w.run_stage(Stage::Witness)?;
+        Ok([setup, measure_stage(&mut w, Stage::Proving, &cpu)?])
+    };
+    let ms = traced().expect("simulated setup+prove cell succeeds");
     let machine = SimCores::i9_13900k();
-    let total_at = |t: usize| -> f64 { graphs.iter().map(|g| machine.simulate(g, t)).sum() };
+    let total_at =
+        |t: usize| -> f64 { ms.iter().map(|m| machine.simulate(&m.task_graph, t)).sum() };
     let t1 = total_at(1);
     let points: Vec<(usize, f64)> = threads.iter().map(|&t| (t, t1 / total_at(t))).collect();
     let fit = fit::amdahl(&points);

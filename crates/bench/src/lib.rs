@@ -30,7 +30,7 @@ use zkperf_machine::CpuProfile;
 
 /// Bump when [`CachedSweep`]'s shape changes; older caches (including the
 /// pre-versioned format) are treated as misses, never as parse errors.
-const CACHE_FORMAT_VERSION: u32 = 3;
+const CACHE_FORMAT_VERSION: u32 = 4;
 
 /// Directory all experiment outputs land in, or `None` (with a logged
 /// warning) when it cannot be created — callers then run uncached.

@@ -8,7 +8,6 @@ use zkperf_machine::TopdownBreakdown;
 use zkperf_scale::{fit, ParallelismFit, SimCores};
 use zkperf_trace::OpClass;
 
-use crate::graphs::stage_task_graph;
 use crate::measure::StageMeasurement;
 use crate::render;
 use crate::stage::{Curve, Stage};
@@ -467,14 +466,11 @@ pub fn strong_scaling(
     threads: &[usize],
 ) -> Vec<ScalingCurve> {
     ms.iter()
-        .map(|m| {
-            let graph = stage_task_graph(m);
-            ScalingCurve {
-                stage: m.stage,
-                curve: m.curve,
-                constraints: m.constraints,
-                points: machine.strong_scaling(&graph, threads),
-            }
+        .map(|m| ScalingCurve {
+            stage: m.stage,
+            curve: m.curve,
+            constraints: m.constraints,
+            points: machine.strong_scaling(&m.task_graph, threads),
         })
         .collect()
 }
@@ -494,13 +490,13 @@ pub fn weak_scaling(
     );
     assert!(!ms_by_size.is_empty(), "need at least one measurement");
     let base = ms_by_size[0];
-    let t1 = machine.simulate(&stage_task_graph(base), 1);
+    let t1 = machine.simulate(&base.task_graph, 1);
     let points = ms_by_size
         .iter()
         .zip(threads)
         .map(|(m, &n)| {
             let sf = m.constraints as f64 / base.constraints as f64;
-            let tn = machine.simulate(&stage_task_graph(m), n);
+            let tn = machine.simulate(&m.task_graph, n);
             (n, t1 * sf / tn)
         })
         .collect();

@@ -1,17 +1,25 @@
-//! Mapping a measured stage onto a [`TaskGraph`] for the scalability
-//! analysis.
+//! The toolchain emulation inside a measured stage's [`TaskGraph`].
 //!
-//! Work units are the micro-ops measured by the tracer. The serial/parallel
-//! split per stage comes from the stage's algorithmic structure, with the
-//! residual constants below standing in for toolchain behaviour we do not
-//! re-implement (the snarkjs zkey writer, V8's background wasm
-//! compilation). Each constant is documented at its definition; the fitted
-//! Table VI percentages in EXPERIMENTS.md are the calibration record.
+//! A stage's graph is recorded from the pool jobs the stage ran
+//! (`measure_stage`): the work between jobs is serial, each job a parallel
+//! loop of its tasks. Two traced regions are emulation of toolchain code we
+//! do not run, so no job of ours carries their parallelism; the two
+//! constants below stand in for it, applied to those regions' micro-ops
+//! and to nothing else:
+//!
+//! - `runtime_init`, the node + snarkjs start-up of every interpreted
+//!   stage (`workload::emit_runtime_init`), whose wasm modules V8
+//!   compiles on background threads;
+//! - the `compile` region's own work, circom's per-gate expression
+//!   lowering (the lexer, parser and finalizer are regions of their own).
+//!
+//! Both run before the stage's first pool job (start-up precedes the
+//! stage; compile submits none), so they lie in the graph's first serial
+//! segment, which is where their split is taken from.
 
-use zkperf_scale::TaskGraph;
+use zkperf_scale::{Segment, TaskGraph};
 
 use crate::measure::StageMeasurement;
-use crate::stage::Stage;
 
 /// Share of the wasm-runtime initialization that parallelizes (V8 compiles
 /// wasm modules on background threads).
@@ -19,113 +27,62 @@ const RUNTIME_INIT_PARALLEL: f64 = 0.70;
 /// Share of expression lowering that is independent per gate; the rest is
 /// the environment-update dependency chain through running accumulators.
 const LOWERING_PARALLEL: f64 = 0.50;
-/// Share of the setup's query generation that parallelizes; the rest
-/// models the zkey writer's sequential section stream and the sequential
-/// τ-power chains.
-const SETUP_QUERY_PARALLEL: f64 = 0.55;
-/// Share of witness solving that is independent (separate output branches,
-/// bit decompositions); the rest is the gate-to-gate value chain.
-const WITNESS_SOLVER_PARALLEL: f64 = 0.55;
-/// Share of the prover's field/group work that partitions cleanly (MSM
-/// bucket chunks, per-layer NTT butterflies); the remainder is window
-/// reduction, layer barriers and proof assembly.
-const PROVING_PARALLEL: f64 = 0.80;
-/// Independent Miller loops per verification (the four pairing slots).
-const VERIFY_MILLER_TASKS: usize = 4;
 
-fn split(graph: TaskGraph, work: f64, parallel_share: f64, chunks: usize) -> TaskGraph {
-    let parallel = work * parallel_share;
-    let chunks = chunks.max(1);
-    graph
-        .serial(work - parallel)
-        .parallel_uniform(chunks, parallel / chunks as f64)
+/// Applies both emulations to the graph `m` recorded.
+pub(crate) fn emulate_toolchain(m: &mut StageMeasurement) {
+    let recorded = std::mem::take(&mut m.task_graph);
+    let graph = emulate(recorded, m.region_uops("runtime_init"), RUNTIME_INIT_PARALLEL, 16);
+    let lowering_tasks = (m.constraints / 64).max(2);
+    m.task_graph = emulate(graph, m.region_uops("compile"), LOWERING_PARALLEL, lowering_tasks);
 }
 
-/// Builds the task graph of one measured stage run.
-///
-/// The graph's total work always equals the measurement's total micro-ops;
-/// only its serial/parallel structure is stage-specific.
-pub fn stage_task_graph(m: &StageMeasurement) -> TaskGraph {
-    let total = m.counts.total_uops() as f64;
-    let runtime_init = m.region_uops("runtime_init") as f64;
-    let body = (total - runtime_init).max(0.0);
-    let n = m.constraints;
-
-    // The runtime-init prologue (interpreted stages only).
-    let mut graph = TaskGraph::new();
-    if runtime_init > 0.0 {
-        graph = split(graph, runtime_init, RUNTIME_INIT_PARALLEL, 16);
+/// Splits `uops` of the first serial segment into a serial rest and a
+/// parallel loop of `tasks` near-equal tasks holding `share` of them. The
+/// split is in whole micro-ops, so the graph's total work is unchanged.
+fn emulate(graph: TaskGraph, uops: u64, share: f64, tasks: usize) -> TaskGraph {
+    let Some((Segment::Serial(first), rest)) = graph.segments().split_first() else {
+        return graph;
+    };
+    if uops == 0 || *first < uops as f64 {
+        return graph;
     }
-
-    match m.stage {
-        Stage::Compile => {
-            let front = (m.region_uops("lexer")
-                + m.region_uops("parser")
-                + m.region_uops("compile_finalize")) as f64;
-            let lowering = (body - front).max(0.0);
-            graph = graph.serial(front.min(body));
-            split(graph, lowering, LOWERING_PARALLEL, (n / 64).max(2))
-        }
-        Stage::Setup => {
-            // Query generation and the ceremony's per-point re-scaling
-            // sweep both partition per element; table building, QAP
-            // evaluation and zkey assembly are serial.
-            let queries =
-                (m.region_uops("fixed_base_msm") + m.region_uops("scalar_mul")) as f64;
-            let rest = (body - queries).max(0.0);
-            graph = graph.serial(rest);
-            split(graph, queries.min(body), SETUP_QUERY_PARALLEL, (n / 32).max(4))
-        }
-        Stage::Witness => split(graph, body, WITNESS_SOLVER_PARALLEL, (n / 128).max(2)),
-        Stage::Proving => split(graph, body, PROVING_PARALLEL, (n / 16).max(8)),
-        Stage::Verifying => {
-            let miller = m.region_uops("miller_loop") as f64;
-            let serial = (body - miller).max(0.0);
-            graph = graph.serial(serial);
-            graph.parallel_uniform(
-                VERIFY_MILLER_TASKS,
-                miller.min(body) / VERIFY_MILLER_TASKS as f64,
-            )
-        }
+    let parallel = (uops as f64 * share).round() as u64;
+    let tasks = tasks as u64;
+    let (each, extra) = (parallel / tasks, parallel % tasks);
+    let mut out = TaskGraph::new()
+        .serial(first - parallel as f64)
+        .parallel((0..tasks).map(|i| (each + u64::from(i < extra)) as f64).collect());
+    for segment in rest {
+        out = match segment {
+            Segment::Serial(work) => out.serial(*work),
+            Segment::ParallelFor { tasks } => out.parallel(tasks.clone()),
+        };
     }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::measure_cell;
-    use crate::stage::Curve;
-    use zkperf_machine::CpuProfile;
-
-    fn measurements() -> Vec<StageMeasurement> {
-        measure_cell(
-            Curve::Bn128,
-            &CpuProfile::i9_13900k(),
-            256,
-            &Stage::ALL,
-        )
-        .unwrap()
-    }
 
     #[test]
-    fn graphs_conserve_work_and_order_parallelism() {
-        let ms = measurements();
-        let mut fractions = std::collections::HashMap::new();
-        for m in &ms {
-            let g = stage_task_graph(m);
-            let total = m.counts.total_uops() as f64;
-            assert!(
-                (g.total_work() - total).abs() / total < 1e-6,
-                "{}: graph {} vs measured {}",
-                m.stage,
-                g.total_work(),
-                total
-            );
-            fractions.insert(m.stage, g.parallel_fraction());
-        }
-        // The paper's headline ordering: proving is the most parallel of
-        // the heavy stages.
-        assert!(fractions[&Stage::Proving] > fractions[&Stage::Setup]);
-        assert!(fractions[&Stage::Proving] > fractions[&Stage::Compile]);
+    fn emulation_splits_its_region_in_whole_uops() {
+        let recorded = TaskGraph::new().serial(1_000.0).parallel(vec![5.0, 7.0]).serial(3.0);
+        let g = emulate(recorded.clone(), 101, RUNTIME_INIT_PARALLEL, 16);
+        // 71 of the region's 101 µops over 16 tasks (7 of 5, 9 of 4), the
+        // rest of the segment serial; the recorded jobs untouched.
+        let mut tasks = vec![5.0; 7];
+        tasks.extend([4.0; 9]);
+        let expect = TaskGraph::new()
+            .serial(929.0)
+            .parallel(tasks)
+            .parallel(vec![5.0, 7.0])
+            .serial(3.0);
+        assert_eq!(g, expect);
+        assert_eq!(g.total_work(), recorded.total_work());
+        // A region that did not run, or more than the first segment holds:
+        // as recorded.
+        assert_eq!(emulate(recorded.clone(), 0, LOWERING_PARALLEL, 2), recorded);
+        assert_eq!(emulate(recorded.clone(), 1_001, LOWERING_PARALLEL, 2), recorded);
     }
 }

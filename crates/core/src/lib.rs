@@ -47,7 +47,6 @@ mod workload;
 pub use backend::{
     BackendKind, Groth16Backend, KeyLoad, PlonkBackend, ProverBackend, StarkBackend,
 };
-pub use graphs::stage_task_graph;
 pub use matrix::{measure_cell, measure_cell_backend, SweepConfig};
 pub use measure::{measure_stage, RegionSummary, StageMeasurement};
 pub use stage::{Curve, Stage};

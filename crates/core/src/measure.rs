@@ -1,5 +1,7 @@
 //! Running one protocol stage under the microarchitecture simulator.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Once;
 use std::time::Duration;
 
@@ -8,9 +10,12 @@ use zkperf_circuit::poseidon::permutation_constants;
 use zkperf_ec::{Affine, Bls12_381, Bn254, CurveParams, Engine};
 use zkperf_ff::{Field, Goldilocks};
 use zkperf_machine::{CpuProfile, MachineReport, MachineSim};
+use zkperf_pool::JobObserver;
+use zkperf_scale::TaskGraph;
 use zkperf_trace::{self as trace, OpCounts};
 
 use crate::backend::{BackendKind, ProverBackend};
+use crate::graphs::emulate_toolchain;
 use crate::stage::{Curve, Stage};
 use crate::workload::{emit_runtime_init, emit_stage_io, StageError, Workload};
 
@@ -60,6 +65,10 @@ pub struct StageMeasurement {
     /// Bytes moved through the streaming chunk transport during the
     /// stage (0 when the stage ran fully in memory).
     pub streamed_bytes: u64,
+    /// The stage's serial/parallel structure in micro-ops: recorded from
+    /// the pool jobs it ran, with the emulated toolchain regions split as
+    /// `graphs` documents. Its total work is `counts.total_uops()`.
+    pub task_graph: TaskGraph,
 }
 
 impl StageMeasurement {
@@ -71,6 +80,80 @@ impl StageMeasurement {
     /// Micro-ops of a region, or 0 when it never ran.
     pub fn region_uops(&self, name: &str) -> u64 {
         self.region(name).map_or(0, |r| r.uops)
+    }
+}
+
+/// Records a stage's [`TaskGraph`] from the pool jobs it runs inline,
+/// reading the session's running micro-op total at each job event: the
+/// work between outermost jobs becomes serial segments, each outermost job
+/// a parallel loop of its tasks' work. A job nested inside a task is part
+/// of that task (one-task jobs never reach an observer: they are part of
+/// whatever encloses them).
+#[derive(Default)]
+struct GraphRecorder(RefCell<Recording>);
+
+#[derive(Default)]
+struct Recording {
+    graph: TaskGraph,
+    /// Micro-ops retired when the open serial segment or task began.
+    mark: u64,
+    /// Jobs running; the outermost one is the loop being recorded.
+    depth: usize,
+    tasks: Vec<f64>,
+}
+
+impl Recording {
+    /// Micro-ops retired since the mark, which moves to now.
+    fn lap(&mut self) -> f64 {
+        let now = trace::retired_uops();
+        let work = now - self.mark;
+        self.mark = now;
+        work as f64
+    }
+
+    fn close_serial(&mut self) {
+        let work = self.lap();
+        if work > 0.0 {
+            self.graph = std::mem::take(&mut self.graph).serial(work);
+        }
+    }
+}
+
+impl GraphRecorder {
+    /// The graph of everything the session retired, closing the last
+    /// serial segment.
+    fn finish(&self) -> TaskGraph {
+        let mut r = self.0.borrow_mut();
+        r.close_serial();
+        std::mem::take(&mut r.graph)
+    }
+}
+
+impl JobObserver for GraphRecorder {
+    fn job_begin(&self, tasks: usize) {
+        let mut r = self.0.borrow_mut();
+        if r.depth == 0 {
+            r.close_serial();
+            r.tasks.reserve(tasks);
+        }
+        r.depth += 1;
+    }
+
+    fn task_end(&self, _index: usize) {
+        let mut r = self.0.borrow_mut();
+        if r.depth == 1 {
+            let work = r.lap();
+            r.tasks.push(work);
+        }
+    }
+
+    fn job_end(&self) {
+        let mut r = self.0.borrow_mut();
+        r.depth -= 1;
+        if r.depth == 0 {
+            let tasks = std::mem::take(&mut r.tasks);
+            r.graph = std::mem::take(&mut r.graph).parallel(tasks);
+        }
     }
 }
 
@@ -116,8 +199,11 @@ pub fn measure_stage<B: ProverBackend>(
     let session = trace::Session::begin_with_sink(Box::new(sink));
     // The session is this thread's alone: work a kernel handed to a pool
     // worker would leave the recorded stream. This is the one place that
-    // decides "inline under a session"; no kernel asks.
-    let _serial = zkperf_pool::SerialScope::enter();
+    // decides "inline under a session"; no kernel asks. The scope reports
+    // each job it runs inline to the recorder, which is how the stage's
+    // task graph is known.
+    let recorder = Rc::new(GraphRecorder::default());
+    let _serial = zkperf_pool::SerialScope::observed(recorder.clone());
     if stage.exec_env() != zkperf_machine::ExecEnv::Native {
         // Node + snarkjs startup precedes every snarkjs stage.
         emit_runtime_init();
@@ -134,6 +220,7 @@ pub fn measure_stage<B: ProverBackend>(
     let peak_live_bytes = zkperf_pool::mem::peak_live_bytes() as u64;
     let streamed_bytes = zkperf_pool::mem::streamed_bytes().saturating_sub(streamed_before);
     emit_stage_io(workload.stage_write_bytes(stage));
+    let recorded = recorder.finish();
     let report = session.finish();
     let machine = handle.borrow().report();
     let regions = report
@@ -148,7 +235,7 @@ pub fn measure_stage<B: ProverBackend>(
             memcpy_bytes: r.counts.memcpy_bytes,
         })
         .collect();
-    Ok(StageMeasurement {
+    let mut m = StageMeasurement {
         stage,
         backend: B::kind(),
         curve,
@@ -163,7 +250,10 @@ pub fn measure_stage<B: ProverBackend>(
         wall_time: report.wall_time,
         peak_live_bytes,
         streamed_bytes,
-    })
+        task_graph: recorded,
+    };
+    emulate_toolchain(&mut m);
+    Ok(m)
 }
 
 #[cfg(test)]
@@ -233,6 +323,71 @@ mod tests {
         assert!(single.region("contribute").is_none());
         assert!(single.region("scalar_mul").is_none());
         assert!(single.counts.total_uops() < ceremony.counts.total_uops());
+    }
+
+    /// The graph `recorder` builds from `kernel`, checked to hold all of
+    /// the session's work.
+    fn recorded(kernel: impl FnOnce()) -> TaskGraph {
+        let session = trace::Session::begin();
+        let recorder = Rc::new(GraphRecorder::default());
+        {
+            let _serial = zkperf_pool::SerialScope::observed(recorder.clone());
+            kernel();
+        }
+        let graph = recorder.finish();
+        assert_eq!(graph.total_work(), session.finish().counts.total_uops() as f64);
+        graph
+    }
+
+    #[test]
+    fn recorder_keeps_a_planted_structure() {
+        let (a, t, k, b) = (11, 5, 4, 7);
+        let g = recorded(|| {
+            trace::compute(a);
+            zkperf_pool::parallel_for(k, |_| trace::compute(t));
+            trace::control(b);
+        });
+        let expect = TaskGraph::new()
+            .serial(a.into())
+            .parallel(vec![t.into(); k])
+            .serial(b.into());
+        assert_eq!(g, expect);
+
+        // A job nested inside a task is part of that task, and a one-task
+        // job part of the serial work around it.
+        let g = recorded(|| {
+            zkperf_pool::parallel_for(2, |i| {
+                trace::compute(3);
+                if i == 1 {
+                    zkperf_pool::parallel_for(3, |_| trace::data_move(2));
+                }
+            });
+            zkperf_pool::parallel_for(1, |_| trace::compute(9));
+        });
+        assert_eq!(g, TaskGraph::new().parallel(vec![3.0, 9.0]).serial(9.0));
+    }
+
+    #[test]
+    fn recorded_graphs_hold_every_stage_uop_on_every_backend() {
+        let cpu = CpuProfile::i7_8650u();
+        for (backend, curve) in [
+            (BackendKind::Groth16, Curve::Bn128),
+            (BackendKind::Plonk, Curve::Bls12_381),
+            (BackendKind::Stark, Curve::Goldilocks),
+        ] {
+            let cell = crate::measure_cell_backend(backend, curve, &cpu, 64, &Stage::ALL).unwrap();
+            for m in &cell {
+                assert_eq!(
+                    m.task_graph.total_work(),
+                    m.counts.total_uops() as f64,
+                    "{backend:?} {}",
+                    m.stage
+                );
+            }
+            // Compile runs no pool job: its graph is the serial segment it
+            // recorded with the emulated lowering split out of it.
+            assert_eq!(cell[0].task_graph.segments().len(), 2, "{backend:?}");
+        }
     }
 
     #[test]

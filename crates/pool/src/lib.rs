@@ -50,7 +50,11 @@
 //! makes that the path of every job its thread submits. It exists for the
 //! owner of a per-thread observer: `core::measure_stage` holds one beside
 //! its trace session, so a kernel has one body, written against these
-//! primitives, and no "am I being traced" gate of its own.
+//! primitives, and no "am I being traced" gate of its own. A scope opened
+//! with [`SerialScope::observed`] also reports each job of two or more
+//! tasks to a [`JobObserver`] as it runs — its start, the end of each task,
+//! its end — which is how a measured stage learns its own parallel
+//! structure without this crate knowing what is measured.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -66,6 +70,7 @@ static GLOBAL_ALLOCATOR: mem::TrackingAllocator = mem::TrackingAllocator;
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
@@ -146,6 +151,9 @@ thread_local! {
     static CURRENT_CANCEL: RefCell<Option<Arc<CancelState>>> = const { RefCell::new(None) };
     /// Whether a [`SerialScope`] is open on this thread.
     static SERIAL: Cell<bool> = const { Cell::new(false) };
+    /// The observer of the innermost [`SerialScope::observed`] on this
+    /// thread; read only while a serial scope is open.
+    static OBSERVER: RefCell<Option<Rc<dyn JobObserver>>> = const { RefCell::new(None) };
 }
 
 /// Shared state behind a [`CancelToken`].
@@ -277,6 +285,22 @@ fn ambient_cancel() -> Option<Arc<CancelState>> {
     CURRENT_CANCEL.with(|c| c.borrow().clone())
 }
 
+/// Sees the jobs a thread runs inside a [`SerialScope::observed`] scope.
+///
+/// Every job of two or more tasks that the thread submits, nested ones
+/// included, reports `job_begin`, then `task_end` after each task in index
+/// order, then `job_end`. A one-task job is not reported: it runs inline
+/// on its caller at any pool size, so its work belongs to whatever
+/// encloses it. A task that panics ends its job without `job_end`.
+pub trait JobObserver {
+    /// A job of `tasks` tasks is about to run its first task.
+    fn job_begin(&self, tasks: usize);
+    /// Task `index` of the innermost running job has returned.
+    fn task_end(&self, index: usize);
+    /// The innermost running job has run its last task.
+    fn job_end(&self);
+}
+
 /// RAII guard for an ambient serial scope: until it drops, every job the
 /// calling thread submits runs `0..count` in order on that thread — the
 /// path a one-thread pool takes — so thread-local observers (a trace
@@ -285,22 +309,56 @@ fn ambient_cancel() -> Option<Arc<CancelState>> {
 /// submitted from other threads are unaffected.
 pub struct SerialScope {
     prev: bool,
+    /// The observer this scope displaced, when it installed one.
+    prev_observer: Option<Option<Rc<dyn JobObserver>>>,
 }
 
 impl SerialScope {
-    /// Opens a serial scope on the calling thread.
+    /// Opens a serial scope on the calling thread. An observer installed
+    /// by an enclosing scope keeps observing.
     #[must_use]
     pub fn enter() -> SerialScope {
         SerialScope {
             prev: SERIAL.with(|s| s.replace(true)),
+            prev_observer: None,
         }
+    }
+
+    /// Opens a serial scope that reports the thread's jobs to `observer`
+    /// until it drops.
+    #[must_use]
+    pub fn observed(observer: Rc<dyn JobObserver>) -> SerialScope {
+        let mut scope = SerialScope::enter();
+        scope.prev_observer = Some(OBSERVER.with(|o| o.replace(Some(observer))));
+        scope
     }
 }
 
 impl Drop for SerialScope {
     fn drop(&mut self) {
         SERIAL.with(|s| s.set(self.prev));
+        if let Some(prev) = self.prev_observer.take() {
+            OBSERVER.with(|o| *o.borrow_mut() = prev);
+        }
     }
+}
+
+/// The inline path of a job of two or more tasks submitted under a serial
+/// scope, reported to the scope's observer if it has one. Cold and out of
+/// line, with the task behind a `&dyn`: only a measured stage comes here,
+/// and every other job keeps the plain loop.
+#[cold]
+#[inline(never)]
+fn run_serial(count: usize, task: &dyn Fn(usize)) {
+    let Some(observer) = OBSERVER.with(|o| o.borrow().clone()) else {
+        return (0..count).for_each(task);
+    };
+    observer.job_begin(count);
+    for i in 0..count {
+        task(i);
+        observer.task_end(i);
+    }
+    observer.job_end();
 }
 
 fn env_threads() -> usize {
@@ -463,6 +521,9 @@ pub fn parallel_for<F: Fn(usize) + Sync>(count: usize, task: F) {
     if threads <= 1 || count == 1 || SERIAL.with(Cell::get) {
         // Inline path: same semantics (the caller's cancel scope is already
         // ambient, and a panic here unwinds the caller directly).
+        if count > 1 && SERIAL.with(Cell::get) {
+            return run_serial(count, &task);
+        }
         for i in 0..count {
             task(i);
         }
@@ -794,6 +855,52 @@ mod tests {
             assert!(open(), "dropping the inner scope keeps the outer one");
         }
         assert!(!open());
+    }
+
+    #[test]
+    fn observer_sees_each_job_inside_its_scope_only() {
+        #[derive(Default)]
+        struct Log(RefCell<Vec<String>>);
+        impl JobObserver for Log {
+            fn job_begin(&self, tasks: usize) {
+                self.0.borrow_mut().push(format!("begin {tasks}"));
+            }
+            fn task_end(&self, index: usize) {
+                self.0.borrow_mut().push(format!("task {index}"));
+            }
+            fn job_end(&self) {
+                self.0.borrow_mut().push("end".into());
+            }
+        }
+        for threads in [1, 4] {
+            with_threads(threads, || {
+                let log = Rc::new(Log::default());
+                let run = || {
+                    parallel_for(3, |i| {
+                        if i == 1 {
+                            parallel_for(2, |_| {});
+                        }
+                    });
+                    parallel_for(1, |_| {});
+                    parallel_chunks_mut(&mut [0u8; 3], 2, |_, _| {});
+                };
+                run();
+                {
+                    let _observed = SerialScope::observed(log.clone());
+                    run();
+                    let _plain = SerialScope::enter();
+                    parallel_for(2, |_| {});
+                }
+                run();
+                let expect = [
+                    "begin 3", "task 0", "begin 2", "task 0", "task 1", "end", "task 1",
+                    "task 2", "end", "begin 2", "task 0", "task 1", "end", "begin 2",
+                    "task 0", "task 1", "end",
+                ];
+                assert_eq!(*log.0.borrow(), expect, "{threads} thread(s)");
+                assert!(OBSERVER.with(|o| o.borrow().is_none()), "observer removed on drop");
+            });
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Task graphs: the serial/parallel structure of a protocol stage.
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 /// One phase of a stage's execution.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Segment {
     /// Work that must run on a single thread (in abstract work units,
     /// typically micro-ops measured from a trace).
@@ -18,10 +18,12 @@ pub enum Segment {
 /// An alternating sequence of serial segments and parallel loops describing
 /// how a protocol stage *could* execute on many threads.
 ///
-/// The core crate derives one `TaskGraph` per stage from the stage's actual
-/// decomposition (MSM chunks, NTT passes, per-gate witness evaluation…)
-/// with costs measured by the tracer, so the scaling analysis reflects the
-/// real algorithmic structure rather than an assumed parallel fraction.
+/// The core crate records one `TaskGraph` per measured stage from the
+/// thread-pool jobs the stage ran (MSM windows, NTT passes, setup query
+/// chunks…): the work between jobs is serial, each job a parallel loop of
+/// its tasks, every cost the micro-ops the tracer counted, so the scaling
+/// analysis reflects the code's real decomposition rather than an assumed
+/// parallel fraction.
 ///
 /// # Examples
 ///
@@ -34,7 +36,7 @@ pub enum Segment {
 /// assert_eq!(g.total_work(), 100.0 + 640.0 + 50.0);
 /// assert!(g.parallel_fraction() > 0.8);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct TaskGraph {
     segments: Vec<Segment>,
 }

@@ -252,6 +252,14 @@ macro_rules! retire {
     }};
 }
 
+/// Micro-ops this thread's session has retired so far (0 with no session
+/// open). Reading it emits nothing.
+pub fn retired_uops() -> u64 {
+    let mut uops = 0;
+    with_state(|s| uops = s.counts.total_uops());
+    uops
+}
+
 /// Retires `uops` compute micro-ops.
 #[inline]
 pub fn compute(uops: u32) {
@@ -475,8 +483,12 @@ mod tests {
             branch(42, false);
         }
         data_move(3);
+        let running = retired_uops();
+        assert_eq!(retired_uops(), running, "reading retires nothing");
         let report = session.finish();
         assert!(!is_active());
+        assert_eq!(running, report.counts.total_uops());
+        assert_eq!(retired_uops(), 0);
         assert_eq!(report.counts.compute_uops, 12);
         assert_eq!(report.counts.stores, 1);
         assert_eq!(report.counts.store_bytes, 32);

@@ -267,23 +267,33 @@ fi
 # Regeneration smoke: EXPERIMENTS.md is filled from what `experiments`
 # and `real_scaling --backends` (E10, README's backend table) write under
 # results/, so the paths the docs depend on run here once, at the smallest
-# sizes, into a throwaway directory.
-echo "==> experiments smoke: exec_time and setup_split at 2^3..2^4, backends at 2^4..2^5"
+# sizes, into a throwaway directory. Table VI (E7-E9's path) is computed
+# from recorded task graphs, micro-op counts only, never from heap
+# addresses: two independent runs must write the same bytes.
+echo "==> experiments smoke: exec_time, setup_split and table6 (twice, compared) at 2^3..2^4, backends at 2^4..2^5"
 smoke_results="$(mktemp -d)"
-smoke() { # <output name> <command...>
-    local name="$1"
-    shift
-    if ! ZKPERF_RESULTS_DIR="$smoke_results" ZKPERF_MIN_LOG=3 ZKPERF_MAX_LOG=4 "$@" ||
-        [ ! -s "$smoke_results/$name.json" ]; then
-        rm -rf "$smoke_results"
+smoke_again="$(mktemp -d)"
+smoke() { # <results dir> <output name> <command...>
+    local dir="$1" name="$2"
+    shift 2
+    if ! ZKPERF_RESULTS_DIR="$dir" ZKPERF_MIN_LOG=3 ZKPERF_MAX_LOG=4 "$@" ||
+        [ ! -s "$dir/$name.json" ]; then
+        rm -rf "$smoke_results" "$smoke_again"
         echo "experiments smoke failed: $name did not regenerate" >&2
         exit 1
     fi
 }
-smoke exec_time ./target/release/experiments exec_time
-smoke setup_split ./target/release/experiments setup_split
-smoke backends ./target/release/real_scaling --backends 4,5
-rm -rf "$smoke_results"
+smoke "$smoke_results" exec_time ./target/release/experiments exec_time
+smoke "$smoke_results" setup_split ./target/release/experiments setup_split
+smoke "$smoke_results" backends ./target/release/real_scaling --backends 4,5
+smoke "$smoke_results" table6_parallelism ./target/release/experiments table6_parallelism
+smoke "$smoke_again" table6_parallelism ./target/release/experiments table6_parallelism
+if ! cmp "$smoke_results/table6_parallelism.json" "$smoke_again/table6_parallelism.json"; then
+    rm -rf "$smoke_results" "$smoke_again"
+    echo "experiments smoke failed: table6_parallelism.json differs between two runs" >&2
+    exit 1
+fi
+rm -rf "$smoke_results" "$smoke_again"
 
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy -D warnings"

@@ -139,7 +139,9 @@ fn proofs_are_byte_identical_across_thread_counts() {
 
 /// A trace session is per-thread, so what it records must not depend on
 /// how many workers the pool has: `measure_stage` keeps the pool inline
-/// for the session's lifetime, and every stage's counters come out equal.
+/// for the session's lifetime, and every stage's counters and task graph
+/// (the pool jobs it ran, in micro-ops) come out equal, the graph holding
+/// every micro-op the counters do.
 /// (Before the pool had a serial scope the STARK prover, which never
 /// gated its pool calls on the tracer, lost ~95 % of its `Proving` ops to
 /// worker threads at two threads and up.)
@@ -154,17 +156,26 @@ fn traced_op_counts_are_thread_count_invariant() {
     ];
     for (backend, curve) in cells {
         for log in [8u32, 10] {
-            let counts = |threads: usize| -> Vec<_> {
+            let recorded = |threads: usize| -> Vec<_> {
                 pool::set_threads(threads);
                 let cell = measure_cell_backend(backend, curve, &cpu, 1 << log, &Stage::ALL);
-                cell.unwrap().into_iter().map(|m| (m.stage, m.counts)).collect()
+                let cell = cell.unwrap();
+                for m in &cell {
+                    assert_eq!(
+                        m.task_graph.total_work(),
+                        m.counts.total_uops() as f64,
+                        "{backend:?} 2^{log} {}: graph work at {threads} threads",
+                        m.stage
+                    );
+                }
+                cell.into_iter().map(|m| (m.stage, m.counts, m.task_graph)).collect()
             };
-            let serial = counts(1);
+            let serial = recorded(1);
             for threads in [2usize, 4] {
-                assert_eq!(
-                    serial,
-                    counts(threads),
-                    "{backend:?} 2^{log}: traced op counts differ at {threads} threads"
+                assert!(
+                    serial == recorded(threads),
+                    "{backend:?} 2^{log}: traced op counts or task graphs differ at \
+                     {threads} threads"
                 );
             }
         }
