@@ -330,23 +330,6 @@ fn fixed_limbs<const N: usize>(v: &BigUint) -> [u64; N] {
     out
 }
 
-/// Finds a primitive cube root of unity in `F` (`p ≡ 1 mod 3` required):
-/// the first small base whose `(p−1)/3` power is non-trivial.
-fn cube_root_of_unity<F: PrimeField>() -> Option<F> {
-    let p_minus_1 = F::modulus().checked_sub(&BigUint::one())?;
-    let (exp, rem) = p_minus_1.divrem_u64(3);
-    if rem != 0 {
-        return None;
-    }
-    for base in 2u64..40 {
-        let w = F::from_u64(base).pow(&exp);
-        if !w.is_one() && !w.is_zero() {
-            return Some(w);
-        }
-    }
-    None
-}
-
 /// Derives and verifies the GLV parameters for `C`, or returns `None` when
 /// the curve does not support the endomorphism (or any self-check fails).
 ///
@@ -361,8 +344,8 @@ where
         return None;
     }
     let r = C::Scalar::modulus();
-    let lambda_f = cube_root_of_unity::<C::Scalar>()?;
-    let beta_f = cube_root_of_unity::<C::Base>()?;
+    let lambda_f = C::Scalar::cube_root_of_unity()?;
+    let beta_f = C::Base::cube_root_of_unity()?;
 
     // Match the eigenvalue to the endomorphism on the generator: φ acts as
     // one of the two primitive cube roots; β likewise has two candidates.

@@ -525,6 +525,35 @@ mod tests {
         assert!(root.square().is_one());
     }
 
+    /// The order-3 root's self-test, on every field of the suite: ζ ≠ 1,
+    /// ζ³ = 1, and the cached value is the derived one.
+    #[test]
+    fn each_field_has_a_self_tested_cube_root_of_unity() {
+        fn check<G: PrimeField>() {
+            let zeta = G::cube_root_of_unity().expect("3 divides p − 1");
+            assert!(!zeta.is_one(), "{zeta:?}");
+            assert!((zeta.square() * zeta).is_one(), "{zeta:?}");
+            assert_eq!(G::cube_root_of_unity(), Some(zeta));
+            assert_eq!(crate::traits::derive_cube_root::<G>(), Some(zeta));
+        }
+        check::<crate::bn254::Fr>();
+        check::<crate::bn254::Fq>();
+        check::<crate::bls12_381::Fr>();
+        check::<crate::bls12_381::Fq>();
+        check::<crate::Goldilocks>();
+        check::<F>();
+
+        // p = 11: p − 1 = 10, so no element of order 3.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        struct P11;
+        impl FpParams<1> for P11 {
+            const MODULUS: [u64; 1] = [11];
+            const GENERATOR: u64 = 2;
+            const NAME: &'static str = "P11";
+        }
+        assert_eq!(Fp::<P11, 1>::cube_root_of_unity(), None);
+    }
+
     #[test]
     fn biguint_roundtrip_and_reduction() {
         let big = BigUint::from_str_radix("123456789012345678901234567890123456789", 10).unwrap();

@@ -203,6 +203,60 @@ pub trait PrimeField: Field + PartialOrd + Ord {
         }
         Some(root)
     }
+
+    /// A fixed element of exact order 3 (of the two), or `None` when
+    /// `3 ∤ p − 1`.
+    ///
+    /// Derived once per field and process — `b^((p−1)/3)` for the first
+    /// base `b` from 2 up where that power is not 1 — and cached only
+    /// after its self-test (`ζ ≠ 1`, `ζ³ = 1`) passes; a failed self-test
+    /// caches `None`. Every field of the suite has one: the GLV
+    /// endomorphisms and the `3·2^k` evaluation domains both read it.
+    fn cube_root_of_unity() -> Option<Self> {
+        cached_cube_root::<Self>()
+    }
+}
+
+/// [`PrimeField::cube_root_of_unity`], once per field type: a `static` in a
+/// generic function is shared by every instantiation, so the roots are
+/// kept by `TypeId`. Two first callers may both derive the root; they
+/// store the same value. Nothing panics under either lock, so a poisoned
+/// map is still whole.
+fn cached_cube_root<F: PrimeField>() -> Option<F> {
+    use std::any::{Any, TypeId};
+    use std::collections::HashMap;
+    use std::sync::{OnceLock, PoisonError, RwLock};
+    type Roots = RwLock<HashMap<TypeId, Box<dyn Any + Send + Sync>>>;
+    static ROOTS: OnceLock<Roots> = OnceLock::new();
+    let roots = ROOTS.get_or_init(Roots::default);
+    let key = TypeId::of::<F>();
+    let cached = roots
+        .read()
+        .unwrap_or_else(PoisonError::into_inner)
+        .get(&key)
+        .and_then(|root| root.downcast_ref::<Option<F>>().copied());
+    if let Some(root) = cached {
+        return root;
+    }
+    let root = derive_cube_root::<F>();
+    roots
+        .write()
+        .unwrap_or_else(PoisonError::into_inner)
+        .insert(key, Box::new(root));
+    root
+}
+
+/// The derivation and self-test behind [`PrimeField::cube_root_of_unity`].
+pub(crate) fn derive_cube_root<F: PrimeField>() -> Option<F> {
+    let p_minus_1 = F::modulus().checked_sub(&BigUint::one())?;
+    let (exp, rem) = p_minus_1.divrem_u64(3);
+    if rem != 0 {
+        return None;
+    }
+    let root = (2u64..64)
+        .map(|base| F::from_u64(base).pow(&exp))
+        .find(|w| !w.is_one() && !w.is_zero())?;
+    (!root.is_one() && (root.square() * root).is_one()).then_some(root)
 }
 
 /// A field with an absolute Frobenius endomorphism `x ↦ x^p`, applied in

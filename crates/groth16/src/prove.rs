@@ -143,7 +143,7 @@ pub fn prove_streamed<E: Engine, S: QuerySource<E>, R: Rng + ?Sized>(
     if header.num_public_wires > w.len() {
         return Err(ProveError::MalformedKey("public wires exceed witness length"));
     }
-    let domain = Radix2Domain::<E::Fr>::new(header.domain_size).ok_or(
+    let domain = Radix2Domain::<E::Fr>::new_power_of_two(header.domain_size).ok_or(
         ProveError::InvalidDomain { size: header.domain_size },
     )?;
     if domain.size() < r1cs.num_constraints() {

@@ -127,7 +127,7 @@ mod tests {
             .generate_witness(&[Fr::from_u64(3)], &[])
             .unwrap();
         let sys = circuit.r1cs();
-        let domain = Radix2Domain::<Fr>::new(sys.num_constraints()).unwrap();
+        let domain = Radix2Domain::<Fr>::new_power_of_two(sys.num_constraints()).unwrap();
         let tau = Fr::from_u64(0xdead_beef);
         let (u, v, w) = evaluate_matrices_at(sys, &domain, tau);
         let dot = |m: &[Fr]| -> Fr {
@@ -159,7 +159,7 @@ mod tests {
         let last = bad.len() - 1;
         bad[last] += Fr::one();
         let sys = circuit.r1cs();
-        let domain = Radix2Domain::<Fr>::new(sys.num_constraints()).unwrap();
+        let domain = Radix2Domain::<Fr>::new_power_of_two(sys.num_constraints()).unwrap();
         let (a, b, c) = evaluate_constraints(sys, &domain, &bad);
         let h = compute_h_coefficients(&domain, a, b, c);
         // h was computed as if division were exact; verify it is NOT a true

@@ -157,7 +157,7 @@ fn build_key<E: Engine, R: Rng + ?Sized, S: QuerySink<E>>(
 ) -> Result<VerifyingKey<E>, SetupError> {
     let _g = trace::region_profile("setup");
     let domain =
-        Radix2Domain::<E::Fr>::new(r1cs.num_constraints().max(2)).ok_or(
+        Radix2Domain::<E::Fr>::new_power_of_two(r1cs.num_constraints().max(2)).ok_or(
             SetupError::CircuitTooLarge {
                 constraints: r1cs.num_constraints(),
             },

@@ -2,7 +2,7 @@
 //! permutation, derived from a compiled `zkperf-circuit` circuit.
 
 use zkperf_ff::PrimeField;
-use zkperf_poly::Radix2Domain;
+use zkperf_poly::{root_of_unity, Radix2Domain};
 use zkperf_trace as trace;
 
 use zkperf_circuit::{LinearCombination, R1cs};
@@ -33,7 +33,8 @@ impl std::error::Error for ArithmetizeError {}
 pub(crate) type WireId = usize;
 
 /// A PLONK circuit: selector columns, per-gate wire assignments, and the
-/// copy-constraint permutation, all sized to a power-of-two domain.
+/// copy-constraint permutation, all sized to one evaluation domain — the
+/// least of order `2^k` or `3·2^k` (and at least 4) that holds the gates.
 ///
 /// Gate equation (per row `i`):
 /// `q_L·a + q_R·b + q_O·c + q_M·a·b + q_C + PI(i) = 0`.
@@ -168,13 +169,14 @@ impl<F: PrimeField> PlonkCircuit<F> {
         }
 
         let raw_gates = gb.q_l.len();
-        let n = raw_gates.next_power_of_two().max(4);
-        // The quotient needs the 4n domain too; the n domain is only used
-        // here, to encode the permutation.
-        let (Some(domain), Some(_)) = (Radix2Domain::<F>::new(n), Radix2Domain::<F>::new(4 * n))
-        else {
-            return Err(ArithmetizeError::TooManyGates { gates: raw_gates });
-        };
+        // The least domain order (2^k or 3·2^k, at least 4) that holds the
+        // gates. The quotient needs the 4n domain too, which exists when a
+        // generator of order 4n does; the n domain is only used here, to
+        // encode the permutation.
+        let domain = Radix2Domain::<F>::new(raw_gates.max(4))
+            .filter(|d| d.size().checked_mul(4).and_then(root_of_unity::<F>).is_some())
+            .ok_or(ArithmetizeError::TooManyGates { gates: raw_gates })?;
+        let n = domain.size();
 
         // Padding rows: all-zero selectors, wires alias wire 0 (the
         // constant-one wire, present in every witness).
@@ -292,8 +294,8 @@ mod tests {
     fn exponentiate_arithmetizes() {
         let circuit = exponentiate::<Fr>(6);
         let plonk = PlonkCircuit::from_r1cs(circuit.r1cs()).unwrap();
-        // 6 constraints + 3 public wires (1, y, x) = 9 gates → n = 16.
-        assert_eq!(plonk.n, 16);
+        // 6 constraints + 3 public wires (1, y, x) = 9 gates → n = 3·4.
+        assert_eq!(plonk.n, 12);
         assert_eq!(plonk.public_rows.len(), 3);
         // Gate equation holds row-by-row on a real witness.
         let w = circuit.generate_witness(&[Fr::from_u64(2)], &[]).unwrap();

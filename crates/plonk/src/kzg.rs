@@ -12,7 +12,10 @@
 //! values), which the MSM skips or finishes early; interpolating first
 //! spreads it into n full-width coefficients. A polynomial that is born as
 //! coefficients (a quotient piece, an opening witness) has no evaluation
-//! form to commit from and stays on the powers.
+//! form to commit from and stays on the powers. The domain has order `2^k`
+//! or `3·2^k` — `Lᵢ(τ) = ωⁱ·(τⁿ − 1)/(n·(τ − ωⁱ))` on any multiplicative
+//! subgroup — so the Lagrange half has one point per PLONK row, and the
+//! rows are not rounded up to a power of two.
 
 use std::sync::OnceLock;
 
@@ -59,9 +62,9 @@ impl<E: Engine> Srs<E> {
     }
 
     /// Samples a fresh SRS for polynomials of degree below the size n of
-    /// `domain`: n powers of τ and the n Lagrange-basis points of `domain`
-    /// at the same τ, drawn from `rng` exactly as [`Srs::generate`] draws
-    /// it.
+    /// `domain` (of order `2^k` or `3·2^k`): n powers of τ and the n
+    /// Lagrange-basis points of `domain` at the same τ, drawn from `rng`
+    /// exactly as [`Srs::generate`] draws it.
     pub fn generate_for_domain<R: Rng + ?Sized>(
         domain: &Radix2Domain<E::Fr>,
         rng: &mut R,
@@ -279,7 +282,7 @@ mod tests {
     /// PLONK circuit produces.
     fn evaluations_commit_like_their_interpolation<E: Engine>() {
         let mut rng = zkperf_ff::test_rng();
-        for n in [4usize, 64, 1 << 10] {
+        for n in [4usize, 64, 1 << 10, 12, 3 << 8] {
             let domain = Radix2Domain::<E::Fr>::new(n).unwrap();
             let srs = Srs::<E>::generate_for_domain(&domain, &mut rng);
             assert_eq!((srs.g1_powers.len(), srs.g1_lagrange.len()), (n, n));

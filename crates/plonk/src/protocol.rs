@@ -25,6 +25,20 @@
 //! commitments than Groth16 makes, beside transforms on a 4n coset, which
 //! is why the paper reports PlonK proving at about twice the Groth16 time.
 //!
+//! # The domain
+//!
+//! n is the least order of the form `2^k` or `3·2^k` (and at least 4) that
+//! holds the circuit's gates — [`zkperf_poly::Radix2Domain::new`] picks it,
+//! and nothing here rounds rows up — so a circuit just past a power of two
+//! (`plonk_exp_2e14`'s 2^14 + 3 gates) proves on `3·2^13` rows, not `2^15`.
+//! The quotient's coset then has 4n points of the same form, and nothing
+//! below needs a power of two: `Z_H` on that coset still takes four values
+//! (`ω₄ⁿ` has order 4 for any n), `L₁` has its closed form on any
+//! subgroup, and the coset index of a public row wraps by remainder. The
+//! verifier accepts a key's n only when [`zkperf_poly::root_of_unity`]
+//! has a generator of that order — the function the prover's domain takes
+//! its ω from — and n ≥ 4.
+//!
 //! # Which half of the SRS a commitment reads
 //!
 //! The key's SRS holds τ in two bases (`kzg` module docs), and each
@@ -72,7 +86,7 @@ use rand::Rng;
 use zkperf_circuit::R1cs;
 use zkperf_ec::{msm, Affine, Engine};
 use zkperf_ff::{batch_inverse, BigUint, Field, PrimeField};
-use zkperf_poly::{DensePolynomial, Radix2Domain};
+use zkperf_poly::{root_of_unity, DensePolynomial, Radix2Domain};
 use zkperf_pool as pool;
 use zkperf_trace as trace;
 
@@ -261,10 +275,11 @@ fn coset_eval<F: PrimeField>(domain4: &Radix2Domain<F>, p: &DensePolynomial<F>) 
 /// `(row i, vᵢ)`. `Lᵢ(x) = L₁(x/ωⁱ)` and `ω = ω₄⁴`, so `Lᵢ` on the coset is
 /// the `L₁` table read 4i slots back: one multiplication per public row.
 fn public_input_on_coset<F: PrimeField>(l1_coset: &[F], public: &[(usize, F)], j: usize) -> F {
-    // The table's length 4n is a power of two, and i < n.
-    let mask = l1_coset.len() - 1;
+    // The table has 4n slots, and i < n; 4n is 2^k or 3·2^k, so the index
+    // wraps by remainder.
+    let len = l1_coset.len();
     public.iter().fold(F::zero(), |acc, &(row, v)| {
-        acc - v * l1_coset[(j + l1_coset.len() - 4 * row) & mask]
+        acc - v * l1_coset[(j + len - 4 * row) % len]
     })
 }
 
@@ -763,12 +778,14 @@ where
     let _g = trace::region_profile("plonk_verify");
     let n = vk.n;
     if public_values.len() != vk.public_rows.len()
-        || !n.is_power_of_two()
+        || n < 4
         || vk.public_rows.iter().any(|&row| row >= n)
     {
         return false;
     }
-    let Some(omega) = E::Fr::root_of_unity_pow2(n.trailing_zeros()) else {
+    // The prover's domain takes ω from the same function; `None` unless n
+    // is 2^k or 3·2^k within the field's subgroups.
+    let Some(omega) = root_of_unity::<E::Fr>(n) else {
         return false;
     };
 
@@ -836,12 +853,12 @@ mod tests {
     /// proof: interpolate-and-extend, and invert all 4n values.
     #[test]
     fn cached_l1_and_zh_tables_match_transform_and_invert() {
-        for log_n in [2u32, 5, 9] {
-            let r1cs_rows = (1 << log_n) - 3; // plus three public-input gates
+        for rows in [4usize, 32, 512, 6, 12, 96, 768] {
+            let r1cs_rows = rows - 3; // plus three public-input gates
             let circuit = PlonkCircuit::from_r1cs(exponentiate::<Fr>(r1cs_rows).r1cs()).unwrap();
             let pre = Preprocessed::new(&circuit).unwrap();
             let (n, m) = (circuit.n, 4 * circuit.n);
-            assert_eq!((n, pre.domain4.size()), (1 << log_n, m));
+            assert_eq!((n, pre.domain4.size()), (rows, m));
 
             let mut l1_evals = vec![Fr::zero(); n];
             l1_evals[0] = Fr::one();
@@ -862,11 +879,11 @@ mod tests {
     #[test]
     fn closed_form_public_input_matches_interpolate_and_extend() {
         let mut rng = zkperf_ff::test_rng();
-        for log_n in [2u32, 5, 9] {
-            let circuit =
-                PlonkCircuit::from_r1cs(exponentiate::<Fr>((1 << log_n) - 3).r1cs()).unwrap();
+        for rows in [4usize, 32, 512, 6, 12, 96, 768] {
+            let circuit = PlonkCircuit::from_r1cs(exponentiate::<Fr>(rows - 3).r1cs()).unwrap();
             let pre = Preprocessed::new(&circuit).unwrap();
             let n = circuit.n;
+            assert_eq!(n, rows);
             for count in [1, 3, n / 2] {
                 // Rows spread over the domain, the last one included.
                 let rows: Vec<usize> = (1..=count).map(|i| i * (n / count) - 1).collect();
@@ -882,6 +899,25 @@ mod tests {
                     .collect();
                 assert_eq!(closed, transformed, "n = {n}, {count} public rows");
             }
+        }
+    }
+
+    /// The public rows' `L_i` on the coset are the `L₁` table read 4i slots
+    /// back, wrapping at 4n; on a `3·2^k` domain 4n is no power of two, so a
+    /// wrap by mask reads the wrong slots and the quotient is no polynomial.
+    #[test]
+    fn three_public_rows_prove_and_verify_on_a_three_times_power_of_two_domain() {
+        let mut rng = zkperf_ff::test_rng();
+        for (exponent, n) in [(6, 12), (45, 48), (93, 96)] {
+            let circuit = exponentiate::<Fr>(exponent);
+            let pk = plonk_setup::<Bn254, _>(circuit.r1cs(), &mut rng).unwrap();
+            assert_eq!((pk.circuit.n, pk.circuit.public_rows.len()), (n, 3));
+            let w = circuit.generate_witness(&[Fr::from_u64(3)], &[]).unwrap();
+            let proof = plonk_prove(&pk, w.full()).unwrap();
+            assert!(plonk_verify(&pk.vk, &proof, w.public()), "n = {n}");
+            let mut wrong = w.public().to_vec();
+            wrong[1] += Fr::one();
+            assert!(!plonk_verify(&pk.vk, &proof, &wrong), "n = {n}");
         }
     }
 
@@ -1031,7 +1067,15 @@ mod tests {
         let w = circuit.generate_witness(&[Fr::from_u64(3)], &[]).unwrap();
         let cols = plonk.wire_columns(w.full());
         let beta = Fr::from_u64(7);
-        assert!(permutation_accumulator(&plonk, &domain, &cols, beta, Fr::from_u64(11)).is_ok());
+        // Small β and γ can vanish a factor by accident: on this 12-row
+        // domain the slot labelled 2·ω⁶ = −2 meets the wire value 3, and
+        // 3 + 7·(−2) + 11 = 0. A γ far from the wire values cannot.
+        let gamma = Fr::from_u64(0x2545_f491_4f6c_dd1d);
+        assert!(permutation_accumulator(&plonk, &domain, &cols, beta, gamma).is_ok());
+        assert_eq!(
+            permutation_accumulator(&plonk, &domain, &cols, beta, Fr::from_u64(11)),
+            Err(PlonkError::ZeroPermutationFactor)
+        );
         // γ chosen so that row 5's first denominator factor is zero.
         let gamma = -(cols[0][5] + beta * plonk.sigma[0][5]);
         assert_eq!(

@@ -1,14 +1,17 @@
-//! Radix-2 multiplicative evaluation domains and the in-place NTT.
+//! Multiplicative evaluation domains of order `2^k` or `3·2^k`, and the
+//! in-place NTT over them.
 //!
 //! There is one butterfly network, [`Radix2Domain`]'s `transform`, written
 //! against the `zkperf-pool` primitives with a decomposition fixed by
-//! `task_elems`: it is the flat transform and the row kernel of the
-//! four-step layout, and its `control`/`data_move` hooks (with the
-//! `memcpy` hook of the four-step transposes) are what a trace session
-//! records. Whether a pass fans out or runs inline on the caller is the
-//! pool's decision — its size, a one-task job, an open `SerialScope` — and
-//! never this module's; flat versus four-step depends on the domain size
-//! and the memory budget only.
+//! `task_elems`: a digit-reversal permutation, one radix-3 layer when the
+//! order is `3·2^k`, then the radix-2 passes. It is the flat transform and
+//! the row kernel of the four-step layout, and its `control`/`data_move`
+//! hooks (with the `memcpy` hook of the four-step transposes) are what a
+//! trace session records. Whether a pass fans out or runs inline on the
+//! caller is the pool's decision — its size, a one-task job, an open
+//! `SerialScope` — and never this module's; flat versus four-step depends
+//! on the domain size and the memory budget only, and the four-step layout
+//! exists for orders `2^k` alone.
 
 use zkperf_ff::{batch_inverse, BigUint, PrimeField};
 use zkperf_pool as pool;
@@ -17,24 +20,27 @@ use zkperf_trace as trace;
 /// Elements per pool task for a buffer of `n` elements: coarse enough to
 /// amortize task dispatch, fine enough that a 2^12-point domain already
 /// splits into four tasks. Smaller buffers finish before a fan-out would
-/// pay for itself and are one task, which the pool runs inline. A pure
-/// function of `n` — never of the thread count — per the
-/// deterministic-decomposition rule.
+/// pay for itself and are one task, which the pool runs inline. A multiple
+/// of `n`'s odd factor (1 or 3), so a task holds whole butterfly blocks of
+/// every early pass. A pure function of `n` — never of the thread count —
+/// per the deterministic-decomposition rule.
 fn task_elems(n: usize) -> usize {
     if n < 1 << 12 {
         n
     } else {
-        (n / 8).clamp(1 << 10, 1 << 13)
+        let odd = n >> n.trailing_zeros();
+        odd * (n / odd / 8).clamp(1 << 10, 1 << 13)
     }
 }
 
-/// Largest `log₂(size)` for which the domain precomputes its twiddle
-/// tables at construction. Domains at or above [`FOUR_STEP_MIN_LOG`] run
-/// the blocked four-step layout, whose row transforms read the cached
-/// tables of the two √n-sized sub-domains instead — precomputing a
-/// full-size table there would only burn memory. Domains between the two
-/// thresholds do not exist (the caps are adjacent); a large transform
-/// spilled to the flat pass by a memory budget runs it with incremental
+/// Largest `k` for which a domain of order `2^k` or `3·2^k` precomputes
+/// its twiddle tables at construction. Domains of order `2^k` at or above
+/// [`FOUR_STEP_MIN_LOG`] run the blocked four-step layout, whose row
+/// transforms read the cached tables of the two √n-sized sub-domains
+/// instead — precomputing a full-size table there would only burn memory.
+/// Such domains between the two thresholds do not exist (the caps are
+/// adjacent); a large transform spilled to the flat pass by a memory
+/// budget, or a `3·2^k` domain past the cap, runs it with incremental
 /// twiddles.
 const MAX_CACHED_TWIDDLE_LOG: u32 = 17;
 
@@ -71,11 +77,55 @@ fn spill_to_flat(log_size: u32, size: usize, elem_bytes: usize, budget: Option<u
     }
 }
 
-/// A multiplicative subgroup of size `2^log_size` with its NTT machinery.
+/// The least domain order — an element of `{2^k, 3·2^k}` — that is at
+/// least `min_size` (and at least 1), or `None` past `usize`.
+fn least_order(min_size: usize) -> Option<usize> {
+    let pow2 = min_size.max(1).checked_next_power_of_two()?;
+    let three_quarters = pow2 / 4 * 3;
+    Some(if three_quarters >= min_size.max(1) { three_quarters } else { pow2 })
+}
+
+/// A generator of the multiplicative subgroup of order `order` in `F`, or
+/// `None` unless `order` is `2^k` or `3·2^k` with `k` within the field's
+/// two-adicity.
+///
+/// The one root function of the suite: every [`Radix2Domain`] takes its
+/// ω from here, and so does a verifier that only knows a domain's order.
+/// With `ω₂` the generator of order `2^s` (`s` the two-adicity) and ζ
+/// [`PrimeField::cube_root_of_unity`], the generator of order `3·2^k` is
+/// `(ζ·ω₂)^(2^(s−k))`, so the roots of either form make one square chain:
+/// the generator of order `2m` squares to that of order `m`.
+pub fn root_of_unity<F: PrimeField>(order: usize) -> Option<F> {
+    if order == 0 {
+        return None;
+    }
+    let k = order.trailing_zeros();
+    let pow2 = F::root_of_unity_pow2(k)?;
+    match order >> k {
+        1 => Some(pow2),
+        3 => {
+            // ζ^(2^j) is ζ for even j and ζ² for odd j.
+            let zeta = F::cube_root_of_unity()?;
+            let odd = (F::two_adicity() - k) % 2 == 1;
+            Some(pow2 * if odd { zeta.square() } else { zeta })
+        }
+        _ => None,
+    }
+}
+
+/// A multiplicative subgroup of order `2^k` or `3·2^k` with its NTT
+/// machinery.
 ///
 /// Groth16 uses one domain per circuit: polynomials are interpolated over
 /// the domain, and the quotient `h = (a·b − c)/z` is computed on a coset so
 /// the vanishing polynomial `z` is invertible at every evaluation point.
+/// Groth16 and the STARK ask for orders `2^k` ([`new_power_of_two`]);
+/// PLONK takes the least order of either form that holds its rows
+/// ([`new`]), so a circuit just past a power of two pays for `3·2^k`
+/// rows, not `2^(k+2)`.
+///
+/// [`new`]: Self::new
+/// [`new_power_of_two`]: Self::new_power_of_two
 ///
 /// # Examples
 ///
@@ -83,8 +133,9 @@ fn spill_to_flat(log_size: u32, size: usize, elem_bytes: usize, budget: Option<u
 /// use zkperf_poly::Radix2Domain;
 /// use zkperf_ff::{Field, bn254::Fr};
 ///
-/// let domain = Radix2Domain::<Fr>::new(4).unwrap();
-/// let mut values: Vec<Fr> = (0..4).map(Fr::from_u64).collect();
+/// let domain = Radix2Domain::<Fr>::new(5).unwrap();
+/// assert_eq!(domain.size(), 6);
+/// let mut values: Vec<Fr> = (0..6).map(Fr::from_u64).collect();
 /// let coeffs = values.clone();
 /// domain.fft_in_place(&mut values);
 /// domain.ifft_in_place(&mut values);
@@ -93,34 +144,54 @@ fn spill_to_flat(log_size: u32, size: usize, elem_bytes: usize, budget: Option<u
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Radix2Domain<F: PrimeField> {
     size: usize,
-    log_size: u32,
+    /// `k` in `size = 2^k` or `size = 3·2^k`.
+    two_adic_log: u32,
+    /// Whether `size = 3·2^k`: the transform opens with a radix-3 layer.
+    radix3: bool,
     omega: F,
     omega_inv: F,
     size_inv: F,
     coset_shift: F,
     coset_shift_inv: F,
-    /// `ω^(2^j)` for `j = 0..log_size`: the square chain behind
-    /// [`element`](Self::element)'s allocation-free exponentiation.
+    /// `ω^(2^j)` for every bit of an index below `size`: the square chain
+    /// behind [`element`](Self::element)'s allocation-free exponentiation.
     omega_pow2: Vec<F>,
+    /// `ω^(n/3)` and `ω^(−n/3)`, the radix-3 layer's forward and inverse
+    /// cube roots (one on a `2^k` domain, which has no such layer).
+    cube_roots: [F; 2],
     /// Bit-reversal-friendly forward twiddles `ω^j` for `j < size/2`, or
-    /// empty above [`MAX_CACHED_TWIDDLE_LOG`].
+    /// empty past [`MAX_CACHED_TWIDDLE_LOG`].
     twiddles: Vec<F>,
     /// Inverse twiddles `ω^{−j}` for `j < size/2`, or empty when uncached.
     inv_twiddles: Vec<F>,
     /// The `(n1, n2)` sub-domains (`n1·n2 = size`, `n1 ≤ n2`) backing the
-    /// four-step transform; present only for `log_size ≥ FOUR_STEP_MIN_LOG`.
+    /// four-step transform; present only for orders `2^k` with
+    /// `k ≥ FOUR_STEP_MIN_LOG`.
     four_step: Option<Box<(Radix2Domain<F>, Radix2Domain<F>)>>,
 }
 
 impl<F: PrimeField> Radix2Domain<F> {
-    /// Builds the smallest domain of size `≥ min_size`.
+    /// Builds the smallest domain of order `2^k` or `3·2^k` that holds
+    /// `min_size` points.
     ///
-    /// Returns `None` when the required size exceeds the field's two-adic
-    /// subgroup (`2^28` for BN254, `2^32` for BLS12-381).
+    /// Returns `None` when that order exceeds the field's subgroups of
+    /// either form (`2^28` and `3·2^28` for BN254, `2^32` and `3·2^32`
+    /// for BLS12-381).
     pub fn new(min_size: usize) -> Option<Self> {
-        let size = min_size.max(1).next_power_of_two();
-        let log_size = size.trailing_zeros();
-        let omega = F::root_of_unity_pow2(log_size)?;
+        Self::with_order(least_order(min_size)?)
+    }
+
+    /// Builds the smallest domain of order `2^k` that holds `min_size`
+    /// points, or `None` past the field's two-adic subgroup: what Groth16's
+    /// key format and the STARK's FRI folding require.
+    pub fn new_power_of_two(min_size: usize) -> Option<Self> {
+        Self::with_order(min_size.max(1).checked_next_power_of_two()?)
+    }
+
+    fn with_order(size: usize) -> Option<Self> {
+        let omega = root_of_unity::<F>(size)?;
+        let two_adic_log = size.trailing_zeros();
+        let radix3 = size >> two_adic_log == 3;
         let omega_inv = omega.inverse().expect("root of unity is non-zero");
         let size_inv = F::from_u64(size as u64)
             .inverse()
@@ -136,13 +207,20 @@ impl<F: PrimeField> Radix2Domain<F> {
             shift_candidate += 2;
         };
         let coset_shift_inv = coset_shift.inverse().expect("shift non-zero");
-        let mut omega_pow2 = Vec::with_capacity(log_size as usize);
+        let index_bits = usize::BITS - (size - 1).leading_zeros();
+        let mut omega_pow2 = Vec::with_capacity(index_bits as usize);
         let mut w = omega;
-        for _ in 0..log_size {
+        for _ in 0..index_bits {
             omega_pow2.push(w);
             w = w.square();
         }
-        let (twiddles, inv_twiddles) = if (1..=MAX_CACHED_TWIDDLE_LOG).contains(&log_size) {
+        let cube_roots = if radix3 {
+            let c = omega.pow(&BigUint::from_u64((size / 3) as u64));
+            [c, c.square()]
+        } else {
+            [F::one(); 2]
+        };
+        let (twiddles, inv_twiddles) = if size > 1 && two_adic_log <= MAX_CACHED_TWIDDLE_LOG {
             (
                 Self::power_table(omega, size / 2),
                 Self::power_table(omega_inv, size / 2),
@@ -150,23 +228,25 @@ impl<F: PrimeField> Radix2Domain<F> {
         } else {
             (Vec::new(), Vec::new())
         };
-        let four_step = if log_size >= FOUR_STEP_MIN_LOG {
-            let log1 = log_size / 2;
-            let sub1 = Self::new(1usize << log1)?;
-            let sub2 = Self::new(1usize << (log_size - log1))?;
+        let four_step = if !radix3 && two_adic_log >= FOUR_STEP_MIN_LOG {
+            let log1 = two_adic_log / 2;
+            let sub1 = Self::with_order(1usize << log1)?;
+            let sub2 = Self::with_order(1usize << (two_adic_log - log1))?;
             Some(Box::new((sub1, sub2)))
         } else {
             None
         };
         Some(Radix2Domain {
             size,
-            log_size,
+            two_adic_log,
+            radix3,
             omega,
             omega_inv,
             size_inv,
             coset_shift,
             coset_shift_inv,
             omega_pow2,
+            cube_roots,
             twiddles,
             inv_twiddles,
             four_step,
@@ -189,11 +269,6 @@ impl<F: PrimeField> Radix2Domain<F> {
         self.size
     }
 
-    /// `log₂` of the size.
-    pub fn log_size(&self) -> u32 {
-        self.log_size
-    }
-
     /// The domain generator ω of order `size`.
     pub fn group_gen(&self) -> F {
         self.omega
@@ -206,21 +281,22 @@ impl<F: PrimeField> Radix2Domain<F> {
 
     /// The `i`-th domain element `ω^i`.
     ///
-    /// Served from the cached twiddle table when present (`ω^(n/2) = −1`
-    /// folds the upper half), otherwise assembled from the `ω^(2^j)`
-    /// square chain — either way, no big-integer exponentiation.
+    /// Served from the cached twiddle table when present (on an even order
+    /// `ω^(n/2) = −1` folds the upper half), otherwise assembled from the
+    /// `ω^(2^j)` square chain — either way, no big-integer exponentiation.
     pub fn element(&self, i: usize) -> F {
         let i = i % self.size;
         if i == 0 {
             return F::one();
         }
         let half = self.size / 2;
-        if !self.twiddles.is_empty() {
-            return if i < half {
-                self.twiddles[i]
-            } else {
-                -self.twiddles[i - half]
-            };
+        if let Some(&w) = self.twiddles.get(i) {
+            return w;
+        }
+        if self.size.is_multiple_of(2) && i >= half {
+            if let Some(&w) = self.twiddles.get(i - half) {
+                return -w;
+            }
         }
         let mut acc = F::one();
         let mut rem = i;
@@ -235,11 +311,11 @@ impl<F: PrimeField> Radix2Domain<F> {
         acc
     }
 
-    /// Evaluates the vanishing polynomial `z(x) = x^size − 1` at `x` with
-    /// `log₂(size)` squarings.
+    /// Evaluates the vanishing polynomial `z(x) = x^size − 1` at `x`: one
+    /// cube on a `3·2^k` domain, then `k` squarings.
     pub fn eval_vanishing(&self, x: F) -> F {
-        let mut acc = x;
-        for _ in 0..self.log_size {
+        let mut acc = if self.radix3 { x.square() * x } else { x };
+        for _ in 0..self.two_adic_log {
             acc = acc.square();
         }
         acc - F::one()
@@ -247,9 +323,10 @@ impl<F: PrimeField> Radix2Domain<F> {
 
     /// In-place NTT: coefficients → evaluations over the domain.
     ///
-    /// Domains of `2^18` points and up run the cache-blocked four-step
-    /// layout; smaller ones the flat radix-2 passes. Both compute the
-    /// exact same field elements, so the choice is invisible to callers.
+    /// Domains of order `2^k` from `2^18` points up run the cache-blocked
+    /// four-step layout; smaller ones, and every `3·2^k` domain, the flat
+    /// passes. Both compute the exact same field elements, so the choice is
+    /// invisible to callers.
     ///
     /// # Panics
     ///
@@ -283,7 +360,12 @@ impl<F: PrimeField> Radix2Domain<F> {
     /// spills them back to the flat pass.
     fn use_four_step(&self) -> bool {
         self.four_step.is_some()
-            && !spill_to_flat(self.log_size, self.size, std::mem::size_of::<F>(), pool::mem::budget())
+            && !spill_to_flat(
+                self.two_adic_log,
+                self.size,
+                std::mem::size_of::<F>(),
+                pool::mem::budget(),
+            )
     }
 
     /// The final `1/n` scaling of an inverse transform.
@@ -320,11 +402,19 @@ impl<F: PrimeField> Radix2Domain<F> {
         });
     }
 
-    /// Iterative decimation-in-time NTT: a bit-reversal permutation
-    /// followed by log n butterfly passes, each pass's independent work
-    /// handed to the pool. Also the row kernel of the four-step path:
-    /// rows under 2^12 points (domains under 2^23) are one task per pass,
-    /// so a row transform stays on the thread that owns the row.
+    /// Iterative decimation-in-time NTT: a digit-reversal permutation, one
+    /// radix-3 layer on a `3·2^k` domain, then the radix-2 butterfly passes,
+    /// each pass's independent work handed to the pool. Also the row
+    /// kernel of the four-step path: rows under 2^12 points (domains under
+    /// 2^23) are one task per pass, so a row transform stays on the thread
+    /// that owns the row.
+    ///
+    /// On `n = 3·m` points (`m = 2^k`) the permutation puts
+    /// `x[rev(b) + m·t]` in slot `3b + t` (`rev` reverses `k` bits), the
+    /// radix-3 layer turns every three slots into their 3-point DFT under
+    /// `ω^m`, and the radix-2 passes combine blocks of 6, 12, …, n points
+    /// exactly as they combine blocks of 2, 4, …, n on `n = 2^k` points —
+    /// the pass of length `len` still reads the twiddles `ω^((n/len)·j)`.
     ///
     /// A cached twiddle table holds `ω^j` (`ω^{−j}` for the inverse) for
     /// `j < n/2` and each butterfly reads its twiddle with a strided lookup
@@ -341,10 +431,10 @@ impl<F: PrimeField> Radix2Domain<F> {
     /// seed their twiddle run with one exponentiation), so the output is
     /// bit-identical at any thread count.
     fn transform(&self, values: &mut [F], inverse: bool) {
-        let (twiddles, omega) = if inverse {
-            (&self.inv_twiddles[..], self.omega_inv)
+        let (twiddles, omega, cube_root) = if inverse {
+            (&self.inv_twiddles[..], self.omega_inv, self.cube_roots[1])
         } else {
-            (&self.twiddles[..], self.omega)
+            (&self.twiddles[..], self.omega, self.cube_roots[0])
         };
         assert_eq!(
             values.len(),
@@ -355,18 +445,17 @@ impl<F: PrimeField> Radix2Domain<F> {
         if n == 1 {
             return;
         }
-        // Bit-reversal stays on the caller: the transpositions cross chunk
+        // The permutation stays on the caller: its moves cross chunk
         // boundaries and the pass is a small slice of total work.
-        let shift = usize::BITS - self.log_size;
-        for i in 0..n {
-            let j = i.reverse_bits() >> shift;
-            if i < j {
-                values.swap(i, j);
-                trace::data_move(2);
-            }
-        }
+        self.digit_reverse(values);
         let grain = task_elems(n);
         let mut len = 2usize;
+        if self.radix3 {
+            pool::parallel_chunks_mut(values, grain, |_, span| {
+                Self::radix3_pass(span, cube_root);
+            });
+            len = 6;
+        }
         while len <= n {
             let half = len / 2;
             let stride = n / len;
@@ -407,6 +496,68 @@ impl<F: PrimeField> Radix2Domain<F> {
                 }
             }
             len *= 2;
+        }
+    }
+
+    /// The input permutation of [`transform`](Self::transform): bit
+    /// reversal on `2^k` points, an involution done by swaps; on `3·2^k`
+    /// points slot `3b + t` takes `x[rev(b) + m·t]`, which is no
+    /// involution, so each cycle of the permutation is rotated once, a
+    /// bitmap marking the slots already placed.
+    fn digit_reverse(&self, values: &mut [F]) {
+        let n = self.size;
+        let shift = usize::BITS - self.two_adic_log;
+        let rev = |i: usize| i.reverse_bits().checked_shr(shift).unwrap_or(0);
+        if !self.radix3 {
+            for i in 0..n {
+                let j = rev(i);
+                if i < j {
+                    values.swap(i, j);
+                    trace::data_move(2);
+                }
+            }
+            return;
+        }
+        let m = n / 3;
+        let source = |slot: usize| rev(slot / 3) + m * (slot % 3);
+        let mut placed = vec![0u64; n.div_ceil(64)];
+        for start in 0..n {
+            if placed[start / 64] >> (start % 64) & 1 == 1 {
+                continue;
+            }
+            let first = values[start];
+            let mut slot = start;
+            loop {
+                placed[slot / 64] |= 1 << (slot % 64);
+                let from = source(slot);
+                if from == start {
+                    break;
+                }
+                values[slot] = values[from];
+                trace::data_move(1);
+                slot = from;
+            }
+            if slot != start {
+                values[slot] = first;
+                trace::data_move(1);
+            }
+        }
+    }
+
+    /// The radix-3 layer: every three slots `(x₀, x₁, x₂)` of `span` become
+    /// their DFT under the cube root `c`, with one multiplication — from
+    /// `c² = −1 − c`, `y₁ = x₀ − x₂ + c(x₁ − x₂)` and
+    /// `y₂ = x₀ − x₁ − c(x₁ − x₂)`. Kept out of line like
+    /// [`block_pass`](Self::block_pass).
+    #[inline(never)]
+    fn radix3_pass(span: &mut [F], c: F) {
+        for block in span.chunks_exact_mut(3) {
+            let (x0, x1, x2) = (block[0], block[1], block[2]);
+            let m = c * (x1 - x2);
+            block[0] = x0 + x1 + x2;
+            block[1] = x0 - x2 + m;
+            block[2] = x0 - x1 - m;
+            trace::control(1);
         }
     }
 
@@ -460,17 +611,19 @@ impl<F: PrimeField> Radix2Domain<F> {
     /// Dispatches to the four-step body, building throwaway sub-domains
     /// when the forced entry points are used below [`FOUR_STEP_MIN_LOG`].
     fn four_step_any_size(&self, values: &mut [F], inverse: bool) {
-        if self.log_size < 2 {
-            // No n1·n2 split exists below four points; the flat transform
-            // is the same computation.
+        if self.radix3 || self.two_adic_log < 2 {
+            // The blocked layout splits orders 2^k into two powers of two,
+            // and none exists below four points; the flat transform is the
+            // same computation.
             return self.transform(values, inverse);
         }
         match self.four_step.as_deref() {
             Some((sub1, sub2)) => self.four_step_with(values, sub1, sub2, inverse),
             None => {
-                let log1 = self.log_size / 2;
-                let sub1 = Self::new(1usize << log1).expect("sub-domain of a valid domain");
-                let sub2 = Self::new(1usize << (self.log_size - log1))
+                let log1 = self.two_adic_log / 2;
+                let sub1 =
+                    Self::with_order(1usize << log1).expect("sub-domain of a valid domain");
+                let sub2 = Self::with_order(1usize << (self.two_adic_log - log1))
                     .expect("sub-domain of a valid domain");
                 self.four_step_with(values, &sub1, &sub2, inverse);
             }
@@ -578,8 +731,7 @@ impl<F: PrimeField> Radix2Domain<F> {
         });
     }
 
-    /// In-place NTT through the flat radix-2 passes regardless of domain
-    /// size.
+    /// In-place NTT through the flat passes regardless of domain size.
     ///
     /// Reference leg for the four-step crossover tests; production callers
     /// should use [`fft_in_place`](Self::fft_in_place), which picks the
@@ -605,8 +757,9 @@ impl<F: PrimeField> Radix2Domain<F> {
     }
 
     /// In-place NTT through the cache-blocked four-step layout regardless
-    /// of domain size (domains below four points fall back to the flat
-    /// transform — no row/column split exists).
+    /// of domain size (`3·2^k` domains and domains below four points fall
+    /// back to the flat transform — no split into two powers of two
+    /// exists).
     ///
     /// Lets tests and oracles exercise the blocked path at sizes small
     /// enough to cross-check cheaply; production callers should use
@@ -688,13 +841,33 @@ mod tests {
     }
 
     #[test]
-    fn sizes_round_up_to_powers_of_two() {
+    fn sizes_round_up_to_the_least_order_of_either_form() {
         assert_eq!(Radix2Domain::<Fr>::new(1).unwrap().size(), 1);
-        assert_eq!(Radix2Domain::<Fr>::new(3).unwrap().size(), 4);
-        assert_eq!(Radix2Domain::<Fr>::new(1025).unwrap().size(), 2048);
-        // BN254 Fr supports at most 2^28.
-        assert!(Radix2Domain::<Fr>::new(1 << 28).is_some());
-        assert!(Radix2Domain::<Fr>::new((1 << 28) + 1).is_none());
+        assert_eq!(Radix2Domain::<Fr>::new(3).unwrap().size(), 3);
+        assert_eq!(Radix2Domain::<Fr>::new(4).unwrap().size(), 4);
+        assert_eq!(Radix2Domain::<Fr>::new(1025).unwrap().size(), 1536);
+        assert_eq!(Radix2Domain::<Fr>::new((1 << 14) + 3).unwrap().size(), 24_576);
+        // BN254 Fr holds subgroups of order up to 2^28 and 3·2^28.
+        assert_eq!(Radix2Domain::<Fr>::new((1 << 28) + 1).unwrap().size(), 3 << 27);
+        assert!(Radix2Domain::<Fr>::new(3 << 28).is_some());
+        assert!(Radix2Domain::<Fr>::new((3 << 28) + 1).is_none());
+        // Groth16 and the STARK ask for a power of two.
+        assert_eq!(Radix2Domain::<Fr>::new_power_of_two(0).unwrap().size(), 1);
+        assert_eq!(Radix2Domain::<Fr>::new_power_of_two(3).unwrap().size(), 4);
+        assert_eq!(Radix2Domain::<Fr>::new_power_of_two(1025).unwrap().size(), 2048);
+        assert!(Radix2Domain::<Fr>::new_power_of_two((1 << 28) + 1).is_none());
+    }
+
+    #[test]
+    fn every_request_up_to_2e14_gets_the_least_order_that_holds_it() {
+        // Goldilocks keeps 2^14 constructions cheap; the choice of order
+        // does not depend on the field.
+        use zkperf_ff::Goldilocks;
+        let orders: Vec<usize> = (0..16).flat_map(|k| [1usize << k, 3 << k]).collect();
+        for m in 1..=1usize << 14 {
+            let least = orders.iter().copied().filter(|&o| o >= m).min().unwrap();
+            assert_eq!(Radix2Domain::<Goldilocks>::new(m).unwrap().size(), least, "m = {m}");
+        }
     }
 
     #[test]
@@ -703,6 +876,74 @@ mod tests {
         let w = d.group_gen();
         assert!(w.pow(&BigUint::from_u64(8)).is_one());
         assert!(!w.pow(&BigUint::from_u64(4)).is_one());
+    }
+
+    #[test]
+    fn omega_has_exact_order_at_three_times_a_power_of_two() {
+        // Order exactly n = 3·2^k: ω^n = 1, and neither ω^(n/2) nor ω^(n/3)
+        // is 1 (every proper divisor of n divides one of the two).
+        fn check<G: PrimeField>() {
+            for k in 0..=14u32 {
+                let n = 3usize << k;
+                let d = Radix2Domain::<G>::new(n).unwrap();
+                assert_eq!(d.size(), n);
+                let w = d.group_gen();
+                let pow = |e: usize| w.pow(&BigUint::from_u64(e as u64));
+                assert!(pow(n).is_one(), "ω^n, n = {n}");
+                assert!(!pow(n / 3).is_one(), "ω^(n/3), n = {n}");
+                if k > 0 {
+                    assert!(!pow(n / 2).is_one(), "ω^(n/2), n = {n}");
+                }
+                assert_eq!(root_of_unity::<G>(n), Some(w));
+            }
+        }
+        check::<Fr>();
+        check::<zkperf_ff::bls12_381::Fr>();
+        check::<zkperf_ff::Goldilocks>();
+    }
+
+    #[test]
+    fn roots_of_either_form_make_one_square_chain() {
+        // ω of order 2m squares to ω of order m, so the generator of a
+        // 4n domain is a fourth root of the n domain's (PLONK reads
+        // z(ωx) four coset slots on).
+        for m in [1usize, 2, 3, 6, 12, 3 << 10, 1 << 10] {
+            let (small, big) = (root_of_unity::<Fr>(m), root_of_unity::<Fr>(2 * m));
+            assert_eq!(big.map(|w| w.square()), small, "m = {m}");
+        }
+        for bad in [0usize, 5, 7, 9, 10, 5 << 10, 9 << 4] {
+            assert_eq!(root_of_unity::<Fr>(bad), None, "order {bad}");
+        }
+        assert_eq!(root_of_unity::<Fr>(3 << 29), None);
+    }
+
+    #[test]
+    fn mixed_radix_transforms_match_naive_evaluation() {
+        let mut rng = zkperf_ff::test_rng();
+        for n in [3usize, 6, 12, 24, 48, 96, 3 << 8] {
+            let d = Radix2Domain::<Fr>::new(n).unwrap();
+            assert_eq!(d.size(), n);
+            let coeffs: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
+            let mut values = coeffs.clone();
+            d.fft_in_place(&mut values);
+            assert_eq!(values, naive_evals(&coeffs, &d), "forward, n = {n}");
+            d.ifft_in_place(&mut values);
+            assert_eq!(values, coeffs, "round trip, n = {n}");
+            d.coset_fft_in_place(&mut values);
+            let g = d.coset_shift();
+            let shifted: Vec<Fr> = (0..n).map(|i| d.element(i) * g).collect();
+            let direct: Vec<Fr> = shifted
+                .iter()
+                .map(|&x| coeffs.iter().rev().fold(Fr::zero(), |acc, &c| acc * x + c))
+                .collect();
+            assert_eq!(values, direct, "coset forward, n = {n}");
+            d.coset_ifft_in_place(&mut values);
+            assert_eq!(values, coeffs, "coset round trip, n = {n}");
+            // The forced four-step entry points fall back to the flat body.
+            let mut forced = coeffs.clone();
+            d.fft_in_place_four_step(&mut forced);
+            assert_eq!(forced, naive_evals(&coeffs, &d), "forced four-step, n = {n}");
+        }
     }
 
     #[test]
@@ -730,11 +971,11 @@ mod tests {
 
     #[test]
     fn size_zero_request_rounds_up_to_the_trivial_domain() {
-        // new(0): next_power_of_two(0) = 1, so the trivial domain — the
+        // new(0) holds at least one point, so the trivial domain — the
         // degenerate boundary a caller hits with an empty constraint set.
         let d = Radix2Domain::<Fr>::new(0).unwrap();
         assert_eq!(d.size(), 1);
-        assert_eq!(d.log_size(), 0);
+        assert_eq!(d.two_adic_log, 0);
     }
 
     #[test]
@@ -804,50 +1045,64 @@ mod tests {
 
     #[test]
     fn vanishing_polynomial_vanishes_on_domain_only() {
-        let d = Radix2Domain::<Fr>::new(8).unwrap();
-        for i in 0..8 {
-            assert!(d.eval_vanishing(d.element(i)).is_zero());
+        for n in [8usize, 3, 12] {
+            let d = Radix2Domain::<Fr>::new(n).unwrap();
+            for i in 0..n {
+                assert!(d.eval_vanishing(d.element(i)).is_zero());
+            }
+            let g = d.coset_shift();
+            assert!(!d.eval_vanishing(g).is_zero());
+            assert_eq!(d.eval_vanishing(g), g.pow(&BigUint::from_u64(n as u64)) - Fr::one());
         }
-        assert!(!d.eval_vanishing(d.coset_shift()).is_zero());
     }
 
     #[test]
     fn lagrange_coefficients_interpolate() {
         let mut rng = zkperf_ff::test_rng();
-        let d = Radix2Domain::<Fr>::new(8).unwrap();
-        let evals: Vec<Fr> = (0..8).map(|_| Fr::random(&mut rng)).collect();
-        let x = Fr::random(&mut rng);
-        let lag = d.lagrange_coefficients_at(x);
-        let via_lagrange: Fr = lag.iter().zip(&evals).map(|(l, e)| *l * *e).sum();
-        // Reference: interpolate coefficients with IFFT then evaluate.
-        let mut coeffs = evals.clone();
-        d.ifft_in_place(&mut coeffs);
-        let mut acc = Fr::zero();
-        let mut xp = Fr::one();
-        for c in &coeffs {
-            acc += *c * xp;
-            xp *= x;
+        for n in [8usize, 6, 12] {
+            let d = Radix2Domain::<Fr>::new(n).unwrap();
+            let evals: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
+            let x = Fr::random(&mut rng);
+            let lag = d.lagrange_coefficients_at(x);
+            let via_lagrange: Fr = lag.iter().zip(&evals).map(|(l, e)| *l * *e).sum();
+            // Reference: interpolate coefficients with IFFT then evaluate.
+            let mut coeffs = evals.clone();
+            d.ifft_in_place(&mut coeffs);
+            let mut acc = Fr::zero();
+            let mut xp = Fr::one();
+            for c in &coeffs {
+                acc += *c * xp;
+                xp *= x;
+            }
+            assert_eq!(via_lagrange, acc, "n = {n}");
         }
-        assert_eq!(via_lagrange, acc);
     }
 
     #[test]
     fn lagrange_at_domain_point_is_indicator() {
-        let d = Radix2Domain::<Fr>::new(4).unwrap();
-        let lag = d.lagrange_coefficients_at(d.element(2));
-        for (i, l) in lag.iter().enumerate() {
-            if i == 2 {
-                assert!(l.is_one());
-            } else {
-                assert!(l.is_zero());
+        for n in [4usize, 6] {
+            let d = Radix2Domain::<Fr>::new(n).unwrap();
+            let lag = d.lagrange_coefficients_at(d.element(2));
+            for (i, l) in lag.iter().enumerate() {
+                if i == 2 {
+                    assert!(l.is_one());
+                } else {
+                    assert!(l.is_zero());
+                }
             }
         }
     }
 
     #[test]
     fn parallel_transforms_are_bit_identical_to_serial() {
+        for n in [1usize << 12, 3 << 12] {
+            parallel_transforms_match_serial_at(n);
+        }
+    }
+
+    fn parallel_transforms_match_serial_at(n: usize) {
         let mut rng = zkperf_ff::test_rng();
-        let d = Radix2Domain::<Fr>::new(1 << 12).unwrap();
+        let d = Radix2Domain::<Fr>::new(n).unwrap();
         let coeffs: Vec<Fr> = (0..d.size()).map(|_| Fr::random(&mut rng)).collect();
 
         let run = |threads: usize| {
@@ -875,22 +1130,29 @@ mod tests {
         // incremental twiddle path. Build a small domain and blank its
         // caches to reach that branch without a 2^21-point transform.
         let mut rng = zkperf_ff::test_rng();
-        let mut d = Radix2Domain::<Fr>::new(1 << 12).unwrap();
-        d.twiddles = Vec::new();
-        d.inv_twiddles = Vec::new();
-        let coeffs: Vec<Fr> = (0..d.size()).map(|_| Fr::random(&mut rng)).collect();
+        for n in [1usize << 12, 3 << 12] {
+            let cached = Radix2Domain::<Fr>::new(n).unwrap();
+            let mut d = cached.clone();
+            d.twiddles = Vec::new();
+            d.inv_twiddles = Vec::new();
+            let coeffs: Vec<Fr> = (0..d.size()).map(|_| Fr::random(&mut rng)).collect();
 
-        zkperf_pool::set_threads(1);
-        let mut serial = coeffs.clone();
-        d.fft_in_place(&mut serial);
-        zkperf_pool::set_threads(4);
-        let mut parallel = coeffs.clone();
-        d.fft_in_place(&mut parallel);
-        let mut round = parallel.clone();
-        d.ifft_in_place(&mut round);
-        zkperf_pool::set_threads(1);
-        assert_eq!(serial, parallel);
-        assert_eq!(round, coeffs);
+            zkperf_pool::set_threads(1);
+            let mut serial = coeffs.clone();
+            d.fft_in_place(&mut serial);
+            zkperf_pool::set_threads(4);
+            let mut parallel = coeffs.clone();
+            d.fft_in_place(&mut parallel);
+            let mut round = parallel.clone();
+            d.ifft_in_place(&mut round);
+            zkperf_pool::set_threads(1);
+            assert_eq!(serial, parallel, "n = {n}");
+            assert_eq!(round, coeffs, "n = {n}");
+            let mut with_table = coeffs.clone();
+            cached.fft_in_place(&mut with_table);
+            assert_eq!(serial, with_table, "n = {n}");
+            assert_eq!(d.element(n - 1), cached.element(n - 1), "n = {n}");
+        }
     }
 
     #[test]

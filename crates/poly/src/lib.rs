@@ -1,10 +1,15 @@
 #![warn(missing_docs)]
 
-//! Polynomial arithmetic for the zkperf suite: radix-2 NTT evaluation
-//! domains and dense univariate polynomials over the scalar fields.
+//! Polynomial arithmetic for the zkperf suite: NTT evaluation domains of
+//! order `2^k` or `3·2^k` and dense univariate polynomials over the scalar
+//! fields.
 //!
 //! Groth16 uses these to move between coefficient and evaluation form when
-//! computing the quotient polynomial `h(x) = (a(x)·b(x) − c(x))/z(x)`.
+//! computing the quotient polynomial `h(x) = (a(x)·b(x) − c(x))/z(x)`, on
+//! a domain of order `2^k`; PLONK takes the least order of either form
+//! that holds its rows. One transform body serves both forms (a radix-3
+//! layer in front of the radix-2 passes on `3·2^k` points); the
+//! cache-blocked four-step layout is for orders `2^k` only.
 //!
 //! # Examples
 //!
@@ -22,4 +27,4 @@ mod dense;
 mod domain;
 
 pub use dense::DensePolynomial;
-pub use domain::Radix2Domain;
+pub use domain::{root_of_unity, Radix2Domain};

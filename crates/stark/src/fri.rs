@@ -180,7 +180,7 @@ pub fn fri_commit(
 /// Works on any coset: IFFT on the subgroup yields `g(x) = f(shift·x)`,
 /// then coefficient `i` is unscaled by `shift⁻ⁱ`.
 fn codeword_coefficients(values: &[F], domain: LayerDomain, keep: usize) -> Vec<F> {
-    let fft = zkperf_poly::Radix2Domain::<F>::new(values.len())
+    let fft = zkperf_poly::Radix2Domain::<F>::new_power_of_two(values.len())
         .expect("layer sizes stay inside the 2-adic subgroup");
     debug_assert_eq!(fft.group_gen(), domain.omega, "canonical 2-adic roots agree");
     let mut coeffs = values.to_vec();
@@ -228,7 +228,7 @@ mod tests {
     use zkperf_poly::Radix2Domain;
 
     fn lde_domain(size: usize) -> (Radix2Domain<F>, LayerDomain) {
-        let d = Radix2Domain::<F>::new(size).unwrap();
+        let d = Radix2Domain::<F>::new_power_of_two(size).unwrap();
         let layer = LayerDomain {
             shift: d.coset_shift(),
             omega: d.group_gen(),

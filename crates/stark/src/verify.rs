@@ -62,9 +62,10 @@ pub fn verify(
     let n_ext = n
         .checked_mul(params.blowup)
         .ok_or(StarkError::DomainTooLarge { needed: usize::MAX })?;
-    let dom_h = Radix2Domain::<F>::new(n).ok_or(StarkError::DomainTooLarge { needed: n })?;
-    let dom_lde =
-        Radix2Domain::<F>::new(n_ext).ok_or(StarkError::DomainTooLarge { needed: n_ext })?;
+    let dom_h =
+        Radix2Domain::<F>::new_power_of_two(n).ok_or(StarkError::DomainTooLarge { needed: n })?;
+    let dom_lde = Radix2Domain::<F>::new_power_of_two(n_ext)
+        .ok_or(StarkError::DomainTooLarge { needed: n_ext })?;
     let lde = LayerDomain {
         shift: dom_lde.coset_shift(),
         omega: dom_lde.group_gen(),

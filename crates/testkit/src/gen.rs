@@ -134,6 +134,17 @@ pub fn adversarial_pow2(rng: &mut SplitRng, max_log: u32) -> usize {
     1usize << log.min(max_log)
 }
 
+/// An evaluation-domain order: [`adversarial_pow2`]'s `2^k`, or `3·2^k`
+/// half the time, so the radix-3 layer meets the same size edges.
+pub fn adversarial_domain_order(rng: &mut SplitRng, max_log: u32) -> usize {
+    let pow2 = adversarial_pow2(rng, max_log);
+    if rng.gen_bool(0.5) {
+        3 * pow2
+    } else {
+        pow2
+    }
+}
+
 /// A randomly shaped benchmark circuit together with a satisfying witness.
 ///
 /// Draws from the circuit library with adversarially small/awkward sizes

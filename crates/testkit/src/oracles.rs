@@ -19,7 +19,7 @@
 //! | GLV msm / `mul_windowed` Straus      | naive MSM + double-and-add       |
 //! | shared-scalar `scale_points`         | double-and-add + per-point loop  |
 //! | `FixedBaseTable` mul / `mul_batch`   | double-and-add                   |
-//! | cached-twiddle NTT (fwd/inv/coset)   | O(n²) DFT + roundtrip identity   |
+//! | cached-twiddle NTT (fwd/inv/coset)   | O(n²) DFT, orders 2^k and 3·2^k  |
 //! | four-step blocked NTT (forced path)  | flat radix-2 transform           |
 //! | `Radix2Domain::element`, Lagrange    | ω-power run + interpolation      |
 //! | twisted pairing + prepared G2 lines  | untwisted Miller + BigUint exp   |
@@ -45,8 +45,8 @@ use zkperf_stark::merkle::{hash_row, verify_path, MerkleTree};
 use zkperf_stark::{StarkParams, StarkProof};
 
 use crate::gen::{
-    adversarial_circuit, adversarial_field, adversarial_len, adversarial_points,
-    adversarial_pow2, adversarial_scalars, edge_fields, lane_edge_fq,
+    adversarial_circuit, adversarial_domain_order, adversarial_field, adversarial_len,
+    adversarial_points, adversarial_pow2, adversarial_scalars, edge_fields, lane_edge_fq,
 };
 use crate::reference::{
     add_mod_biguint, coset_dft_reference, dft_reference, horner, merkle_root_reference,
@@ -598,43 +598,113 @@ pairing_case!(pairing_bls12_381_case, zkperf_ec::bls12_381, crate::reference::pa
 // ------------------------------------------------------------------ NTT
 
 fn ntt_case<F: PrimeField>(rng: &mut SplitRng) -> CaseResult {
-    let size = adversarial_pow2(rng, 8);
+    let size = adversarial_domain_order(rng, 8);
     let Some(domain) = Radix2Domain::<F>::new(size) else {
         return fail("ntt", format_args!("no domain of size {size}"));
     };
+    if domain.size() != size {
+        return fail("ntt", format_args!("domain of {} points for {size}", domain.size()));
+    }
     let coeffs: Vec<F> = adversarial_scalars(rng, domain.size());
+    let x = F::random(rng);
+    let reference = DomainReference::new(&domain, coeffs);
+    reference.check(&domain, x)
+}
 
-    // Forward transform against the O(n²) DFT.
-    let mut evals = coeffs.clone();
-    domain.fft_in_place(&mut evals);
-    if evals != dft_reference(&domain, &coeffs) {
-        return fail("ntt forward vs dft", format_args!("size {size}"));
+/// The O(n²) answers a domain's transforms must reproduce on one input,
+/// computed once so they can be compared at several thread counts.
+struct DomainReference<F> {
+    coeffs: Vec<F>,
+    evals: Vec<F>,
+    coset_evals: Vec<F>,
+}
+
+impl<F: PrimeField> DomainReference<F> {
+    fn new(domain: &Radix2Domain<F>, coeffs: Vec<F>) -> Self {
+        let evals = dft_reference(domain, &coeffs);
+        let coset_evals = coset_dft_reference(domain, &coeffs);
+        DomainReference { coeffs, evals, coset_evals }
     }
-    // Inverse transform closes the roundtrip.
-    let mut round = evals.clone();
-    domain.ifft_in_place(&mut round);
-    if round != coeffs {
-        return fail("ntt ifft roundtrip", format_args!("size {size}"));
-    }
-    // Coset transform against the shifted DFT.
-    let mut coset = coeffs.clone();
-    domain.coset_fft_in_place(&mut coset);
-    if coset != coset_dft_reference(&domain, &coeffs) {
-        return fail("coset ntt vs dft", format_args!("size {size}"));
-    }
-    let mut coset_round = coset;
-    domain.coset_ifft_in_place(&mut coset_round);
-    if coset_round != coeffs {
-        return fail("coset ifft roundtrip", format_args!("size {size}"));
-    }
-    // element(i) — served from the cached twiddle table — against an
-    // independent ω power run.
-    let mut x = F::one();
-    for i in 0..domain.size() {
-        if domain.element(i) != x {
-            return fail("domain element", format_args!("i = {i}, size {size}"));
+
+    /// Forward, inverse, coset forward and coset inverse transforms,
+    /// `element`, `eval_vanishing` at `x` and at the coset shift, and
+    /// `lagrange_coefficients_at(x)`.
+    fn check(&self, domain: &Radix2Domain<F>, x: F) -> CaseResult {
+        let size = domain.size();
+        let mut evals = self.coeffs.clone();
+        domain.fft_in_place(&mut evals);
+        if evals != self.evals {
+            return fail("ntt forward vs dft", format_args!("size {size}"));
         }
-        x *= domain.group_gen();
+        let mut coeffs = self.evals.clone();
+        domain.ifft_in_place(&mut coeffs);
+        if coeffs != self.coeffs {
+            return fail("ntt inverse of the dft", format_args!("size {size}"));
+        }
+        let mut coset = self.coeffs.clone();
+        domain.coset_fft_in_place(&mut coset);
+        if coset != self.coset_evals {
+            return fail("coset ntt vs dft", format_args!("size {size}"));
+        }
+        let mut coset_coeffs = self.coset_evals.clone();
+        domain.coset_ifft_in_place(&mut coset_coeffs);
+        if coset_coeffs != self.coeffs {
+            return fail("coset inverse of the shifted dft", format_args!("size {size}"));
+        }
+        // element(i) — served from the cached twiddle table — against an
+        // independent ω power run.
+        let mut w = F::one();
+        for i in 0..size {
+            if domain.element(i) != w {
+                return fail("domain element", format_args!("i = {i}, size {size}"));
+            }
+            w *= domain.group_gen();
+        }
+        if !w.is_one() {
+            return fail("domain generator", format_args!("ω^n ≠ 1, size {size}"));
+        }
+        let n = BigUint::from_u64(size as u64);
+        for at in [x, domain.coset_shift(), domain.element(size / 2)] {
+            if domain.eval_vanishing(at) != at.pow(&n) - F::one() {
+                return fail("eval_vanishing", format_args!("size {size}"));
+            }
+        }
+        // Σ Lᵢ(x)·p(ωⁱ) = p(x) for the p the DFT evaluated.
+        let lag = domain.lagrange_coefficients_at(x);
+        let via_lagrange: F = lag.iter().zip(&self.evals).map(|(l, e)| *l * *e).sum();
+        if via_lagrange != horner(&self.coeffs, x) {
+            return fail("lagrange_coefficients_at", format_args!("size {size}"));
+        }
+        Ok(())
+    }
+}
+
+/// Every domain of order `2^k` and `3·2^k` for `k = 0..=12`, against
+/// [`dft_reference`] and its coset twin at 1, 2 and 4 threads: forward,
+/// inverse and coset transforms, `element`, `eval_vanishing` and
+/// `lagrange_coefficients_at`. Too slow for a fuzz case (the references
+/// are O(n²) up to 12 288 points); run as a test per field.
+///
+/// # Errors
+///
+/// The first divergence, with the size and thread count.
+pub fn domain_orders_sweep<F: PrimeField>(seed: u64) -> CaseResult {
+    let _guard = ThreadGuard;
+    let mut rng = SplitRng::from_seed(seed);
+    for k in 0..=12u32 {
+        for size in [1usize << k, 3 << k] {
+            let Some(domain) = Radix2Domain::<F>::new(size).filter(|d| d.size() == size) else {
+                return fail("domain orders", format_args!("no domain of order {size}"));
+            };
+            let reference = DomainReference::new(&domain, adversarial_scalars(&mut rng, size));
+            let x = F::random(&mut rng);
+            for threads in [1usize, 2, 4] {
+                pool::set_threads(threads);
+                reference
+                    .check(&domain, x)
+                    .map_err(|e| format!("{e} at {threads} threads"))?;
+            }
+        }
     }
     Ok(())
 }
@@ -673,7 +743,7 @@ fn ntt_four_step_case<F: PrimeField>(rng: &mut SplitRng) -> CaseResult {
 }
 
 fn lagrange_case<F: PrimeField>(rng: &mut SplitRng) -> CaseResult {
-    let size = adversarial_pow2(rng, 6);
+    let size = adversarial_domain_order(rng, 6);
     let Some(domain) = Radix2Domain::<F>::new(size) else {
         return fail("lagrange", format_args!("no domain of size {size}"));
     };
@@ -1744,6 +1814,18 @@ mod tests {
             );
         }
         assert!(oracles.len() >= 20);
+    }
+
+    /// The domains of order `2^k` and `3·2^k` (`k = 0..=12`) at 1, 2 and
+    /// 4 threads against the O(n²) DFT, on both pairing curves' `Fr`.
+    #[test]
+    fn mixed_radix_domains_match_the_dft_reference_bn254() {
+        assert_eq!(domain_orders_sweep::<zkperf_ff::bn254::Fr>(0x3_2e0), Ok(()));
+    }
+
+    #[test]
+    fn mixed_radix_domains_match_the_dft_reference_bls12_381() {
+        assert_eq!(domain_orders_sweep::<zkperf_ff::bls12_381::Fr>(0x3_2e1), Ok(()));
     }
 
     #[test]

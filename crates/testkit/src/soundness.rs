@@ -337,16 +337,38 @@ fn record_plonk<E: Engine>(
     });
 }
 
-/// Runs every PLONK mutation class against a fresh fixture.
+/// Runs every PLONK mutation class against two fresh fixtures: one on a
+/// domain of order `2^k` (16 rows) and one of order `3·2^k` (12 rows).
 ///
 /// # Errors
 ///
-/// Fails only when the fixture itself cannot be built or does not verify.
+/// Fails only when a fixture itself cannot be built or does not verify.
 pub fn run_plonk_mutations<E: Engine>(rng: &mut SplitRng) -> Result<Vec<MutationOutcome>, String>
 where
     <E::G1 as CurveParams>::Base: PrimeField,
 {
-    let circuit = zkperf_circuit::library::exponentiate::<E::Fr>(8);
+    let mut out = Vec::new();
+    // exponentiate(e) has e constraints and three public-input gates.
+    for (exponent, rows) in [(13, 16), (8, 12)] {
+        let (n, classes) = plonk_mutations_at::<E>(rng, exponent)?;
+        if n != rows {
+            return Err(format!("the x^{exponent} fixture has {n} rows, not {rows}"));
+        }
+        out.extend(classes);
+    }
+    Ok(out)
+}
+
+/// Every PLONK mutation class against the fixture `y = x^exponent`, with
+/// the fixture's row count.
+fn plonk_mutations_at<E: Engine>(
+    rng: &mut SplitRng,
+    exponent: usize,
+) -> Result<(usize, Vec<MutationOutcome>), String>
+where
+    <E::G1 as CurveParams>::Base: PrimeField,
+{
+    let circuit = zkperf_circuit::library::exponentiate::<E::Fr>(exponent);
     let x = E::Fr::from_u64(2 + rng.gen_range(0..64));
     let pk = zkperf_plonk::plonk_setup::<E, _>(circuit.r1cs(), rng)
         .map_err(|e| format!("fixture setup failed: {e}"))?;
@@ -459,6 +481,18 @@ where
     let mut wrong_vk = vk.clone();
     wrong_vk.sigma_commits[2].0 = doubled(&wrong_vk.sigma_commits[2].0);
     record_plonk::<E>(&mut out, "vk_sigma3_commit_doubled", &wrong_vk, &proof, public);
+    // A key naming another domain: the neighbouring order of the other
+    // form (2^k ↔ 3·2^(k−2)), an order of neither form, and none at all.
+    let n = vk.n;
+    let other_form = if n.is_power_of_two() { n / 4 * 3 } else { n / 3 * 4 };
+    for (name, wrong_n) in [
+        ("vk_n_other_domain_form", other_form),
+        ("vk_n_five_times_power_of_two", 5 << n.trailing_zeros()),
+        ("vk_n_zero", 0),
+    ] {
+        let wrong_vk = PlonkVerifyingKey { n: wrong_n, ..vk.clone() };
+        record_plonk::<E>(&mut out, name, &wrong_vk, &proof, public);
+    }
 
     // -- public-input mutations -------------------------------------
     let mut tampered = public.to_vec();
@@ -474,7 +508,7 @@ where
         &proof,
         &public[..public.len() - 1],
     );
-    Ok(out)
+    Ok((plonk.n, out))
 }
 
 // ----------------------------------------------------------------- STARK
@@ -817,7 +851,8 @@ mod tests {
     fn plonk_mutation_classes_all_rejected() {
         let mut rng = SplitRng::from_seed(0x50d5);
         let outcomes = run_plonk_mutations::<zkperf_ec::Bn254>(&mut rng).unwrap();
-        assert!(outcomes.len() >= 28);
+        // 31 classes at each of the two fixtures.
+        assert!(outcomes.len() >= 2 * 31, "only {} outcomes", outcomes.len());
         for o in &outcomes {
             assert!(o.rejected, "{} accepted a mutated input: {}", o.name, o.outcome);
         }

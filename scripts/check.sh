@@ -5,7 +5,7 @@
 #   2. the full test suite (unit + integration + property tests)
 #   3. clippy with -D warnings
 #
-# Before any of that, seven grep gates. No kernel crate may read the pool
+# Before any of that, eight grep gates. No kernel crate may read the pool
 # size (`current_threads()`), so a hand-rolled "small input or one thread,
 # take the serial twin" gate cannot come back — kernels state a grain and
 # the pool decides (DESIGN.md §9/§10). And no crate may ask the tracer
@@ -32,7 +32,10 @@
 # parsed in crates/io/src/format.rs alone: the resident and the chunked
 # `.zkey` were two proving-key formats because the record layout had two
 # implementations, and a second one is how they would drift apart again
-# (DESIGN.md §15).
+# (DESIGN.md §15). And zkperf-plonk names no power of two
+# (`next_power_of_two`, `is_power_of_two`): its row count is the least
+# domain order of either form, 2^k or 3·2^k, that `Radix2Domain::new`
+# picks, so rounding rows up lives in the domain constructor alone.
 #
 # Six library crates (zkperf-core, zkperf-groth16, zkperf-io,
 # zkperf-plonk, zkperf-pool, zkperf-serve) additionally deny
@@ -96,6 +99,12 @@ echo "==> grep gate: the container record layout lives in io/src/format.rs"
 if grep -rnE 'crc32\(|read_u(32|64)\(|VERSION\.to_le_bytes\(\)' crates/io/src |
     grep -vE '^crates/io/src/(format|checksum)\.rs:'; then
     echo "frame sections through zkperf-io's format module (write_section, read_section_header, read_payload)" >&2
+    exit 1
+fi
+
+echo "==> grep gate: zkperf-plonk rounds rows only through the domain constructor"
+if grep -rnE 'next_power_of_two|is_power_of_two' crates/plonk/src; then
+    echo "PLONK domains have order 2^k or 3·2^k: take n from Radix2Domain::new, check an order with zkperf_poly::root_of_unity" >&2
     exit 1
 fi
 
@@ -190,15 +199,20 @@ if ! ./target/release/fuzz_lite --only stream --iters 12; then
 fi
 
 # PLONK tier: the proof bytes (recorded at one thread, PR 23's protocol
-# change) and the cross-scheme integration suite at both ambient pool
-# sizes like the other two known-answer tests — beside them the test that
-# a commitment from values is the commitment of their interpolation (both
-# curves, the column shapes a circuit produces) and the prover's memory
-# bound — then the mutation audit over the nine-point proof layout — every
-# class rejected, none by panic.
-echo "==> plonk tier: known-answer, integration, commit-equivalence and memory tests at ZKPERF_THREADS=1 and 4"
+# change; lines on domains of order 3·2^k re-recorded when PLONK stopped
+# rounding rows up to a power of two) and the cross-scheme integration
+# suite at both ambient pool sizes like the other two known-answer tests —
+# beside them the mixed-radix oracles (every domain of order 2^k and 3·2^k
+# up to 12 288 points against the O(n²) DFT at 1, 2 and 4 threads, on both
+# curves' Fr), the test that a commitment from values is the commitment of
+# their interpolation (both curves, the column shapes a circuit produces)
+# and the prover's memory bound — then the mutation audit over the
+# nine-point proof layout, at a 2^k and a 3·2^k fixture — every class
+# rejected, none by panic.
+echo "==> plonk tier: known-answer, integration, mixed-radix, commit-equivalence and memory tests at ZKPERF_THREADS=1 and 4"
 for threads in 1 4; do
     ZKPERF_THREADS=$threads cargo test -q --offline --test plonk_proof_kat --test plonk_integration
+    ZKPERF_THREADS=$threads cargo test -q --offline -p zkperf-testkit --lib mixed_radix
     ZKPERF_THREADS=$threads cargo test -q --offline -p zkperf-plonk --lib evaluations_commit_like_their_interpolation
     ZKPERF_THREADS=$threads cargo test -q --offline -p zkperf-plonk --test prove_memory
 done

@@ -5,10 +5,14 @@
 //! of PR 23, the PR that moved the protocol to the split quotient and the
 //! linearisation polynomial (9 G1 + 6 Fr, 517 bytes on BN254); every later
 //! prover must reproduce it byte for byte — same transcript, same field
-//! elements, however few transforms it takes to compute them. The first
-//! recording (PR 12's prover, 7 G1 + 14 Fr, 707 bytes; PR 13 reproduced it
-//! byte for byte) survives as the one `pr12_layout_*` line, which the
-//! codec must now refuse.
+//! elements, however few transforms it takes to compute them. The five
+//! proof lines were re-recorded once since, when PLONK stopped rounding its
+//! rows up to a power of two: each of their circuits now proves on a
+//! domain of order `3·2^k` (n = 128 → 96, 2048 → 1536, 8 → 6,
+//! 16 384 → 12 288 and 128 → 96 in file order), so the transcript absorbs
+//! another n and every commitment another domain. The first recording
+//! (7 G1 + 14 Fr, 707 bytes) survives as the one `pr12_layout_*` line,
+//! which the codec must now refuse.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
