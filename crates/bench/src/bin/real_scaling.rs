@@ -37,6 +37,7 @@
 //!
 //! Exit codes: 0 ok, 1 usage/IO error.
 
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -77,8 +78,8 @@ struct SizeSweepPoint {
 #[derive(Debug, Clone, Serialize)]
 struct ScalingReport {
     schema: u32,
-    /// The G1 bucket-add body that ran (`zkperf_ff::lanes::body`).
-    g1_bucket_add: &'static str,
+    /// The body each lane kernel ran (`zkperf_ff::lanes::kernels`).
+    lane_kernels: BTreeMap<&'static str, &'static str>,
     log2_constraints: u32,
     sim_log2_constraints: u32,
     host_cores: usize,
@@ -160,12 +161,20 @@ struct BackendRow {
 }
 
 /// What `--backends` writes to `backends.json`: the rows under a header
-/// naming the thread count and the G1 bucket-add body that produced them.
+/// naming the thread count and the body of each lane kernel that produced
+/// them.
 #[derive(Debug, Clone, Serialize)]
 struct BackendReport {
     threads: usize,
-    g1_bucket_add: &'static str,
+    lane_kernels: BTreeMap<&'static str, &'static str>,
     rows: Vec<BackendRow>,
+}
+
+/// `G1 bucket add avx512ifma, Fr transforms avx512ifma, …`: the body of
+/// each lane kernel in this process, as headers print it.
+fn lane_bodies() -> String {
+    let kernels = zkperf_ff::lanes::kernels().map(|(kernel, body)| format!("{kernel} {body}"));
+    kernels.join(", ")
 }
 
 /// Runs `f` twice and returns the second value with the faster time in
@@ -216,7 +225,7 @@ fn backend_round<B: ProverBackend>(log2: u32) -> BackendRow {
 /// and emitted as `backends.{txt,json}`.
 fn backend_comparison(logs: &[u32]) {
     let threads = zkperf_pool::current_threads();
-    let body = zkperf_ff::lanes::body();
+    let body = lane_bodies();
     let ms = |t: f64| format!("{t:.1} ms");
     let kib = |b: usize| {
         if b >= 1 << 20 {
@@ -234,7 +243,7 @@ fn backend_comparison(logs: &[u32]) {
         ];
         println!(
             "three-backend comparison, exponentiate 2^{log2}, {threads} thread(s), \
-             G1 bucket add {body}:"
+             {body}:"
         );
         println!();
         println!("| backend | trusted setup | key material | proof size | setup | prove | verify |");
@@ -280,12 +289,12 @@ fn backend_comparison(logs: &[u32]) {
             .collect::<Vec<_>>(),
     );
     let text = format!(
-        "exponentiate on three backends, {threads} thread(s), G1 bucket add {body}, \
+        "exponentiate on three backends, {threads} thread(s), {body}, \
          best of 2 calls per stage\n{table}"
     );
     let report = BackendReport {
         threads,
-        g1_bucket_add: body,
+        lane_kernels: zkperf_ff::lanes::kernels().into_iter().collect(),
         rows,
     };
     emit("backends", &text, &report);
@@ -416,8 +425,8 @@ fn main() -> ExitCode {
     let host_cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     eprintln!(
         "real_scaling: bn254 setup+prove, measured at 2^{log2}, simulated at 2^{sim_log2}, \
-         host has {host_cores} core(s), G1 bucket add {}",
-        zkperf_ff::lanes::body()
+         host has {host_cores} core(s), {}",
+        lane_bodies()
     );
 
     let size_sweep = if sizes.is_empty() {
@@ -453,8 +462,8 @@ fn main() -> ExitCode {
 
     if let Some(path) = &out_path {
         let report = ScalingReport {
-            schema: 3,
-            g1_bucket_add: zkperf_ff::lanes::body(),
+            schema: 4,
+            lane_kernels: zkperf_ff::lanes::kernels().into_iter().collect(),
             log2_constraints: log2,
             sim_log2_constraints: sim_log2,
             host_cores,

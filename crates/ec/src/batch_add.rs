@@ -25,6 +25,7 @@
 //! reference the lanes are pinned to; both write the same bits (DESIGN.md
 //! §17).
 
+use zkperf_ff::bn254::Fq;
 use zkperf_ff::lanes::{Chords, Lanes};
 use zkperf_ff::{batch_inverse_with_scratch, trace_scalar_ops, Field};
 
@@ -196,7 +197,7 @@ impl BatchAdder<G1Params> {
     /// the scalar body's ops in the scalar body's order.
     pub(crate) fn finish_round_lanes(
         &mut self,
-        lanes: Lanes,
+        lanes: Lanes<Fq>,
         points: &mut [Affine<G1Params>],
         segs: &mut [(usize, usize)],
     ) {
@@ -227,7 +228,12 @@ impl BatchAdder<G1Params> {
 /// Adds `chords` in lanes and writes sum `i` to `points[dsts[i]]`; lanes
 /// past `dsts.len()` hold an earlier batch's operands, and their sums are
 /// dropped.
-fn write_chords(lanes: Lanes, chords: &Chords, dsts: &[usize], points: &mut [Affine<G1Params>]) {
+fn write_chords(
+    lanes: Lanes<Fq>,
+    chords: &Chords<Fq>,
+    dsts: &[usize],
+    points: &mut [Affine<G1Params>],
+) {
     if dsts.is_empty() {
         return;
     }

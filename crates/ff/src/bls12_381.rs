@@ -5,6 +5,7 @@
 
 use crate::cubic::{CubicExt, CubicExtParams};
 use crate::fp::{Fp, FpParams};
+use crate::lanes::{LaneModulus, Lanes};
 use crate::quad::{QuadExt, QuadExtParams};
 use crate::traits::Field;
 
@@ -44,7 +45,16 @@ impl FpParams<4> for FrParams {
     ];
     const GENERATOR: u64 = 7;
     const NAME: &'static str = "bls12_381::Fr";
+    fn lanes() -> Option<Lanes<Fr>> {
+        Lanes::get()
+    }
 }
+
+/// The 255-bit case: r = 0x73ed…0001 < 0.46·2²⁵⁶, so a lane product is
+/// below `r·(0.46 + 1) < 1.46·r` before its one subtraction, still under
+/// `2r`; limbs and columns are as for any modulus. (The base field `Fq`
+/// has six limbs and no lane kernel.)
+impl LaneModulus for FrParams {}
 
 /// The BLS12-381 scalar field (circuit values, witnesses, exponents).
 pub type Fr = Fp<FrParams, 4>;

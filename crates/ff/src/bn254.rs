@@ -6,6 +6,7 @@
 
 use crate::cubic::{CubicExt, CubicExtParams};
 use crate::fp::{Fp, FpParams};
+use crate::lanes::{LaneModulus, Lanes};
 use crate::quad::{QuadExt, QuadExtParams};
 use crate::traits::Field;
 
@@ -23,7 +24,14 @@ impl FpParams<4> for FqParams {
     ];
     const GENERATOR: u64 = 3;
     const NAME: &'static str = "bn254::Fq";
+    fn lanes() -> Option<Lanes<Fq>> {
+        Lanes::get()
+    }
 }
+
+/// q < 2²⁵⁴, so a lane product is below `q²/2²⁵⁶ + q < 1.25·q` before its
+/// one subtraction.
+impl LaneModulus for FqParams {}
 
 /// The BN254 base field (coordinates of curve points).
 pub type Fq = Fp<FqParams, 4>;
@@ -42,7 +50,14 @@ impl FpParams<4> for FrParams {
     ];
     const GENERATOR: u64 = 5;
     const NAME: &'static str = "bn254::Fr";
+    fn lanes() -> Option<Lanes<Fr>> {
+        Lanes::get()
+    }
 }
+
+/// r < 2²⁵⁴, as q: a lane product is below `1.25·r` before its one
+/// subtraction.
+impl LaneModulus for FrParams {}
 
 /// The BN254 scalar field (circuit values, witnesses, exponents).
 pub type Fr = Fp<FrParams, 4>;

@@ -37,6 +37,14 @@ pub trait FpParams<const N: usize>:
     const GENERATOR: u64;
     /// Human-readable field name for `Debug` output.
     const NAME: &'static str;
+
+    /// The field's eight-lane kernel ([`crate::lanes`]), if this process
+    /// runs one: `None` unless the modulus is a
+    /// [`LaneModulus`](crate::lanes::LaneModulus) whose field overrides
+    /// this with [`Lanes::get`](crate::lanes::Lanes::get).
+    fn lanes() -> Option<crate::lanes::Lanes<Fp<Self, N>>> {
+        None
+    }
 }
 
 /// An element of the prime field defined by `P`, stored in Montgomery form.
@@ -257,6 +265,10 @@ impl<P: FpParams<N>, const N: usize> PrimeField for Fp<P, N> {
         let mut one = [0u64; N];
         one[0] = 1;
         out[..N].copy_from_slice(&Self::mont_mul(&self.limbs, &one));
+    }
+
+    fn lanes() -> Option<crate::lanes::Lanes<Self>> {
+        P::lanes()
     }
 
     fn two_adic_root_of_unity() -> Self {

@@ -215,6 +215,13 @@ pub trait PrimeField: Field + PartialOrd + Ord {
     fn cube_root_of_unity() -> Option<Self> {
         cached_cube_root::<Self>()
     }
+
+    /// The field's eight-lane kernel, if it has one and this process runs
+    /// it (`zkperf_ff::lanes`); `None` by default. Generic code asks once
+    /// per loop and keeps its scalar body for `None`.
+    fn lanes() -> Option<crate::lanes::Lanes<Self>> {
+        None
+    }
 }
 
 /// [`PrimeField::cube_root_of_unity`], once per field type: a `static` in a

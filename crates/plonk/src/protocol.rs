@@ -80,12 +80,23 @@
 //! `zkperf-pool` jobs with a decomposition fixed by `ROW_GRAIN`; every
 //! chunk writes only its own slots, so the values are the same at any
 //! thread count, and inline on the caller when the pool says so.
+//!
+//! On a host with AVX-512 IFMA the field's lanes (`zkperf_ff::lanes`,
+//! `PrimeField::lanes`) carry the `Fr` arithmetic of the transforms —
+//! the radix-3 layer and every radix-2 pass, the coset shifts and the
+//! `1/n` scaling, inside `zkperf-poly` — and of the quotient's row
+//! loop, which evaluates eight coset rows per step. The values are the
+//! scalar body's bit for bit, and a trace session records the scalar
+//! body's ops; on `plonk_exp_2e14` (n = 3·2^13, two threads) the nine
+//! transforms went from ≈ 200–240 to ≈ 65–80 ms and the quotient rows from
+//! ≈ 60–70 to ≈ 16–20 ms of a proof.
 
 use rand::Rng;
 
 use zkperf_circuit::R1cs;
 use zkperf_ec::{msm, Affine, Engine};
-use zkperf_ff::{batch_inverse, BigUint, Field, PrimeField};
+use zkperf_ff::lanes::{Lanes, Vector};
+use zkperf_ff::{batch_inverse, trace_scalar_ops, BigUint, Field, PrimeField};
 use zkperf_poly::{root_of_unity, DensePolynomial, Radix2Domain};
 use zkperf_pool as pool;
 use zkperf_trace as trace;
@@ -557,8 +568,9 @@ fn permutation_accumulator<F: PrimeField>(
 }
 
 /// Round 3: the quotient `t = (gate + α·perm₁ + α²·perm₂) / Z_H`, computed
-/// row by row on the 4n coset. The 4n-sized buffers die here, before the
-/// commitment and opening MSMs allocate theirs.
+/// row by row on the 4n coset — eight rows per step in the field's lanes
+/// when it has them. The 4n-sized buffers die here, before the commitment
+/// and opening MSMs allocate theirs.
 fn quotient<F: PrimeField>(
     circuit: &PlonkCircuit<F>,
     pre: &Preprocessed<F>,
@@ -568,20 +580,65 @@ fn quotient<F: PrimeField>(
 ) -> DensePolynomial<F> {
     let domain4 = &pre.domain4;
     let [a4, b4, c4, z4] = [a, b, c, z].map(|p| coset_eval(domain4, p));
-    let [ql, qr, qo, qm, qc] = pre.selectors.each_ref().map(|col| col.coset.as_slice());
-    let [s1, s2, s3] = pre.sigmas.each_ref().map(|col| col.coset.as_slice());
-    let public: Vec<(usize, F)> =
-        circuit.public_rows.iter().copied().zip(public_values.iter().copied()).collect();
-    // An all-zero column has no table and contributes nothing.
-    let term = |col: &[F], j: usize, v: F| col.get(j).map_or_else(F::zero, |&q| q * v);
-    let m = domain4.size();
+    let rows = QuotientRows {
+        wires: [&a4, &b4, &c4, &z4],
+        selectors: pre.selectors.each_ref().map(|col| col.coset.as_slice()),
+        sigmas: pre.sigmas.each_ref().map(|col| col.coset.as_slice()),
+        l1: &pre.l1_coset,
+        zh_inv: pre.zh_inv,
+        public: circuit.public_rows.iter().copied().zip(public_values.iter().copied()).collect(),
+        beta_k: circuit.coset_ks.map(|k| beta * k),
+        challenges: [beta, gamma, alpha, alpha.square()],
+    };
     let (g, w4) = (domain4.coset_shift(), domain4.group_gen());
-    let beta_k = circuit.coset_ks.map(|k| beta * k);
-    let alpha2 = alpha.square();
-    let mut t = vec![F::zero(); m];
+    let lanes = F::lanes();
+    let mut t = vec![F::zero(); domain4.size()];
     pool::parallel_chunks_mut(&mut t, ROW_GRAIN, |ci, chunk| {
         let start = ci * ROW_GRAIN;
-        let mut x = g * domain4.element(start);
+        let x = g * domain4.element(start);
+        match lanes.filter(|_| chunk.len().is_multiple_of(8)) {
+            Some(lanes) => {
+                trace_scalar_ops(|| rows.scalar(chunk, start, x, w4, false));
+                rows.in_lanes(lanes, chunk, start, x, w4);
+            }
+            None => rows.scalar(chunk, start, x, w4, true),
+        }
+    });
+    // The transform brings its own 4n rows of scratch: the four inputs
+    // go first.
+    drop([a4, b4, c4, z4]);
+    domain4.coset_ifft_in_place(&mut t);
+    DensePolynomial::new(t)
+}
+
+/// What the quotient's rows read: the wires `a, b, c, z` and the circuit
+/// columns on the 4n coset (an all-zero column has no table and
+/// contributes nothing), `L₁` and `1/Z_H` there, the public rows, and the
+/// challenges `β, γ, α, α²` with `β·kᵢ`.
+struct QuotientRows<'a, F: PrimeField> {
+    wires: [&'a [F]; 4],
+    selectors: [&'a [F]; 5],
+    sigmas: [&'a [F]; 3],
+    l1: &'a [F],
+    zh_inv: [F; 4],
+    public: Vec<(usize, F)>,
+    beta_k: [F; 3],
+    challenges: [F; 4],
+}
+
+impl<F: PrimeField> QuotientRows<'_, F> {
+    /// Rows `start..start + chunk.len()` one at a time, `x` the coset point
+    /// of the first. With `write` false it runs every field op and leaves
+    /// `chunk` as it was: the scalar op stream the lane body reports in its
+    /// place.
+    fn scalar(&self, chunk: &mut [F], start: usize, mut x: F, w4: F, write: bool) {
+        let [a4, b4, c4, z4] = self.wires;
+        let [ql, qr, qo, qm, qc] = self.selectors;
+        let [s1, s2, s3] = self.sigmas;
+        let [beta, gamma, alpha, alpha2] = self.challenges;
+        let beta_k = self.beta_k;
+        let m = a4.len();
+        let term = |col: &[F], j: usize, v: F| col.get(j).map_or_else(F::zero, |&q| q * v);
         for (k, slot) in chunk.iter_mut().enumerate() {
             let j = start + k;
             let (a, b, c, z) = (a4[j], b4[j], c4[j], z4[j]);
@@ -590,7 +647,7 @@ fn quotient<F: PrimeField>(
                 + term(qo, j, c)
                 + term(qm, j, a * b)
                 + qc.get(j).copied().unwrap_or_else(F::zero)
-                + public_input_on_coset(&pre.l1_coset, &public, j);
+                + public_input_on_coset(self.l1, &self.public, j);
             // z(ωx) on the coset is z four slots on: ω = ω₄⁴.
             let perm1 = z
                 * (a + beta_k[0] * x + gamma)
@@ -600,16 +657,72 @@ fn quotient<F: PrimeField>(
                     * (a + beta * s1[j] + gamma)
                     * (b + beta * s2[j] + gamma)
                     * (c + beta * s3[j] + gamma);
-            let perm2 = (z - F::one()) * pre.l1_coset[j];
-            *slot = (gate + alpha * perm1 + alpha2 * perm2) * pre.zh_inv[k % 4];
+            let perm2 = (z - F::one()) * self.l1[j];
+            let row = (gate + alpha * perm1 + alpha2 * perm2) * self.zh_inv[k % 4];
+            if write {
+                *slot = row;
+            }
             x *= w4;
         }
-    });
-    // The transform brings its own 4n rows of scratch: the four inputs
-    // go first.
-    drop([a4, b4, c4, z4]);
-    domain4.coset_ifft_in_place(&mut t);
-    DensePolynomial::new(t)
+    }
+
+    /// The same rows eight at a time: lane `i` of a step holds row
+    /// `j + i`, the coset points run as `x·w4ⁱ` advanced by `w4⁸`, and the
+    /// period-4 `1/Z_H` is one vector (a chunk starts at phase 0, a step
+    /// spans two periods). Every row takes the scalar body's value;
+    /// `chunk.len()` is a multiple of eight.
+    fn in_lanes(&self, lanes: Lanes<F>, chunk: &mut [F], start: usize, x: F, w4: F) {
+        let [a4, b4, c4, z4] = self.wires;
+        let [ql, qr, qo, qm, qc] = self.selectors;
+        let [s1, s2, s3] = self.sigmas;
+        let [beta, gamma, alpha, alpha2] = self.challenges.map(|v| lanes.splat(v));
+        let beta_k = self.beta_k.map(|v| lanes.splat(v));
+        let (zero, one) = (lanes.splat(F::zero()), lanes.splat(F::one()));
+        let m = a4.len();
+        // Eight slots of `col` from `j` on, wrapping past its end.
+        let at = |col: &[F], j: usize| -> Vector<F> {
+            match col.get(j..j + 8) {
+                Some(run) => lanes.load(run),
+                None => lanes.load(&std::array::from_fn::<F, 8, _>(|i| col[(j + i) % col.len()])),
+            }
+        };
+        let [z0, z1, z2, z3] = self.zh_inv;
+        let zh_inv = lanes.load(&[z0, z1, z2, z3, z0, z1, z2, z3]);
+        let mut xs = [x; 8];
+        lanes.mul_powers(&mut xs, F::one(), w4);
+        let mut x = lanes.load(&xs);
+        let w4_2 = lanes.splat(w4) * lanes.splat(w4);
+        let w4_4 = w4_2 * w4_2;
+        let w4_8 = w4_4 * w4_4;
+        for (step, out) in chunk.chunks_exact_mut(8).enumerate() {
+            let j = start + 8 * step;
+            let (a, b, c, z) = (at(a4, j), at(b4, j), at(c4, j), at(z4, j));
+            let mut gate = zero;
+            for (col, v) in [(ql, a), (qr, b), (qo, c), (qm, a * b)] {
+                if !col.is_empty() {
+                    gate = gate + at(col, j) * v;
+                }
+            }
+            if !qc.is_empty() {
+                gate = gate + at(qc, j);
+            }
+            // PI(x) = Σ −vᵢ·Lᵢ(x), Lᵢ the L₁ table 4i slots back.
+            for &(row, v) in &self.public {
+                gate = gate - lanes.splat(v) * at(self.l1, (j + m - 4 * row) % m);
+            }
+            let perm1 = z
+                * (a + beta_k[0] * x + gamma)
+                * (b + beta_k[1] * x + gamma)
+                * (c + beta_k[2] * x + gamma)
+                - at(z4, (j + 4) % m)
+                    * (a + beta * at(s1, j) + gamma)
+                    * (b + beta * at(s2, j) + gamma)
+                    * (c + beta * at(s3, j) + gamma);
+            let perm2 = (z - one) * at(self.l1, j);
+            ((gate + alpha * perm1 + alpha2 * perm2) * zh_inv).store(out);
+            x = x * w4_8;
+        }
+    }
 }
 
 /// Produces a PLONK proof for the full R1CS `witness`.
@@ -941,6 +1054,19 @@ mod tests {
         let pk = plonk_setup::<Bn254, _>(poseidon.r1cs(), &mut rng).unwrap();
         assert!(!pk.pre.selectors[1].coset.is_empty());
         assert!(pk.pre.selectors[4].coset.is_empty());
+    }
+
+    #[test]
+    fn the_scalar_quotient_rows_prove_what_the_lanes_prove() {
+        // On a host with AVX-512 IFMA the quotient rows run in lanes;
+        // `with_scalar_body` drives their scalar fallback, over three
+        // chunks of rows (4n = 3·2^10) with two all-zero columns.
+        let mut rng = zkperf_ff::test_rng();
+        let exp = exponentiate::<Fr>(500);
+        let w = exp.generate_witness(&[Fr::from_u64(3)], &[]).unwrap();
+        let pk = plonk_setup::<Bn254, _>(exp.r1cs(), &mut rng).unwrap();
+        let prove = || plonk_prove(&pk, w.full()).unwrap();
+        assert_eq!(prove(), zkperf_ff::lanes::with_scalar_body(prove));
     }
 
     #[test]

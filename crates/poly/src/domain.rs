@@ -11,9 +11,13 @@
 //! caller is the pool's decision — its size, a one-task job, an open
 //! `SerialScope` — and never this module's; flat versus four-step depends
 //! on the domain size and the memory budget only, and the four-step layout
-//! exists for orders `2^k` alone.
+//! exists for orders `2^k` alone. Where the field hands out an eight-lane
+//! kernel (`PrimeField::lanes`), the radix-3 layer, the radix-2 passes and
+//! the scalings run in it, each replaying its scalar loop's ops to a trace
+//! session instead of recording its own.
 
-use zkperf_ff::{batch_inverse, BigUint, PrimeField};
+use zkperf_ff::lanes::{Lanes, Twiddles};
+use zkperf_ff::{batch_inverse, trace_scalar_ops, BigUint, PrimeField};
 use zkperf_pool as pool;
 use zkperf_trace as trace;
 
@@ -370,11 +374,28 @@ impl<F: PrimeField> Radix2Domain<F> {
 
     /// The final `1/n` scaling of an inverse transform.
     fn scale_by_size_inv(&self, values: &mut [F]) {
-        pool::parallel_chunks_mut(values, task_elems(self.size), |_, chunk| {
-            for v in chunk.iter_mut() {
-                *v *= self.size_inv;
+        let (c, lanes) = (self.size_inv, F::lanes());
+        pool::parallel_chunks_mut(values, task_elems(self.size), |_, chunk| match lanes {
+            Some(lanes) => {
+                trace_scalar_ops(|| Self::scale_scalar::<false>(chunk, c));
+                lanes.scale(chunk, c);
             }
+            None => Self::scale_scalar::<true>(chunk, c),
         });
+    }
+
+    /// `values[i] ← values[i]·c`, one at a time. With `WRITE` false it runs
+    /// every field op and leaves `values` as they were: the scalar op
+    /// stream a lane body reports in its place (so for the other scalar
+    /// loops below).
+    #[inline(always)]
+    fn scale_scalar<const WRITE: bool>(values: &mut [F], c: F) {
+        for v in values.iter_mut() {
+            let scaled = *v * c;
+            if WRITE {
+                *v = scaled;
+            }
+        }
     }
 
     /// NTT over the coset `g·H`: scales by powers of `g`, then transforms.
@@ -392,14 +413,36 @@ impl<F: PrimeField> Radix2Domain<F> {
     fn distribute_powers(values: &mut [F], g: F) {
         // Each chunk seeds its own power run with one exponentiation; the
         // products are the exact field values of a single running prefix.
-        let grain = task_elems(values.len());
+        let (grain, lanes) = (task_elems(values.len()), F::lanes());
         pool::parallel_chunks_mut(values, grain, |ci, chunk| {
-            let mut pow = g.pow(&BigUint::from_u64((ci * grain) as u64));
-            for v in chunk.iter_mut() {
-                *v *= pow;
-                pow *= g;
-            }
+            let first = g.pow(&BigUint::from_u64((ci * grain) as u64));
+            Self::mul_powers(chunk, first, g, lanes);
         });
+    }
+
+    /// `values[i] ← values[i]·first·stepⁱ`: eight at a time in the field's
+    /// lanes when it has them (the scalar ops replayed for a trace
+    /// session), else one running power.
+    fn mul_powers(values: &mut [F], first: F, step: F, lanes: Option<Lanes<F>>) {
+        match lanes {
+            Some(lanes) => {
+                trace_scalar_ops(|| Self::powers_scalar::<false>(values, first, step));
+                lanes.mul_powers(values, first, step);
+            }
+            None => Self::powers_scalar::<true>(values, first, step),
+        }
+    }
+
+    #[inline(always)]
+    fn powers_scalar<const WRITE: bool>(values: &mut [F], first: F, step: F) {
+        let mut pow = first;
+        for v in values.iter_mut() {
+            let scaled = *v * pow;
+            if WRITE {
+                *v = scaled;
+            }
+            pow *= step;
+        }
     }
 
     /// Iterative decimation-in-time NTT: a digit-reversal permutation, one
@@ -421,6 +464,15 @@ impl<F: PrimeField> Radix2Domain<F> {
     /// — one multiplication per butterfly instead of two. Domains past the
     /// cache cap have an empty table and fall back to incremental twiddle
     /// updates.
+    ///
+    /// When the field hands out lanes (`PrimeField::lanes`), the radix-3
+    /// layer and every radix-2 pass run eight butterflies per lane step —
+    /// gathered twiddles from the table, or eight running powers advanced
+    /// by `w_len⁸` — and report the scalar ops they replace to a trace
+    /// session; passes with half-blocks under eight pair eight consecutive
+    /// butterflies across blocks. Only the digit reversal, and domains too
+    /// small for a lane step (under 48 points), stay scalar. A butterfly's
+    /// output is the same field element either way.
     ///
     /// Early passes (many small blocks) group whole blocks into tasks;
     /// late passes (few blocks larger than a task) split each block's
@@ -446,13 +498,14 @@ impl<F: PrimeField> Radix2Domain<F> {
             return;
         }
         // The permutation stays on the caller: its moves cross chunk
-        // boundaries and the pass is a small slice of total work.
+        // boundaries (≈ 2.5 ms of a 98 304-point transform, its largest
+        // serial part).
         self.digit_reverse(values);
-        let grain = task_elems(n);
+        let (grain, lanes) = (task_elems(n), F::lanes());
         let mut len = 2usize;
         if self.radix3 {
             pool::parallel_chunks_mut(values, grain, |_, span| {
-                Self::radix3_pass(span, cube_root);
+                Self::radix3_pass(span, cube_root, lanes);
             });
             len = 6;
         }
@@ -474,7 +527,7 @@ impl<F: PrimeField> Radix2Domain<F> {
             if len <= grain {
                 // Many small blocks: group whole blocks per task.
                 pool::parallel_chunks_mut(values, grain, |_, span| {
-                    Self::block_pass(span, len, stride, twiddles, w_len);
+                    Self::block_pass(span, len, stride, twiddles, w_len, lanes);
                 });
             } else {
                 // Few large blocks: split each block's butterfly range.
@@ -491,7 +544,7 @@ impl<F: PrimeField> Radix2Domain<F> {
                         } else {
                             F::one()
                         };
-                        Self::butterflies(lc, hc, k0, stride, twiddles, w0, w_len);
+                        Self::run(lc, hc, k0, stride, twiddles, w0, w_len, lanes);
                     });
                 }
             }
@@ -547,29 +600,106 @@ impl<F: PrimeField> Radix2Domain<F> {
     /// The radix-3 layer: every three slots `(x₀, x₁, x₂)` of `span` become
     /// their DFT under the cube root `c`, with one multiplication — from
     /// `c² = −1 − c`, `y₁ = x₀ − x₂ + c(x₁ − x₂)` and
-    /// `y₂ = x₀ − x₁ − c(x₁ − x₂)`. Kept out of line like
+    /// `y₂ = x₀ − x₁ − c(x₁ − x₂)` — eight triples per lane step when the
+    /// span holds whole runs of 24. Kept out of line like
     /// [`block_pass`](Self::block_pass).
     #[inline(never)]
-    fn radix3_pass(span: &mut [F], c: F) {
+    fn radix3_pass(span: &mut [F], c: F, lanes: Option<Lanes<F>>) {
+        match lanes.filter(|_| span.len().is_multiple_of(24)) {
+            Some(lanes) => {
+                trace_scalar_ops(|| Self::radix3_scalar::<false>(span, c));
+                lanes.radix3(span, c);
+            }
+            None => Self::radix3_scalar::<true>(span, c),
+        }
+    }
+
+    #[inline(always)]
+    fn radix3_scalar<const WRITE: bool>(span: &mut [F], c: F) {
         for block in span.chunks_exact_mut(3) {
             let (x0, x1, x2) = (block[0], block[1], block[2]);
             let m = c * (x1 - x2);
-            block[0] = x0 + x1 + x2;
-            block[1] = x0 - x2 + m;
-            block[2] = x0 - x1 - m;
+            let y = [x0 + x1 + x2, x0 - x2 + m, x0 - x1 - m];
+            if WRITE {
+                block.copy_from_slice(&y);
+            }
             trace::control(1);
         }
     }
 
     /// Early-pass task: the butterflies of every whole `len`-point block
-    /// in `span`. Kept out of line: inlined into the pool's task loop the
-    /// butterfly loop spills registers and a one-thread transform runs
-    /// ~15 % slower.
+    /// in `span`, in lanes when the span has a shape they take
+    /// ([`Lanes::takes_blocks`]: every pass of a span of 48 points or more,
+    /// of 16 or more on a power of two). Kept out of line: inlined into the
+    /// pool's task loop the butterfly loop spills registers and a
+    /// one-thread transform runs ~15 % slower.
     #[inline(never)]
-    fn block_pass(span: &mut [F], len: usize, stride: usize, twiddles: &[F], w_len: F) {
+    fn block_pass(
+        span: &mut [F],
+        len: usize,
+        stride: usize,
+        twiddles: &[F],
+        w_len: F,
+        lanes: Option<Lanes<F>>,
+    ) {
+        match lanes.filter(|_| Lanes::<F>::takes_blocks(len, span.len())) {
+            Some(lanes) => {
+                trace_scalar_ops(|| {
+                    Self::blocks_scalar::<false>(span, len, stride, twiddles, w_len);
+                });
+                let first = Self::twiddles_from(twiddles, stride, 0, F::one(), w_len);
+                lanes.blocks(span, len, first);
+            }
+            None => Self::blocks_scalar::<true>(span, len, stride, twiddles, w_len),
+        }
+    }
+
+    #[inline(always)]
+    fn blocks_scalar<const WRITE: bool>(
+        span: &mut [F],
+        len: usize,
+        stride: usize,
+        twiddles: &[F],
+        w_len: F,
+    ) {
         for block in span.chunks_mut(len) {
             let (lo, hi) = block.split_at_mut(len / 2);
-            Self::butterflies(lo, hi, 0, stride, twiddles, F::one(), w_len);
+            Self::butterflies::<WRITE>(lo, hi, 0, stride, twiddles, F::one(), w_len);
+        }
+    }
+
+    /// Late-pass task: one run of butterflies (see
+    /// [`butterflies`](Self::butterflies)), in lanes when its length is a
+    /// multiple of eight.
+    #[allow(clippy::too_many_arguments)]
+    fn run(
+        lo: &mut [F],
+        hi: &mut [F],
+        k0: usize,
+        stride: usize,
+        twiddles: &[F],
+        w0: F,
+        w_len: F,
+        lanes: Option<Lanes<F>>,
+    ) {
+        match lanes.filter(|_| lo.len().is_multiple_of(8)) {
+            Some(lanes) => {
+                trace_scalar_ops(|| {
+                    Self::butterflies::<false>(lo, hi, k0, stride, twiddles, w0, w_len);
+                });
+                lanes.butterflies(lo, hi, Self::twiddles_from(twiddles, stride, k0, w0, w_len));
+            }
+            None => Self::butterflies::<true>(lo, hi, k0, stride, twiddles, w0, w_len),
+        }
+    }
+
+    /// The lanes' view of a run's twiddles: the cached table, or the
+    /// incremental powers when the domain has none.
+    fn twiddles_from(twiddles: &[F], stride: usize, k0: usize, w0: F, w_len: F) -> Twiddles<'_, F> {
+        if twiddles.is_empty() {
+            Twiddles::Powers { w0, step: w_len }
+        } else {
+            Twiddles::Table { table: twiddles, stride, k0 }
         }
     }
 
@@ -577,8 +707,10 @@ impl<F: PrimeField> Radix2Domain<F> {
     /// indices `k0..k0+lo.len()` of a pass with twiddle stride `stride`.
     /// With cached `twiddles` each butterfly looks its factor up; without,
     /// the factor starts at `w0 = w_len^k0` and advances incrementally.
+    /// With `WRITE` false it runs every field op and leaves the slices as
+    /// they were: the scalar op stream a lane run reports in its place.
     #[inline(always)]
-    fn butterflies(
+    fn butterflies<const WRITE: bool>(
         lo: &mut [F],
         hi: &mut [F],
         k0: usize,
@@ -591,8 +723,10 @@ impl<F: PrimeField> Radix2Domain<F> {
             for (k, (u_slot, t_slot)) in lo.iter_mut().zip(hi.iter_mut()).enumerate() {
                 let t = *t_slot * twiddles[(k0 + k) * stride];
                 let u = *u_slot;
-                *u_slot = u + t;
-                *t_slot = u - t;
+                let (sum, diff) = (u + t, u - t);
+                if WRITE {
+                    (*u_slot, *t_slot) = (sum, diff);
+                }
                 trace::control(1);
             }
         } else {
@@ -600,8 +734,10 @@ impl<F: PrimeField> Radix2Domain<F> {
             for (u_slot, t_slot) in lo.iter_mut().zip(hi.iter_mut()) {
                 let t = *t_slot * w;
                 let u = *u_slot;
-                *u_slot = u + t;
-                *t_slot = u - t;
+                let (sum, diff) = (u + t, u - t);
+                if WRITE {
+                    (*u_slot, *t_slot) = (sum, diff);
+                }
                 w *= w_len;
                 trace::control(1);
             }
@@ -667,17 +803,14 @@ impl<F: PrimeField> Radix2Domain<F> {
         // twiddle ω^(j1·k2), advanced incrementally from the per-row seed
         // ω^j1 (row j1 = 0 needs no multiply, nor does column k2 = 0).
         let rows_per_task = (task_elems(n) / n2).max(1);
+        let lanes = F::lanes();
         pool::parallel_chunks_mut(&mut scratch, rows_per_task * n2, |ci, span| {
             for (r, row) in span.chunks_mut(n2).enumerate() {
                 let j1 = ci * rows_per_task + r;
                 sub2.transform(row, inverse);
                 if j1 > 0 {
                     let w_step = omega.pow(&BigUint::from_u64(j1 as u64));
-                    let mut w = w_step;
-                    for v in row.iter_mut().skip(1) {
-                        *v *= w;
-                        w *= w_step;
-                    }
+                    Self::mul_powers(&mut row[1..], w_step, w_step, lanes);
                 }
             }
         });
@@ -1153,6 +1286,41 @@ mod tests {
             assert_eq!(serial, with_table, "n = {n}");
             assert_eq!(d.element(n - 1), cached.element(n - 1), "n = {n}");
         }
+    }
+
+    #[test]
+    fn scalar_bodies_match_the_lanes() {
+        // On a host with AVX-512 IFMA the passes, scalings and power runs
+        // take the lanes; `with_scalar_body` drives the scalar fallbacks
+        // here, cached and uncached twiddles, flat and four-step, on both
+        // curves' Fr and every domain form.
+        fn check<G: PrimeField>() {
+            let mut rng = zkperf_ff::test_rng();
+            for n in [1usize << 10, 3 << 9, 48] {
+                let cached = Radix2Domain::<G>::new(n).unwrap();
+                let mut uncached = cached.clone();
+                uncached.twiddles = Vec::new();
+                uncached.inv_twiddles = Vec::new();
+                let coeffs: Vec<G> = (0..n).map(|_| G::random(&mut rng)).collect();
+                for d in [&cached, &uncached] {
+                    let run = || {
+                        let (mut fwd, mut coset) = (coeffs.clone(), coeffs.clone());
+                        d.fft_in_place(&mut fwd);
+                        d.coset_fft_in_place(&mut coset);
+                        let mut blocked = coeffs.clone();
+                        d.fft_in_place_four_step(&mut blocked);
+                        let mut inv = fwd.clone();
+                        d.coset_ifft_in_place(&mut inv);
+                        (fwd, coset, blocked, inv)
+                    };
+                    let lanes = run();
+                    assert_eq!(lanes, zkperf_ff::lanes::with_scalar_body(run), "n = {n}");
+                    assert_eq!(lanes.0, lanes.2, "flat and four-step, n = {n}");
+                }
+            }
+        }
+        check::<Fr>();
+        check::<zkperf_ff::bls12_381::Fr>();
     }
 
     #[test]

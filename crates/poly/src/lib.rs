@@ -11,6 +11,14 @@
 //! layer in front of the radix-2 passes on `3·2^k` points); the
 //! cache-blocked four-step layout is for orders `2^k` only.
 //!
+//! The body stays generic over the field: where `PrimeField::lanes` hands
+//! out an eight-lane kernel (BN254 and BLS12-381 `Fr` on a host with
+//! AVX-512 IFMA, `zkperf_ff::lanes`), the radix-3 layer, every radix-2
+//! pass, the coset shifts, the four-step inter-pass twiddles and the `1/n`
+//! scaling run eight elements per step, with the
+//! scalar body's results; every other field, and every host without the
+//! instructions, runs the scalar body.
+//!
 //! # Examples
 //!
 //! ```

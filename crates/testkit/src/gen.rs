@@ -11,8 +11,8 @@ use rand::Rng;
 use zkperf_circuit::library::{exponentiate, multiplier_chain};
 use zkperf_circuit::{Circuit, Witness};
 use zkperf_ec::{Affine, CurveParams, Projective};
-use zkperf_ff::bn254::Fq;
-use zkperf_ff::{BigUint, PrimeField};
+use zkperf_ff::lanes::LaneModulus;
+use zkperf_ff::{BigUint, Fp, PrimeField};
 
 use crate::rng::SplitRng;
 
@@ -51,15 +51,16 @@ pub fn adversarial_field<F: PrimeField>(rng: &mut SplitRng) -> F {
     }
 }
 
-/// A BN254 `Fq` element aimed at the 8-lane kernel of `zkperf_ff::lanes`:
-/// half the draws come from `lanes::limb_edges` — Montgomery limbs where
-/// the kernel splits and reduces: 0, 1, p − 1, R, and each 52-bit limb at 0
-/// or 2⁵² − 1 — the rest from [`adversarial_field`].
-pub fn lane_edge_fq(rng: &mut SplitRng) -> Fq {
+/// An element of a lane field (BN254 `Fq` or `Fr`, BLS12-381 `Fr`) aimed
+/// at the 8-lane kernel of `zkperf_ff::lanes`: half the draws come from
+/// `lanes::limb_edges` — Montgomery limbs where the kernel splits and
+/// reduces: 0, 1, p − 1, R, and each 52-bit limb at 0 or 2⁵² − 1 — the
+/// rest from [`adversarial_field`].
+pub fn lane_edge<M: LaneModulus>(rng: &mut SplitRng) -> Fp<M, 4> {
     if rng.gen_bool(0.5) {
         return adversarial_field(rng);
     }
-    let edges = zkperf_ff::lanes::limb_edges();
+    let edges = zkperf_ff::lanes::limb_edges::<M>();
     edges[rng.gen_range(0..edges.len() as u64) as usize]
 }
 

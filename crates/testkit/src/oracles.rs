@@ -46,7 +46,7 @@ use zkperf_stark::{StarkParams, StarkProof};
 
 use crate::gen::{
     adversarial_circuit, adversarial_domain_order, adversarial_field, adversarial_len,
-    adversarial_points, adversarial_pow2, adversarial_scalars, edge_fields, lane_edge_fq,
+    adversarial_points, adversarial_pow2, adversarial_scalars, edge_fields, lane_edge,
 };
 use crate::reference::{
     add_mod_biguint, coset_dft_reference, dft_reference, horner, merkle_root_reference,
@@ -214,6 +214,7 @@ fn batch_to_affine_case<C: CurveParams>(rng: &mut SplitRng) -> CaseResult {
 fn batch_add_lanes_case(rng: &mut SplitRng) -> CaseResult {
     use zkperf_ec::bn254::{G1Affine, G1Params};
     use zkperf_ec::BatchAdder;
+    use zkperf_ff::bn254::FqParams;
     use zkperf_ff::lanes::with_scalar_body;
 
     let lens: Vec<usize> = if rng.gen_bool(0.5) {
@@ -233,7 +234,7 @@ fn batch_add_lanes_case(rng: &mut SplitRng) -> CaseResult {
                 (0, _) => G1Affine::identity(),
                 (1, Some(p)) => p,
                 (2, Some(p)) => p.neg(),
-                _ => G1Affine::new_unchecked(lane_edge_fq(rng), lane_edge_fq(rng)),
+                _ => G1Affine::new_unchecked(lane_edge::<FqParams>(rng), lane_edge::<FqParams>(rng)),
             };
             points.push(point);
         }
@@ -257,6 +258,153 @@ fn batch_add_lanes_case(rng: &mut SplitRng) -> CaseResult {
         pool::set_threads(threads);
         if msm(&bases, &scalars).to_affine() != expect {
             return fail("batch_add lanes msm", format_args!("{threads} threads, n = {n}"));
+        }
+    }
+    Ok(())
+}
+
+/// The `Fr` lane butterflies against the scalar formula, bit for bit: one
+/// run of 8–64 butterflies over limb-edge values, its twiddles from a
+/// strided table or a run of powers (the uncached path); then forward,
+/// inverse and coset transforms of a domain of order `2^k` or `3·2^k`
+/// (up to 3·2^10) at 1, 2 and 4 threads against the scalar body at one.
+fn ntt_lanes_case(rng: &mut SplitRng) -> CaseResult {
+    use zkperf_ff::bn254::{Fr, FrParams};
+    use zkperf_ff::lanes::{with_scalar_body, Twiddles};
+
+    if let Some(lanes) = Fr::lanes() {
+        let len = 8 * (1 + rng.gen_range(0..8)) as usize;
+        let stride = 1 + rng.gen_range(0..3) as usize;
+        let k0 = rng.gen_range(0..len as u64) as usize;
+        let mut edges =
+            |n: usize| -> Vec<Fr> { (0..n).map(|_| lane_edge::<FrParams>(rng)).collect() };
+        let (lo, hi, table) = (edges(len), edges(len), edges((k0 + len) * stride));
+        let [w0, step] = [lane_edge::<FrParams>(rng), lane_edge::<FrParams>(rng)];
+        let powers = rng.gen_bool(0.5);
+        let mut w = w0;
+        let factors: Vec<Fr> = (0..len)
+            .map(|k| {
+                if !powers {
+                    return table[(k0 + k) * stride];
+                }
+                let f = w;
+                w *= step;
+                f
+            })
+            .collect();
+        let twiddles = if powers {
+            Twiddles::Powers { w0, step }
+        } else {
+            Twiddles::Table { table: &table, stride, k0 }
+        };
+        let (mut got_lo, mut got_hi) = (lo.clone(), hi.clone());
+        lanes.butterflies(&mut got_lo, &mut got_hi, twiddles);
+        for k in 0..len {
+            let t = hi[k] * factors[k];
+            if (got_lo[k], got_hi[k]) != (lo[k] + t, lo[k] - t) {
+                return fail(
+                    "ntt lanes butterfly run",
+                    format_args!("butterfly {k} of {len}, powers {powers}, stride {stride}"),
+                );
+            }
+        }
+    }
+
+    let _guard = ThreadGuard;
+    let size = adversarial_domain_order(rng, 10);
+    let Some(domain) = Radix2Domain::<Fr>::new(size) else {
+        return fail("ntt lanes", format_args!("no domain of size {size}"));
+    };
+    let coeffs: Vec<Fr> = (0..domain.size()).map(|_| lane_edge::<FrParams>(rng)).collect();
+    let transforms = || {
+        let (mut fwd, mut coset) = (coeffs.clone(), coeffs.clone());
+        domain.fft_in_place(&mut fwd);
+        domain.coset_fft_in_place(&mut coset);
+        let mut inv = fwd.clone();
+        domain.ifft_in_place(&mut inv);
+        (fwd, coset, inv)
+    };
+    pool::set_threads(1);
+    let expect = with_scalar_body(transforms);
+    if expect.2 != coeffs {
+        return fail("ntt lanes scalar round trip", format_args!("size {size}"));
+    }
+    for threads in [1usize, 2, 4] {
+        pool::set_threads(threads);
+        if transforms() != expect {
+            return fail("ntt lanes vs scalar body", format_args!("size {size}, {threads} threads"));
+        }
+    }
+    Ok(())
+}
+
+/// PLONK's quotient rows in lanes against scalar rows, bit for bit: one
+/// pointwise row shape — gate, both permutation products, the `L₁` and
+/// public terms, `1/Z_H` by phase — over eight limb-edge rows through
+/// `lanes::Vector` ops; then a proof of a small circuit under both bodies
+/// at 1, 2 and 4 threads (the prover's own quotient loop).
+fn quotient_lanes_case(rng: &mut SplitRng) -> CaseResult {
+    use rand::SeedableRng;
+    use zkperf_ff::bn254::{Fr, FrParams};
+    use zkperf_ff::lanes::with_scalar_body;
+
+    if let Some(lanes) = Fr::lanes() {
+        let mut column = || -> [Fr; 8] { std::array::from_fn(|_| lane_edge::<FrParams>(rng)) };
+        let [a, b, c, z, zw, ql, qm, qo, qc, s1, s2, s3, l1, pi_l, x, zh] =
+            std::array::from_fn(|_| column());
+        let [beta, gamma, alpha, beta_k, v] = std::array::from_fn(|_| lane_edge::<FrParams>(rng));
+        let one = Fr::one();
+        let alpha2 = alpha.square();
+        let row = |i: usize| {
+            let gate = ql[i] * a[i] + qm[i] * (a[i] * b[i]) + qo[i] * c[i] + qc[i] - v * pi_l[i];
+            let perm1 = z[i] * (a[i] + beta_k * x[i] + gamma) * (b[i] + beta_k * x[i] + gamma)
+                - zw[i] * (a[i] + beta * s1[i] + gamma) * (b[i] + beta * s2[i] + gamma)
+                    * (c[i] + beta * s3[i] + gamma);
+            let perm2 = (z[i] - one) * l1[i];
+            (gate + alpha * perm1 + alpha2 * perm2) * zh[i]
+        };
+        let ld = |col: &[Fr; 8]| lanes.load(col);
+        let sp = |v: Fr| lanes.splat(v);
+        let (va, vb, vz, vx) = (ld(&a), ld(&b), ld(&z), ld(&x));
+        let gate = ld(&ql) * va + ld(&qm) * (va * vb) + ld(&qo) * ld(&c) + ld(&qc)
+            - sp(v) * ld(&pi_l);
+        let perm1 = vz * (va + sp(beta_k) * vx + sp(gamma)) * (vb + sp(beta_k) * vx + sp(gamma))
+            - ld(&zw)
+                * (va + sp(beta) * ld(&s1) + sp(gamma))
+                * (vb + sp(beta) * ld(&s2) + sp(gamma))
+                * (ld(&c) + sp(beta) * ld(&s3) + sp(gamma));
+        let perm2 = (vz - sp(one)) * ld(&l1);
+        let mut got = [Fr::zero(); 8];
+        ((gate + sp(alpha) * perm1 + sp(alpha2) * perm2) * ld(&zh)).store(&mut got);
+        for (i, &lane) in got.iter().enumerate() {
+            if lane != row(i) {
+                return fail("quotient lanes row", format_args!("lane {i}"));
+            }
+        }
+    }
+
+    let _guard = ThreadGuard;
+    let circuit =
+        zkperf_circuit::library::exponentiate::<Fr>(4 + rng.gen_range(0..400) as usize);
+    let witness = circuit
+        .generate_witness(&[Fr::from_u64(3)], &[])
+        .map_err(|e| format!("witness failed: {e}"))?;
+    let seed = rng.gen();
+    let prove = || {
+        let mut keys_rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let pk = zkperf_plonk::plonk_setup::<zkperf_ec::Bn254, _>(circuit.r1cs(), &mut keys_rng)
+            .map_err(|e| format!("setup failed: {e}"))?;
+        zkperf_plonk::plonk_prove(&pk, witness.full()).map_err(|e| format!("prove failed: {e}"))
+    };
+    pool::set_threads(1);
+    let expect = with_scalar_body(prove)?;
+    for threads in [1usize, 2, 4] {
+        pool::set_threads(threads);
+        if prove()? != expect {
+            return fail(
+                "quotient lanes proof vs scalar body",
+                format_args!("{}, {threads} threads", circuit.name()),
+            );
         }
     }
     Ok(())
@@ -1639,6 +1787,14 @@ pub fn all_oracles() -> Vec<Oracle> {
             run: batch_add_lanes_case,
         },
         Oracle {
+            name: "ntt_lanes_bn254_fr",
+            run: ntt_lanes_case,
+        },
+        Oracle {
+            name: "quotient_lanes_bn254_fr",
+            run: quotient_lanes_case,
+        },
+        Oracle {
             name: "glv_decompose_bn254_g1",
             run: glv_decompose_case::<bn254::G1Params>,
         },
@@ -1826,6 +1982,20 @@ mod tests {
     #[test]
     fn mixed_radix_domains_match_the_dft_reference_bls12_381() {
         assert_eq!(domain_orders_sweep::<zkperf_ff::bls12_381::Fr>(0x3_2e1), Ok(()));
+    }
+
+    /// The same sweeps through the scalar bodies of the lane kernels, the
+    /// ones a host without AVX-512 IFMA runs.
+    #[test]
+    fn mixed_radix_domains_match_the_dft_reference_bn254_scalar_body() {
+        let sweep = || domain_orders_sweep::<zkperf_ff::bn254::Fr>(0x3_2e2);
+        assert_eq!(zkperf_ff::lanes::with_scalar_body(sweep), Ok(()));
+    }
+
+    #[test]
+    fn mixed_radix_domains_match_the_dft_reference_bls12_381_scalar_body() {
+        let sweep = || domain_orders_sweep::<zkperf_ff::bls12_381::Fr>(0x3_2e3);
+        assert_eq!(zkperf_ff::lanes::with_scalar_body(sweep), Ok(()));
     }
 
     #[test]

@@ -27,7 +27,8 @@
 # measured stage ends up timing getenv or behaving differently from the
 # one that ships. And `unsafe` in zkperf-ff and zkperf-ec is written in
 # one file, crates/ff/src/lanes.rs, the AVX-512 IFMA kernels under the
-# batch-affine bucket add (DESIGN.md §17). And the v2 section record —
+# batch-affine bucket add, the NTT passes and PLONK's quotient rows
+# (DESIGN.md §17). And the v2 section record —
 # preamble, `(id, len, crc32)` header, checksum check — is written and
 # parsed in crates/io/src/format.rs alone: the resident and the chunked
 # `.zkey` were two proving-key formats because the record layout had two
@@ -148,11 +149,15 @@ if ! ./target/release/fuzz_lite --only glv --iters 16; then
     exit 1
 fi
 
-# The 8-lane IFMA bucket add sits under every BN254 G1 MSM and fixed-base
-# table, so its oracle gets a dedicated pass: the lane round against the
+# The 8-lane IFMA kernels sit under every BN254 G1 MSM and fixed-base
+# table and under every BN254 Fr transform and PLONK quotient, so their
+# oracles get a dedicated pass: the lane bucket-add round against the
 # scalar body bit for bit on limb-boundary coordinates, every pair kind in
-# every lane position, rounds of 1–9 pairs, and MSMs at 1/2/4 threads
-# (DESIGN.md §17). On a host without IFMA both sides run the scalar body.
+# every lane position, rounds of 1–9 pairs, and MSMs at 1/2/4 threads; an
+# Fr butterfly run on table and power twiddles, then transforms at 1/2/4
+# threads against the scalar body; a pointwise quotient row through lane
+# vectors, then a PLONK proof under both bodies (DESIGN.md §17). On a host
+# without IFMA both sides run the scalar body.
 echo "==> fuzz_lite lanes tier"
 if ! ./target/release/fuzz_lite --only lanes --iters 16; then
     echo "fuzz_lite found lane divergences; paste a replay line from above" >&2
@@ -201,10 +206,14 @@ fi
 # PLONK tier: the proof bytes (recorded at one thread, PR 23's protocol
 # change; lines on domains of order 3·2^k re-recorded when PLONK stopped
 # rounding rows up to a power of two) and the cross-scheme integration
-# suite at both ambient pool sizes like the other two known-answer tests —
-# beside them the mixed-radix oracles (every domain of order 2^k and 3·2^k
-# up to 12 288 points against the O(n²) DFT at 1, 2 and 4 threads, on both
-# curves' Fr), the test that a commitment from values is the commitment of
+# suite at both ambient pool sizes like the other two known-answer tests
+# (the KAT proves each recorded line a second time inside
+# lanes::with_scalar_body, so both bodies of the lane kernels run at both
+# pool sizes) — beside them the mixed-radix oracles (every domain of order
+# 2^k and 3·2^k up to 12 288 points against the O(n²) DFT at 1, 2 and 4
+# threads, on both curves' Fr, once through the lanes and once inside
+# lanes::with_scalar_body), the test that a commitment from values is the
+# commitment of
 # their interpolation (both curves, the column shapes a circuit produces)
 # and the prover's memory bound — then the mutation audit over the
 # nine-point proof layout, at a 2^k and a 3·2^k fixture — every class

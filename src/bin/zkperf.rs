@@ -102,10 +102,12 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             let mut rng = rand::thread_rng();
             let proof = groth16::prove::<Bn254, _>(&pk, &r1cs, &witness, &mut rng)?;
             zkio::write_proof(&mut BufWriter::new(File::create(out)?), &proof)?;
+            let lanes =
+                zkperf::ff::lanes::kernels().map(|(kernel, body)| format!("{kernel} {body}"));
             println!(
-                "proof ({} bytes uncompressed, G1 bucket add {}) -> {out}",
+                "proof ({} bytes uncompressed, {}) -> {out}",
                 proof.size_bytes(),
-                zkperf::ff::lanes::body()
+                lanes.join(", ")
             );
         }
         ["verify", vkey_path, proof_path, publics @ ..] => {

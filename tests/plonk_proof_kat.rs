@@ -126,6 +126,17 @@ fn decode_accepts_exactly_the_recorded_layout() {
     assert!(matches!(B::decode_proof(&bytes), Err(StageError::Artifact { .. })));
 }
 
+/// The same proofs through the scalar bodies of the lane kernels (the NTT
+/// passes and scalings, the quotient rows, the bucket add): the bodies a
+/// host without AVX-512 IFMA runs, pinned to the bytes the lanes produce.
+#[test]
+fn scalar_bodies_prove_the_recorded_bytes() {
+    zkperf::ff::lanes::with_scalar_body(|| {
+        bn254_proofs_match_the_recorded_bytes();
+        bls12_381_proof_matches_the_recorded_bytes();
+    });
+}
+
 #[test]
 fn bls12_381_proof_matches_the_recorded_bytes() {
     type Fr = zkperf::ff::bls12_381::Fr;
