@@ -388,7 +388,8 @@ fn main() -> ExitCode {
             "--log2" => match value.parse() {
                 // 2^22 constraints needs a 2^23 quotient domain — well
                 // inside BN254's 2^28 two-adicity, and large enough to
-                // drive the four-step NTT and GLV MSM paths end to end.
+                // drive the uncached-twiddle NTT passes (past 2^17) and
+                // the GLV MSM paths end to end.
                 Ok(v) if (4..=22).contains(&v) => log2 = v,
                 _ => return usage(),
             },

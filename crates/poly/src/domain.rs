@@ -1,20 +1,19 @@
 //! Multiplicative evaluation domains of order `2^k` or `3·2^k`, and the
 //! in-place NTT over them.
 //!
-//! There is one butterfly network, [`Radix2Domain`]'s `transform`, written
-//! against the `zkperf-pool` primitives with a decomposition fixed by
-//! `task_elems`: a digit-reversal permutation, one radix-3 layer when the
-//! order is `3·2^k`, then the radix-2 passes. It is the flat transform and
-//! the row kernel of the four-step layout, and its `control`/`data_move`
-//! hooks (with the `memcpy` hook of the four-step transposes) are what a
-//! trace session records. Whether a pass fans out or runs inline on the
-//! caller is the pool's decision — its size, a one-task job, an open
-//! `SerialScope` — and never this module's; flat versus four-step depends
-//! on the domain size and the memory budget only, and the four-step layout
-//! exists for orders `2^k` alone. Where the field hands out an eight-lane
-//! kernel (`PrimeField::lanes`), the radix-3 layer, the radix-2 passes and
-//! the scalings run in it, each replaying its scalar loop's ops to a trace
-//! session instead of recording its own.
+//! There is one butterfly network and one layout, [`Radix2Domain`]'s
+//! `transform`, written against the `zkperf-pool` primitives with a
+//! decomposition fixed by `task_elems`: a digit-reversal permutation
+//! (cache-tiled on `2^k` points), one radix-3 layer when the order is
+//! `3·2^k`, then the radix-2 passes. It serves every order at every size,
+//! with no size switch and no memory-budget check, and its
+//! `control`/`data_move` hooks are what a trace session records. Whether a
+//! pass fans out or runs inline on the caller is the pool's decision — its
+//! size, a one-task job, an open `SerialScope` — and never this module's.
+//! Where the field hands out an eight-lane kernel (`PrimeField::lanes`),
+//! the radix-3 layer, the radix-2 passes and the scalings run in it, each
+//! replaying its scalar loop's ops to a trace session instead of recording
+//! its own.
 
 use zkperf_ff::lanes::{Lanes, Twiddles};
 use zkperf_ff::{batch_inverse, trace_scalar_ops, BigUint, PrimeField};
@@ -38,47 +37,26 @@ fn task_elems(n: usize) -> usize {
 }
 
 /// Largest `k` for which a domain of order `2^k` or `3·2^k` precomputes
-/// its twiddle tables at construction. Domains of order `2^k` at or above
-/// [`FOUR_STEP_MIN_LOG`] run the blocked four-step layout, whose row
-/// transforms read the cached tables of the two √n-sized sub-domains
-/// instead — precomputing a full-size table there would only burn memory.
-/// Such domains between the two thresholds do not exist (the caps are
-/// adjacent); a large transform spilled to the flat pass by a memory
-/// budget, or a `3·2^k` domain past the cap, runs it with incremental
-/// twiddles.
+/// its twiddle tables at construction; past it the late passes advance
+/// running powers of `w_len` instead (the early ones read a task-sized
+/// table, see `transform`). A table is `n/2` elements per direction and
+/// is built once per domain: kept up to 2^21 BN254 points, the tables took
+/// 16, 57 and 126 ms to build at 2^18, 2^20 and 2^21, and the 2^21
+/// transform itself ran slower with them (694 against 565 ms) — a strided
+/// table lookup per butterfly misses cache once the table outgrows it,
+/// where a running power costs one multiplication in registers.
 const MAX_CACHED_TWIDDLE_LOG: u32 = 17;
 
-/// Smallest `log₂(size)` routed through the cache-blocked four-step NTT.
-/// Below this the strided butterfly passes stay close enough to cache for
-/// the flat radix-2 transform with cached twiddles to win; above it the
-/// late passes stride across the whole buffer and thrash, so decomposing
-/// into √n×√n row transforms — each cache-resident — is faster despite
-/// three extra transposes.
-const FOUR_STEP_MIN_LOG: u32 = 18;
+/// Bytes in one tile of the `2^k` bit reversal: `2^q` runs of `2^q`
+/// elements. Two tiles are swapped at a time, 16 KiB, within any L1 data
+/// cache; it gives `q = 4` for 32-byte `Fr` and `q = 5` for Goldilocks.
+const REVERSAL_TILE_BYTES: usize = 8 << 10;
 
-/// Smallest `log₂(size)` at which a memory budget can spill the four-step
-/// transform back to the flat in-place pass. Below this the scratch is a
-/// few megabytes at most and never worth giving up the blocked layout.
-const SPILL_MIN_LOG: u32 = 20;
-
-/// Whether a domain of `size = 2^log_size` elements of `elem_bytes` each
-/// should abandon the four-step layout under `budget`.
-///
-/// The four-step transform buys its cache locality with a full-size
-/// scratch buffer (`size · elem_bytes`, allocated per transform). Under
-/// `ZKPERF_MEM_BUDGET`, once that scratch would claim more than a quarter
-/// of the budget on a domain of 2^20 points or larger, the transform
-/// takes the flat in-place radix-2 pass with incremental twiddles instead
-/// — O(1) scratch, and bit-identical output (the four-step path is pinned
-/// to the flat one by the characterization oracles).
-fn spill_to_flat(log_size: u32, size: usize, elem_bytes: usize, budget: Option<u64>) -> bool {
-    if log_size < SPILL_MIN_LOG {
-        return false;
-    }
-    match budget {
-        Some(budget) => (size as u64).saturating_mul(elem_bytes as u64) > budget / 4,
-        None => false,
-    }
+/// `i`'s low `bits` bits in reverse order.
+fn reverse_low_bits(i: usize, bits: u32) -> usize {
+    i.reverse_bits()
+        .checked_shr(usize::BITS - bits)
+        .unwrap_or(0)
 }
 
 /// The least domain order — an element of `{2^k, 3·2^k}` — that is at
@@ -168,10 +146,6 @@ pub struct Radix2Domain<F: PrimeField> {
     twiddles: Vec<F>,
     /// Inverse twiddles `ω^{−j}` for `j < size/2`, or empty when uncached.
     inv_twiddles: Vec<F>,
-    /// The `(n1, n2)` sub-domains (`n1·n2 = size`, `n1 ≤ n2`) backing the
-    /// four-step transform; present only for orders `2^k` with
-    /// `k ≥ FOUR_STEP_MIN_LOG`.
-    four_step: Option<Box<(Radix2Domain<F>, Radix2Domain<F>)>>,
 }
 
 impl<F: PrimeField> Radix2Domain<F> {
@@ -232,14 +206,6 @@ impl<F: PrimeField> Radix2Domain<F> {
         } else {
             (Vec::new(), Vec::new())
         };
-        let four_step = if !radix3 && two_adic_log >= FOUR_STEP_MIN_LOG {
-            let log1 = two_adic_log / 2;
-            let sub1 = Self::with_order(1usize << log1)?;
-            let sub2 = Self::with_order(1usize << (two_adic_log - log1))?;
-            Some(Box::new((sub1, sub2)))
-        } else {
-            None
-        };
         Some(Radix2Domain {
             size,
             two_adic_log,
@@ -253,7 +219,6 @@ impl<F: PrimeField> Radix2Domain<F> {
             cube_roots,
             twiddles,
             inv_twiddles,
-            four_step,
         })
     }
 
@@ -327,21 +292,12 @@ impl<F: PrimeField> Radix2Domain<F> {
 
     /// In-place NTT: coefficients → evaluations over the domain.
     ///
-    /// Domains of order `2^k` from `2^18` points up run the cache-blocked
-    /// four-step layout; smaller ones, and every `3·2^k` domain, the flat
-    /// passes. Both compute the exact same field elements, so the choice is
-    /// invisible to callers.
-    ///
     /// # Panics
     ///
     /// Panics if `values.len() != size`.
     pub fn fft_in_place(&self, values: &mut [F]) {
         let _g = trace::region_profile("fft");
-        if self.use_four_step() {
-            self.four_step_any_size(values, false);
-        } else {
-            self.transform(values, false);
-        }
+        self.transform(values, false);
     }
 
     /// In-place inverse NTT: evaluations → coefficients.
@@ -351,25 +307,8 @@ impl<F: PrimeField> Radix2Domain<F> {
     /// Panics if `values.len() != size`.
     pub fn ifft_in_place(&self, values: &mut [F]) {
         let _g = trace::region_profile("fft");
-        if self.use_four_step() {
-            self.four_step_any_size(values, true);
-        } else {
-            self.transform(values, true);
-        }
+        self.transform(values, true);
         self.scale_by_size_inv(values);
-    }
-
-    /// True when transforms should take the blocked four-step path: only
-    /// on domains large enough to have sub-domains, unless a memory budget
-    /// spills them back to the flat pass.
-    fn use_four_step(&self) -> bool {
-        self.four_step.is_some()
-            && !spill_to_flat(
-                self.two_adic_log,
-                self.size,
-                std::mem::size_of::<F>(),
-                pool::mem::budget(),
-            )
     }
 
     /// The final `1/n` scaling of an inverse transform.
@@ -447,10 +386,8 @@ impl<F: PrimeField> Radix2Domain<F> {
 
     /// Iterative decimation-in-time NTT: a digit-reversal permutation, one
     /// radix-3 layer on a `3·2^k` domain, then the radix-2 butterfly passes,
-    /// each pass's independent work handed to the pool. Also the row
-    /// kernel of the four-step path: rows under 2^12 points (domains under
-    /// 2^23) are one task per pass, so a row transform stays on the thread
-    /// that owns the row.
+    /// each pass's independent work handed to the pool. The one transform
+    /// body, at every order and size.
     ///
     /// On `n = 3·m` points (`m = 2^k`) the permutation puts
     /// `x[rev(b) + m·t]` in slot `3b + t` (`rev` reverses `k` bits), the
@@ -462,8 +399,10 @@ impl<F: PrimeField> Radix2Domain<F> {
     /// A cached twiddle table holds `ω^j` (`ω^{−j}` for the inverse) for
     /// `j < n/2` and each butterfly reads its twiddle with a strided lookup
     /// — one multiplication per butterfly instead of two. Domains past the
-    /// cache cap have an empty table and fall back to incremental twiddle
-    /// updates.
+    /// cache cap have no table: their early passes read one of `grain/2`
+    /// twiddles built per transform, which holds every twiddle of a pass
+    /// no longer than a task, and their late passes fall back to
+    /// incremental twiddle updates.
     ///
     /// When the field hands out lanes (`PrimeField::lanes`), the radix-3
     /// layer and every radix-2 pass run eight butterflies per lane step —
@@ -498,10 +437,30 @@ impl<F: PrimeField> Radix2Domain<F> {
             return;
         }
         // The permutation stays on the caller: its moves cross chunk
-        // boundaries (≈ 2.5 ms of a 98 304-point transform, its largest
-        // serial part).
+        // boundaries (on 3·2^k points ≈ 2.5 ms of a 98 304-point
+        // transform, its largest serial part).
         self.digit_reverse(values);
         let (grain, lanes) = (task_elems(n), F::lanes());
+        // ω^stride for a power-of-two stride, by squarings.
+        let root = |stride: usize| {
+            let mut w = omega;
+            let mut k = stride;
+            while k > 1 {
+                w = w.square();
+                k /= 2;
+            }
+            w
+        };
+        // Past the cache the early passes still read a table:
+        // ω^((n/grain)·j) for j < grain/2 holds every twiddle of a pass of
+        // length len ≤ grain at stride grain/len, built once per transform.
+        let early;
+        let (early_twiddles, early_n) = if twiddles.is_empty() {
+            early = Self::power_table(root(n / grain), grain / 2);
+            (&early[..], grain)
+        } else {
+            (twiddles, n)
+        };
         let mut len = 2usize;
         if self.radix3 {
             pool::parallel_chunks_mut(values, grain, |_, span| {
@@ -512,25 +471,21 @@ impl<F: PrimeField> Radix2Domain<F> {
         while len <= n {
             let half = len / 2;
             let stride = n / len;
-            // w_len = ω^(n/len), used only on the uncached-twiddle path.
-            let w_len = if twiddles.is_empty() {
-                let mut w = omega;
-                let mut k = stride;
-                while k > 1 {
-                    w = w.square();
-                    k /= 2;
-                }
-                w
-            } else {
-                F::one()
-            };
             if len <= grain {
                 // Many small blocks: group whole blocks per task.
+                let table_stride = early_n / len;
                 pool::parallel_chunks_mut(values, grain, |_, span| {
-                    Self::block_pass(span, len, stride, twiddles, w_len, lanes);
+                    Self::block_pass(span, len, table_stride, early_twiddles, lanes);
                 });
             } else {
-                // Few large blocks: split each block's butterfly range.
+                // Few large blocks: split each block's butterfly range;
+                // past the cache each task advances running powers of
+                // w_len = ω^(n/len) from its own seed.
+                let w_len = if twiddles.is_empty() {
+                    root(stride)
+                } else {
+                    F::one()
+                };
                 for block in values.chunks_mut(len) {
                     let (lo, hi) = block.split_at_mut(half);
                     let mut pairs: Vec<(&mut [F], &mut [F])> = lo
@@ -553,24 +508,18 @@ impl<F: PrimeField> Radix2Domain<F> {
     }
 
     /// The input permutation of [`transform`](Self::transform): bit
-    /// reversal on `2^k` points, an involution done by swaps; on `3·2^k`
-    /// points slot `3b + t` takes `x[rev(b) + m·t]`, which is no
-    /// involution, so each cycle of the permutation is rotated once, a
-    /// bitmap marking the slots already placed.
+    /// reversal on `2^k` points, an involution done by swaps
+    /// ([`bit_reverse`](Self::bit_reverse)); on `3·2^k` points slot
+    /// `3b + t` takes `x[rev(b) + m·t]`, which is no involution, so each
+    /// cycle of the permutation is rotated once, a bitmap marking the slots
+    /// already placed.
     fn digit_reverse(&self, values: &mut [F]) {
         let n = self.size;
-        let shift = usize::BITS - self.two_adic_log;
-        let rev = |i: usize| i.reverse_bits().checked_shr(shift).unwrap_or(0);
+        let k = self.two_adic_log;
         if !self.radix3 {
-            for i in 0..n {
-                let j = rev(i);
-                if i < j {
-                    values.swap(i, j);
-                    trace::data_move(2);
-                }
-            }
-            return;
+            return Self::bit_reverse(values, k);
         }
+        let rev = |i: usize| reverse_low_bits(i, k);
         let m = n / 3;
         let source = |slot: usize| rev(slot / 3) + m * (slot % 3);
         let mut placed = vec![0u64; n.div_ceil(64)];
@@ -593,6 +542,46 @@ impl<F: PrimeField> Radix2Domain<F> {
             if slot != start {
                 values[slot] = first;
                 trace::data_move(1);
+            }
+        }
+    }
+
+    /// Bit reversal of `values` (`2^k` of them) in cache tiles. Writing an
+    /// index as `a|b|c`, with `q` bits in `a` and `c`, its reverse is
+    /// `rev(c)|rev(b)|rev(a)`: every swap pairs a slot of tile `b` with one
+    /// of tile `rev(b)`, each tile `2^q` runs of `2^q` contiguous elements.
+    /// So the tiles are taken a pair at a time — all pairs when
+    /// `b < rev(b)`, only `i < j` when `b = rev(b)` — and both stay in L1,
+    /// where a walk in index order misses cache on nearly every `j` once
+    /// the buffer outgrows it. The tile side `q` follows from
+    /// [`REVERSAL_TILE_BYTES`] and shrinks to `⌊k/2⌋` on small domains.
+    /// It makes the index-order walk's swaps (`i < j` with `j = rev(i)`)
+    /// in another order, so its result and its `data_move` count are the
+    /// walk's.
+    fn bit_reverse(values: &mut [F], k: u32) {
+        assert_eq!(values.len(), 1 << k, "buffer length must be 2^k");
+        let tile_elems = REVERSAL_TILE_BYTES.div_ceil(std::mem::size_of::<F>().max(1));
+        let q = tile_elems
+            .next_power_of_two()
+            .trailing_zeros()
+            .div_ceil(2)
+            .min(k / 2);
+        let mid = k - 2 * q;
+        for b in 0..1usize << mid {
+            let rb = reverse_low_bits(b, mid);
+            if rb < b {
+                continue;
+            }
+            for a in 0..1usize << q {
+                let i_hi = a << (k - q) | b << q;
+                let j_lo = rb << q | reverse_low_bits(a, q);
+                for c in 0..1usize << q {
+                    let (i, j) = (i_hi | c, reverse_low_bits(c, q) << (k - q) | j_lo);
+                    if b < rb || i < j {
+                        values.swap(i, j);
+                        trace::data_move(2);
+                    }
+                }
             }
         }
     }
@@ -628,43 +617,39 @@ impl<F: PrimeField> Radix2Domain<F> {
     }
 
     /// Early-pass task: the butterflies of every whole `len`-point block
-    /// in `span`, in lanes when the span has a shape they take
-    /// ([`Lanes::takes_blocks`]: every pass of a span of 48 points or more,
-    /// of 16 or more on a power of two). Kept out of line: inlined into the
-    /// pool's task loop the butterfly loop spills registers and a
-    /// one-thread transform runs ~15 % slower.
+    /// in `span`, each twiddle read from `twiddles` at `stride`, in lanes
+    /// when the span has a shape they take ([`Lanes::takes_blocks`]: every
+    /// pass of a span of 48 points or more, of 16 or more on a power of
+    /// two). Kept out of line: inlined into the pool's task loop the
+    /// butterfly loop spills registers and a one-thread transform runs
+    /// ~15 % slower.
     #[inline(never)]
     fn block_pass(
         span: &mut [F],
         len: usize,
         stride: usize,
         twiddles: &[F],
-        w_len: F,
         lanes: Option<Lanes<F>>,
     ) {
         match lanes.filter(|_| Lanes::<F>::takes_blocks(len, span.len())) {
             Some(lanes) => {
-                trace_scalar_ops(|| {
-                    Self::blocks_scalar::<false>(span, len, stride, twiddles, w_len);
-                });
-                let first = Self::twiddles_from(twiddles, stride, 0, F::one(), w_len);
-                lanes.blocks(span, len, first);
+                trace_scalar_ops(|| Self::blocks_scalar::<false>(span, len, stride, twiddles));
+                let table = Twiddles::Table {
+                    table: twiddles,
+                    stride,
+                    k0: 0,
+                };
+                lanes.blocks(span, len, table);
             }
-            None => Self::blocks_scalar::<true>(span, len, stride, twiddles, w_len),
+            None => Self::blocks_scalar::<true>(span, len, stride, twiddles),
         }
     }
 
     #[inline(always)]
-    fn blocks_scalar<const WRITE: bool>(
-        span: &mut [F],
-        len: usize,
-        stride: usize,
-        twiddles: &[F],
-        w_len: F,
-    ) {
+    fn blocks_scalar<const WRITE: bool>(span: &mut [F], len: usize, stride: usize, twiddles: &[F]) {
         for block in span.chunks_mut(len) {
             let (lo, hi) = block.split_at_mut(len / 2);
-            Self::butterflies::<WRITE>(lo, hi, 0, stride, twiddles, F::one(), w_len);
+            Self::butterflies::<WRITE>(lo, hi, 0, stride, twiddles, F::one(), F::one());
         }
     }
 
@@ -742,179 +727,6 @@ impl<F: PrimeField> Radix2Domain<F> {
                 trace::control(1);
             }
         }
-    }
-
-    /// Dispatches to the four-step body, building throwaway sub-domains
-    /// when the forced entry points are used below [`FOUR_STEP_MIN_LOG`].
-    fn four_step_any_size(&self, values: &mut [F], inverse: bool) {
-        if self.radix3 || self.two_adic_log < 2 {
-            // The blocked layout splits orders 2^k into two powers of two,
-            // and none exists below four points; the flat transform is the
-            // same computation.
-            return self.transform(values, inverse);
-        }
-        match self.four_step.as_deref() {
-            Some((sub1, sub2)) => self.four_step_with(values, sub1, sub2, inverse),
-            None => {
-                let log1 = self.two_adic_log / 2;
-                let sub1 =
-                    Self::with_order(1usize << log1).expect("sub-domain of a valid domain");
-                let sub2 = Self::with_order(1usize << (self.two_adic_log - log1))
-                    .expect("sub-domain of a valid domain");
-                self.four_step_with(values, &sub1, &sub2, inverse);
-            }
-        }
-    }
-
-    /// Cache-blocked four-step (Bailey) NTT.
-    ///
-    /// Writing indices as `j = j1 + n1·j2` and `k = k2 + n2·k1` turns the
-    /// size-`n` DFT into `n1` row DFTs of length `n2`, a twiddle by
-    /// `ω^(j1·k2)`, and `n2` row DFTs of length `n1`:
-    ///
-    /// `X[k2 + n2·k1] = Σ_{j1} ω^(j1·k2) (ω^{n2})^{j1·k1}
-    ///                  Σ_{j2} x[j1 + n1·j2] (ω^{n1})^{j2·k2}`
-    ///
-    /// Each row is contiguous and cache-resident, so the only passes that
-    /// touch the full buffer are three tiled transposes. `ω^{n1}` and
-    /// `ω^{n2}` are exactly the sub-domains' generators (both come from
-    /// the same two-adic square chain), and field arithmetic is exact, so
-    /// the output is bit-identical to the flat radix-2 transform — at any
-    /// thread count, since every task owns an index-addressed slice and
-    /// per-row twiddle seeds are computed by exponentiation, never carried
-    /// across rows.
-    fn four_step_with(&self, values: &mut [F], sub1: &Self, sub2: &Self, inverse: bool) {
-        assert_eq!(
-            values.len(),
-            self.size,
-            "buffer length must equal the domain size"
-        );
-        let n = self.size;
-        let (n1, n2) = (sub1.size, sub2.size);
-        debug_assert_eq!(n1 * n2, n);
-        let omega = if inverse { self.omega_inv } else { self.omega };
-        let mut scratch = vec![F::zero(); n];
-
-        // Step 1: gather the n1 decimated sequences x[j1], x[j1+n1], …
-        // into contiguous rows: scratch[j1·n2 + j2] = values[j2·n1 + j1].
-        Self::transpose_into(values, &mut scratch, n2, n1);
-
-        // Steps 2–3: length-n2 NTT on every row, then the inter-pass
-        // twiddle ω^(j1·k2), advanced incrementally from the per-row seed
-        // ω^j1 (row j1 = 0 needs no multiply, nor does column k2 = 0).
-        let rows_per_task = (task_elems(n) / n2).max(1);
-        let lanes = F::lanes();
-        pool::parallel_chunks_mut(&mut scratch, rows_per_task * n2, |ci, span| {
-            for (r, row) in span.chunks_mut(n2).enumerate() {
-                let j1 = ci * rows_per_task + r;
-                sub2.transform(row, inverse);
-                if j1 > 0 {
-                    let w_step = omega.pow(&BigUint::from_u64(j1 as u64));
-                    Self::mul_powers(&mut row[1..], w_step, w_step, lanes);
-                }
-            }
-        });
-
-        // Step 4: transpose so each k2 column becomes a contiguous row:
-        // values[k2·n1 + j1] = scratch[j1·n2 + k2].
-        Self::transpose_into(&scratch, values, n1, n2);
-
-        // Step 5: length-n1 NTT on every row.
-        let rows_per_task = (task_elems(n) / n1).max(1);
-        pool::parallel_chunks_mut(values, rows_per_task * n1, |_, span| {
-            for row in span.chunks_mut(n1) {
-                sub1.transform(row, inverse);
-            }
-        });
-
-        // Step 6: the result of row k2 holds X[k2 + n2·k1] at slot k1 —
-        // one last transpose into natural order, then copy back.
-        Self::transpose_into(values, &mut scratch, n2, n1);
-        let grain = task_elems(n);
-        pool::parallel_chunks_mut(values, grain, |ci, chunk| {
-            chunk.copy_from_slice(&scratch[ci * grain..ci * grain + chunk.len()]);
-        });
-    }
-
-    /// Tiled out-of-place transpose: reads `src` as a row-major
-    /// `src_rows × src_cols` matrix and writes its transpose into `dst`.
-    /// 16×16-element tiles keep the strided reads within a handful of
-    /// cache lines while the writes stream; tasks own disjoint bands of
-    /// destination rows, so the decomposition is deterministic.
-    fn transpose_into(src: &[F], dst: &mut [F], src_rows: usize, src_cols: usize) {
-        debug_assert_eq!(src.len(), src_rows * src_cols);
-        debug_assert_eq!(dst.len(), src.len());
-        const TILE: usize = 16;
-        pool::parallel_chunks_mut(dst, TILE * src_rows, |ci, band| {
-            let c0 = ci * TILE;
-            trace::memcpy(
-                band.as_ptr() as usize,
-                &src[c0] as *const F as usize,
-                std::mem::size_of_val(band),
-            );
-            for r0 in (0..src_rows).step_by(TILE) {
-                let r_hi = (r0 + TILE).min(src_rows);
-                for (dc, drow) in band.chunks_mut(src_rows).enumerate() {
-                    let c = c0 + dc;
-                    for r in r0..r_hi {
-                        drow[r] = src[r * src_cols + c];
-                    }
-                }
-            }
-        });
-    }
-
-    /// In-place NTT through the flat passes regardless of domain size.
-    ///
-    /// Reference leg for the four-step crossover tests; production callers
-    /// should use [`fft_in_place`](Self::fft_in_place), which picks the
-    /// faster layout automatically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() != size`.
-    pub fn fft_in_place_radix2(&self, values: &mut [F]) {
-        let _g = trace::region_profile("fft");
-        self.transform(values, false);
-    }
-
-    /// Inverse counterpart of [`fft_in_place_radix2`](Self::fft_in_place_radix2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() != size`.
-    pub fn ifft_in_place_radix2(&self, values: &mut [F]) {
-        let _g = trace::region_profile("fft");
-        self.transform(values, true);
-        self.scale_by_size_inv(values);
-    }
-
-    /// In-place NTT through the cache-blocked four-step layout regardless
-    /// of domain size (`3·2^k` domains and domains below four points fall
-    /// back to the flat transform — no split into two powers of two
-    /// exists).
-    ///
-    /// Lets tests and oracles exercise the blocked path at sizes small
-    /// enough to cross-check cheaply; production callers should use
-    /// [`fft_in_place`](Self::fft_in_place).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() != size`.
-    pub fn fft_in_place_four_step(&self, values: &mut [F]) {
-        let _g = trace::region_profile("fft");
-        self.four_step_any_size(values, false);
-    }
-
-    /// Inverse counterpart of [`fft_in_place_four_step`](Self::fft_in_place_four_step).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() != size`.
-    pub fn ifft_in_place_four_step(&self, values: &mut [F]) {
-        let _g = trace::region_profile("fft");
-        self.four_step_any_size(values, true);
-        self.scale_by_size_inv(values);
     }
 
     /// Evaluates all Lagrange basis polynomials of the domain at `x`,
@@ -1072,10 +884,6 @@ mod tests {
             assert_eq!(values, direct, "coset forward, n = {n}");
             d.coset_ifft_in_place(&mut values);
             assert_eq!(values, coeffs, "coset round trip, n = {n}");
-            // The forced four-step entry points fall back to the flat body.
-            let mut forced = coeffs.clone();
-            d.fft_in_place_four_step(&mut forced);
-            assert_eq!(forced, naive_evals(&coeffs, &d), "forced four-step, n = {n}");
         }
     }
 
@@ -1292,8 +1100,8 @@ mod tests {
     fn scalar_bodies_match_the_lanes() {
         // On a host with AVX-512 IFMA the passes, scalings and power runs
         // take the lanes; `with_scalar_body` drives the scalar fallbacks
-        // here, cached and uncached twiddles, flat and four-step, on both
-        // curves' Fr and every domain form.
+        // here, cached and uncached twiddles, on both curves' Fr and every
+        // domain form.
         fn check<G: PrimeField>() {
             let mut rng = zkperf_ff::test_rng();
             for n in [1usize << 10, 3 << 9, 48] {
@@ -1307,15 +1115,12 @@ mod tests {
                         let (mut fwd, mut coset) = (coeffs.clone(), coeffs.clone());
                         d.fft_in_place(&mut fwd);
                         d.coset_fft_in_place(&mut coset);
-                        let mut blocked = coeffs.clone();
-                        d.fft_in_place_four_step(&mut blocked);
                         let mut inv = fwd.clone();
                         d.coset_ifft_in_place(&mut inv);
-                        (fwd, coset, blocked, inv)
+                        (fwd, coset, inv)
                     };
                     let lanes = run();
                     assert_eq!(lanes, zkperf_ff::lanes::with_scalar_body(run), "n = {n}");
-                    assert_eq!(lanes.0, lanes.2, "flat and four-step, n = {n}");
                 }
             }
         }
@@ -1324,98 +1129,29 @@ mod tests {
     }
 
     #[test]
-    fn budget_spills_large_transforms_to_the_flat_pass() {
-        // Below the spill floor the blocked layout is kept at any budget.
-        assert!(!spill_to_flat(18, 1 << 18, 32, Some(1)));
-        // Unbudgeted large domains keep it too.
-        assert!(!spill_to_flat(20, 1 << 20, 32, None));
-        // A 2^20 domain of 32-byte elements carries a 32 MiB scratch:
-        // budgets under 128 MiB spill to the flat pass, larger ones don't.
-        assert!(spill_to_flat(20, 1 << 20, 32, Some(64 << 20)));
-        assert!(!spill_to_flat(20, 1 << 20, 32, Some(256 << 20)));
-    }
-
-    #[test]
-    fn four_step_matches_radix2_at_forced_sizes() {
-        // Below FOUR_STEP_MIN_LOG the blocked path is never chosen
-        // automatically, but the forced entry points exercise the same
-        // code with throwaway sub-domains — cheap cross-checks of the
-        // index algebra at odd and even log sizes (n1 ≠ n2 and n1 = n2).
-        let mut rng = zkperf_ff::test_rng();
-        for log in [0u32, 1, 2, 3, 5, 6, 10] {
-            let d = Radix2Domain::<Fr>::new(1 << log).unwrap();
-            let coeffs: Vec<Fr> = (0..d.size()).map(|_| Fr::random(&mut rng)).collect();
-
-            let mut flat = coeffs.clone();
-            d.fft_in_place_radix2(&mut flat);
-            let mut blocked = coeffs.clone();
-            d.fft_in_place_four_step(&mut blocked);
-            assert_eq!(flat, blocked, "forward, size 2^{log}");
-
-            d.ifft_in_place_four_step(&mut blocked);
-            assert_eq!(blocked, coeffs, "round-trip, size 2^{log}");
-
-            let mut inv_flat = flat.clone();
-            d.ifft_in_place_radix2(&mut inv_flat);
-            let mut inv_blocked = flat;
-            d.ifft_in_place_four_step(&mut inv_blocked);
-            assert_eq!(inv_flat, inv_blocked, "inverse, size 2^{log}");
+    fn tiled_bit_reversal_is_the_bit_reversal_permutation() {
+        // Slot i must end up holding element rev(i) at every k, on both
+        // tile sides in use (q = 5 for 8-byte Goldilocks, 4 for 32-byte
+        // Fr; ⌊k/2⌋ below them), and make as many swaps as the walk in
+        // index order: one per pair i < rev(i), two data moves each.
+        fn check<G: PrimeField>() {
+            for k in 0..=16u32 {
+                let n = 1usize << k;
+                let rev = |i: usize| i.reverse_bits().checked_shr(64 - k).unwrap_or(0);
+                let mut values: Vec<G> = (0..n as u64).map(G::from_u64).collect();
+                let session = trace::Session::begin();
+                Radix2Domain::<G>::bit_reverse(&mut values, k);
+                let moves = session.finish().counts.data_uops;
+                let expected: Vec<G> = (0..n).map(|i| G::from_u64(rev(i) as u64)).collect();
+                assert!(values == expected, "k = {k}, {} bytes", std::mem::size_of::<G>());
+                let pairs = (0..n).filter(|&i| i < rev(i)).count() as u64;
+                assert_eq!(moves, 2 * pairs, "k = {k}");
+            }
         }
-    }
-
-    #[test]
-    fn a_trace_session_records_the_four_step_transposes() {
-        let d = Radix2Domain::<Fr>::new(1 << 10).unwrap();
-        let mut values = vec![Fr::one(); d.size()];
-        // As `measure_stage` does: the session is this thread's alone.
-        let _serial = pool::SerialScope::enter();
-        let session = trace::Session::begin();
-        d.fft_in_place_four_step(&mut values);
-        // Three transposes, each moving the whole buffer band by band.
-        let buffer = std::mem::size_of_val(values.as_slice()) as u64;
-        assert_eq!(session.finish().counts.memcpy_bytes, 3 * buffer);
-    }
-
-    #[test]
-    fn four_step_is_bit_identical_across_thread_counts() {
-        let mut rng = zkperf_ff::test_rng();
-        let d = Radix2Domain::<Fr>::new(1 << 10).unwrap();
-        let coeffs: Vec<Fr> = (0..d.size()).map(|_| Fr::random(&mut rng)).collect();
-        let run = |threads: usize| {
-            zkperf_pool::set_threads(threads);
-            let mut buf = coeffs.clone();
-            d.fft_in_place_four_step(&mut buf);
-            zkperf_pool::set_threads(1);
-            buf
-        };
-        let serial = run(1);
-        assert_eq!(serial, run(2));
-        assert_eq!(serial, run(4));
-    }
-
-    #[test]
-    fn large_domains_carry_four_step_subdomains() {
-        // 2^18 is the crossover: the domain skips the flat twiddle cache
-        // and instead carries √n sub-domains whose generators are exact
-        // powers of ω — ω^{n1} and ω^{n2} from the same square chain.
-        let d = Radix2Domain::<Fr>::new(1 << FOUR_STEP_MIN_LOG).unwrap();
-        assert!(d.twiddles.is_empty());
-        let (sub1, sub2) = d.four_step.as_deref().expect("sub-domains present");
-        assert_eq!(sub1.size() * sub2.size(), d.size());
-        assert_eq!(sub1.omega, d.omega.pow(&BigUint::from_u64(sub2.size() as u64)));
-        assert_eq!(sub2.omega, d.omega.pow(&BigUint::from_u64(sub1.size() as u64)));
-        // Small domains keep the flat cached-twiddle layout.
-        let small = Radix2Domain::<Fr>::new(1 << 10).unwrap();
-        assert!(small.four_step.is_none());
-        assert!(!small.twiddles.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "buffer length")]
-    fn four_step_rejects_wrong_length() {
-        let d = Radix2Domain::<Fr>::new(8).unwrap();
-        let mut buf = vec![Fr::zero(); 4];
-        d.fft_in_place_four_step(&mut buf);
+        assert_eq!(std::mem::size_of::<zkperf_ff::Goldilocks>(), 8);
+        assert_eq!(std::mem::size_of::<Fr>(), 32);
+        check::<zkperf_ff::Goldilocks>();
+        check::<Fr>();
     }
 
     #[test]

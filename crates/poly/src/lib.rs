@@ -7,17 +7,17 @@
 //! Groth16 uses these to move between coefficient and evaluation form when
 //! computing the quotient polynomial `h(x) = (a(x)·b(x) − c(x))/z(x)`, on
 //! a domain of order `2^k`; PLONK takes the least order of either form
-//! that holds its rows. One transform body serves both forms (a radix-3
-//! layer in front of the radix-2 passes on `3·2^k` points); the
-//! cache-blocked four-step layout is for orders `2^k` only.
+//! that holds its rows. One transform body and one layout serve both forms
+//! at every size (a radix-3 layer in front of the radix-2 passes on
+//! `3·2^k` points), opened by a digit reversal that is cache-tiled on
+//! `2^k` points.
 //!
 //! The body stays generic over the field: where `PrimeField::lanes` hands
 //! out an eight-lane kernel (BN254 and BLS12-381 `Fr` on a host with
 //! AVX-512 IFMA, `zkperf_ff::lanes`), the radix-3 layer, every radix-2
-//! pass, the coset shifts, the four-step inter-pass twiddles and the `1/n`
-//! scaling run eight elements per step, with the
-//! scalar body's results; every other field, and every host without the
-//! instructions, runs the scalar body.
+//! pass, the coset shifts and the `1/n` scaling run eight elements per
+//! step, with the scalar body's results; every other field, and every host
+//! without the instructions, runs the scalar body.
 //!
 //! # Examples
 //!

@@ -16,15 +16,16 @@
 //!   round trip adds 0). Benches and the serving report put it as a
 //!   bandwidth axis next to the latency one.
 //! * **The budget knob.** [`budget`] parses `ZKPERF_MEM_BUDGET` once
-//!   (plain bytes or a `K`/`M`/`G` suffix, powers of 1024). Budget-aware
-//!   stages — streaming MSM chunk sizing, the four-step NTT spill — treat
-//!   `None` as "stay on the in-memory fast path". [`set_budget`]
-//!   overrides the environment for tests and tools.
+//!   (plain bytes or a `K`/`M`/`G` suffix, powers of 1024). The one
+//!   stage that acts on it, Groth16's resident chunk size (how many key
+//!   points one streamed MSM chunk holds), treats `None` as "stay on the
+//!   in-memory fast path"; the serving report and `real_scaling` only
+//!   print it. [`set_budget`] overrides the environment for tests and
+//!   tools.
 //!
-//! The budget never *changes values*: every consumer picks between
-//! execution strategies that produce identical results (the streaming MSM
-//! folds to the same group elements, the flat NTT is pinned bit-identical
-//! to the four-step one), so proofs stay byte-identical at any budget.
+//! The budget never *changes values*: the chunked MSM folds to the same
+//! group elements at any chunk size, so proofs stay byte-identical at any
+//! budget.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};

@@ -20,7 +20,6 @@
 //! | shared-scalar `scale_points`         | double-and-add + per-point loop  |
 //! | `FixedBaseTable` mul / `mul_batch`   | double-and-add                   |
 //! | cached-twiddle NTT (fwd/inv/coset)   | O(n²) DFT, orders 2^k and 3·2^k  |
-//! | four-step blocked NTT (forced path)  | flat radix-2 transform           |
 //! | `Radix2Domain::element`, Lagrange    | ω-power run + interpolation      |
 //! | twisted pairing + prepared G2 lines  | untwisted Miller + BigUint exp   |
 //! | N-thread pool execution              | 1-thread execution, bit-for-bit  |
@@ -853,39 +852,6 @@ pub fn domain_orders_sweep<F: PrimeField>(seed: u64) -> CaseResult {
                     .map_err(|e| format!("{e} at {threads} threads"))?;
             }
         }
-    }
-    Ok(())
-}
-
-fn ntt_four_step_case<F: PrimeField>(rng: &mut SplitRng) -> CaseResult {
-    // The blocked four-step layout only engages automatically at 2^18,
-    // far too big for a fuzz case — the forced entry points run the same
-    // index algebra at small sizes against the flat radix-2 transform
-    // (itself pinned to the O(n²) DFT by `ntt_case`).
-    let size = adversarial_pow2(rng, 8).max(4);
-    let Some(domain) = Radix2Domain::<F>::new(size) else {
-        return fail("ntt four_step", format_args!("no domain of size {size}"));
-    };
-    let coeffs: Vec<F> = adversarial_scalars(rng, domain.size());
-
-    let mut flat = coeffs.clone();
-    domain.fft_in_place_radix2(&mut flat);
-    let mut blocked = coeffs.clone();
-    domain.fft_in_place_four_step(&mut blocked);
-    if flat != blocked {
-        return fail("ntt four_step forward", format_args!("size {size}"));
-    }
-    let mut round = blocked;
-    domain.ifft_in_place_four_step(&mut round);
-    if round != coeffs {
-        return fail("ntt four_step roundtrip", format_args!("size {size}"));
-    }
-    let mut inv_flat = flat.clone();
-    domain.ifft_in_place_radix2(&mut inv_flat);
-    let mut inv_blocked = flat;
-    domain.ifft_in_place_four_step(&mut inv_blocked);
-    if inv_flat != inv_blocked {
-        return fail("ntt four_step inverse", format_args!("size {size}"));
     }
     Ok(())
 }
@@ -1837,14 +1803,6 @@ pub fn all_oracles() -> Vec<Oracle> {
         Oracle {
             name: "ntt_bn254_fr",
             run: ntt_case::<ffbn::Fr>,
-        },
-        Oracle {
-            name: "ntt_four_step_bn254_fr",
-            run: ntt_four_step_case::<ffbn::Fr>,
-        },
-        Oracle {
-            name: "ntt_four_step_bls12_381_fr",
-            run: ntt_four_step_case::<ffbls::Fr>,
         },
         Oracle {
             name: "ntt_bls12_381_fr",

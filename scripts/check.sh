@@ -5,7 +5,7 @@
 #   2. the full test suite (unit + integration + property tests)
 #   3. clippy with -D warnings
 #
-# Before any of that, eight grep gates. No kernel crate may read the pool
+# Before any of that, nine grep gates. No kernel crate may read the pool
 # size (`current_threads()`), so a hand-rolled "small input or one thread,
 # take the serial twin" gate cannot come back — kernels state a grain and
 # the pool decides (DESIGN.md §9/§10). And no crate may ask the tracer
@@ -36,7 +36,12 @@
 # (DESIGN.md §15). And zkperf-plonk names no power of two
 # (`next_power_of_two`, `is_power_of_two`): its row count is the least
 # domain order of either form, 2^k or 3·2^k, that `Radix2Domain::new`
-# picks, so rounding rows up lives in the domain constructor alone.
+# picks, so rounding rows up lives in the domain constructor alone. And
+# zkperf-poly has one NTT layout: no four-step transform, no transpose,
+# no spill to a second path and no memory-budget read — the flat body with
+# its cache-tiled bit reversal serves every order at every size, so a
+# second layout behind a size or budget switch cannot come back
+# (DESIGN.md §12).
 #
 # Six library crates (zkperf-core, zkperf-groth16, zkperf-io,
 # zkperf-plonk, zkperf-pool, zkperf-serve) additionally deny
@@ -106,6 +111,12 @@ fi
 echo "==> grep gate: zkperf-plonk rounds rows only through the domain constructor"
 if grep -rnE 'next_power_of_two|is_power_of_two' crates/plonk/src; then
     echo "PLONK domains have order 2^k or 3·2^k: take n from Radix2Domain::new, check an order with zkperf_poly::root_of_unity" >&2
+    exit 1
+fi
+
+echo "==> grep gate: one NTT layout in zkperf-poly"
+if grep -rnE 'four_step|transpose_into|spill_to_flat|mem::budget' crates/poly/src; then
+    echo "zkperf-poly has one transform body for every order and size: tile the pass that misses cache instead of adding a layout" >&2
     exit 1
 fi
 
