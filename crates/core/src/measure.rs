@@ -183,12 +183,29 @@ fn build_first_use_tables() {
 /// isolates `stage`, matching the paper's "run each stage separately"
 /// methodology.
 ///
+/// The stage runs with the eight-lane kernels switched off
+/// ([`zkperf_ff::lanes::with_scalar_body`], process-wide while it runs):
+/// the toolchain a cell models, snarkjs's wasm and JS
+/// ([`Stage::exec_env`]), has no 52- or 512-bit multiply-add, so every
+/// kernel takes its scalar body, once, and the session records the scalar
+/// CIOS op stream on every host. The lanes' speed is measured by wall time
+/// (`benchmark/`), not here.
+///
 /// # Errors
 ///
 /// Propagates the [`StageError`] when the stage itself fails; the trace
-/// session is torn down cleanly first, so a failed cell never poisons the
-/// next measurement.
+/// session and the scalar scope are torn down cleanly first, so a failed
+/// cell never poisons the next measurement.
 pub fn measure_stage<B: ProverBackend>(
+    workload: &mut Workload<B>,
+    stage: Stage,
+    cpu: &CpuProfile,
+) -> Result<StageMeasurement, StageError> {
+    zkperf_ff::lanes::with_scalar_body(|| trace_stage(workload, stage, cpu))
+}
+
+/// [`measure_stage`]'s body, inside the scalar scope.
+fn trace_stage<B: ProverBackend>(
     workload: &mut Workload<B>,
     stage: Stage,
     cpu: &CpuProfile,

@@ -27,7 +27,7 @@
 
 use zkperf_ff::bn254::Fq;
 use zkperf_ff::lanes::{Chords, Lanes};
-use zkperf_ff::{batch_inverse_with_scratch, trace_scalar_ops, Field};
+use zkperf_ff::{batch_inverse_with_scratch, Field};
 
 use crate::bn254::G1Params;
 use crate::curve::{Affine, CurveParams};
@@ -192,9 +192,7 @@ impl BatchAdder<G1Params> {
     /// The lane body of a classified BN254 G1 round: the shared inversion
     /// in lanes, and the `Add` pairs eight at a time — coordinates gathered
     /// as each pair comes up, sums written back once eight are queued and
-    /// at the end of the round. Each `Add` pair first hands the scalar
-    /// formula to [`trace_scalar_ops`], so a live trace session records
-    /// the scalar body's ops in the scalar body's order.
+    /// at the end of the round.
     pub(crate) fn finish_round_lanes(
         &mut self,
         lanes: Lanes<Fq>,
@@ -206,9 +204,6 @@ impl BatchAdder<G1Params> {
         let mut dsts = [0usize; 8];
         let mut queued = 0;
         self.resolve_pairs(points, segs, |points, dst, p, q, inv| {
-            trace_scalar_ops(|| {
-                chord(p, q, inv);
-            });
             chords.x1[queued] = p.x;
             chords.y1[queued] = p.y;
             chords.x2[queued] = q.x;

@@ -37,14 +37,6 @@ pub fn batch_inverse<F: Field>(values: &mut [F]) {
 /// more than one caller — it costs the prover's MSMs ~6%.
 #[inline(always)]
 pub fn batch_inverse_with_scratch<F: Field>(values: &mut [F], scratch: &mut Vec<F>) {
-    batch_inverse_pass(values, scratch, true);
-}
-
-/// The body of [`batch_inverse_with_scratch`]. With `write` false it runs
-/// every field op and leaves `values` as they were: the scalar op stream
-/// [`crate::lanes::Lanes::batch_inverse`] reports in its place.
-#[inline(always)]
-pub(crate) fn batch_inverse_pass<F: Field>(values: &mut [F], scratch: &mut Vec<F>, write: bool) {
     scratch.clear();
     scratch.reserve(values.len());
     let mut acc = F::one();
@@ -65,9 +57,7 @@ pub(crate) fn batch_inverse_pass<F: Field>(values: &mut [F], scratch: &mut Vec<F
         }
         let inv = scratch[i] * suffix;
         suffix *= values[i];
-        if write {
-            values[i] = inv;
-        }
+        values[i] = inv;
     }
 }
 

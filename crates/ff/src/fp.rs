@@ -7,7 +7,7 @@ use rand::Rng;
 use zkperf_trace::{self as trace, OpCost};
 
 use crate::arith::{
-    is_zero, mac, mont_inv64, pow2_mod, reduce_once, select, sub_borrow, sub_noborrow,
+    geq, is_zero, mac, mont_inv64, pow2_mod, reduce_once, select, sub_borrow, sub_noborrow,
 };
 use crate::bigint::BigUint;
 use crate::traits::{Field, PrimeField};
@@ -144,6 +144,48 @@ impl<P: FpParams<N>, const N: usize> Fp<P, N> {
         }
     }
 
+    /// `v mod p` for the `2N`-limb `v = lo + 2^(64N)·hi` given as
+    /// `[lo, hi]`: the element [`from_biguint`](PrimeField::from_biguint)
+    /// makes of `v`, without allocating. A session records what
+    /// `BigUint::divrem` records of `v mod p` — the `bigint` region and, per
+    /// quotient bit, `2 +` the significant limbs of its running remainder
+    /// in compute µops and one control µop — so a traced stage that draws
+    /// (Groth16's `r, s`, a setup's toxic waste) records the same stream as
+    /// a reduction through `from_biguint`.
+    ///
+    /// The division runs bit-serially on `N` limbs: before quotient bit
+    /// `i`, divrem's remainder `v mod p·2^(i+1)` is `a·2^(i+1)` plus the
+    /// bits of `v` below `i + 1`, with `a = ⌊v/2^(i+1)⌋ mod p`, and the
+    /// next `a` is `2a + bitᵢ(v)`, less `p` once.
+    fn from_wide(wide: [[u64; N]; 2]) -> Self {
+        let _g = trace::region_profile("bigint");
+        let v = wide.as_flattened();
+        let (p_bits, v_bits) = (bit_len(&P::MODULUS), bit_len(v));
+        let mut a = wide[0];
+        let below_p = v_bits < p_bits || (v_bits == p_bits && !geq(&a, &P::MODULUS));
+        if !below_p {
+            let shift = v_bits - p_bits;
+            // ⌊v/2^(shift+1)⌋ has p_bits − 1 bits: below p.
+            a = std::array::from_fn(|k| bits_at(v, 64 * k + shift + 1));
+            for i in (0..=shift).rev() {
+                let rem_bits = if is_zero(&a) {
+                    bit_len_below(v, i + 1)
+                } else {
+                    i + 1 + bit_len(&a)
+                };
+                trace::compute(2 + rem_bits.div_ceil(64) as u32);
+                trace::control(1);
+                // 2a + bitᵢ(v) < 2p < 2^(64N): p's top bit is clear.
+                let mut carry = v[i / 64] >> (i % 64) & 1;
+                for limb in a.iter_mut() {
+                    (*limb, carry) = (*limb << 1 | carry, *limb >> 63);
+                }
+                a = reduce_once(&a, 0, &P::MODULUS).0;
+            }
+        }
+        Self::from_raw(Self::mont_mul(&a, &Self::R2))
+    }
+
     /// Raw Montgomery limbs (for serialization and tests).
     pub fn to_montgomery_limbs(&self) -> [u64; N] {
         self.limbs
@@ -159,30 +201,31 @@ impl<P: FpParams<N>, const N: usize> Fp<P, N> {
     }
 }
 
-/// Reports to a live trace session the records of the scalar field ops a
-/// kernel stands in for: `scalar` runs only while a session records on this
-/// thread, and what it computes is thrown away.
-///
-/// The 8-lane bodies of [`crate::lanes`] compute on raw words, past the
-/// hooks of `Fp`'s operators. Each hands this reporter the scalar
-/// computation it replaces, so a session sees the op stream of the scalar
-/// CIOS kernel — same records, same order, same branch outcomes — and none
-/// of the lanes' own work. The caller's values come from its own kernel
-/// whether or not a session is live, so tracing cannot change which
-/// algorithm produced them. Without a session this is one flag test.
-#[inline(always)]
-pub fn trace_scalar_ops(scalar: impl FnOnce()) {
-    if trace::is_active() {
-        replay_scalar_ops(scalar);
-    }
+/// Significant bits of the little-endian `a` (0 for zero).
+fn bit_len(a: &[u64]) -> usize {
+    a.iter()
+        .rposition(|&l| l != 0)
+        .map_or(0, |top| 64 * top + 64 - a[top].leading_zeros() as usize)
 }
 
-/// The session-only half of [`trace_scalar_ops`], out of line so the
-/// release path stays a load-test-return.
-#[cold]
-#[inline(never)]
-fn replay_scalar_ops(scalar: impl FnOnce()) {
-    scalar();
+/// Significant bits of `a mod 2^n`, for `n ≥ 1`.
+fn bit_len_below(a: &[u64], n: usize) -> usize {
+    (0..n.div_ceil(64))
+        .rev()
+        .map(|k| (k, a[k] & u64::MAX >> (64 - (n - 64 * k).min(64))))
+        .find(|&(_, limb)| limb != 0)
+        .map_or(0, |(k, limb)| 64 * k + 64 - limb.leading_zeros() as usize)
+}
+
+/// The 64 bits of `a` from bit `at` up, zeros past its top.
+fn bits_at(a: &[u64], at: usize) -> u64 {
+    let limb = |k: usize| a.get(k).copied().unwrap_or(0);
+    let (k, off) = (at / 64, at % 64);
+    if off == 0 {
+        limb(k)
+    } else {
+        limb(k) >> off | limb(k + 1) << (64 - off)
+    }
 }
 
 impl<P: FpParams<N>, const N: usize> Field for Fp<P, N> {
@@ -236,8 +279,11 @@ impl<P: FpParams<N>, const N: usize> Field for Fp<P, N> {
 
     fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
         // Sample 2N limbs and reduce: statistical distance < 2^-64N.
-        let limbs: Vec<u64> = (0..2 * N).map(|_| rng.gen()).collect();
-        Self::from_biguint(&BigUint::from_limbs(&limbs))
+        let mut wide = [[0u64; N]; 2];
+        wide.as_flattened_mut()
+            .iter_mut()
+            .for_each(|limb| *limb = rng.gen());
+        Self::from_wide(wide)
     }
 }
 
@@ -606,5 +652,61 @@ mod tests {
         assert!(report.counts.compute_uops > 0);
         assert!(report.counts.loads >= 2);
         assert!(report.counts.stores >= 1);
+    }
+
+    /// `random` makes of its 2N drawn limbs the element `from_biguint`
+    /// makes of them, and reports the same `bigint` work to a session: on
+    /// three edge inputs one by one, and on 10⁴ seeded draws per modulus
+    /// (elements one by one, traces in total).
+    #[test]
+    fn random_reduces_like_from_biguint() {
+        use rand::SeedableRng;
+        use zkperf_trace::{OpCounts, Session};
+
+        fn traced<T>(f: impl FnOnce() -> T) -> (T, OpCounts, Option<(u64, OpCounts)>) {
+            let session = Session::begin();
+            let out = f();
+            let report = session.finish();
+            let bigint = report.region("bigint").map(|r| (r.calls, r.counts));
+            (out, report.counts, bigint)
+        }
+        fn check<P: FpParams<N>, const N: usize>() {
+            let through_biguint =
+                |limbs: &[u64]| Fp::<P, N>::from_biguint(&BigUint::from_limbs(limbs));
+            // All zeros, all ones, and p·2^(64N) + 5, whose running
+            // remainder is 5 once the quotient bits of p are done.
+            let mut five = [0; N];
+            five[0] = 5;
+            for wide in [[[0; N]; 2], [[u64::MAX; N]; 2], [five, P::MODULUS]] {
+                let got = traced(|| Fp::<P, N>::from_wide(wide));
+                let want = traced(|| through_biguint(wide.as_flattened()));
+                assert_eq!(got, want, "{} from {wide:x?}", P::NAME);
+            }
+            const DRAWS: usize = 10_000;
+            let seed = 0x0dd_5eed;
+            let (got, got_counts, got_bigint) = traced(|| {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                (0..DRAWS)
+                    .map(|_| Fp::<P, N>::random(&mut rng))
+                    .collect::<Vec<_>>()
+            });
+            let (want, want_counts, want_bigint) = traced(|| {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                (0..DRAWS)
+                    .map(|_| through_biguint(&(0..2 * N).map(|_| rng.gen()).collect::<Vec<u64>>()))
+                    .collect::<Vec<_>>()
+            });
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g, w, "{} draw {i}", P::NAME);
+            }
+            assert_eq!(got_counts, want_counts, "{}", P::NAME);
+            assert_eq!(got_bigint, want_bigint, "{}", P::NAME);
+            assert_eq!(got_bigint.map(|(calls, _)| calls), Some(DRAWS as u64));
+        }
+        check::<crate::bn254::FqParams, 4>();
+        check::<crate::bn254::FrParams, 4>();
+        check::<crate::bls12_381::FqParams, 6>();
+        check::<crate::bls12_381::FrParams, 4>();
+        check::<M61, 1>();
     }
 }

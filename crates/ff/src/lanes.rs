@@ -30,15 +30,16 @@
 //! (`avx512f` and `avx512ifma`); `cfg(target_arch = "x86_64")` gates the
 //! kernels, so other targets build the scalar bodies only. No environment
 //! variable, Cargo feature or config field selects them;
-//! [`with_scalar_body`] switches them off for tests that pin the two
-//! bodies to each other.
+//! [`with_scalar_body`] switches them off, process-wide, for a traced cell
+//! and for tests that pin the two bodies to each other.
 //!
-//! **Tracing.** The lanes compute past `Fp`'s trace hooks, so their callers
-//! report the scalar ops they replace through [`crate::trace_scalar_ops`]
-//! ([`Lanes::batch_inverse`] does it itself). A session sees the scalar
-//! CIOS kernel's op stream, record for record, and none of the lanes' own
-//! work: the inversion of the eight lane totals, the powers a run of
-//! twiddles starts from, and the multiplies by one in padding lanes.
+//! **Tracing.** The lanes compute on raw words, past `Fp`'s trace hooks,
+//! and report nothing: a session records the scalar work around a lane
+//! kernel and none of the lanes' own. A traced cell
+//! (`zkperf_core::measure_stage`) models snarkjs, whose wasm and JS have no
+//! lanes, so it runs its whole stage inside [`with_scalar_body`]: every
+//! kernel then takes its scalar body, once, through `Fp`'s hooks. The lanes
+//! are observed by wall time, not by the op-stream simulator.
 //!
 //! This is the one module of `zkperf-ff` and `zkperf-ec` that may write
 //! `unsafe` (`deny(unsafe_code)` at both crate roots, and a grep gate in
@@ -236,11 +237,7 @@ impl<F: Copy> Lanes<F> {
     /// the backward pass peels each element's inverse off its lane.
     /// `scratch` holds the prefix products, one slot per element as in the
     /// scalar body (rounded up to a multiple of eight).
-    pub fn batch_inverse(self, values: &mut [F], scratch: &mut Vec<F>)
-    where
-        F: crate::Field,
-    {
-        crate::trace_scalar_ops(|| crate::batch::batch_inverse_pass(values, scratch, false));
+    pub fn batch_inverse(self, values: &mut [F], scratch: &mut Vec<F>) {
         self.0.batch_inverse(values, scratch);
     }
 
@@ -407,12 +404,15 @@ pub fn kernels() -> [(&'static str, &'static str); 3] {
     ["G1 bucket add", "Fr transforms", "Fr quotient rows"].map(|kernel| (kernel, body()))
 }
 
-/// Test support, not a setting: runs `f` with the lanes switched off
-/// process-wide, so every kernel takes its scalar body — the one a host
-/// without IFMA runs. Tests that pin the two bodies to each other, or
-/// cover the fallback, call it on a host that has both; the bodies compute
-/// the same bits, so a caller on another thread only runs slower meanwhile.
-#[doc(hidden)]
+/// Runs `f` with the lanes switched off, so every kernel takes its scalar
+/// body — the one a host without IFMA runs. The switch is process-wide, not
+/// per thread: every kernel fetches [`Lanes::get`] (`F::lanes()`) per call,
+/// so keys and domains built before the scope are covered too, and a caller
+/// on another thread only runs slower meanwhile, since the bodies compute
+/// the same bits. `zkperf_core::measure_stage` runs each traced stage in
+/// it, so a session records the scalar op stream of the modeled toolchain;
+/// tests that pin the two bodies to each other, or cover the fallback, call
+/// it too. Scopes nest, and one closes when `f` returns or unwinds.
 pub fn with_scalar_body<R>(f: impl FnOnce() -> R) -> R {
     struct Scope;
     impl Drop for Scope {

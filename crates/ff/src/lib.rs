@@ -44,7 +44,7 @@ mod traits;
 pub use batch::{batch_inverse, batch_inverse_with_scratch};
 pub use bigint::{BigUint, ParseBigIntError};
 pub use cubic::{CubicExt, CubicExtParams};
-pub use fp::{trace_scalar_ops, Fp, FpParams};
+pub use fp::{Fp, FpParams};
 pub use goldilocks::Goldilocks;
 pub use quad::{QuadExt, QuadExtParams};
 pub use traits::{Field, Frobenius, PrimeField};

@@ -86,17 +86,17 @@
 //! the radix-3 layer and every radix-2 pass, the coset shifts and the
 //! `1/n` scaling, inside `zkperf-poly` — and of the quotient's row
 //! loop, which evaluates eight coset rows per step. The values are the
-//! scalar body's bit for bit, and a trace session records the scalar
-//! body's ops; on `plonk_exp_2e14` (n = 3·2^13, two threads) the nine
-//! transforms went from ≈ 200–240 to ≈ 65–80 ms and the quotient rows from
-//! ≈ 60–70 to ≈ 16–20 ms of a proof.
+//! scalar body's bit for bit, and a traced cell runs the scalar body
+//! (`zkperf_ff::lanes::with_scalar_body`); on `plonk_exp_2e14`
+//! (n = 3·2^13, two threads) the nine transforms went from ≈ 200–240 to
+//! ≈ 65–80 ms and the quotient rows from ≈ 60–70 to ≈ 16–20 ms of a proof.
 
 use rand::Rng;
 
 use zkperf_circuit::R1cs;
 use zkperf_ec::{msm, Affine, Engine};
 use zkperf_ff::lanes::{Lanes, Vector};
-use zkperf_ff::{batch_inverse, trace_scalar_ops, BigUint, Field, PrimeField};
+use zkperf_ff::{batch_inverse, BigUint, Field, PrimeField};
 use zkperf_poly::{root_of_unity, DensePolynomial, Radix2Domain};
 use zkperf_pool as pool;
 use zkperf_trace as trace;
@@ -597,11 +597,8 @@ fn quotient<F: PrimeField>(
         let start = ci * ROW_GRAIN;
         let x = g * domain4.element(start);
         match lanes.filter(|_| chunk.len().is_multiple_of(8)) {
-            Some(lanes) => {
-                trace_scalar_ops(|| rows.scalar(chunk, start, x, w4, false));
-                rows.in_lanes(lanes, chunk, start, x, w4);
-            }
-            None => rows.scalar(chunk, start, x, w4, true),
+            Some(lanes) => rows.in_lanes(lanes, chunk, start, x, w4),
+            None => rows.scalar(chunk, start, x, w4),
         }
     });
     // The transform brings its own 4n rows of scratch: the four inputs
@@ -628,10 +625,8 @@ struct QuotientRows<'a, F: PrimeField> {
 
 impl<F: PrimeField> QuotientRows<'_, F> {
     /// Rows `start..start + chunk.len()` one at a time, `x` the coset point
-    /// of the first. With `write` false it runs every field op and leaves
-    /// `chunk` as it was: the scalar op stream the lane body reports in its
-    /// place.
-    fn scalar(&self, chunk: &mut [F], start: usize, mut x: F, w4: F, write: bool) {
+    /// of the first.
+    fn scalar(&self, chunk: &mut [F], start: usize, mut x: F, w4: F) {
         let [a4, b4, c4, z4] = self.wires;
         let [ql, qr, qo, qm, qc] = self.selectors;
         let [s1, s2, s3] = self.sigmas;
@@ -658,10 +653,7 @@ impl<F: PrimeField> QuotientRows<'_, F> {
                     * (b + beta * s2[j] + gamma)
                     * (c + beta * s3[j] + gamma);
             let perm2 = (z - F::one()) * self.l1[j];
-            let row = (gate + alpha * perm1 + alpha2 * perm2) * self.zh_inv[k % 4];
-            if write {
-                *slot = row;
-            }
+            *slot = (gate + alpha * perm1 + alpha2 * perm2) * self.zh_inv[k % 4];
             x *= w4;
         }
     }

@@ -11,12 +11,12 @@
 //! pass fans out or runs inline on the caller is the pool's decision — its
 //! size, a one-task job, an open `SerialScope` — and never this module's.
 //! Where the field hands out an eight-lane kernel (`PrimeField::lanes`),
-//! the radix-3 layer, the radix-2 passes and the scalings run in it, each
-//! replaying its scalar loop's ops to a trace session instead of recording
-//! its own.
+//! the radix-3 layer, the radix-2 passes and the scalings run in it; the
+//! lanes report nothing to a trace session, and a traced cell runs the
+//! scalar loops (`zkperf_ff::lanes::with_scalar_body`).
 
 use zkperf_ff::lanes::{Lanes, Twiddles};
-use zkperf_ff::{batch_inverse, trace_scalar_ops, BigUint, PrimeField};
+use zkperf_ff::{batch_inverse, BigUint, PrimeField};
 use zkperf_pool as pool;
 use zkperf_trace as trace;
 
@@ -315,26 +315,9 @@ impl<F: PrimeField> Radix2Domain<F> {
     fn scale_by_size_inv(&self, values: &mut [F]) {
         let (c, lanes) = (self.size_inv, F::lanes());
         pool::parallel_chunks_mut(values, task_elems(self.size), |_, chunk| match lanes {
-            Some(lanes) => {
-                trace_scalar_ops(|| Self::scale_scalar::<false>(chunk, c));
-                lanes.scale(chunk, c);
-            }
-            None => Self::scale_scalar::<true>(chunk, c),
+            Some(lanes) => lanes.scale(chunk, c),
+            None => chunk.iter_mut().for_each(|v| *v *= c),
         });
-    }
-
-    /// `values[i] ← values[i]·c`, one at a time. With `WRITE` false it runs
-    /// every field op and leaves `values` as they were: the scalar op
-    /// stream a lane body reports in its place (so for the other scalar
-    /// loops below).
-    #[inline(always)]
-    fn scale_scalar<const WRITE: bool>(values: &mut [F], c: F) {
-        for v in values.iter_mut() {
-            let scaled = *v * c;
-            if WRITE {
-                *v = scaled;
-            }
-        }
     }
 
     /// NTT over the coset `g·H`: scales by powers of `g`, then transforms.
@@ -360,27 +343,17 @@ impl<F: PrimeField> Radix2Domain<F> {
     }
 
     /// `values[i] ← values[i]·first·stepⁱ`: eight at a time in the field's
-    /// lanes when it has them (the scalar ops replayed for a trace
-    /// session), else one running power.
+    /// lanes when it has them, else one running power.
     fn mul_powers(values: &mut [F], first: F, step: F, lanes: Option<Lanes<F>>) {
         match lanes {
-            Some(lanes) => {
-                trace_scalar_ops(|| Self::powers_scalar::<false>(values, first, step));
-                lanes.mul_powers(values, first, step);
+            Some(lanes) => lanes.mul_powers(values, first, step),
+            None => {
+                let mut pow = first;
+                for v in values.iter_mut() {
+                    *v *= pow;
+                    pow *= step;
+                }
             }
-            None => Self::powers_scalar::<true>(values, first, step),
-        }
-    }
-
-    #[inline(always)]
-    fn powers_scalar<const WRITE: bool>(values: &mut [F], first: F, step: F) {
-        let mut pow = first;
-        for v in values.iter_mut() {
-            let scaled = *v * pow;
-            if WRITE {
-                *v = scaled;
-            }
-            pow *= step;
         }
     }
 
@@ -407,8 +380,7 @@ impl<F: PrimeField> Radix2Domain<F> {
     /// When the field hands out lanes (`PrimeField::lanes`), the radix-3
     /// layer and every radix-2 pass run eight butterflies per lane step —
     /// gathered twiddles from the table, or eight running powers advanced
-    /// by `w_len⁸` — and report the scalar ops they replace to a trace
-    /// session; passes with half-blocks under eight pair eight consecutive
+    /// by `w_len⁸`; passes with half-blocks under eight pair eight consecutive
     /// butterflies across blocks. Only the digit reversal, and domains too
     /// small for a lane step (under 48 points), stay scalar. A butterfly's
     /// output is the same field element either way.
@@ -594,24 +566,15 @@ impl<F: PrimeField> Radix2Domain<F> {
     /// [`block_pass`](Self::block_pass).
     #[inline(never)]
     fn radix3_pass(span: &mut [F], c: F, lanes: Option<Lanes<F>>) {
-        match lanes.filter(|_| span.len().is_multiple_of(24)) {
-            Some(lanes) => {
-                trace_scalar_ops(|| Self::radix3_scalar::<false>(span, c));
-                lanes.radix3(span, c);
-            }
-            None => Self::radix3_scalar::<true>(span, c),
+        if let Some(lanes) = lanes.filter(|_| span.len().is_multiple_of(24)) {
+            return lanes.radix3(span, c);
         }
-    }
-
-    #[inline(always)]
-    fn radix3_scalar<const WRITE: bool>(span: &mut [F], c: F) {
         for block in span.chunks_exact_mut(3) {
             let (x0, x1, x2) = (block[0], block[1], block[2]);
             let m = c * (x1 - x2);
-            let y = [x0 + x1 + x2, x0 - x2 + m, x0 - x1 - m];
-            if WRITE {
-                block.copy_from_slice(&y);
-            }
+            block[0] = x0 + x1 + x2;
+            block[1] = x0 - x2 + m;
+            block[2] = x0 - x1 - m;
             trace::control(1);
         }
     }
@@ -633,7 +596,6 @@ impl<F: PrimeField> Radix2Domain<F> {
     ) {
         match lanes.filter(|_| Lanes::<F>::takes_blocks(len, span.len())) {
             Some(lanes) => {
-                trace_scalar_ops(|| Self::blocks_scalar::<false>(span, len, stride, twiddles));
                 let table = Twiddles::Table {
                     table: twiddles,
                     stride,
@@ -641,15 +603,12 @@ impl<F: PrimeField> Radix2Domain<F> {
                 };
                 lanes.blocks(span, len, table);
             }
-            None => Self::blocks_scalar::<true>(span, len, stride, twiddles),
-        }
-    }
-
-    #[inline(always)]
-    fn blocks_scalar<const WRITE: bool>(span: &mut [F], len: usize, stride: usize, twiddles: &[F]) {
-        for block in span.chunks_mut(len) {
-            let (lo, hi) = block.split_at_mut(len / 2);
-            Self::butterflies::<WRITE>(lo, hi, 0, stride, twiddles, F::one(), F::one());
+            None => {
+                for block in span.chunks_mut(len) {
+                    let (lo, hi) = block.split_at_mut(len / 2);
+                    Self::butterflies(lo, hi, 0, stride, twiddles, F::one(), F::one());
+                }
+            }
         }
     }
 
@@ -669,12 +628,9 @@ impl<F: PrimeField> Radix2Domain<F> {
     ) {
         match lanes.filter(|_| lo.len().is_multiple_of(8)) {
             Some(lanes) => {
-                trace_scalar_ops(|| {
-                    Self::butterflies::<false>(lo, hi, k0, stride, twiddles, w0, w_len);
-                });
                 lanes.butterflies(lo, hi, Self::twiddles_from(twiddles, stride, k0, w0, w_len));
             }
-            None => Self::butterflies::<true>(lo, hi, k0, stride, twiddles, w0, w_len),
+            None => Self::butterflies(lo, hi, k0, stride, twiddles, w0, w_len),
         }
     }
 
@@ -692,10 +648,8 @@ impl<F: PrimeField> Radix2Domain<F> {
     /// indices `k0..k0+lo.len()` of a pass with twiddle stride `stride`.
     /// With cached `twiddles` each butterfly looks its factor up; without,
     /// the factor starts at `w0 = w_len^k0` and advances incrementally.
-    /// With `WRITE` false it runs every field op and leaves the slices as
-    /// they were: the scalar op stream a lane run reports in its place.
     #[inline(always)]
-    fn butterflies<const WRITE: bool>(
+    fn butterflies(
         lo: &mut [F],
         hi: &mut [F],
         k0: usize,
@@ -708,10 +662,8 @@ impl<F: PrimeField> Radix2Domain<F> {
             for (k, (u_slot, t_slot)) in lo.iter_mut().zip(hi.iter_mut()).enumerate() {
                 let t = *t_slot * twiddles[(k0 + k) * stride];
                 let u = *u_slot;
-                let (sum, diff) = (u + t, u - t);
-                if WRITE {
-                    (*u_slot, *t_slot) = (sum, diff);
-                }
+                *u_slot = u + t;
+                *t_slot = u - t;
                 trace::control(1);
             }
         } else {
@@ -719,10 +671,8 @@ impl<F: PrimeField> Radix2Domain<F> {
             for (u_slot, t_slot) in lo.iter_mut().zip(hi.iter_mut()) {
                 let t = *t_slot * w;
                 let u = *u_slot;
-                let (sum, diff) = (u + t, u - t);
-                if WRITE {
-                    (*u_slot, *t_slot) = (sum, diff);
-                }
+                *u_slot = u + t;
+                *t_slot = u - t;
                 w *= w_len;
                 trace::control(1);
             }

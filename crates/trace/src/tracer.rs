@@ -134,6 +134,13 @@ fn with_state_slow(f: impl FnOnce(&mut State)) {
 /// one already is. Dropping the session without calling
 /// [`finish`](Session::finish) discards its measurements.
 ///
+/// A session records what reaches the hooks: a kernel that computes on raw
+/// words past them (the eight-lane bodies of `zkperf_ff::lanes`) reports
+/// nothing, so a session opened over one records the scalar work around it
+/// and none of the lanes' own. `zkperf_core::measure_stage` switches the
+/// lanes off for its session; any other caller that wants the scalar op
+/// stream does the same (`zkperf_ff::lanes::with_scalar_body`).
+///
 /// # Examples
 ///
 /// ```

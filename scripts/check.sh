@@ -5,7 +5,7 @@
 #   2. the full test suite (unit + integration + property tests)
 #   3. clippy with -D warnings
 #
-# Before any of that, nine grep gates. No kernel crate may read the pool
+# Before any of that, ten grep gates. No kernel crate may read the pool
 # size (`current_threads()`), so a hand-rolled "small input or one thread,
 # take the serial twin" gate cannot come back — kernels state a grain and
 # the pool decides (DESIGN.md §9/§10). And no crate may ask the tracer
@@ -41,7 +41,11 @@
 # no spill to a second path and no memory-budget read — the flat body with
 # its cache-tiled bit reversal serves every order at every size, so a
 # second layout behind a size or budget switch cannot come back
-# (DESIGN.md §12).
+# (DESIGN.md §12). And no kernel carries a dry-run twin for the tracer
+# (`trace_scalar_ops`, `replay_scalar_ops`, a `const WRITE: bool` that
+# switches a scalar body's stores off): a traced cell runs the scalar body
+# once, the lanes switched off around it, so a lane kernel never re-runs
+# its scalar loop for a session (DESIGN.md §17).
 #
 # Six library crates (zkperf-core, zkperf-groth16, zkperf-io,
 # zkperf-plonk, zkperf-pool, zkperf-serve) additionally deny
@@ -117,6 +121,12 @@ fi
 echo "==> grep gate: one NTT layout in zkperf-poly"
 if grep -rnE 'four_step|transpose_into|spill_to_flat|mem::budget' crates/poly/src; then
     echo "zkperf-poly has one transform body for every order and size: tile the pass that misses cache instead of adding a layout" >&2
+    exit 1
+fi
+
+echo "==> grep gate: no scalar replay or dry-run body for the tracer"
+if grep -rnE 'trace_scalar_ops|replay_scalar_ops|const WRITE: bool' crates; then
+    echo "a traced cell runs the scalar body once (lanes::with_scalar_body around measure_stage): no kernel replays its scalar loop for a session" >&2
     exit 1
 fi
 

@@ -1,84 +1,41 @@
-//! Integration: a trace session records the scalar body's op stream
-//! whichever body ran the lane kernels.
+//! Integration: a traced cell records the scalar body's op stream whichever
+//! body the host runs.
 //!
 //! On a host with AVX-512 IFMA the BN254 G1 rounds of `BatchAdder`, the
 //! NTT passes and scalings of `zkperf-poly` and PLONK's quotient rows run
 //! in the 8-lane kernels of `zkperf_ff::lanes`, which compute past `Fp`'s
-//! trace hooks and report the scalar ops they replace instead. This test is
-//! the only guard on that report: a traced 2^10 MSM, traced 2^10 forward,
-//! inverse and coset NTTs, and traced Groth16 and PLONK cells at 2^10, each
-//! run through both bodies, must come out with every `OpCounts` field equal
+//! trace hooks and report nothing. `measure_stage` models snarkjs, which
+//! has no lanes, so it runs each traced stage inside `with_scalar_body`.
+//! This test is the guard on that: traced Groth16 and PLONK BN254 cells at
+//! 2^10 must read every `OpCounts` field equal with the lanes available and
+//! with them switched off around the whole cell
 //! (`tests/characterization.rs` stays green on a stream that lost most of
-//! its multiplies).
+//! its multiplies), and the scope must close with the stage, a failed one
+//! included.
+//!
+//! A session opened directly over a lane kernel records none of the lanes'
+//! work, so raw-session MSMs and NTTs differ between the bodies by design.
 //!
 //! One `#[test]`: `with_scalar_body` switches the lanes off process-wide.
 
-use zkperf::core::{measure_cell_backend, BackendKind, Curve, Stage};
-use zkperf::ec::bn254::{G1Affine, G1Projective};
-use zkperf::ec::msm;
+use zkperf::core::{
+    measure_cell_backend, measure_stage, BackendKind, Curve, Groth16Backend, Stage, StageError,
+    Workload,
+};
+use zkperf::ec::Bn254;
 use zkperf::ff::lanes::{self, with_scalar_body};
-use zkperf::ff::{bn254::Fr, test_rng, Field};
 use zkperf::machine::CpuProfile;
-use zkperf::poly::Radix2Domain;
-use zkperf::{pool, trace};
 
 #[test]
 fn both_bodies_report_the_same_op_counts() {
-    if lanes::body() == "scalar" {
+    let host_body = lanes::body();
+    if host_body == "scalar" {
         eprintln!("no AVX-512 IFMA on this host: both legs run the scalar body");
     }
-    let mut rng = test_rng();
-    let n = 1 << 10;
-    let bases: Vec<G1Affine> = (0..n)
-        .map(|_| G1Projective::random(&mut rng).to_affine())
-        .collect();
-    let scalars: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
-    let traced_msm = || {
-        let _serial = pool::SerialScope::enter();
-        // Once untraced, so the first-use tables (GLV lattice) stay out.
-        msm(&bases, &scalars);
-        let session = trace::Session::begin();
-        let sum = msm(&bases, &scalars).to_affine();
-        (session.finish().counts, sum)
-    };
-    let (lane_counts, lane_sum) = traced_msm();
-    let (scalar_counts, scalar_sum) = with_scalar_body(|| {
-        assert_eq!(lanes::body(), "scalar");
-        traced_msm()
-    });
-    assert!(lane_sum == scalar_sum, "the two bodies summed differently");
-    assert!(lane_counts.compute_uops > 0);
-    assert_eq!(lane_counts, scalar_counts, "traced 2^10 MSM");
-
-    // Every pass of a 2^10 transform from the fourth on has half-blocks of
-    // eight or more, and the inverse and coset transforms add the 1/n and
-    // power scalings.
-    let domain = Radix2Domain::<Fr>::new(n).expect("2^10 domain");
-    let traced_ntt = |transform: &dyn Fn(&mut [Fr])| {
-        let _serial = pool::SerialScope::enter();
-        let mut values = scalars.clone();
-        let session = trace::Session::begin();
-        transform(&mut values);
-        (session.finish().counts, values)
-    };
-    for name in ["forward", "inverse", "coset"] {
-        let transform = |v: &mut [Fr]| match name {
-            "forward" => domain.fft_in_place(v),
-            "inverse" => domain.ifft_in_place(v),
-            _ => domain.coset_fft_in_place(v),
-        };
-        let (lane_counts, lane_values) = traced_ntt(&transform);
-        let (scalar_counts, scalar_values) = with_scalar_body(|| traced_ntt(&transform));
-        assert!(
-            lane_values == scalar_values,
-            "{name} NTT: the two bodies differ"
-        );
-        assert!(lane_counts.compute_uops > 0);
-        assert_eq!(lane_counts, scalar_counts, "traced 2^10 {name} NTT");
-    }
-
     let cpu = CpuProfile::i7_8650u();
-    // Groth16's QAP transforms and PLONK's transforms and quotient rows.
+
+    // Groth16's QAP transforms and bucket adds, PLONK's transforms and
+    // quotient rows.
     for backend in [BackendKind::Groth16, BackendKind::Plonk] {
         let cell = || -> Vec<_> {
             measure_cell_backend(backend, Curve::Bn128, &cpu, 1 << 10, &Stage::ALL)
@@ -88,10 +45,31 @@ fn both_bodies_report_the_same_op_counts() {
                 .collect()
         };
         let lane_cell = cell();
+        assert!(lane_cell.iter().all(|(_, counts)| counts.compute_uops > 0));
         assert_eq!(
-            lane_cell,
-            with_scalar_body(cell),
-            "traced {backend:?} cell at 2^10"
+            lanes::body(),
+            host_body,
+            "{backend:?} cell left the lanes off"
         );
+        let scalar_cell = with_scalar_body(|| {
+            assert_eq!(lanes::body(), "scalar");
+            cell()
+        });
+        assert_eq!(lane_cell, scalar_cell, "traced {backend:?} cell at 2^10");
     }
+
+    // A stage that fails closes the scope too: Setup before Compile.
+    let mut workload = Workload::<Groth16Backend<Bn254>>::exponentiate(1 << 6);
+    let err = measure_stage(&mut workload, Stage::Setup, &cpu).unwrap_err();
+    assert!(
+        matches!(err, StageError::MissingPrerequisite { .. }),
+        "{err}"
+    );
+    assert_eq!(
+        lanes::body(),
+        host_body,
+        "a failed stage left the lanes off"
+    );
+    measure_stage(&mut workload, Stage::Compile, &cpu).expect("compile after the failure");
+    assert_eq!(lanes::body(), host_body);
 }
